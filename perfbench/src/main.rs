@@ -1,7 +1,7 @@
 //! `perfbench` — host-time benchmark of the DIMM-Link simulator.
 //!
 //! ```text
-//! perfbench --workload <pr-dl|pr-mcn|km-dl|bfs-opt> [--seed N] [--seconds S] [--trace 0|1]
+//! perfbench --workload <pr-dl|km-dl> [--seed N] [--seconds S] [--trace 0|1]
 //! ```
 //!
 //! Builds one workload from `--seed`, then runs its simulation calls one at
@@ -29,7 +29,7 @@ use workload::{Bench, Inputs, Outcome};
 static ALLOC: alloc::Counting = alloc::Counting;
 
 /// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 5;
+const SETUPS: usize = 11;
 /// Repetitions made even when `--seconds` runs out sooner.
 const MIN_REPS: usize = 3;
 
@@ -203,6 +203,10 @@ fn median(v: &[f64]) -> f64 {
         .unwrap_or(f64::NAN)
 }
 
+fn mean(v: &[f64]) -> f64 {
+    v.iter().sum::<f64>() / v.len() as f64
+}
+
 /// Peak resident memory of this process (`VmHWM`), in MB.
 fn peak_rss_mb() -> f64 {
     let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
@@ -241,12 +245,12 @@ fn end_to_end(args: &Args) -> (Report, Option<u64>) {
     }
     let mut tally = Tally::default();
     let times = tally.repeat(args.seconds, || inputs.run());
-    // The median repetition, not the fastest: on a shared host the
-    // interference comes in stretches of seconds to minutes, and the
+    // The mean repetition, not the fastest or the median: on a shared host
+    // the interference comes in stretches of seconds to minutes, and the
     // fastest call of a run depends on whether a quiet moment happened to
-    // fall into it. On the same calls the median spread less from run to
-    // run (see README.md).
-    let run_s = median(&times);
+    // fall into it. Over the same series of calls, the mean spread least
+    // from run to run (see README.md).
+    let run_s = mean(&times);
     let mut r = Report::new(&tally, same && !times.is_empty());
     r.add("run_s", run_s, "s");
     r.add("ops_per_s", inputs.trace_ops() as f64 / run_s, "ops/s");
@@ -265,7 +269,7 @@ fn per_layer(args: &Args) -> (Report, Option<u64>) {
     let lookahead = inputs.construct(&mut tr);
     tr.exit(setup);
 
-    // Half the time untraced, half traced: the difference in the median
+    // Half the time untraced, half traced: the difference in the mean
     // repetition is the tracing overhead.
     let mut tally = Tally::default();
     let plain = tally.repeat(args.seconds / 2.0, || inputs.run());
@@ -284,14 +288,12 @@ fn per_layer(args: &Args) -> (Report, Option<u64>) {
         .map(|i| roots[i])
         .expect("at least one traced repetition");
 
-    // Layers the workload's own pipeline does not run are measured aside,
-    // on the same workload, so that every workload reports every layer.
+    // The host baseline and the DIMM-Link-opt placement are not part of the
+    // measured call; they are run aside on the same workload, so that every
+    // workload reports every layer.
     let aside = tr.enter("bench.aside");
-    let aside_host = (!args.bench.runs_pipeline()).then(|| {
-        let host = inputs.host_baseline_aside(&mut tr);
-        inputs.place_optimized(&mut tr);
-        host
-    });
+    let host = inputs.host_baseline_aside(&mut tr);
+    inputs.place_optimized(&mut tr);
     tr.exit(aside);
 
     let Some(first) = tally.first.take() else {
@@ -311,7 +313,6 @@ fn per_layer(args: &Args) -> (Report, Option<u64>) {
         .filter(|s| s.layer() == "workloads")
         .collect();
     let stat = |k: &str| first.stats.get(k).unwrap_or(f64::NAN);
-    let host = first.host.as_ref().or(aside_host.as_ref());
 
     let mut r = Report::new(&tally, true);
     r.add(
@@ -403,7 +404,7 @@ fn per_layer(args: &Args) -> (Report, Option<u64>) {
     );
     r.add(
         "host_sim.sim_us",
-        host.map_or(f64::NAN, |h| h.elapsed.as_us_f64()),
+        host.elapsed.as_us_f64(),
         "sim_us",
     );
 
@@ -417,7 +418,7 @@ fn per_layer(args: &Args) -> (Report, Option<u64>) {
     }
     r.add(
         "trace.overhead_frac",
-        median(&traced) / median(&plain) - 1.0,
+        mean(&traced) / mean(&plain) - 1.0,
         "ratio",
     );
 
@@ -441,7 +442,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("perfbench: {e}");
             eprintln!(
-                "usage: perfbench --workload <pr-dl|pr-mcn|km-dl|bfs-opt> [--seed N] [--seconds S] [--trace 0|1]"
+                "usage: perfbench --workload <pr-dl|km-dl> [--seed N] [--seconds S] [--trace 0|1]"
             );
             return ExitCode::from(2);
         }

@@ -1,10 +1,10 @@
-//! The benchmark's four workloads: how each builds its inputs, which public
+//! The benchmark's workloads: how each builds its inputs, which public
 //! simulator calls it makes, and how its result is checked.
 
 use crate::trace::Tracer;
 use dimm_link::config::{IdcKind, SystemConfig};
 use dimm_link::host_sim::HostRun;
-use dimm_link::runner::{host_baseline_for, simulate, simulate_optimized};
+use dimm_link::runner::{host_baseline_for, simulate};
 use dimm_link::system::{natural_placement, optimized_placement, random_placement, NmpSystem};
 use dl_engine::stats::StatSet;
 use dl_engine::{Ps, RunStatus};
@@ -21,26 +21,18 @@ pub enum Bench {
     /// PageRank on DIMM-Link: bound by the serial epoch coordinator
     /// (link reservations and polling-proxy forwarding).
     PrDl,
-    /// The same PageRank trace on CPU forwarding (MCN, base polling): the
-    /// coordinator again, but every remote access crosses the host path.
-    PrMcn,
     /// K-Means on DIMM-Link: bound by the partition-local event loop
     /// (cores, caches, memory controllers, trace replay).
     KmDl,
-    /// BFS as one Fig. 10 column: the 16-core host baseline, then
-    /// DIMM-Link-opt (profiling run, MCMF placement, measured run).
-    BfsOpt,
 }
 
 impl Bench {
-    pub const ALL: [Bench; 4] = [Bench::PrDl, Bench::PrMcn, Bench::KmDl, Bench::BfsOpt];
+    pub const ALL: [Bench; 2] = [Bench::PrDl, Bench::KmDl];
 
     pub fn name(self) -> &'static str {
         match self {
             Bench::PrDl => "pr-dl",
-            Bench::PrMcn => "pr-mcn",
             Bench::KmDl => "km-dl",
-            Bench::BfsOpt => "bfs-opt",
         }
     }
 
@@ -50,22 +42,9 @@ impl Bench {
 
     fn kind(self) -> WorkloadKind {
         match self {
-            Bench::PrDl | Bench::PrMcn => WorkloadKind::Pagerank,
+            Bench::PrDl => WorkloadKind::Pagerank,
             Bench::KmDl => WorkloadKind::KMeans,
-            Bench::BfsOpt => WorkloadKind::Bfs,
         }
-    }
-
-    fn idc(self) -> IdcKind {
-        match self {
-            Bench::PrMcn => IdcKind::CpuForwarding,
-            _ => IdcKind::DimmLink,
-        }
-    }
-
-    /// Whether the workload's own pipeline runs `host_sim` and `placement`.
-    pub fn runs_pipeline(self) -> bool {
-        self == Bench::BfsOpt
     }
 }
 
@@ -88,8 +67,6 @@ pub struct Inputs {
     pub bench: Bench,
     pub cfg: SystemConfig,
     pub nmp: Workload,
-    /// The host-shaped twin, for workloads that run the host baseline.
-    pub host: Option<Workload>,
 }
 
 impl Inputs {
@@ -103,20 +80,9 @@ impl Inputs {
         let s = tr.enter("workloads.build");
         let nmp = bench.kind().build(&params);
         tr.exit(s);
-        let host = bench.runs_pipeline().then(|| {
-            let s = tr.enter("workloads.build_host");
-            let w = bench.kind().build(&host_params(seed));
-            tr.exit(s);
-            w
-        });
-        let mut cfg = SystemConfig::nmp(DIMMS, CHANNELS).with_idc(bench.idc());
+        let mut cfg = SystemConfig::nmp(DIMMS, CHANNELS).with_idc(IdcKind::DimmLink);
         cfg.seed = seed;
-        Inputs {
-            bench,
-            cfg,
-            nmp,
-            host,
-        }
+        Inputs { bench, cfg, nmp }
     }
 
     /// Constructs the simulated system once (the rest of set-up) and
@@ -130,71 +96,38 @@ impl Inputs {
 
     /// Whether `other` holds exactly the same generated inputs.
     pub fn same_as(&self, other: &Inputs) -> bool {
-        let same =
-            |a: &Workload, b: &Workload| a.traces() == b.traces() && a.home_dimm() == b.home_dimm();
-        same(&self.nmp, &other.nmp)
-            && match (&self.host, &other.host) {
-                (Some(a), Some(b)) => same(a, b),
-                (None, None) => true,
-                _ => false,
-            }
+        self.nmp.traces() == other.nmp.traces() && self.nmp.home_dimm() == other.nmp.home_dimm()
     }
 
-    /// Trace ops the measured simulations replay: the NMP run's, plus the
-    /// host baseline's where it runs. The 1 % profiling prefix of
-    /// DIMM-Link-opt is not counted.
+    /// Trace ops one simulation call replays.
     pub fn trace_ops(&self) -> u64 {
-        self.nmp.total_ops() + self.host.as_ref().map_or(0, Workload::total_ops)
+        self.nmp.total_ops()
     }
 
-    /// The workload's simulation calls through the runner's entry points.
+    /// The workload's simulation call through the runner's entry point.
     pub fn run(&self) -> Outcome {
-        match self.bench {
-            Bench::BfsOpt => {
-                let host =
-                    host_baseline_for(self.host.as_ref().expect("bfs-opt builds a host twin"));
-                let r = simulate_optimized(&self.nmp, &self.cfg);
-                Outcome {
-                    elapsed: r.elapsed,
-                    status: r.status,
-                    stats: r.stats,
-                    host: Some(host),
-                }
-            }
-            _ => {
-                let r = simulate(&self.nmp, &self.cfg);
-                Outcome {
-                    elapsed: r.elapsed,
-                    status: r.status,
-                    stats: r.stats,
-                    host: None,
-                }
-            }
+        let r = simulate(&self.nmp, &self.cfg);
+        Outcome {
+            elapsed: r.elapsed,
+            status: r.status,
+            stats: r.stats,
         }
     }
 
-    /// The same simulations as [`Inputs::run`], made through the layers the
+    /// The same simulation as [`Inputs::run`], made through the layers the
     /// runner calls, with a span around each call. The result must carry
     /// the same fingerprint as [`Inputs::run`].
     pub fn run_layered(&self, tr: &mut Tracer) -> Outcome {
-        let host = self.host.as_ref().map(|w| host_baseline_traced(w, tr));
-        let (profiling, earlier, placement) = if self.bench == Bench::BfsOpt {
-            let (profile, placement) = self.place_optimized(tr);
-            (profile.elapsed, profile.status, placement)
-        } else {
-            (Ps::ZERO, RunStatus::Completed, natural_placement(&self.nmp))
-        };
         let s = tr.enter("system.new");
-        let sys = NmpSystem::new(&self.nmp, &self.cfg, &placement, None);
+        let sys = NmpSystem::new(&self.nmp, &self.cfg, &natural_placement(&self.nmp), None);
         tr.exit(s);
         let s = tr.enter("system.run");
         let raw = sys.run();
         tr.exit(s);
         Outcome {
-            elapsed: raw.elapsed + profiling,
-            status: earlier.merge(raw.status),
+            elapsed: raw.elapsed,
+            status: raw.status,
             stats: raw.stats,
-            host,
         }
     }
 
@@ -214,36 +147,31 @@ impl Inputs {
         (profile, placement)
     }
 
-    /// Builds the host-shaped twin of this workload and runs the host
-    /// baseline on it, for workloads whose own pipeline does not.
+    /// Builds the host-shaped twin of this workload and runs the 16-core
+    /// host baseline on it.
     pub fn host_baseline_aside(&self, tr: &mut Tracer) -> HostRun {
         let s = tr.enter("workloads.build_host");
         let w = self.bench.kind().build(&host_params(self.cfg.seed));
         tr.exit(s);
-        host_baseline_traced(&w, tr)
+        let s = tr.enter("host_sim.run");
+        let r = host_baseline_for(&w);
+        tr.exit(s);
+        r
     }
 }
 
-fn host_baseline_traced(w: &Workload, tr: &mut Tracer) -> HostRun {
-    let s = tr.enter("host_sim.run");
-    let r = host_baseline_for(w);
-    tr.exit(s);
-    r
-}
-
-/// What a workload's simulation calls produced.
+/// What a workload's simulation call produced.
 #[derive(Debug)]
 pub struct Outcome {
-    /// Simulated end-to-end time (with the profiling phase, for DL-opt).
+    /// Simulated end-to-end time.
     pub elapsed: Ps,
     pub status: RunStatus,
     pub stats: StatSet,
-    pub host: Option<HostRun>,
 }
 
 impl Outcome {
-    /// FNV-1a over the simulated time, the status and every statistic of
-    /// every run. A change that only speeds up the simulator keeps it.
+    /// FNV-1a over the simulated time, the status and every statistic. A
+    /// change that only speeds up the simulator keeps it.
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |bytes: &[u8]| {
@@ -251,16 +179,10 @@ impl Outcome {
                 h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
             }
         };
-        let mut stats = |elapsed: Ps, stats: &StatSet| {
-            eat(&elapsed.as_ps().to_le_bytes());
-            for (k, v) in stats.iter() {
-                eat(k.as_bytes());
-                eat(&v.to_bits().to_le_bytes());
-            }
-        };
-        stats(self.elapsed, &self.stats);
-        if let Some(host) = &self.host {
-            stats(host.elapsed, &host.stats);
+        eat(&self.elapsed.as_ps().to_le_bytes());
+        for (k, v) in self.stats.iter() {
+            eat(k.as_bytes());
+            eat(&v.to_bits().to_le_bytes());
         }
         eat(format!("{:?}", self.status).as_bytes());
         h
@@ -282,11 +204,6 @@ impl Outcome {
         let sums_to_one = (fractions - 1.0).abs() < 1e-9;
         if !sums_to_one {
             return Err(format!("traffic fractions sum to {fractions}"));
-        }
-        if let Some(host) = &self.host {
-            if host.elapsed == Ps::ZERO {
-                return Err("host baseline simulated nothing".into());
-            }
         }
         Ok(())
     }

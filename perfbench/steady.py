@@ -1,23 +1,26 @@
 #!/usr/bin/env python3
 """Steadiness self-check of the benchmark defined in BENCHMARK.json.
 
-For each workload it runs two interleaved sets of N runs (set A with seeds
-1..N, set B with seeds 101..100+N, alternating A, B, A, B, ...) with tracing
-off, and reports for every end-to-end metric each set's median and
-quartiles, the spread (interquartile range over median) and the drift
-between the two medians, each against the metric's bound. It then makes one
-traced run per workload on seed 42 and on a held-out seed, and reports the
-figures that give each workload its character (the estimated coordinator
-share of simulation time, the event mix, the forwarded packets), so that a
-change of seed can be seen not to change what a workload stresses.
+For each workload it runs two interleaved sets of RUNS runs of the same code
+on the graded seed (A, B, A, B, ...) with tracing off. Every run must pass
+its correctness check and print the same fingerprint. For every end-to-end
+metric it reports each set's median and quartiles, the spread
+(interquartile range over median) and the drift between the two medians,
+each against the metric's bound. It then makes one traced run per workload
+on the graded seed and one on a held-out seed, and reports the figures that
+give each workload its character (the estimated coordinator share of
+simulation time, the event mix, the forwarded packets), so that a change of
+seed can be seen not to change what a workload stresses.
 
-Run from the repository root:
+Run from the repository root (it takes about 2 * RUNS * (run_seconds + 5)
+seconds per workload):
 
-    python3 perfbench/steady.py [--runs 10] [--workloads pr-dl,km-dl]
-                                [--held-out-seed 7] [--out perfbench/steadiness.json]
+    python3 perfbench/steady.py
+
+It writes perfbench/steadiness.json and exits 1 if any spread or drift is
+outside its bound.
 """
 
-import argparse
 import json
 import os
 import re
@@ -25,6 +28,11 @@ import statistics
 import subprocess
 import sys
 import time
+
+RUNS = 10
+SEED = 42
+HELD_OUT_SEED = 7
+OUT = "perfbench/steadiness.json"
 
 CHARACTER = [
     "idc.coordinator_share_est",
@@ -53,13 +61,13 @@ def run(command, workload, seed, seconds, trace):
     result = json.loads(lines[-1])
     if not result["correct"]:
         raise SystemExit(f"{workload} seed {seed}: correctness check failed")
-    fingerprint = next((l for l in lines if l.startswith("fingerprint")), None)
+    fingerprint = next(l for l in lines if l.startswith("fingerprint"))
     calls = [float(t) for t in re.findall(r"took ([0-9.]+) s", proc.stderr)]
     return result, fingerprint, took, calls
 
 
 def summary(values):
-    q1, q2, q3 = statistics.quantiles(values, n=4)
+    q1, _, q3 = statistics.quantiles(values, n=4)
     median = statistics.median(values)
     return {
         "median": median,
@@ -71,36 +79,30 @@ def summary(values):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--workloads", default=None)
-    ap.add_argument("--held-out-seed", type=int, default=7)
-    ap.add_argument("--out", default="perfbench/steadiness.json")
-    opts = ap.parse_args()
-
     with open("BENCHMARK.json") as f:
         bench = json.load(f)
     command = bench["command"]
     seconds = bench["run_seconds"]
-    names = [w["name"] for w in bench["workloads"]]
-    if opts.workloads:
-        names = opts.workloads.split(",")
 
     report = {
         "host_cores": os.cpu_count(),
         "run_seconds": seconds,
-        "runs_per_set": opts.runs,
+        "runs_per_set": RUNS,
+        "seed": SEED,
         "workloads": {},
     }
-    for name in names:
+    for name in (w["name"] for w in bench["workloads"]):
         sets = {"A": [], "B": []}
-        fastest = {"A": [], "B": []}
-        for i in range(1, opts.runs + 1):
-            for label, seed in (("A", i), ("B", 100 + i)):
-                result, _, took, calls = run(command, name, seed, seconds, 0)
+        fingerprints = set()
+        for i in range(RUNS):
+            for label in sets:
+                result, fingerprint, took, calls = run(command, name, SEED, seconds, 0)
+                fingerprints.add(fingerprint)
+                if len(fingerprints) > 1:
+                    raise SystemExit(f"{name}: runs of seed {SEED} printed different "
+                                     f"fingerprints: {sorted(fingerprints)}")
                 sets[label].append(result["metrics"])
-                fastest[label].append(min(calls))
-                print(f"{name} set {label} seed {seed}: {took:.1f} s "
+                print(f"{name} set {label} run {i + 1}: {took:.1f} s, {len(calls)} calls, "
                       + " ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items()),
                       flush=True)
         metrics = {}
@@ -116,23 +118,19 @@ def main():
                 "A": a,
                 "B": b,
                 "drift": worse,
-                "spread_ok": m["name"] == "setup_s" or max(a["spread"], b["spread"]) <= m["bound"],
-                "drift_ok": worse <= m["bound"],
+                "spread_ok": max(a["spread"], b["spread"]) <= m["bound"],
+                "drift_ok": abs(worse) <= m["bound"],
             }
             print(f"{name} {m['name']}: A median {a['median']:.6g} spread {a['spread']:.3f}, "
                   f"B median {b['median']:.6g} spread {b['spread']:.3f}, "
                   f"drift {worse:+.3f} (bound {m['bound']})", flush=True)
 
-        # For comparison: the spread run_s would have as the fastest call
-        # of each run instead of the median one, on the same calls.
-        metrics["run_s"]["fastest_call"] = {k: summary(v) for k, v in fastest.items()}
-        print(f"{name} fastest call instead of median: spread A "
-              f"{metrics['run_s']['fastest_call']['A']['spread']:.3f}, "
-              f"B {metrics['run_s']['fastest_call']['B']['spread']:.3f}", flush=True)
-
         character = {}
-        for seed in (42, opts.held_out_seed):
+        for seed in (SEED, HELD_OUT_SEED):
             result, fingerprint, _, _ = run(command, name, seed, seconds, 1)
+            if seed == SEED and fingerprint not in fingerprints:
+                raise SystemExit(f"{name}: the traced run printed {fingerprint}, "
+                                 f"the untraced runs {sorted(fingerprints)}")
             character[str(seed)] = {
                 "fingerprint": fingerprint,
                 **{k: result["metrics"][k]["value"] for k in CHARACTER},
@@ -141,7 +139,7 @@ def main():
                   + " ".join(f"{k}={v}" for k, v in character[str(seed)].items()), flush=True)
         report["workloads"][name] = {"end_to_end": metrics, "character": character}
 
-    with open(opts.out, "w") as f:
+    with open(OUT, "w") as f:
         json.dump(report, f, indent=1)
         f.write("\n")
     bad = [
@@ -150,7 +148,7 @@ def main():
         for m, v in r["end_to_end"].items()
         if not (v["spread_ok"] and v["drift_ok"])
     ]
-    print(f"wrote {opts.out}; " + (f"outside bounds: {', '.join(bad)}" if bad else "all within bounds"))
+    print(f"wrote {OUT}; " + (f"outside bounds: {', '.join(bad)}" if bad else "all within bounds"))
     return 1 if bad else 0
 
 
