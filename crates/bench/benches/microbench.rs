@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks of the substrate components.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dl_engine::{DetRng, Ps};
+use dl_engine::{DetRng, Ps, Resource};
 use dl_mem::{
     AccessKind, Cache, CacheConfig, DimmAddressMap, DramConfig, MemController, MemRequest,
 };
@@ -54,6 +54,66 @@ fn bench_dram(c: &mut Criterion) {
             }
             black_box(done)
         })
+    });
+    g.finish();
+}
+
+/// A memory channel as the epoch coordinator sees it in a polling-bound
+/// run: a standing poll every 200 ns (30 ns each, the default polling
+/// parameters) plus 272-byte DIMM-Link transfers (~11 ns at 25 GB/s) placed
+/// up to two poll periods ahead of the clock, so the 50 µs retention window
+/// is always full and requests land near its tail.
+struct PolledWindow {
+    resource: Resource,
+    clock: Ps,
+    rng: DetRng,
+}
+
+impl PolledWindow {
+    const PERIOD: Ps = Ps::from_ns(200);
+    const POLL: Ps = Ps::from_ns(30);
+    const TRANSFER: Ps = Ps::from_ps(10_880);
+
+    /// A window already full: one retention span (250 periods) of traffic.
+    fn filled() -> Self {
+        let mut w = PolledWindow {
+            resource: Resource::new("channel"),
+            clock: Ps::ZERO,
+            rng: DetRng::seed(7),
+        };
+        w.run(250, false);
+        w
+    }
+
+    /// Advances `periods` poll periods: each reserves its poll and one
+    /// transfer, contiguous or split. Returns the last completion time.
+    fn run(&mut self, periods: u64, split: bool) -> Ps {
+        let mut last = Ps::ZERO;
+        for _ in 0..periods {
+            self.resource.reserve(self.clock, Self::POLL);
+            let at = self.clock + Ps::from_ps(self.rng.below(2 * Self::PERIOD.as_ps()));
+            last = if split {
+                self.resource.reserve_split_with_start(at, Self::TRANSFER).1
+            } else {
+                self.resource.reserve(at, Self::TRANSFER)
+            };
+            self.clock += Self::PERIOD;
+        }
+        last
+    }
+}
+
+fn bench_resource(c: &mut Criterion) {
+    let mut g = c.benchmark_group("resource");
+    g.sample_size(50);
+    // 500 periods = 1000 reservations per sample, against a full window.
+    let mut w = PolledWindow::filled();
+    g.bench_function("reserve_1k_polled_window", |b| {
+        b.iter(|| black_box(w.run(500, false)))
+    });
+    let mut w = PolledWindow::filled();
+    g.bench_function("reserve_split_1k_polled_window", |b| {
+        b.iter(|| black_box(w.run(500, true)))
     });
     g.finish();
 }
@@ -145,6 +205,7 @@ fn bench_cache(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_resource,
     bench_dram,
     bench_noc,
     bench_protocol,

@@ -19,9 +19,10 @@
 //! ([`crate::idc::min_cross_latency`], the cheapest possible
 //! cross-partition message). Within an epoch a partition processes only its
 //! own events and stages anything cross-partition as an [`Intent`] in its
-//! [`Outbox`]. At the epoch barrier the coordinator merges all outboxes
-//! into one total order — `(timestamp, source partition, source sequence)`,
-//! see [`dl_engine::epoch::merge_epoch`] — performs the interconnect and
+//! [`Outbox`]. At the epoch barrier the coordinator drains all outboxes
+//! into one buffer it reuses across epochs and sorts it in place into a
+//! total order — `(timestamp, source partition, source sequence)`, see
+//! [`dl_engine::epoch::merge_epoch`] — performs the interconnect and
 //! host-path reservations in that order, and pushes the resulting
 //! deliveries into the target partitions no earlier than the epoch
 //! boundary. Every component of that procedure is independent of the OS
@@ -309,6 +310,11 @@ struct Coordinator {
     cxl_unicast_bytes: u64,
     broadcast_bytes: u64,
     barriers_passed: u64,
+    /// The epoch's drained envelopes in merged order; emptied after each
+    /// barrier and reused so barriers do not allocate.
+    merged: Vec<Envelope<Intent>>,
+    /// Deliveries produced by the epoch's intents, reused likewise.
+    deliveries: Vec<(usize, Ps, XEvent)>,
 }
 
 /// The NMP system simulator. Construct with [`NmpSystem::new`], run with
@@ -471,6 +477,8 @@ impl<'w> NmpSystem<'w> {
                 cxl_unicast_bytes: 0,
                 broadcast_bytes: 0,
                 barriers_passed: 0,
+                merged: Vec::new(),
+                deliveries: Vec::new(),
             },
             lookahead,
         }
@@ -922,22 +930,29 @@ fn run_barrier_phase(
     coord: &mut Coordinator,
     epoch_end: Ps,
 ) {
-    let batches: Vec<Vec<Envelope<Intent>>> = parts
-        .iter()
-        .map(|p| p.lock().expect("partition lock poisoned").outbox.drain())
-        .collect();
-    let merged = merge_epoch(batches);
-    let mut deliveries: Vec<(usize, Ps, XEvent)> = Vec::new();
-    for env in &merged {
-        coord.apply(sh, env, &mut deliveries);
+    // The buffers are taken out while `apply` borrows the coordinator and
+    // handed back empty, capacity intact.
+    let mut merged = std::mem::take(&mut coord.merged);
+    let mut deliveries = std::mem::take(&mut coord.deliveries);
+    for p in parts {
+        p.lock()
+            .expect("partition lock poisoned")
+            .outbox
+            .drain_into(&mut merged);
     }
-    for (dimm, at, x) in deliveries {
+    merge_epoch(&mut merged);
+    for env in merged.drain(..) {
+        coord.apply(sh, &env, &mut deliveries);
+    }
+    for (dimm, at, x) in deliveries.drain(..) {
         parts[dimm]
             .lock()
             .expect("partition lock poisoned")
             .events
             .push(at.max(epoch_end), Ev::Deliver(x));
     }
+    coord.merged = merged;
+    coord.deliveries = deliveries;
 }
 
 /// Renders a worker panic payload for re-raising on the coordinator.
@@ -1669,7 +1684,6 @@ impl Coordinator {
     /// The master core on `dimm` processes one sync message arriving at
     /// `at`; returns when it has been absorbed.
     fn master_absorb(&mut self, sh: &Shared<'_>, dimm: usize, at: Ps) -> Ps {
-        let _ = sh;
         self.sync_units[dimm].reserve(at, sh.cfg.sync_master_proc)
     }
 

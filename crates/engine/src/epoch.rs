@@ -6,10 +6,11 @@
 //! partition only processes events strictly before the epoch boundary and
 //! never touches another partition's state; anything that must cross a
 //! partition boundary is recorded in the partition's [`Outbox`]. At the
-//! epoch barrier every outbox is drained and the collected [`Envelope`]s
-//! are merged into one totally ordered batch by
+//! epoch barrier every outbox is drained into one buffer and the collected
+//! [`Envelope`]s are sorted into a total order by
 //! `(timestamp, source partition id, source sequence number)` — see
-//! [`merge_epoch`]. Because each component of that key is deterministic
+//! [`merge_epoch`]. The buffer and the outboxes keep their capacity, so a
+//! barrier allocates nothing once the run has warmed up. Because each component of that key is deterministic
 //! (virtual time, fixed partitioning, per-source FIFO counter), the merged
 //! order is independent of how many OS threads executed the epoch, which
 //! is what makes the parallel engine byte-identical at any `--sim-threads`
@@ -26,7 +27,10 @@
 //! a.send(Ps::from_ns(5), "a-first");
 //! b.send(Ps::from_ns(5), "b-first");
 //! a.send(Ps::from_ns(3), "a-second");
-//! let batch = merge_epoch(vec![a.drain(), b.drain()]);
+//! let mut batch = Vec::new();
+//! a.drain_into(&mut batch);
+//! b.drain_into(&mut batch);
+//! merge_epoch(&mut batch);
 //! let order: Vec<&str> = batch.iter().map(|e| e.payload).collect();
 //! // Same timestamp: partition 0 before partition 1; the earlier
 //! // timestamp wins regardless of send order.
@@ -87,10 +91,11 @@ impl<T> Outbox<T> {
         self.next_seq += 1;
     }
 
-    /// Takes everything staged since the last drain, in emission order.
-    /// Sequence numbering continues where it left off.
-    pub fn drain(&mut self) -> Vec<Envelope<T>> {
-        std::mem::take(&mut self.pending)
+    /// Appends everything staged since the last drain to `out`, in
+    /// emission order, and keeps the staging buffer's capacity for the next
+    /// epoch. Sequence numbering continues where it left off.
+    pub fn drain_into(&mut self, out: &mut Vec<Envelope<T>>) {
+        out.append(&mut self.pending);
     }
 
     /// Number of messages currently staged.
@@ -109,23 +114,26 @@ impl<T> Outbox<T> {
     }
 }
 
-/// Merges per-partition envelope batches into the canonical epoch order:
-/// ascending `(timestamp, source partition id, source sequence number)`.
+/// Sorts an epoch's drained envelopes, in place, into the canonical epoch
+/// order: ascending `(timestamp, source partition id, source sequence
+/// number)`.
 ///
-/// The result is independent of how the input batches are arranged (which
-/// partition's batch comes first, or whether a partition's batch was split),
+/// The result is independent of how the envelopes were gathered (which
+/// partition was drained first, or whether a partition's batch was split),
 /// because the sort key is carried inside each envelope. The sort is a
 /// total order — no two envelopes share `(at, src, seq)` since `seq` is
 /// unique per source — so the unstable sort is deterministic here.
-pub fn merge_epoch<T>(batches: Vec<Vec<Envelope<T>>>) -> Vec<Envelope<T>> {
-    let mut all: Vec<Envelope<T>> = batches.into_iter().flatten().collect();
-    all.sort_unstable_by_key(|x| (x.at, x.src, x.seq));
-    all
+pub fn merge_epoch<T>(batch: &mut [Envelope<T>]) {
+    batch.sort_unstable_by_key(|x| (x.at, x.src, x.seq));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn payloads<T: Copy>(batch: &[Envelope<T>]) -> Vec<T> {
+        batch.iter().map(|e| e.payload).collect()
+    }
 
     #[test]
     fn outbox_assigns_sequence_numbers_in_emission_order() {
@@ -133,15 +141,64 @@ mod tests {
         o.send(Ps::from_ns(10), "x");
         o.send(Ps::from_ns(1), "y");
         assert_eq!(o.len(), 2);
-        let batch = o.drain();
+        let mut batch = Vec::new();
+        o.drain_into(&mut batch);
         assert!(o.is_empty());
         assert_eq!(batch[0].seq, 0);
         assert_eq!(batch[1].seq, 1);
         assert!(batch.iter().all(|e| e.src == 3));
         // Numbering continues across drains.
         o.send(Ps::from_ns(2), "z");
-        assert_eq!(o.drain()[0].seq, 2);
+        batch.clear();
+        o.drain_into(&mut batch);
+        assert_eq!(batch[0].seq, 2);
         assert_eq!(o.total_sent(), 3);
+    }
+
+    #[test]
+    fn drain_into_appends_and_sequence_numbers_continue() {
+        // Two drains into the same buffer without clearing: the second
+        // appends behind the first, and its envelopes carry the sequence
+        // numbers that follow the first drain's.
+        let mut o = Outbox::new(0);
+        let mut batch = Vec::new();
+        o.send(Ps::from_ns(4), 'a');
+        o.send(Ps::from_ns(4), 'b');
+        o.drain_into(&mut batch);
+        o.send(Ps::from_ns(4), 'c');
+        o.drain_into(&mut batch);
+        let seqs: Vec<u64> = batch.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, [0, 1, 2]);
+        merge_epoch(&mut batch);
+        assert_eq!(payloads(&batch), ['a', 'b', 'c']);
+        // Draining an empty outbox appends nothing.
+        o.drain_into(&mut batch);
+        assert_eq!(batch.len(), 3);
+    }
+
+    #[test]
+    fn reused_buffer_holds_nothing_from_the_previous_epoch() {
+        // The barrier's pattern: drain, merge, consume, clear, repeat with
+        // the same buffer. The second epoch sees only its own envelopes,
+        // in canonical order, even though the first epoch's were larger.
+        let mut a = Outbox::new(0);
+        let mut b = Outbox::new(1);
+        let mut batch = Vec::new();
+        for i in 0..8 {
+            a.send(Ps::from_ns(i), i);
+        }
+        a.drain_into(&mut batch);
+        merge_epoch(&mut batch);
+        assert_eq!(batch.len(), 8);
+        batch.clear();
+        b.send(Ps::from_ns(9), 100);
+        a.send(Ps::from_ns(9), 200);
+        b.drain_into(&mut batch);
+        a.drain_into(&mut batch);
+        merge_epoch(&mut batch);
+        assert_eq!(payloads(&batch), [200, 100]);
+        assert_eq!(batch[0].seq, 8, "partition 0 continues its numbering");
+        assert!(batch.capacity() >= 8, "the buffer kept its capacity");
     }
 
     #[test]
@@ -152,9 +209,11 @@ mod tests {
         b.send(Ps::from_ns(5), "b1@5");
         a.send(Ps::from_ns(5), "a0@5");
         a.send(Ps::from_ns(2), "a1@2");
-        let merged = merge_epoch(vec![b.drain(), a.drain()]);
-        let order: Vec<&str> = merged.iter().map(|e| e.payload).collect();
-        assert_eq!(order, ["a1@2", "a0@5", "b0@5", "b1@5"]);
+        let mut merged = Vec::new();
+        b.drain_into(&mut merged);
+        a.drain_into(&mut merged);
+        merge_epoch(&mut merged);
+        assert_eq!(payloads(&merged), ["a1@2", "a0@5", "b0@5", "b1@5"]);
     }
 
     #[test]
@@ -185,12 +244,12 @@ mod tests {
                 payload: 40,
             },
         ];
-        let forward = merge_epoch(vec![envelopes.clone()]);
-        let mut rev = envelopes.clone();
-        rev.reverse();
-        let split = merge_epoch(vec![rev[..2].to_vec(), Vec::new(), rev[2..].to_vec()]);
-        assert_eq!(forward, split);
-        let payloads: Vec<u32> = forward.iter().map(|e| e.payload).collect();
-        assert_eq!(payloads, [30, 40, 20, 10]);
+        let mut forward = envelopes.clone();
+        merge_epoch(&mut forward);
+        let mut reversed = envelopes;
+        reversed.reverse();
+        merge_epoch(&mut reversed);
+        assert_eq!(forward, reversed);
+        assert_eq!(payloads(&forward), [30, 40, 20, 10]);
     }
 }

@@ -132,6 +132,10 @@ pub struct MemController {
     banks: Vec<Bank>,
     ranks: Vec<Rank>,
     queue: VecDeque<Pending>,
+    /// [`MemController::pick`]'s per-bank candidate table: flat bank ->
+    /// chosen queue index (oldest or oldest-hit). All `None` between calls:
+    /// `pick` empties each entry as it reads it.
+    candidates: Vec<Option<usize>>,
     finishes: BinaryHeap<Reverse<Finish>>,
     next_wake: Option<Ps>,
     // statistics
@@ -165,6 +169,7 @@ impl MemController {
             banks: vec![Bank::closed(); cfg.total_banks() as usize],
             ranks,
             queue: VecDeque::new(),
+            candidates: vec![None; cfg.total_banks() as usize],
             finishes: BinaryHeap::new(),
             next_wake: None,
             reads: 0,
@@ -199,7 +204,7 @@ impl MemController {
         // Issue as long as something can start now.
         while let Some((idx, plan)) = self.pick(now) {
             let pending = self.queue.remove(idx).expect("picked index in range");
-            self.issue(now, pending, plan);
+            self.issue(pending, plan);
         }
 
         // Pop completions.
@@ -322,28 +327,29 @@ impl MemController {
     /// request for that bank (so capped banks drain conflicts instead of
     /// starving them behind an endless stream of ready hits). Among the
     /// per-bank candidates, the first one legal at `now` is issued.
-    fn pick(&self, now: Ps) -> Option<(usize, Plan)> {
-        // flat_bank -> chosen queue index (oldest or oldest-hit).
-        let mut candidate: Vec<Option<usize>> = vec![None; self.banks.len()];
+    fn pick(&mut self, now: Ps) -> Option<(usize, Plan)> {
         for (i, p) in self.queue.iter().enumerate() {
             let flat = p.req.addr.flat_bank(&self.cfg);
             let bank = &self.banks[flat];
             let is_hit = bank.open_row == Some(p.req.addr.row);
             let hits_allowed = bank.hit_streak < self.cfg.hit_streak_cap;
-            match candidate[flat] {
-                None => candidate[flat] = Some(i),
+            match self.candidates[flat] {
+                None => self.candidates[flat] = Some(i),
                 Some(cur) => {
                     // Upgrade the oldest non-hit to the oldest hit while the
                     // streak cap permits hit-first scheduling.
                     let cur_hit = bank.open_row == Some(self.queue[cur].req.addr.row);
                     if hits_allowed && is_hit && !cur_hit {
-                        candidate[flat] = Some(i);
+                        self.candidates[flat] = Some(i);
                     }
                 }
             }
         }
         let mut best: Option<(usize, Plan)> = None;
-        for i in candidate.into_iter().flatten() {
+        for flat in 0..self.candidates.len() {
+            let Some(i) = self.candidates[flat].take() else {
+                continue;
+            };
             let plan = self.plan_for(&self.queue[i].req, now);
             if plan.first_cmd_at > now {
                 continue;
@@ -356,7 +362,7 @@ impl MemController {
         best
     }
 
-    fn issue(&mut self, now: Ps, pending: Pending, plan: Plan) {
+    fn issue(&mut self, pending: Pending, plan: Plan) {
         let t = self.cfg.timing;
         let req = pending.req;
         let rank_idx = req.addr.rank as usize;
@@ -397,10 +403,7 @@ impl MemController {
         // path) bursts of different ranks overlap; otherwise all ranks share
         // one data bus (a conventional DIMM/channel).
         let bus_rank = if self.cfg.bus_per_rank { rank_idx } else { 0 };
-        let (burst_start, burst_end) = {
-            let rank = &mut self.ranks[bus_rank];
-            rank.bus.reserve_with_start(data_start, t.t(t.bl))
-        };
+        let burst_end = self.ranks[bus_rank].bus.reserve(data_start, t.t(t.bl));
 
         // Bank bookkeeping.
         let bank = &mut self.banks[flat];
@@ -432,7 +435,6 @@ impl MemController {
             bank.hit_streak = 0;
             bank.pre_ready += t.t(t.rp);
         }
-        let _ = burst_start;
 
         self.queue_latency
             .record((burst_end.saturating_sub(pending.arrival)).as_ps());
@@ -441,7 +443,6 @@ impl MemController {
             id: req.id,
             row_hit: plan.hit,
         }));
-        let _ = now;
     }
 
     /// Total bytes moved (reads + writes, one line each).
