@@ -44,16 +44,43 @@ pub struct Args {
     pub max_events: Option<u64>,
     /// Deterministic simulated-time budget per run (`--max-sim-ms N`).
     pub max_sim_ms: Option<u64>,
-    /// Intra-run DES worker threads per point (`--sim-threads N`).
-    /// Byte-identical results at any value; default 1 (sequential).
-    pub sim_threads: usize,
+}
+
+const USAGE: &str = "usage: [--scale N] [--seed N] [--quick] [--threads N] [--out DIR]\n       \
+                     [--resume] [--point-budget SECS] [--max-events N] [--max-sim-ms N]";
+
+/// Takes the value following `flag` and parses it, naming the flag and the
+/// offending text on failure.
+fn flag_value<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String> {
+    let v = it.next().ok_or_else(|| format!("{flag}: missing value"))?;
+    v.parse()
+        .map_err(|_| format!("{flag}: '{v}' is not a valid number"))
 }
 
 impl Args {
-    /// Parses `--scale N`, `--seed N`, `--quick`, `--threads N`, `--out DIR`,
-    /// `--resume`, `--point-budget SECS`, `--max-events N`, `--max-sim-ms N`,
-    /// `--sim-threads N` from `std::env::args`.
+    /// Parses the command line from `std::env::args` (see
+    /// [`Args::parse_from`]); on a malformed line prints the error and the
+    /// usage and exits with status 2.
     pub fn parse() -> Self {
+        Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses `--scale N`, `--seed N`, `--quick`, `--threads N`, `--out DIR`,
+    /// `--resume`, `--point-budget SECS`, `--max-events N`, `--max-sim-ms N`
+    /// (arguments without the program name). `--help` prints the usage and
+    /// exits; unknown arguments are reported and ignored.
+    ///
+    /// # Errors
+    /// A numeric flag with a missing or unparsable value, `--threads 0`,
+    /// and a `--point-budget` that is not a positive number of seconds —
+    /// each would otherwise silently run a different experiment.
+    pub fn parse_from(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         let mut args = Args {
             scale: 0,
             seed: 42,
@@ -64,47 +91,42 @@ impl Args {
             point_budget: None,
             max_events: None,
             max_sim_ms: None,
-            sim_threads: 1,
         };
         let mut scale = None;
-        let mut it = std::env::args().skip(1);
+        let mut it = argv.into_iter();
         while let Some(a) = it.next() {
             match a.as_str() {
-                "--scale" => scale = it.next().and_then(|v| v.parse().ok()),
-                "--seed" => args.seed = it.next().and_then(|v| v.parse().ok()).unwrap_or(42),
+                "--scale" => scale = Some(flag_value(&mut it, "--scale")?),
+                "--seed" => args.seed = flag_value(&mut it, "--seed")?,
                 "--quick" => args.quick = true,
-                "--threads" => args.threads = it.next().and_then(|v| v.parse().ok()),
+                "--threads" => {
+                    let n: usize = flag_value(&mut it, "--threads")?;
+                    if n == 0 {
+                        return Err("--threads must be at least 1".into());
+                    }
+                    args.threads = Some(n);
+                }
                 "--out" => args.out = it.next().map(std::path::PathBuf::from),
                 "--resume" => args.resume = true,
                 "--point-budget" => {
-                    args.point_budget = it
-                        .next()
-                        .and_then(|v| v.parse::<f64>().ok())
-                        .filter(|s| *s > 0.0)
-                        .map(std::time::Duration::from_secs_f64)
+                    let secs: f64 = flag_value(&mut it, "--point-budget")?;
+                    let budget = std::time::Duration::try_from_secs_f64(secs)
+                        .ok()
+                        .filter(|d| !d.is_zero())
+                        .ok_or("--point-budget must be a positive number of seconds")?;
+                    args.point_budget = Some(budget);
                 }
-                "--max-events" => args.max_events = it.next().and_then(|v| v.parse().ok()),
-                "--max-sim-ms" => args.max_sim_ms = it.next().and_then(|v| v.parse().ok()),
-                "--sim-threads" => {
-                    args.sim_threads = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|n| *n >= 1)
-                        .unwrap_or(1)
-                }
+                "--max-events" => args.max_events = Some(flag_value(&mut it, "--max-events")?),
+                "--max-sim-ms" => args.max_sim_ms = Some(flag_value(&mut it, "--max-sim-ms")?),
                 "--help" | "-h" => {
-                    eprintln!(
-                        "usage: [--scale N] [--seed N] [--quick] [--threads N] [--out DIR]\n       \
-                         [--resume] [--point-budget SECS] [--max-events N] [--max-sim-ms N]\n       \
-                         [--sim-threads N]"
-                    );
+                    eprintln!("{USAGE}");
                     std::process::exit(0);
                 }
                 other => eprintln!("ignoring unknown argument {other}"),
             }
         }
         args.scale = scale.unwrap_or(if args.quick { 10 } else { 13 });
-        args
+        Ok(args)
     }
 
     /// The sweep options these arguments describe.
@@ -116,7 +138,6 @@ impl Args {
             resume: self.resume,
             point_budget: self.point_budget,
             halt_after: None,
-            sim_threads: self.sim_threads,
         }
     }
 
@@ -227,6 +248,72 @@ mod tests {
         assert!((geo(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert_eq!(fmt_x(1.5), "1.50x");
         assert_eq!(fmt_pct(0.305), "30.5%");
+    }
+
+    fn parse(line: &[&str]) -> Result<Args, String> {
+        Args::parse_from(line.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn numeric_flags_reject_non_numbers() {
+        for flag in [
+            "--scale",
+            "--seed",
+            "--threads",
+            "--point-budget",
+            "--max-events",
+            "--max-sim-ms",
+        ] {
+            let err = parse(&[flag, "7x"]).expect_err(flag);
+            assert!(err.contains(flag) && err.contains("7x"), "{err}");
+            assert!(parse(&[flag]).is_err(), "{flag} without a value");
+        }
+        // Integer budgets do not accept float notation.
+        assert!(parse(&["--max-events", "1e6"]).is_err());
+    }
+
+    #[test]
+    fn zero_threads_and_non_positive_point_budgets_are_rejected() {
+        assert!(parse(&["--threads", "0"]).is_err());
+        assert!(parse(&["--point-budget", "0"]).is_err());
+        assert!(parse(&["--point-budget", "-1"]).is_err());
+        assert!(parse(&["--point-budget", "inf"]).is_err());
+    }
+
+    #[test]
+    fn valid_line_round_trips() {
+        let a = parse(&[
+            "--scale",
+            "11",
+            "--seed",
+            "7",
+            "--threads",
+            "3",
+            "--out",
+            "dir",
+            "--resume",
+            "--point-budget",
+            "2.5",
+            "--max-events",
+            "1000000",
+            "--max-sim-ms",
+            "4",
+            "--bogus",
+        ])
+        .unwrap();
+        assert_eq!(a.scale, 11);
+        assert_eq!(a.seed, 7);
+        assert!(!a.quick);
+        assert_eq!(a.threads, Some(3));
+        assert_eq!(a.out, Some(std::path::PathBuf::from("dir")));
+        assert!(a.resume);
+        assert_eq!(a.point_budget, Some(std::time::Duration::from_millis(2500)));
+        assert_eq!(a.max_events, Some(1_000_000));
+        assert_eq!(a.max_sim_ms, Some(4));
+
+        let d = parse(&["--quick"]).unwrap();
+        assert_eq!((d.scale, d.seed, d.threads), (10, 42, None));
+        assert_eq!(parse(&[]).unwrap().scale, 13);
     }
 
     #[test]

@@ -543,7 +543,7 @@ pub fn distance_matrix(cfg: &SystemConfig, idc: &Interconnect) -> Vec<Vec<u64>> 
     }
 }
 
-/// Conservative lookahead for the parallel engine: a lower bound on the
+/// Conservative lookahead for the partitioned engine: a lower bound on the
 /// latency of *any* cross-DIMM interaction under `cfg`.
 ///
 /// Two bounds are combined:
@@ -561,7 +561,7 @@ pub fn distance_matrix(cfg: &SystemConfig, idc: &Interconnect) -> Vec<Vec<u64>> 
 ///   latency.
 ///
 /// The result is floored at 1 ns so the epoch width is never degenerate.
-/// Correctness of the parallel engine does not depend on this value being
+/// Correctness of the partitioned engine does not depend on this value being
 /// a true lower bound — deliveries are additionally clamped to the epoch
 /// boundary — but a tight value keeps the model faithful and the epochs
 /// wide.

@@ -9,26 +9,27 @@
 //!
 //! # Partitioned engine
 //!
-//! The simulator is a conservative parallel DES. System state is split into
-//! one [`DimmPart`] per DIMM — cores, caches, memory controller, atomic
-//! unit, and a local event queue — plus one [`Coordinator`] owning every
-//! genuinely shared model (the interconnect, the host path, the sync
-//! masters, the barrier). Partitions advance in bounded time *epochs*: each
-//! epoch spans `[m, m + W)` where `m` is the earliest pending event across
-//! all partitions and `W` is the lookahead
+//! The simulator is a conservative partitioned DES, advanced sequentially.
+//! System state is split into one [`DimmPart`] per DIMM — cores, caches,
+//! memory controller, atomic unit, and a local event queue — plus one
+//! [`Coordinator`] owning every genuinely shared model (the interconnect,
+//! the host path, the sync masters, the barrier). Partitions advance in
+//! bounded time *epochs*: each epoch spans `[m, m + W)` where `m` is the
+//! earliest pending event across all partitions and `W` is the lookahead
 //! ([`crate::idc::min_cross_latency`], the cheapest possible
-//! cross-partition message). Within an epoch a partition processes only its
-//! own events and stages anything cross-partition as an [`Intent`] in its
-//! [`Outbox`]. At the epoch barrier the coordinator drains all outboxes
-//! into one buffer it reuses across epochs and sorts it in place into a
-//! total order — `(timestamp, source partition, source sequence)`, see
-//! [`dl_engine::epoch::merge_epoch`] — performs the interconnect and
-//! host-path reservations in that order, and pushes the resulting
-//! deliveries into the target partitions no earlier than the epoch
-//! boundary. Every component of that procedure is independent of the OS
-//! thread count, so [`NmpSystem::run_with`] produces byte-identical results
-//! at any `sim_threads` value; threads only change which OS worker executes
-//! which partition.
+//! cross-partition message). Within an epoch each partition, in partition
+//! order, processes only its own events and stages anything
+//! cross-partition as an [`Intent`] in its [`Outbox`]. At the epoch barrier
+//! the coordinator drains all outboxes into one buffer it reuses across
+//! epochs and sorts it in place into a total order — `(timestamp, source
+//! partition, source sequence)`, see [`dl_engine::epoch::merge_epoch`] —
+//! performs the interconnect and host-path reservations in that order, and
+//! pushes the resulting deliveries into the target partitions no earlier
+//! than the epoch boundary.
+//!
+//! The epochs are part of the model, not a scheduling device: the merged
+//! order fixes the order of shared-resource reservations, and the boundary
+//! clamp fixes delivery times, so every simulated result depends on them.
 
 use crate::config::{SyncScheme, SystemConfig};
 use crate::host::HostPath;
@@ -43,9 +44,6 @@ use dl_mem::{AccessKind, Cache, CacheOutcome, DimmAddressMap, MemController, Mem
 use dl_placement::AccessProfile;
 use dl_workloads::{Op, Workload};
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 
 /// Cycles of local bookkeeping at each synchronization stage.
 const SYNC_PROC: Ps = Ps::from_ns(5);
@@ -188,7 +186,7 @@ enum Ev {
     Deliver(XEvent),
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct BarrierGroupAgg {
     arrived: usize,
     ready_at: Ps,
@@ -199,15 +197,16 @@ struct BarrierState {
     /// Threads participating (all of them; traces have balanced barriers).
     total: usize,
     arrived: usize,
-    /// Per-DIMM aggregation (hierarchical): count and latest local arrival.
-    dimm_agg: BTreeMap<usize, BarrierGroupAgg>,
-    /// Per-group aggregation: count of completed DIMMs and latest arrival
-    /// at the group master.
-    group_agg: BTreeMap<usize, BarrierGroupAgg>,
-    /// DIMMs (with ≥1 thread) per group and threads per DIMM, fixed per
-    /// placement.
-    threads_on_dimm: BTreeMap<usize, usize>,
-    dimms_in_group: BTreeMap<usize, usize>,
+    /// Per-DIMM aggregation (hierarchical), indexed by DIMM: count and
+    /// latest local arrival.
+    dimm_agg: Vec<BarrierGroupAgg>,
+    /// Per-group aggregation, indexed by group: count of completed DIMMs
+    /// and latest arrival at the group master.
+    group_agg: Vec<BarrierGroupAgg>,
+    /// Threads per DIMM and DIMMs (with ≥1 thread) per group, fixed per
+    /// placement. A zero entry takes no part in the barrier.
+    threads_on_dimm: Vec<usize>,
+    dimms_in_group: Vec<usize>,
     /// Completed-group arrivals at the global master.
     global_arrived: usize,
     global_ready: Ps,
@@ -219,9 +218,6 @@ struct BarrierState {
 enum Plan {
     /// The run is over (completed or out of budget).
     Stop(RunStatus),
-    /// The run cannot make progress; the coordinator must fail after
-    /// releasing any parked workers.
-    Fail(String),
     /// Run one epoch ending (exclusively) at this time.
     Run(Ps),
 }
@@ -241,7 +237,7 @@ pub struct RawRun {
 }
 
 /// Read-only state every partition needs: configuration, the workload, and
-/// the placement maps. Shared by reference across worker threads.
+/// the placement maps, passed by reference into every partition step.
 struct Shared<'w> {
     cfg: SystemConfig,
     workload: &'w Workload,
@@ -318,11 +314,10 @@ struct Coordinator {
 }
 
 /// The NMP system simulator. Construct with [`NmpSystem::new`], run with
-/// [`NmpSystem::run`] (sequential) or [`NmpSystem::run_with`] (parallel;
-/// byte-identical results at any thread count).
+/// [`NmpSystem::run`].
 pub struct NmpSystem<'w> {
     shared: Shared<'w>,
-    parts: Vec<Mutex<DimmPart>>,
+    parts: Vec<DimmPart>,
     coord: Coordinator,
     /// Epoch width `W`: the cheapest possible cross-partition latency.
     lookahead: Ps,
@@ -378,13 +373,9 @@ impl<'w> NmpSystem<'w> {
             resident[d].push(g);
         }
 
-        let mut threads_on_dimm = BTreeMap::new();
-        for &d in placement {
-            *threads_on_dimm.entry(d).or_insert(0) += 1;
-        }
-        let mut dimms_in_group: BTreeMap<usize, usize> = BTreeMap::new();
-        for &d in threads_on_dimm.keys() {
-            *dimms_in_group.entry(cfg.group_of(d)).or_insert(0) += 1;
+        let mut dimms_in_group = vec![0usize; cfg.groups];
+        for d in (0..cfg.dimms).filter(|&d| load[d] > 0) {
+            dimms_in_group[cfg.group_of(d)] += 1;
         }
 
         let parts = resident
@@ -413,7 +404,7 @@ impl<'w> NmpSystem<'w> {
                 for &g in &residents {
                     events.push(Ps::ZERO, Ev::Wake(g));
                 }
-                Mutex::new(DimmPart {
+                DimmPart {
                     dimm: d,
                     l1: residents.iter().map(|_| Cache::new(cfg.nmp_l1)).collect(),
                     threads: residents,
@@ -439,7 +430,7 @@ impl<'w> NmpSystem<'w> {
                     remote_issue: BTreeMap::new(),
                     remote_rtt: Histogram::new(),
                     profile: AccessProfile::new(threads, cfg.dimms),
-                })
+                }
             })
             .collect();
 
@@ -462,9 +453,9 @@ impl<'w> NmpSystem<'w> {
                 barrier: BarrierState {
                     total: threads,
                     arrived: 0,
-                    dimm_agg: BTreeMap::new(),
-                    group_agg: BTreeMap::new(),
-                    threads_on_dimm,
+                    dimm_agg: vec![BarrierGroupAgg::default(); cfg.dimms],
+                    group_agg: vec![BarrierGroupAgg::default(); cfg.groups],
+                    threads_on_dimm: load,
                     dimms_in_group,
                     global_arrived: 0,
                     global_ready: Ps::ZERO,
@@ -490,146 +481,36 @@ impl<'w> NmpSystem<'w> {
     }
 
     /// Runs to completion (or until the configured [`dl_engine::RunBudget`]
-    /// is exceeded) on the calling thread and collects results. Equivalent
-    /// to `run_with(1)`.
+    /// is exceeded) and collects results.
+    ///
+    /// Budgets are observed deterministically at the top of each epoch (the
+    /// sum of per-partition scheduled-event counters and the maximum
+    /// partition clock); see [`dl_engine::BudgetKind`] for the overshoot
+    /// contract. A runaway run with an unlimited budget stops with
+    /// [`BudgetKind::Backstop`] instead of panicking.
     ///
     /// # Panics
     /// Panics on deadlock (all event queues drained with live threads —
     /// e.g. barrier-unbalanced traces).
-    pub fn run(self) -> RawRun {
-        self.run_with(1)
-    }
-
-    /// Runs the simulation with up to `sim_threads` OS worker threads.
-    ///
-    /// Partitioning is fixed (one partition per DIMM) regardless of
-    /// `sim_threads`, and cross-partition effects are applied in a merged
-    /// total order at epoch barriers, so the result — every statistic, the
-    /// profile, the status — is byte-identical at any thread count. Budgets
-    /// are observed deterministically at the top of each epoch (the sum of
-    /// per-partition scheduled-event counters and the maximum partition
-    /// clock); see [`dl_engine::BudgetKind`] for the overshoot contract. A
-    /// runaway run with an unlimited budget stops with
-    /// [`BudgetKind::Backstop`] instead of panicking.
-    ///
-    /// # Panics
-    /// Panics if `sim_threads` is zero, or on deadlock (all event queues
-    /// drained with live threads — e.g. barrier-unbalanced traces).
-    pub fn run_with(mut self, sim_threads: usize) -> RawRun {
-        assert!(sim_threads >= 1, "sim_threads must be at least 1");
-        let n = sim_threads.min(self.parts.len());
-        let status = if n <= 1 {
-            self.run_inline()
-        } else {
-            self.run_parallel(n)
-        };
+    pub fn run(mut self) -> RawRun {
+        let status = self.run_inline();
         self.collect(status)
     }
 
-    /// Sequential driver: same epoch structure as the parallel one, with
-    /// partitions advanced inline in partition order.
+    /// The epoch loop: plan, advance every partition in partition order,
+    /// then apply the merged cross-partition effects.
     fn run_inline(&mut self) -> RunStatus {
         loop {
             match epoch_plan(&self.parts, &self.shared.cfg, self.lookahead) {
                 Plan::Stop(status) => return status,
-                Plan::Fail(msg) => panic!("{msg}"),
                 Plan::Run(epoch_end) => {
-                    for part in &self.parts {
-                        part.lock()
-                            .expect("partition lock poisoned")
-                            .run_epoch(&self.shared, epoch_end);
+                    for part in &mut self.parts {
+                        part.run_epoch(&self.shared, epoch_end);
                     }
-                    run_barrier_phase(&self.parts, &self.shared, &mut self.coord, epoch_end);
+                    run_barrier_phase(&mut self.parts, &self.shared, &mut self.coord, epoch_end);
                 }
             }
         }
-    }
-
-    /// Parallel driver: `n` persistent workers advance partitions in a
-    /// fixed strided mapping (worker `w` owns partitions `w, w + n, …`);
-    /// the coordinator plans each epoch, releases the workers through a
-    /// start barrier, joins them at an end barrier, then applies the merged
-    /// cross-partition effects alone.
-    fn run_parallel(&mut self, n: usize) -> RunStatus {
-        let parts = &self.parts;
-        let sh = &self.shared;
-        let coord = &mut self.coord;
-        let lookahead = self.lookahead;
-        let start = SpinBarrier::new(n + 1);
-        let end = SpinBarrier::new(n + 1);
-        let epoch_end_ps = AtomicU64::new(0);
-        let stop = AtomicBool::new(false);
-        let worker_panic: Mutex<Option<String>> = Mutex::new(None);
-        let mut status = RunStatus::Completed;
-
-        std::thread::scope(|scope| {
-            for wid in 0..n {
-                let (start, end) = (&start, &end);
-                let (epoch_end_ps, stop) = (&epoch_end_ps, &stop);
-                let worker_panic = &worker_panic;
-                let sh: &Shared<'_> = sh;
-                scope.spawn(move || loop {
-                    start.wait();
-                    if stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let epoch_end = Ps::from_ps(epoch_end_ps.load(Ordering::SeqCst));
-                    // Catch panics so the epoch barriers stay balanced; the
-                    // coordinator re-raises after releasing every worker.
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        let mut i = wid;
-                        while i < parts.len() {
-                            parts[i]
-                                .lock()
-                                .expect("partition lock poisoned")
-                                .run_epoch(sh, epoch_end);
-                            i += n;
-                        }
-                    }));
-                    if let Err(payload) = outcome {
-                        let mut slot = worker_panic.lock().expect("panic-note lock poisoned");
-                        if slot.is_none() {
-                            *slot = Some(panic_message(payload.as_ref()));
-                        }
-                        stop.store(true, Ordering::SeqCst);
-                    }
-                    end.wait();
-                });
-            }
-            loop {
-                match epoch_plan(parts, &sh.cfg, lookahead) {
-                    Plan::Stop(s) => {
-                        status = s;
-                        stop.store(true, Ordering::SeqCst);
-                        start.wait();
-                        break;
-                    }
-                    Plan::Fail(msg) => {
-                        stop.store(true, Ordering::SeqCst);
-                        start.wait();
-                        panic!("{msg}");
-                    }
-                    Plan::Run(epoch_end) => {
-                        epoch_end_ps.store(epoch_end.as_ps(), Ordering::SeqCst);
-                        start.wait();
-                        end.wait();
-                        if stop.load(Ordering::SeqCst) {
-                            // A worker panicked this epoch: release every
-                            // worker so it observes `stop`, then propagate.
-                            start.wait();
-                            let msg = worker_panic
-                                .lock()
-                                .expect("panic-note lock poisoned")
-                                .take()
-                                .unwrap_or_else(|| "simulation worker panicked".to_string());
-                            panic!("{msg}");
-                        }
-                        run_barrier_phase(parts, sh, coord, epoch_end);
-                    }
-                }
-            }
-        });
-        status
     }
 
     /// Test hook: inject an extra wake event for `thread` at time `at`
@@ -637,11 +518,7 @@ impl<'w> NmpSystem<'w> {
     #[cfg(test)]
     fn inject_wake(&mut self, thread: usize, at: Ps) {
         let d = self.shared.placement[thread];
-        self.parts[d]
-            .get_mut()
-            .expect("partition lock poisoned")
-            .events
-            .push(at, Ev::Wake(thread));
+        self.parts[d].events.push(at, Ev::Wake(thread));
     }
 
     // ------------------------------------------------------------------
@@ -655,10 +532,6 @@ impl<'w> NmpSystem<'w> {
             mut coord,
             ..
         } = self;
-        let parts: Vec<DimmPart> = parts
-            .into_iter()
-            .map(|p| p.into_inner().expect("partition lock poisoned"))
-            .collect();
         let threads_total = sh.placement.len();
 
         // Cores still running when a budget cut the run short are charged
@@ -672,8 +545,6 @@ impl<'w> NmpSystem<'w> {
         }
         coord.host.finalize(elapsed);
 
-        // Exact integer/Ps sums in fixed partition order, so the merged
-        // counters are independent of how many OS threads ran the epochs.
         let events_scheduled: u64 = parts.iter().map(|p| p.events.total_scheduled()).sum();
         let ev_wake: u64 = parts.iter().map(|p| p.ev_wake).sum();
         let ev_mem: u64 = parts.iter().map(|p| p.ev_mem).sum();
@@ -787,8 +658,8 @@ impl<'w> NmpSystem<'w> {
         }
         s.set("dram.reads", dram_reads as f64);
         s.set("dram.writes", dram_writes as f64);
-        // L1 rates are summed in *global* thread order (f64 addition is
-        // order-sensitive) so the mean matches at every thread count.
+        // L1 rates are summed in *global* thread order, not partition order:
+        // f64 addition is order-sensitive, and this order fixes the mean.
         let mut l1h = 0.0;
         for g in 0..threads_total {
             l1h += parts[sh.placement[g]].l1[sh.local_of[g]].hit_rate();
@@ -804,96 +675,16 @@ impl<'w> NmpSystem<'w> {
     }
 }
 
-/// A sense-reversing epoch barrier with an adaptive wait strategy.
-///
-/// Epochs are microseconds of work, and a run crosses the barrier hundreds
-/// of thousands of times, so the barrier itself is on the critical path.
-/// Two regimes:
-///
-/// * **Spin** — when the machine has a core for every participant, waiters
-///   busy-wait: the release lands within the spin window and the crossing
-///   costs nanoseconds instead of a futex park/unpark round-trip (which
-///   alone can outweigh an epoch).
-/// * **Park** — when participants outnumber cores (including single-core
-///   machines), a spinning waiter only steals cycles from the thread it is
-///   waiting *for*; waiters block on a condvar instead and the barrier
-///   behaves like `std::sync::Barrier`.
-///
-/// The regime is picked once at construction from
-/// `available_parallelism()`. Timing-only: results are byte-identical
-/// either way.
-struct SpinBarrier {
-    n: usize,
-    spin: bool,
-    arrived: AtomicUsize,
-    generation: AtomicUsize,
-    // Parking path. The generation bump happens under this lock so a
-    // parked waiter cannot miss the wakeup.
-    gate: Mutex<()>,
-    release: Condvar,
-}
-
-impl SpinBarrier {
-    /// Spin iterations between yields on the spin path — a safety valve
-    /// for transient oversubscription (another process taking a core).
-    const SPINS_PER_YIELD: u32 = 4096;
-
-    fn new(n: usize) -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-        SpinBarrier {
-            n,
-            spin: cores >= n,
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            gate: Mutex::new(()),
-            release: Condvar::new(),
-        }
-    }
-
-    fn wait(&self) {
-        let gen = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
-            // Last arrival: reset the count *before* opening the gate, so
-            // by the time any waiter re-enters `wait`, the count is fresh.
-            self.arrived.store(0, Ordering::Relaxed);
-            if self.spin {
-                self.generation.fetch_add(1, Ordering::Release);
-            } else {
-                let _g = self.gate.lock().expect("barrier gate poisoned");
-                self.generation.fetch_add(1, Ordering::Release);
-                self.release.notify_all();
-            }
-        } else if self.spin {
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == gen {
-                spins += 1;
-                if spins.is_multiple_of(Self::SPINS_PER_YIELD) {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-        } else {
-            let mut g = self.gate.lock().expect("barrier gate poisoned");
-            while self.generation.load(Ordering::Acquire) == gen {
-                g = self.release.wait(g).expect("barrier gate poisoned");
-            }
-        }
-    }
-}
-
 /// Decides what the next epoch is: inspects every partition's clock, queue,
-/// and progress counters (all partitions are parked, so the locks are
-/// uncontended) and applies the run-level checks in a fixed order — done,
-/// backstop, configured budget, deadlock.
-fn epoch_plan(parts: &[Mutex<DimmPart>], cfg: &SystemConfig, lookahead: Ps) -> Plan {
+/// and progress counters and applies the run-level checks in a fixed order
+/// — done, backstop, configured budget, deadlock (which panics).
+fn epoch_plan(parts: &[DimmPart], cfg: &SystemConfig, lookahead: Ps) -> Plan {
     let mut done = 0;
     let mut total = 0;
     let mut scheduled = 0u64;
     let mut next = Ps::MAX;
     let mut high = Ps::ZERO;
-    for part in parts {
-        let p = part.lock().expect("partition lock poisoned");
+    for p in parts {
         done += p.done;
         total += p.threads.len();
         scheduled += p.events.total_scheduled();
@@ -911,11 +702,10 @@ fn epoch_plan(parts: &[Mutex<DimmPart>], cfg: &SystemConfig, lookahead: Ps) -> P
     if let Some(kind) = cfg.budget.check(scheduled, high) {
         return Plan::Stop(RunStatus::BudgetExceeded(kind));
     }
-    if next == Ps::MAX {
-        return Plan::Fail(format!(
-            "deadlock: {done} of {total} threads finished (unbalanced barriers?)"
-        ));
-    }
+    assert!(
+        next != Ps::MAX,
+        "deadlock: {done} of {total} threads finished (unbalanced barriers?)"
+    );
     Plan::Run(next + lookahead)
 }
 
@@ -923,9 +713,9 @@ fn epoch_plan(parts: &[Mutex<DimmPart>], cfg: &SystemConfig, lookahead: Ps) -> P
 /// canonical `(time, source, sequence)` order, performs the shared-model
 /// reservations in that order, and pushes the resulting deliveries into the
 /// target partitions — never earlier than the epoch boundary, so the next
-/// epoch's plan sees a consistent frontier at any thread count.
+/// epoch's plan sees a consistent frontier.
 fn run_barrier_phase(
-    parts: &[Mutex<DimmPart>],
+    parts: &mut [DimmPart],
     sh: &Shared<'_>,
     coord: &mut Coordinator,
     epoch_end: Ps,
@@ -934,36 +724,18 @@ fn run_barrier_phase(
     // handed back empty, capacity intact.
     let mut merged = std::mem::take(&mut coord.merged);
     let mut deliveries = std::mem::take(&mut coord.deliveries);
-    for p in parts {
-        p.lock()
-            .expect("partition lock poisoned")
-            .outbox
-            .drain_into(&mut merged);
+    for p in parts.iter_mut() {
+        p.outbox.drain_into(&mut merged);
     }
     merge_epoch(&mut merged);
     for env in merged.drain(..) {
         coord.apply(sh, &env, &mut deliveries);
     }
     for (dimm, at, x) in deliveries.drain(..) {
-        parts[dimm]
-            .lock()
-            .expect("partition lock poisoned")
-            .events
-            .push(at.max(epoch_end), Ev::Deliver(x));
+        parts[dimm].events.push(at.max(epoch_end), Ev::Deliver(x));
     }
     coord.merged = merged;
     coord.deliveries = deliveries;
-}
-
-/// Renders a worker panic payload for re-raising on the coordinator.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "simulation worker panicked".to_string()
-    }
 }
 
 impl DimmPart {
@@ -1582,24 +1354,23 @@ impl Coordinator {
                 // master core).
                 let local = t + sh.cfg.local_sync_latency;
                 let absorbed = self.master_absorb(sh, dimm, local);
-                let agg = self.barrier.dimm_agg.entry(dimm).or_default();
+                let agg = &mut self.barrier.dimm_agg[dimm];
                 agg.arrived += 1;
                 agg.ready_at = agg.ready_at.max(absorbed);
-                let dimm_threads = self.barrier.threads_on_dimm[&dimm];
-                if agg.arrived == dimm_threads {
+                if agg.arrived == self.barrier.threads_on_dimm[dimm] {
                     let dimm_done = agg.ready_at + SYNC_PROC;
-                    self.barrier.dimm_agg.remove(&dimm);
+                    self.barrier.dimm_agg[dimm] = BarrierGroupAgg::default();
                     // Stage 2: DIMM master -> group master.
                     let group = sh.cfg.group_of(dimm);
                     let gmaster = self.group_master(group);
                     let at_gm = self.sync_hop(sh, dimm_done, dimm, gmaster);
                     let at_gm = self.master_absorb(sh, gmaster, at_gm);
-                    let gagg = self.barrier.group_agg.entry(group).or_default();
+                    let gagg = &mut self.barrier.group_agg[group];
                     gagg.arrived += 1;
                     gagg.ready_at = gagg.ready_at.max(at_gm);
-                    if gagg.arrived == self.barrier.dimms_in_group[&group] {
+                    if gagg.arrived == self.barrier.dimms_in_group[group] {
                         let group_done = gagg.ready_at + SYNC_PROC;
-                        self.barrier.group_agg.remove(&group);
+                        self.barrier.group_agg[group] = BarrierGroupAgg::default();
                         // Stage 3: group master -> global master.
                         let at_global =
                             self.sync_hop(sh, group_done, gmaster, self.global_master());
@@ -1637,30 +1408,34 @@ impl Coordinator {
             }
             SyncScheme::Hierarchical => {
                 // global master -> group masters -> DIMM masters -> cores.
-                let mut dimm_release: BTreeMap<usize, Ps> = BTreeMap::new();
-                // BTreeMap keys iterate in ascending order, which fixes the
-                // resource reservation order without an explicit sort.
-                let dimms: Vec<usize> = self.barrier.threads_on_dimm.keys().copied().collect();
-                let mut group_release: BTreeMap<usize, Ps> = BTreeMap::new();
-                let groups: Vec<usize> = self.barrier.dimms_in_group.keys().copied().collect();
-                for g in groups {
+                // Groups and DIMMs are visited in ascending id, skipping
+                // those without threads; that fixes the reservation order.
+                let mut group_release = vec![Ps::ZERO; sh.cfg.groups];
+                for (g, release) in group_release.iter_mut().enumerate() {
+                    if self.barrier.dimms_in_group[g] == 0 {
+                        continue;
+                    }
                     let gm = self.group_master(g);
                     let sent = self.master_absorb(sh, master, release_from);
                     let at = self.sync_hop(sh, sent, master, gm);
-                    group_release.insert(g, at + SYNC_PROC);
+                    *release = at + SYNC_PROC;
                 }
-                for d in dimms {
+                let mut dimm_release = vec![Ps::ZERO; sh.cfg.dimms];
+                for (d, release) in dimm_release.iter_mut().enumerate() {
+                    if self.barrier.threads_on_dimm[d] == 0 {
+                        continue;
+                    }
                     let g = sh.cfg.group_of(d);
                     let gm = self.group_master(g);
-                    let sent = self.master_absorb(sh, gm, group_release[&g]);
+                    let sent = self.master_absorb(sh, gm, group_release[g]);
                     let at = self.sync_hop(sh, sent, gm, d);
-                    dimm_release.insert(d, at + SYNC_PROC);
+                    *release = at + SYNC_PROC;
                 }
                 let mut waiting = waiting;
                 waiting.sort_unstable();
                 for c in waiting {
                     let d = sh.placement[c];
-                    let sent = self.master_absorb(sh, d, dimm_release[&d]);
+                    let sent = self.master_absorb(sh, d, dimm_release[d]);
                     let at = sent + sh.cfg.local_sync_latency;
                     out.push((d, at, XEvent::BarrierRelease { thread: c }));
                 }
@@ -1888,22 +1663,68 @@ mod tests {
         let _ = NmpSystem::new(&wl, &cfg, &placement, None);
     }
 
+    /// The dense barrier tables hold an entry for every DIMM and group; the
+    /// hierarchical barrier must skip the empty ones — here three DIMMs of
+    /// one group (the global master's DIMM 4 among them) and every DIMM of
+    /// the other group, in both orientations.
     #[test]
-    fn parallel_run_matches_sequential() {
-        let params = quick_params(4);
-        let wl = synth::uniform_random(&params, 300, 0.6);
-        let cfg = SystemConfig::nmp(4, 2).with_idc(IdcKind::DimmLink);
-        let placement = natural_placement(&wl);
-        let seq = NmpSystem::new(&wl, &cfg, &placement, None).run();
-        for threads in [2, 4, 8] {
-            let par = NmpSystem::new(&wl, &cfg, &placement, None).run_with(threads);
-            assert_eq!(seq.elapsed, par.elapsed, "sim-threads={threads}");
+    fn hierarchical_barriers_skip_empty_dimms_and_groups() {
+        let params = WorkloadParams {
+            threads_per_dimm: 1,
+            ..quick_params(16)
+        };
+        let sweep = synth::sync_sweep(&params, 200, 12);
+        // Without its loads the sweep's only interconnect traffic is sync
+        // messages, so the byte counters below count barrier-tree hops.
+        let traces = sweep
+            .traces()
+            .iter()
+            .map(|tr| {
+                let mut bare = ThreadTrace::new();
+                for &op in tr.ops().iter().filter(|op| !matches!(op, Op::Load { .. })) {
+                    bare.push(op);
+                }
+                bare
+            })
+            .collect();
+        let wl = Workload::new(
+            "sync-bare",
+            traces,
+            sweep.layout().clone(),
+            sweep.home_dimm().to_vec(),
+        );
+        let barriers = wl.traces()[0]
+            .ops()
+            .iter()
+            .filter(|op| matches!(op, Op::Barrier))
+            .count() as f64;
+        let mut cfg = SystemConfig::nmp(16, 8).with_idc(IdcKind::DimmLink);
+        cfg.sync = SyncScheme::Hierarchical;
+        assert_eq!(cfg.groups, 2);
+        // 16 threads on DIMMs 0, 2, 3, 5, 6 of group 0 (4 + 3 + 4 + 2 + 3);
+        // the group masters (proxies) are DIMMs 4 and 12, both left empty.
+        let group0: Vec<usize> = [(0, 4), (2, 3), (3, 4), (5, 2), (6, 3)]
+            .iter()
+            .flat_map(|&(d, n)| std::iter::repeat_n(d, n))
+            .collect();
+        let group1: Vec<usize> = group0.iter().map(|d| d + 8).collect();
+        let sync = SYNC_BYTES as f64 * barriers;
+        // Per barrier: 5 DIMM -> group master arrivals and 5 releases ride
+        // the links; group 1's master reaches the global master (DIMM 4)
+        // and back through the host. Empty DIMMs and groups send nothing.
+        for (placement, link_msgs, fwd_msgs) in [(group0, 10.0, 0.0), (group1, 10.0, 2.0)] {
+            let run = || NmpSystem::new(&wl, &cfg, &placement, None).run();
+            let a = run();
+            assert_eq!(a.status, RunStatus::Completed, "{placement:?}");
+            assert_eq!(a.stats.get("barriers"), Some(barriers));
+            assert_eq!(a.stats.get("traffic.link_bytes"), Some(link_msgs * sync));
+            assert_eq!(a.stats.get("traffic.fwd_bytes"), Some(fwd_msgs * sync));
+            let b = run();
             assert_eq!(
-                format!("{:?}", seq.stats),
-                format!("{:?}", par.stats),
-                "sim-threads={threads}"
+                (a.elapsed, format!("{:?}", a.stats)),
+                (b.elapsed, format!("{:?}", b.stats)),
+                "{placement:?}"
             );
-            assert_eq!(seq.profile, par.profile, "sim-threads={threads}");
         }
     }
 

@@ -1,4 +1,4 @@
-//! Conservative parallel-DES building blocks: cross-partition envelopes,
+//! Conservative partitioned-DES building blocks: cross-partition envelopes,
 //! per-partition outboxes, and the deterministic epoch merge.
 //!
 //! The simulation core partitions system state (one partition per DIMM) and
@@ -10,11 +10,11 @@
 //! [`Envelope`]s are sorted into a total order by
 //! `(timestamp, source partition id, source sequence number)` — see
 //! [`merge_epoch`]. The buffer and the outboxes keep their capacity, so a
-//! barrier allocates nothing once the run has warmed up. Because each component of that key is deterministic
-//! (virtual time, fixed partitioning, per-source FIFO counter), the merged
-//! order is independent of how many OS threads executed the epoch, which
-//! is what makes the parallel engine byte-identical at any `--sim-threads`
-//! value.
+//! barrier allocates nothing once the run has warmed up. Each component of
+//! that key is deterministic (virtual time, fixed partitioning, per-source
+//! FIFO counter), so the merged order — and with it the order in which
+//! shared resources are reserved — is a pure function of the simulated
+//! run, not of the order in which partitions were advanced.
 //!
 //! # Examples
 //!
