@@ -7,8 +7,9 @@
 //! groups and drove barrier releases off hash-map iteration — an order leak
 //! this test is designed to catch if it ever regresses.
 
-use dimm_link::config::{IdcKind, PlacementPolicy, SystemConfig};
-use dimm_link::runner::{simulate, simulate_optimized, RunResult};
+use dimm_link::config::{IdcKind, PlacementPolicy, SyncScheme, SystemConfig};
+use dimm_link::host_sim::HostRun;
+use dimm_link::runner::{host_baseline, simulate, simulate_optimized, RunResult};
 use dl_workloads::{WorkloadKind, WorkloadParams};
 
 /// Serializes everything observable about a run into one comparable blob.
@@ -77,4 +78,73 @@ fn optimized_pipeline_is_deterministic_with_random_placement() {
             "optimized run {i} diverged"
         );
     }
+}
+
+/// 64-bit FNV-1a: a compact, dependency-free pin for a fingerprint string.
+fn fnv1a64(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn host_fingerprint(r: &HostRun) -> String {
+    format!("elapsed={} stats={:?}", r.elapsed, r.stats)
+}
+
+/// Pins *what* a run produces, not just that repeated runs agree: any change
+/// to simulated behaviour — event order, transaction ids, stall accounting —
+/// moves one of these hashes. Covers the host baseline on every P2P
+/// workload, atomics (K-Means), the central barrier (TS.Pow on MCN), the NMP
+/// broadcast path, and truncated profiling traces with no-op barriers (the
+/// optimized pipeline).
+#[test]
+fn golden_fingerprints_are_pinned() {
+    let mut runs: Vec<(String, String)> = WorkloadKind::P2P_SET
+        .iter()
+        .map(|&kind| {
+            let r = host_baseline(kind, 8, 42);
+            (format!("host {kind}"), host_fingerprint(&r))
+        })
+        .collect();
+    let params = workload_params(8);
+    let dl = SystemConfig::nmp(8, 4).with_idc(IdcKind::DimmLink);
+    let km = simulate(&WorkloadKind::KMeans.build(&params), &dl);
+    assert!(km.stats.get("atomics").unwrap() > 0.0);
+    runs.push(("KM/DL".into(), fingerprint(&km)));
+    let mut mcn_central = SystemConfig::nmp(8, 4).with_idc(IdcKind::CpuForwarding);
+    mcn_central.sync = SyncScheme::Central;
+    let ts = simulate(&WorkloadKind::TsPow.build(&params), &mcn_central);
+    assert!(ts.stats.get("barriers").unwrap() > 0.0);
+    assert!(ts.stats.get("atomics").unwrap() > 0.0);
+    runs.push(("TS.Pow/MCN-central".into(), fingerprint(&ts)));
+    let pr_bc = WorkloadKind::Pagerank.build(&WorkloadParams {
+        broadcast: true,
+        ..params
+    });
+    let pr_bc = simulate(&pr_bc, &dl);
+    assert!(pr_bc.stats.get("traffic.broadcast_bytes").unwrap() > 0.0);
+    runs.push(("PR-BC/DL".into(), fingerprint(&pr_bc)));
+    let bfs = WorkloadKind::Bfs.build(&params);
+    runs.push((
+        "BFS/DL-opt".into(),
+        fingerprint(&simulate_optimized(&bfs, &dl)),
+    ));
+
+    let got: Vec<String> = runs
+        .iter()
+        .map(|(name, fp)| format!("{name} {:016x}", fnv1a64(fp)))
+        .collect();
+    let golden = [
+        "host BFS 04c983051f863584",
+        "host HS 9ac852cc6e8f6d86",
+        "host KM 0756cbbfdb771443",
+        "host NW 84c2a560ec00c10e",
+        "host PR 15af34b44de25bb6",
+        "host SSSP 619fb4cd378cb277",
+        "KM/DL 42abe464253379f7",
+        "TS.Pow/MCN-central 155177dc4b2f7511",
+        "PR-BC/DL 837b7893a3e908bb",
+        "BFS/DL-opt c553c41be02bd434",
+    ];
+    assert_eq!(got, golden, "a pinned simulation result changed");
 }
