@@ -7,35 +7,21 @@
 //! flat physical address space — but it also has none of the NMP system's
 //! aggregate rank-level bandwidth, which is exactly the gap near-memory
 //! processing exploits.
+//!
+//! The cores are the shared `trace_core` model with the host's
+//! large MLP window, and each memory controller sits behind its
+//! `McPort`. What is the host's own is its `CorePort`, `HostPort`: the
+//! L1→LLC path with its victim handling, the line-interleaved channels,
+//! the global atomic unit, and the shared-memory barrier. Every slot is
+//! local, so all memory stall counts as memory stall.
 
 use crate::config::HostConfig;
+use crate::trace_core::{CorePort, McPort, TraceCore};
 use dl_engine::stats::StatSet;
-use dl_engine::{EventQueue, Ps, Resource};
+use dl_engine::{EventQueue, Freq, Ps, Resource};
 use dl_mem::{AccessKind, Cache, CacheOutcome, DimmAddressMap, MemController, MemRequest};
-use dl_workloads::{Op, Workload};
+use dl_workloads::Workload;
 use std::collections::BTreeMap;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
-    Ready,
-    WaitWindow,
-    WaitDrain,
-    WaitTxn(u64),
-    WaitBarrier,
-    Done,
-}
-
-#[derive(Debug)]
-struct CoreState {
-    pc: usize,
-    outstanding: Vec<u64>,
-    status: Status,
-    ready_at: Ps,
-    blocked_at: Ps,
-    mem_stall: Ps,
-    sync_stall: Ps,
-    finish: Option<Ps>,
-}
 
 #[derive(Debug)]
 enum Ev {
@@ -58,7 +44,8 @@ pub struct HostRun {
 /// runner does this).
 ///
 /// # Panics
-/// Panics if the workload has more threads than the host has cores, or on
+/// Panics if the workload has more threads than the host has cores, if a
+/// trace broadcasts (host workloads are built without broadcasts), or on
 /// deadlock.
 pub fn simulate_host(workload: &Workload, cfg: &HostConfig) -> HostRun {
     assert!(
@@ -71,26 +58,36 @@ pub fn simulate_host(workload: &Workload, cfg: &HostConfig) -> HostRun {
 }
 
 struct HostSystem<'w> {
-    cfg: HostConfig,
     workload: &'w Workload,
+    cores: Vec<TraceCore>,
+    done: usize,
+    uncore: Uncore,
+}
+
+/// Everything but the cores: caches, channels, the atomic unit, the
+/// barrier, and the event queue.
+struct Uncore {
+    cfg: HostConfig,
     events: EventQueue<Ev>,
-    cores: Vec<CoreState>,
     l1: Vec<Cache>,
     llc: Cache,
-    mcs: Vec<MemController>,
-    mc_next: Vec<Ps>,
+    mcs: Vec<McPort>,
     map: DimmAddressMap,
     atomic_unit: Resource,
-    /// txn -> (core, is-load)
-    txns: BTreeMap<u64, (usize, bool)>,
+    /// Transaction -> the core waiting for it.
+    txns: BTreeMap<u64, usize>,
     next_txn: u64,
     now: Ps,
-    done: usize,
-    // barrier
-    arrived: usize,
-    barrier_ready: Ps,
+    /// Cores arrived at the current barrier, in arrival order.
     waiting: Vec<usize>,
+    barrier_ready: Ps,
     barriers_passed: u64,
+}
+
+/// Core `c`'s view of the [`Uncore`].
+struct HostPort<'a> {
+    uncore: &'a mut Uncore,
+    c: usize,
 }
 
 impl<'w> HostSystem<'w> {
@@ -101,54 +98,52 @@ impl<'w> HostSystem<'w> {
             events.push(Ps::ZERO, Ev::Wake(t));
         }
         HostSystem {
-            cfg: cfg.clone(),
             workload,
-            events,
-            cores: (0..threads)
-                .map(|_| CoreState {
-                    pc: 0,
-                    outstanding: Vec::with_capacity(cfg.mlp),
-                    status: Status::Ready,
-                    ready_at: Ps::ZERO,
-                    blocked_at: Ps::ZERO,
-                    mem_stall: Ps::ZERO,
-                    sync_stall: Ps::ZERO,
-                    finish: None,
-                })
+            cores: workload
+                .traces()
+                .iter()
+                .map(|tr| TraceCore::new(tr.len(), cfg.mlp))
                 .collect(),
-            l1: (0..threads).map(|_| Cache::new(cfg.l1)).collect(),
-            llc: Cache::new(cfg.llc),
-            mcs: (0..cfg.channels)
-                .map(|c| MemController::new(format!("host-ch{c}"), &cfg.dram))
-                .collect(),
-            mc_next: vec![Ps::MAX; cfg.channels],
-            map: DimmAddressMap::new(&cfg.dram),
-            atomic_unit: Resource::new("host-atomics"),
-            txns: BTreeMap::new(),
-            next_txn: 0,
-            now: Ps::ZERO,
             done: 0,
-            arrived: 0,
-            barrier_ready: Ps::ZERO,
-            waiting: Vec::new(),
-            barriers_passed: 0,
+            uncore: Uncore {
+                cfg: cfg.clone(),
+                events,
+                l1: (0..threads).map(|_| Cache::new(cfg.l1)).collect(),
+                llc: Cache::new(cfg.llc),
+                mcs: (0..cfg.channels)
+                    .map(|c| McPort::new(MemController::new(format!("host-ch{c}"), &cfg.dram)))
+                    .collect(),
+                map: DimmAddressMap::new(&cfg.dram),
+                atomic_unit: Resource::new("host-atomics"),
+                txns: BTreeMap::new(),
+                next_txn: 0,
+                now: Ps::ZERO,
+                waiting: Vec::new(),
+                barrier_ready: Ps::ZERO,
+                barriers_passed: 0,
+            },
         }
     }
 
-    /// Line-interleaved channel mapping (maximizes host channel parallelism).
-    fn channel_of(&self, addr: u64) -> usize {
-        ((addr / 64) % self.cfg.channels as u64) as usize
-    }
-
     fn run(mut self) -> HostRun {
-        while let Some((t, ev)) = self.events.pop() {
-            self.now = t;
+        while let Some((t, ev)) = self.uncore.events.pop() {
+            self.uncore.now = t;
             match ev {
-                Ev::Wake(c) => self.advance_core(c),
+                Ev::Wake(c) => {
+                    let ops = self.workload.traces()[c].ops();
+                    let (core, mut port) = self.core(c);
+                    if core.advance(ops, t, &mut port) {
+                        self.done += 1;
+                    }
+                    if self.uncore.waiting.len() == self.cores.len() {
+                        self.release_barrier();
+                    }
+                }
                 Ev::MemTick(ch) => self.mem_tick(ch),
                 Ev::Done(id) => {
-                    if let Some((c, _)) = self.txns.remove(&id) {
-                        self.complete(c, id);
+                    if let Some(c) = self.uncore.txns.remove(&id) {
+                        let (core, mut port) = self.core(c);
+                        core.complete(id, t, &mut port);
                     }
                 }
             }
@@ -160,235 +155,41 @@ impl<'w> HostSystem<'w> {
         self.collect()
     }
 
-    fn advance_core(&mut self, c: usize) {
-        if self.cores[c].status != Status::Ready {
-            return;
-        }
-        let mut t = self.now.max(self.cores[c].ready_at);
-        let trace = self.workload.traces()[c].ops();
-        loop {
-            let horizon = self.events.peek_time().unwrap_or(Ps::MAX);
-            if t > horizon {
-                self.cores[c].ready_at = t;
-                self.events.push(t, Ev::Wake(c));
-                return;
-            }
-            if self.cores[c].pc >= trace.len() {
-                if self.cores[c].outstanding.is_empty() {
-                    self.cores[c].status = Status::Done;
-                    self.cores[c].finish = Some(t);
-                    self.done += 1;
-                } else {
-                    self.cores[c].status = Status::WaitDrain;
-                    self.cores[c].blocked_at = t;
-                }
-                return;
-            }
-            match trace[self.cores[c].pc] {
-                Op::Comp(cycles) => {
-                    self.cores[c].pc += 1;
-                    t += self.cfg.freq.cycles(cycles as u64);
-                }
-                Op::Load { addr, cacheable } | Op::Store { addr, cacheable } => {
-                    let is_write = matches!(trace[self.cores[c].pc], Op::Store { .. });
-                    if cacheable {
-                        let l1_lat = self.cfg.freq.cycles(self.l1[c].hit_latency_cycles() as u64);
-                        match self.l1[c].access(addr, is_write) {
-                            CacheOutcome::Hit => {
-                                self.cores[c].pc += 1;
-                                t += l1_lat;
-                                continue;
-                            }
-                            CacheOutcome::Miss { writeback } => {
-                                if let Some(v) = writeback {
-                                    self.llc.access(v, true);
-                                }
-                                let llc_lat =
-                                    self.cfg.freq.cycles(self.llc.hit_latency_cycles() as u64);
-                                match self.llc.access(addr, is_write) {
-                                    CacheOutcome::Hit => {
-                                        self.cores[c].pc += 1;
-                                        t += l1_lat + llc_lat;
-                                        continue;
-                                    }
-                                    CacheOutcome::Miss { writeback: wb } => {
-                                        if let Some(v) = wb {
-                                            self.background_write(v, t);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if self.cores[c].outstanding.len() >= self.cfg.mlp {
-                        self.cores[c].status = Status::WaitWindow;
-                        self.cores[c].blocked_at = t;
-                        return;
-                    }
-                    self.cores[c].pc += 1;
-                    self.issue_mem(c, addr, is_write, t);
-                    t += self.cfg.freq.cycles(1);
-                }
-                Op::Atomic { addr } => {
-                    if !self.cores[c].outstanding.is_empty() {
-                        self.cores[c].status = Status::WaitDrain;
-                        self.cores[c].blocked_at = t;
-                        return;
-                    }
-                    self.cores[c].pc += 1;
-                    // LLC-resident atomic: fast but serialized globally.
-                    let done = self.atomic_unit.reserve(t, Ps::from_ns(25));
-                    let id = self.alloc();
-                    self.txns.insert(id, (c, false));
-                    self.cores[c].status = Status::WaitTxn(id);
-                    self.cores[c].blocked_at = t;
-                    let _ = addr;
-                    self.events.push(done, Ev::Done(id));
-                    return;
-                }
-                Op::Broadcast { bytes, addr } => {
-                    // Shared memory: a broadcast is just the stores of the
-                    // payload, visible to everyone.
-                    self.cores[c].pc += 1;
-                    let lines = (bytes as u64).div_ceil(64);
-                    for l in 0..lines {
-                        if self.cores[c].outstanding.len() >= self.cfg.mlp {
-                            break; // approximate: the rest hit the window later
-                        }
-                        self.issue_mem(c, addr + l * 64, true, t);
-                    }
-                    t += self.cfg.freq.cycles(lines);
-                }
-                Op::Barrier => {
-                    if !self.cores[c].outstanding.is_empty() {
-                        self.cores[c].status = Status::WaitDrain;
-                        self.cores[c].blocked_at = t;
-                        return;
-                    }
-                    self.cores[c].pc += 1;
-                    self.cores[c].status = Status::WaitBarrier;
-                    self.cores[c].blocked_at = t;
-                    self.arrived += 1;
-                    self.waiting.push(c);
-                    self.barrier_ready = self.barrier_ready.max(t);
-                    if self.arrived == self.cores.len() {
-                        self.barriers_passed += 1;
-                        // Shared-memory barrier: tens of ns once everyone is in.
-                        let release = self.barrier_ready + Ps::from_ns(60);
-                        let waiting = std::mem::take(&mut self.waiting);
-                        self.arrived = 0;
-                        self.barrier_ready = Ps::ZERO;
-                        for w in waiting {
-                            let stall = release.saturating_sub(self.cores[w].blocked_at);
-                            self.cores[w].sync_stall += stall;
-                            self.cores[w].status = Status::Ready;
-                            self.cores[w].ready_at = release;
-                            self.events.push(release, Ev::Wake(w));
-                        }
-                    }
-                    return;
-                }
-            }
+    /// Shared-memory barrier: tens of ns once everyone is in.
+    fn release_barrier(&mut self) {
+        self.uncore.barriers_passed += 1;
+        let release = self.uncore.barrier_ready + Ps::from_ns(60);
+        self.uncore.barrier_ready = Ps::ZERO;
+        for c in std::mem::take(&mut self.uncore.waiting) {
+            let (core, mut port) = self.core(c);
+            core.unblock(release, false, &mut port);
         }
     }
 
-    fn alloc(&mut self) -> u64 {
-        self.next_txn += 1;
-        self.next_txn
-    }
-
-    fn issue_mem(&mut self, c: usize, addr: u64, is_write: bool, t: Ps) {
-        let ch = self.channel_of(addr);
-        let id = self.alloc();
-        self.txns.insert(id, (c, !is_write));
-        self.cores[c].outstanding.push(id);
-        let kind = if is_write {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
+    /// Core `c` and its port.
+    fn core(&mut self, c: usize) -> (&mut TraceCore, HostPort<'_>) {
+        let port = HostPort {
+            uncore: &mut self.uncore,
+            c,
         };
-        // Channel command/IO latency folded into the request arrival.
-        let arrival = t + self.cfg.channel_latency;
-        self.mc_enqueue(ch, arrival, MemRequest::new(id, kind, self.decode(addr)));
-    }
-
-    fn background_write(&mut self, addr: u64, t: Ps) {
-        let ch = self.channel_of(addr);
-        let id = self.alloc();
-        // Not in txns: nobody waits.
-        self.mc_enqueue(
-            ch,
-            t + self.cfg.channel_latency,
-            MemRequest::new(id, AccessKind::Write, self.decode(addr)),
-        );
-    }
-
-    fn decode(&self, addr: u64) -> dl_mem::DimmAddr {
-        // Fold the interleaved address into the channel's local space.
-        self.map.decode(addr / self.cfg.channels as u64)
-    }
-
-    fn mc_enqueue(&mut self, ch: usize, at: Ps, req: MemRequest) {
-        self.mcs[ch].enqueue(at, req);
-        let wake = at.max(self.now);
-        if self.mc_next[ch] > wake {
-            self.mc_next[ch] = wake;
-            self.events.push(wake, Ev::MemTick(ch));
-        }
+        (&mut self.cores[c], port)
     }
 
     fn mem_tick(&mut self, ch: usize) {
-        if self.now != self.mc_next[ch] {
+        let u = &mut self.uncore;
+        let Some(completions) = u.mcs[ch].service(u.now) else {
             return;
-        }
-        self.mc_next[ch] = Ps::MAX;
+        };
         // The data return crosses the channel too: deliver completions with
         // the return-path latency added.
-        let lat = self.cfg.channel_latency;
-        for comp in self.mcs[ch].service(self.now) {
-            if let Some(&(c, _)) = self.txns.get(&comp.id) {
-                let _ = c;
-                self.events.push(self.now + lat, Ev::Done(comp.id));
+        let at = u.now + u.cfg.channel_latency;
+        for comp in completions {
+            if u.txns.contains_key(&comp.id) {
+                u.events.push(at, Ev::Done(comp.id));
             }
         }
-        if let Some(w) = self.mcs[ch].next_wake() {
-            if self.mc_next[ch] > w {
-                self.mc_next[ch] = w;
-                self.events.push(w, Ev::MemTick(ch));
-            }
-        }
-    }
-
-    fn complete(&mut self, c: usize, id: u64) {
-        if let Status::WaitTxn(waited) = self.cores[c].status {
-            if waited == id {
-                let stall = self.now.saturating_sub(self.cores[c].blocked_at);
-                self.cores[c].mem_stall += stall;
-                self.cores[c].status = Status::Ready;
-                self.cores[c].ready_at = self.now;
-                self.events.push(self.now, Ev::Wake(c));
-                return;
-            }
-        }
-        if let Some(pos) = self.cores[c].outstanding.iter().position(|&x| x == id) {
-            self.cores[c].outstanding.swap_remove(pos);
-            match self.cores[c].status {
-                Status::WaitWindow => {
-                    let stall = self.now.saturating_sub(self.cores[c].blocked_at);
-                    self.cores[c].mem_stall += stall;
-                    self.cores[c].status = Status::Ready;
-                    self.cores[c].ready_at = self.now;
-                    self.events.push(self.now, Ev::Wake(c));
-                }
-                Status::WaitDrain if self.cores[c].outstanding.is_empty() => {
-                    let stall = self.now.saturating_sub(self.cores[c].blocked_at);
-                    self.cores[c].mem_stall += stall;
-                    self.cores[c].status = Status::Ready;
-                    self.cores[c].ready_at = self.now;
-                    self.events.push(self.now, Ev::Wake(c));
-                }
-                _ => {}
-            }
+        if let Some(w) = u.mcs[ch].rearm() {
+            u.events.push(w, Ev::MemTick(ch));
         }
     }
 
@@ -402,12 +203,12 @@ impl<'w> HostSystem<'w> {
         let mut s = StatSet::new();
         s.set("elapsed_ps", elapsed.as_ps() as f64);
         s.set("threads", self.cores.len() as f64);
-        s.set("barriers", self.barriers_passed as f64);
+        s.set("barriers", self.uncore.barriers_passed as f64);
         let mut activates = 0.0;
         let mut bytes = 0.0;
-        for mc in &self.mcs {
-            activates += mc.activates() as f64;
-            bytes += mc.bytes_moved() as f64;
+        for port in &self.uncore.mcs {
+            activates += port.mc.activates() as f64;
+            bytes += port.mc.bytes_moved() as f64;
         }
         s.set("dram.activates", activates);
         s.set("dram.bytes", bytes);
@@ -422,6 +223,105 @@ impl<'w> HostSystem<'w> {
             },
         );
         HostRun { elapsed, stats: s }
+    }
+}
+
+impl Uncore {
+    /// Sends a line access at `t` down its channel; returns the transaction.
+    fn send_line(&mut self, addr: u64, kind: AccessKind, t: Ps) -> u64 {
+        self.next_txn += 1;
+        // Line-interleaved channels (maximizes host channel parallelism);
+        // the address folds into the channel's local space.
+        let channels = self.cfg.channels as u64;
+        let ch = ((addr / 64) % channels) as usize;
+        let req = MemRequest::new(self.next_txn, kind, self.map.decode(addr / channels));
+        // Channel command/IO latency folded into the request arrival.
+        let arrival = t + self.cfg.channel_latency;
+        if let Some(w) = self.mcs[ch].enqueue(self.now, arrival, req) {
+            self.events.push(w, Ev::MemTick(ch));
+        }
+        self.next_txn
+    }
+}
+
+/// The host's side of the core model: private L1 then shared LLC,
+/// line-interleaved channels, a global atomic unit, and a shared-memory
+/// barrier released by [`HostSystem::release_barrier`].
+impl CorePort for HostPort<'_> {
+    fn clock(&self) -> Freq {
+        self.uncore.cfg.freq
+    }
+
+    fn mlp(&self) -> usize {
+        self.uncore.cfg.mlp
+    }
+
+    fn horizon(&self) -> Ps {
+        self.uncore.events.peek_time().unwrap_or(Ps::MAX)
+    }
+
+    fn wake(&mut self, at: Ps) {
+        self.uncore.events.push(at, Ev::Wake(self.c));
+    }
+
+    fn lookup(&mut self, addr: u64, is_write: bool, cacheable: bool, t: Ps) -> Option<Ps> {
+        if !cacheable {
+            return None;
+        }
+        let u = &mut *self.uncore;
+        let l1 = &mut u.l1[self.c];
+        let l1_lat = u.cfg.freq.cycles(l1.hit_latency_cycles() as u64);
+        let CacheOutcome::Miss { writeback } = l1.access(addr, is_write) else {
+            return Some(l1_lat);
+        };
+        if let Some(v) = writeback {
+            u.llc.access(v, true);
+        }
+        let llc_lat = u.cfg.freq.cycles(u.llc.hit_latency_cycles() as u64);
+        match u.llc.access(addr, is_write) {
+            CacheOutcome::Hit => Some(l1_lat + llc_lat),
+            CacheOutcome::Miss { writeback } => {
+                if let Some(v) = writeback {
+                    u.send_line(v, AccessKind::Write, t);
+                }
+                None
+            }
+        }
+    }
+
+    fn issue(&mut self, addr: u64, is_write: bool, t: Ps) -> (u64, bool) {
+        let kind = if is_write {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        let id = self.uncore.send_line(addr, kind, t);
+        self.uncore.txns.insert(id, self.c);
+        (id, false)
+    }
+
+    fn atomic(&mut self, _addr: u64, t: Ps) -> (u64, bool) {
+        // LLC-resident atomic: fast but serialized globally.
+        let u = &mut *self.uncore;
+        let done = u.atomic_unit.reserve(t, Ps::from_ns(25));
+        u.next_txn += 1;
+        u.txns.insert(u.next_txn, self.c);
+        u.events.push(done, Ev::Done(u.next_txn));
+        (u.next_txn, false)
+    }
+
+    fn broadcast(&mut self, _addr: u64, _bytes: u32, _t: Ps) -> u64 {
+        panic!("host baseline runs non-broadcast traces");
+    }
+
+    fn skips_barriers(&self) -> bool {
+        false
+    }
+
+    fn barrier(&mut self, t: Ps) {
+        let u = &mut *self.uncore;
+        u.waiting.push(self.c);
+        u.barrier_ready = u.barrier_ready.max(t);
     }
 }
 
@@ -482,6 +382,17 @@ mod tests {
     fn too_many_threads_rejected() {
         let params = WorkloadParams::small(8); // 32 threads
         let wl = synth::uniform_random(&params, 10, 0.0);
+        let _ = simulate_host(&wl, &HostConfig::xeon_16core());
+    }
+
+    #[test]
+    #[should_panic(expected = "host baseline runs non-broadcast traces")]
+    fn broadcast_traces_rejected() {
+        let params = WorkloadParams {
+            broadcast: true,
+            ..host_params()
+        };
+        let wl = WorkloadKind::Pagerank.build(&params);
         let _ = simulate_host(&wl, &HostConfig::xeon_16core());
     }
 }
