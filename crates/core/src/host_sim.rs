@@ -183,12 +183,12 @@ impl<'w> HostSystem<'w> {
         // The data return crosses the channel too: deliver completions with
         // the return-path latency added.
         let at = u.now + u.cfg.channel_latency;
-        for comp in completions {
+        for comp in &completions {
             if u.txns.contains_key(&comp.id) {
                 u.events.push(at, Ev::Done(comp.id));
             }
         }
-        if let Some(w) = u.mcs[ch].rearm() {
+        if let Some(w) = u.mcs[ch].rearm(completions) {
             u.events.push(w, Ev::MemTick(ch));
         }
     }
@@ -310,7 +310,7 @@ impl CorePort for HostPort<'_> {
         (u.next_txn, false)
     }
 
-    fn broadcast(&mut self, _addr: u64, _bytes: u32, _t: Ps) -> u64 {
+    fn broadcast(&mut self, _addr: u64, _bytes: u16, _t: Ps) -> u64 {
         panic!("host baseline runs non-broadcast traces");
     }
 

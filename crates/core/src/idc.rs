@@ -25,11 +25,8 @@ use dl_noc::{PacketNet, Topology};
 /// Size of a forwarding-request notification packet (one flit).
 pub const NOTIFY_BYTES: u64 = 16;
 
-/// Wire size of a packet carrying `payload` bytes (header + payload + tail,
-/// rounded up to whole 16-byte flits; see `dl-protocol`).
-pub fn wire_bytes(payload: u64) -> u64 {
-    (8 + payload + 8).div_ceil(16) * 16
-}
+/// Wire size of a packet carrying `payload` bytes.
+pub use dl_protocol::wire_bytes;
 
 /// Which path a delivery took (drives the Fig. 11 traffic breakdown).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -759,7 +759,7 @@ impl DimmPart {
         let Some(completions) = self.uncore.mc.service(self.uncore.now) else {
             return;
         };
-        for comp in completions {
+        for &comp in &completions {
             match self.uncore.txn_mem.remove(&comp.id) {
                 None | Some(TxnClass::Background) => {}
                 Some(TxnClass::LocalMem { thread }) => {
@@ -778,7 +778,7 @@ impl DimmPart {
                 }
             }
         }
-        if let Some(w) = self.uncore.mc.rearm() {
+        if let Some(w) = self.uncore.mc.rearm(completions) {
             self.uncore.events.push(w, Ev::MemTick);
         }
     }
@@ -1016,11 +1016,11 @@ impl CorePort for DimmPort<'_, '_> {
         }
     }
 
-    fn broadcast(&mut self, addr: u64, payload: u32, t: Ps) -> u64 {
+    fn broadcast(&mut self, addr: u64, payload: u16, t: Ps) -> u64 {
         let (sh, u, g) = (self.sh, &mut *self.uncore, self.g);
         u.record_profile(sh, g, addr);
         let src = sh.workload.layout().dimm_of(addr);
-        let bytes = wire_bytes(payload as u64);
+        let bytes = wire_bytes(u64::from(payload));
         let id = u.alloc_txn();
         u.outbox.send(
             t,
@@ -1287,7 +1287,7 @@ pub fn optimized_placement(cfg: &SystemConfig, profile_run: &RawRun) -> Vec<usiz
 mod tests {
     use super::*;
     use crate::config::IdcKind;
-    use dl_workloads::{synth, DataLayout, Op, ThreadTrace, WorkloadParams};
+    use dl_workloads::{synth, Addr, DataLayout, Op, ThreadTrace, WorkloadParams};
 
     fn quick_params(dimms: usize) -> WorkloadParams {
         WorkloadParams {
@@ -1516,11 +1516,11 @@ mod tests {
             // atomic unit finishes — any wake landing in that window is
             // stale by construction.
             tr.push(Op::Atomic {
-                addr: region.line_of(0, 64),
+                addr: Addr::new(region.line_of(0, 64)),
             });
             tr.comp(10);
             tr.push(Op::Load {
-                addr: region.line_of(1, 64),
+                addr: Addr::new(region.line_of(1, 64)),
                 cacheable: false,
             });
             traces.push(tr);

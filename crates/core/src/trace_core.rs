@@ -62,7 +62,7 @@ pub(crate) trait CorePort {
     fn atomic(&mut self, addr: u64, t: Ps) -> (u64, bool);
     /// Issues a broadcast of `bytes` at `t`; it occupies one remote slot
     /// under the returned transaction id.
-    fn broadcast(&mut self, addr: u64, bytes: u32, t: Ps) -> u64;
+    fn broadcast(&mut self, addr: u64, bytes: u16, t: Ps) -> u64;
     /// Whether barriers are local no-ops (truncated, unbalanced traces).
     fn skips_barriers(&self) -> bool;
     /// The core arrived at a barrier at `t` (the window is empty); it is
@@ -153,6 +153,7 @@ impl TraceCore {
                 Op::Load { addr, cacheable } | Op::Store { addr, cacheable } => {
                     let is_write = matches!(op, Op::Store { .. });
                     // A blocked access repeats its lookup when it resumes.
+                    let addr = addr.get();
                     if let Some(latency) = port.lookup(addr, is_write, cacheable, t) {
                         self.pc += 1;
                         t += latency;
@@ -173,7 +174,7 @@ impl TraceCore {
                         return false;
                     }
                     self.pc += 1;
-                    let (id, remote) = port.atomic(addr, t);
+                    let (id, remote) = port.atomic(addr.get(), t);
                     self.block(Status::WaitTxn { id, remote }, t);
                     return false;
                 }
@@ -183,7 +184,7 @@ impl TraceCore {
                         return false;
                     }
                     self.pc += 1;
-                    let id = port.broadcast(addr, bytes, t);
+                    let id = port.broadcast(addr.get(), bytes, t);
                     self.outstanding.push((id, true));
                     t += clock.cycles(2);
                 }
@@ -257,11 +258,17 @@ pub(crate) struct McPort {
     pub(crate) mc: MemController,
     /// When the live tick fires (`Ps::MAX`: none pending).
     next: Ps,
+    /// The completion buffer, lent out by `service` and returned by `rearm`.
+    done: Vec<Completion>,
 }
 
 impl McPort {
     pub(crate) fn new(mc: MemController) -> Self {
-        McPort { mc, next: Ps::MAX }
+        McPort {
+            mc,
+            next: Ps::MAX,
+            done: Vec::new(),
+        }
     }
 
     /// Enqueues `req` arriving at `at`. Returns the time of a tick to
@@ -275,19 +282,25 @@ impl McPort {
     /// Services the controller on a tick firing at `now`. A stale tick —
     /// not the live one — returns `None` and must spawn no successor (that
     /// would chain ticks forever). After handling the completions, the
-    /// owner schedules [`McPort::rearm`]'s successor.
+    /// owner hands the buffer back to [`McPort::rearm`] and schedules the
+    /// successor tick it returns.
     #[must_use]
     pub(crate) fn service(&mut self, now: Ps) -> Option<Vec<Completion>> {
         if now != self.next {
             return None;
         }
         self.next = Ps::MAX;
-        Some(self.mc.service(now))
+        let mut done = std::mem::take(&mut self.done);
+        self.mc.service_into(now, &mut done);
+        Some(done)
     }
 
-    /// The successor tick to schedule after a live tick, if any.
+    /// Takes back the buffer [`McPort::service`] lent out and returns the
+    /// successor tick to schedule after a live tick, if any.
     #[must_use]
-    pub(crate) fn rearm(&mut self) -> Option<Ps> {
+    pub(crate) fn rearm(&mut self, mut done: Vec<Completion>) -> Option<Ps> {
+        done.clear();
+        self.done = done;
         self.mc.next_wake().and_then(|w| self.arm(w))
     }
 
@@ -302,6 +315,7 @@ impl McPort {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dl_workloads::Addr;
 
     /// A port that records what the core asks of it. Loads hit when the
     /// address is below `hit_below`; every miss is a new transaction whose
@@ -350,7 +364,7 @@ mod tests {
         fn atomic(&mut self, addr: u64, t: Ps) -> (u64, bool) {
             self.issue(addr, true, t)
         }
-        fn broadcast(&mut self, addr: u64, _: u32, t: Ps) -> u64 {
+        fn broadcast(&mut self, addr: u64, _: u16, t: Ps) -> u64 {
             self.issue(addr, true, t).0
         }
         fn skips_barriers(&self) -> bool {
@@ -363,7 +377,7 @@ mod tests {
 
     fn load(addr: u64) -> Op {
         Op::Load {
-            addr,
+            addr: Addr::new(addr),
             cacheable: false,
         }
     }
@@ -407,7 +421,7 @@ mod tests {
     fn hits_and_compute_advance_without_slots() {
         let ops = [
             Op::Load {
-                addr: 0,
+                addr: Addr::new(0),
                 cacheable: true,
             },
             Op::Comp(4),
@@ -424,7 +438,12 @@ mod tests {
 
     #[test]
     fn atomics_and_barriers_wait_for_the_window_to_drain() {
-        let ops = [load(2), Op::Atomic { addr: 9 }, load(4), Op::Barrier];
+        let ops = [
+            load(2),
+            Op::Atomic { addr: Addr::new(9) },
+            load(4),
+            Op::Barrier,
+        ];
         let mut port = FakePort::new(4);
         let mut core = TraceCore::new(ops.len(), 4);
         core.advance(&ops, Ps::ZERO, &mut port);
@@ -452,7 +471,7 @@ mod tests {
 
     #[test]
     fn stale_wakes_are_ignored() {
-        let ops = [Op::Atomic { addr: 2 }, Op::Comp(1)];
+        let ops = [Op::Atomic { addr: Addr::new(2) }, Op::Comp(1)];
         let mut port = FakePort::new(2);
         let mut core = TraceCore::new(ops.len(), 2);
         core.advance(&ops, Ps::ZERO, &mut port);
@@ -498,11 +517,11 @@ mod tests {
         // A request arriving in the past is due now.
         let now = ns(5);
         assert_eq!(port.enqueue(now, Ps::ZERO, read(4)), None, "due at 5 ns");
-        assert!(port.service(now).is_some());
+        let done = port.service(now).expect("live tick");
         assert!(port.service(now).is_none(), "one service per live tick");
-        let next = port.rearm().expect("requests still pending");
+        let next = port.rearm(done).expect("requests still pending");
         assert!(next > now);
-        assert_eq!(port.rearm(), None, "already armed");
+        assert_eq!(port.rearm(Vec::new()), None, "already armed");
     }
 
     #[test]

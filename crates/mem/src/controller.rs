@@ -199,6 +199,14 @@ impl MemController {
     /// Issues every command sequence legal at `now` and returns requests
     /// whose data bursts completed at or before `now`.
     pub fn service(&mut self, now: Ps) -> Vec<Completion> {
+        let mut done = Vec::new();
+        self.service_into(now, &mut done);
+        done
+    }
+
+    /// [`service`](MemController::service), appending the completions to
+    /// `done` so a caller can reuse one buffer across calls.
+    pub fn service_into(&mut self, now: Ps, done: &mut Vec<Completion>) {
         self.apply_refreshes(now);
 
         // Issue as long as something can start now.
@@ -208,7 +216,6 @@ impl MemController {
         }
 
         // Pop completions.
-        let mut done = Vec::new();
         while let Some(&Reverse(f)) = self.finishes.peek() {
             if f.at > now {
                 break;
@@ -245,7 +252,6 @@ impl MemController {
             }
         }
         self.next_wake = wake;
-        done
     }
 
     /// The next time `service` would make progress, cached by the last

@@ -11,7 +11,7 @@
 //!   retransmission, and credit-based flow control.
 //! * **Physical layer**: serialization timing lives in `dl-noc` (link
 //!   bandwidth × wire size); this crate exposes the exact wire size of a
-//!   packet ([`packet::Packet::wire_bytes`]).
+//!   packet ([`packet::wire_bytes`]), which the simulator charges links.
 //!
 //! The *function layer* (remote memory access, synchronization, forwarding
 //! requests) is realized by the `dimm-link` system crate on top of these
@@ -39,4 +39,6 @@ pub mod packet;
 pub use crc::crc32;
 pub use dll::{CreditCounter, DllEndpoint, DllEvent};
 pub use faults::{FaultSpec, WireHarness, WireOutcome, WireReport};
-pub use packet::{DimmId, DlCommand, Flit, Packet, PacketHeader, ProtocolError, FLIT_BYTES};
+pub use packet::{
+    wire_bytes, DimmId, DlCommand, Flit, Packet, PacketHeader, ProtocolError, FLIT_BYTES,
+};

@@ -37,6 +37,13 @@ pub const ADDR_BITS: u32 = 37;
 /// A 128-bit flit on the wire.
 pub type Flit = [u8; FLIT_BYTES];
 
+/// Wire size in bytes of a packet carrying `payload` bytes: the 8-byte
+/// header, the payload and the 8-byte tail, rounded up to whole flits.
+pub fn wire_bytes(payload: u64) -> u64 {
+    let flit = FLIT_BYTES as u64;
+    (8 + payload + 8).div_ceil(flit) * flit
+}
+
 /// Identifier of a DIMM in the system (the SRC/DST namespace, 5 bits).
 #[derive(
     Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
@@ -275,12 +282,12 @@ impl Packet {
 
     /// Number of flits this packet occupies on the wire.
     pub fn flit_count(&self) -> usize {
-        (8 + self.payload.len() + 8).div_ceil(FLIT_BYTES)
+        self.wire_bytes() as usize / FLIT_BYTES
     }
 
-    /// Exact wire size in bytes (flits × 16).
+    /// Exact wire size in bytes (flits × 16; see [`wire_bytes`]).
     pub fn wire_bytes(&self) -> u64 {
-        (self.flit_count() * FLIT_BYTES) as u64
+        wire_bytes(self.payload.len() as u64)
     }
 
     /// Serializes into flits, computing the tail CRC over header, payload,

@@ -15,7 +15,7 @@
 
 use crate::graph::CsrGraph;
 use crate::layout::{DataLayout, Region};
-use crate::trace::{Op, ThreadTrace, Workload};
+use crate::trace::{Addr, Op, ThreadTrace, Workload};
 use crate::WorkloadParams;
 use dl_engine::DetRng;
 
@@ -133,7 +133,7 @@ impl GraphCtx {
         let t = self.owner_of(v);
         let local_v = (v - self.block[t]) as u64;
         trace.push(Op::Load {
-            addr: self.offsets[t].line_of(local_v, ELEM),
+            addr: Addr::new(self.offsets[t].line_of(local_v, ELEM)),
             cacheable: true,
         });
         let deg = self.graph.degree(v);
@@ -145,7 +145,7 @@ impl GraphCtx {
         let last_line = (first + deg - 1) * TGT / 64;
         for line in first_line..=last_line {
             trace.push(Op::Load {
-                addr: self.targets[t].base() + line * 64,
+                addr: Addr::new(self.targets[t].base() + line * 64),
                 cacheable: true,
             });
         }
@@ -157,12 +157,12 @@ impl GraphCtx {
         let bytes = self.state[t].bytes();
         let mut off = 0u64;
         while off < bytes {
-            let chunk = (bytes - off).min(256) as u32;
+            let chunk = u16::try_from((bytes - off).min(256)).expect("chunks are at most 256 B");
             trace.push(Op::Broadcast {
-                addr: self.state[t].base() + off,
+                addr: Addr::new(self.state[t].base() + off),
                 bytes: chunk,
             });
-            off += chunk as u64;
+            off += u64::from(chunk);
         }
     }
 
@@ -194,13 +194,13 @@ pub fn bfs(params: &WorkloadParams) -> Workload {
                 trace.comp(2);
                 // dist[] is shared read-write: uncacheable, possibly remote.
                 trace.push(Op::Load {
-                    addr: ctx.state_line(u),
+                    addr: Addr::new(ctx.state_line(u)),
                     cacheable: false,
                 });
                 if dist[u as usize] == u32::MAX {
                     dist[u as usize] = dist[v as usize] + 1;
                     trace.push(Op::Store {
-                        addr: ctx.state_line(u),
+                        addr: Addr::new(ctx.state_line(u)),
                         cacheable: false,
                     });
                     next.push(u);
@@ -242,19 +242,19 @@ pub fn pagerank(params: &WorkloadParams) -> Workload {
                     if params.broadcast {
                         // Read the local replica (refreshed above).
                         trace.push(Op::Load {
-                            addr: ctx.replica_line(home, u),
+                            addr: Addr::new(ctx.replica_line(home, u)),
                             cacheable: true,
                         });
                     } else {
                         trace.push(Op::Load {
-                            addr: ctx.state_line(u),
+                            addr: Addr::new(ctx.state_line(u)),
                             cacheable: false,
                         });
                     }
                 }
                 trace.comp(6);
                 trace.push(Op::Store {
-                    addr: ctx.state_line(v),
+                    addr: Addr::new(ctx.state_line(v)),
                     cacheable: false,
                 });
             }
@@ -296,7 +296,7 @@ pub fn sssp(params: &WorkloadParams) -> Workload {
                 if snapshot[v as usize] == u64::MAX {
                     // Cheap local check of own distance.
                     trace.push(Op::Load {
-                        addr: ctx.state_line(v),
+                        addr: Addr::new(ctx.state_line(v)),
                         cacheable: false,
                     });
                     continue;
@@ -306,12 +306,12 @@ pub fn sssp(params: &WorkloadParams) -> Workload {
                     trace.comp(2);
                     if params.broadcast {
                         trace.push(Op::Load {
-                            addr: ctx.replica_line(home, u),
+                            addr: Addr::new(ctx.replica_line(home, u)),
                             cacheable: true,
                         });
                     } else {
                         trace.push(Op::Load {
-                            addr: ctx.state_line(u),
+                            addr: Addr::new(ctx.state_line(u)),
                             cacheable: false,
                         });
                     }
@@ -320,7 +320,7 @@ pub fn sssp(params: &WorkloadParams) -> Workload {
                         dist[u as usize] = cand;
                         changed = true;
                         trace.push(Op::Store {
-                            addr: ctx.state_line(u),
+                            addr: Addr::new(ctx.state_line(u)),
                             cacheable: false,
                         });
                     }
@@ -361,20 +361,20 @@ pub fn spmv(params: &WorkloadParams) -> Workload {
                 trace.comp(2);
                 if params.broadcast {
                     trace.push(Op::Load {
-                        addr: ctx.replica_line(home, u),
+                        addr: Addr::new(ctx.replica_line(home, u)),
                         cacheable: true,
                     });
                 } else {
                     // x is read-only: cacheable even when remote.
                     trace.push(Op::Load {
-                        addr: ctx.state_line(u),
+                        addr: Addr::new(ctx.state_line(u)),
                         cacheable: true,
                     });
                 }
             }
             trace.comp(4);
             trace.push(Op::Store {
-                addr: ctx.state_line(v),
+                addr: Addr::new(ctx.state_line(v)),
                 cacheable: false,
             });
         }

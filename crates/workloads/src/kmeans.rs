@@ -11,7 +11,7 @@
 //! broadcast-*unfriendly* IDC tasks.
 
 use crate::layout::DataLayout;
-use crate::trace::{Op, ThreadTrace, Workload};
+use crate::trace::{Addr, Op, ThreadTrace, Workload};
 use crate::WorkloadParams;
 use dl_engine::DetRng;
 
@@ -58,24 +58,24 @@ pub fn kmeans(params: &WorkloadParams) -> Workload {
             // uncacheable reads + local writes, once per iteration.
             for (k, c) in centroids.iter().enumerate() {
                 trace.push(Op::Load {
-                    addr: c.base(),
+                    addr: Addr::new(c.base()),
                     cacheable: false,
                 });
                 trace.push(Op::Store {
-                    addr: scratch[t].line_of(k as u64, 64),
+                    addr: Addr::new(scratch[t].line_of(k as u64, 64)),
                     cacheable: true,
                 });
             }
             for p in 0..points_per_thread {
                 // Load the point (thread-private, cacheable, local).
                 trace.push(Op::Load {
-                    addr: points[t].line_of(p, 64),
+                    addr: Addr::new(points[t].line_of(p, 64)),
                     cacheable: true,
                 });
                 // Scan the local snapshot.
                 for k in 0..K {
                     trace.push(Op::Load {
-                        addr: scratch[t].line_of(k as u64, 64),
+                        addr: Addr::new(scratch[t].line_of(k as u64, 64)),
                         cacheable: true,
                     });
                     trace.comp(DIMS * 2);
@@ -90,7 +90,9 @@ pub fn kmeans(params: &WorkloadParams) -> Workload {
             }
             // Per-thread partial sums folded into the global accumulators.
             for a in &accums {
-                trace.push(Op::Atomic { addr: a.base() });
+                trace.push(Op::Atomic {
+                    addr: Addr::new(a.base()),
+                });
                 trace.comp(DIMS);
             }
             trace.push(Op::Barrier);
@@ -102,12 +104,12 @@ pub fn kmeans(params: &WorkloadParams) -> Workload {
                 for (k, c) in centroids.iter().enumerate() {
                     if k % params.dimms == d {
                         trace.push(Op::Load {
-                            addr: accums[k].base(),
+                            addr: Addr::new(accums[k].base()),
                             cacheable: false,
                         });
                         trace.comp(DIMS * 4);
                         trace.push(Op::Store {
-                            addr: c.base(),
+                            addr: Addr::new(c.base()),
                             cacheable: false,
                         });
                     }
@@ -170,7 +172,7 @@ mod tests {
                 cacheable: false,
             } = op
             {
-                dimms_touched.insert(layout.dimm_of(*addr));
+                dimms_touched.insert(layout.dimm_of(addr.get()));
             }
         }
         assert_eq!(dimms_touched.len(), params.dimms);

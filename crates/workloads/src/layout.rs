@@ -6,12 +6,17 @@
 //! arrays region-by-region on explicit DIMMs, which is how DIMM-NMP software
 //! actually lays out data for the coarse-grained execution flow.
 
+use crate::trace::Addr;
 use serde::{Deserialize, Serialize};
 
 /// Address-space bytes reserved per DIMM (16 GiB, matching the modelled
-/// LR-DIMM capacity; 34 offset bits + 5 DIMM bits < the paper's 42-bit
-/// physical space).
+/// LR-DIMM capacity; 34 offset bits + up to 6 DIMM bits < the paper's
+/// 42-bit physical space).
 pub const BYTES_PER_DIMM: u64 = 1 << 34;
+
+/// The most DIMMs a layout spans: every global address then fits in the 40
+/// bits of a trace [`Addr`].
+pub const MAX_DIMMS: usize = (Addr::LIMIT / BYTES_PER_DIMM) as usize;
 
 /// A contiguous allocation on one DIMM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -82,11 +87,11 @@ impl DataLayout {
     /// Creates an empty layout over `dimms` DIMMs.
     ///
     /// # Panics
-    /// Panics if `dimms` is zero or exceeds the 5-bit DIMM id space (32).
+    /// Panics if `dimms` is zero or exceeds [`MAX_DIMMS`] (64).
     pub fn new(dimms: usize) -> Self {
         assert!(
-            dimms > 0 && dimms <= 32,
-            "1..=32 DIMMs supported, got {dimms}"
+            (1..=MAX_DIMMS).contains(&dimms),
+            "1..={MAX_DIMMS} DIMMs supported, got {dimms}"
         );
         DataLayout {
             dimms,
@@ -179,8 +184,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "1..=32")]
+    #[should_panic(expected = "1..=64")]
     fn too_many_dimms_panics() {
-        let _ = DataLayout::new(33);
+        let _ = DataLayout::new(65);
+    }
+
+    #[test]
+    fn the_last_byte_of_the_largest_layout_fits_an_addr() {
+        let mut l = DataLayout::new(MAX_DIMMS);
+        let top = l.alloc(MAX_DIMMS - 1, BYTES_PER_DIMM);
+        let last = top.base() + top.bytes() - 1;
+        assert_eq!(last, Addr::LIMIT - 1);
+        assert_eq!(Addr::new(last).get(), last);
     }
 }

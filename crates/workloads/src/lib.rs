@@ -46,7 +46,7 @@ pub mod tspow;
 
 pub use graph::CsrGraph;
 pub use layout::{DataLayout, Region, BYTES_PER_DIMM};
-pub use trace::{Op, ThreadTrace, Workload};
+pub use trace::{Addr, Op, ThreadTrace, Workload};
 
 use serde::{Deserialize, Serialize};
 
@@ -179,19 +179,21 @@ impl std::fmt::Display for WorkloadKind {
 mod tests {
     use super::*;
 
+    const ALL: [WorkloadKind; 8] = [
+        WorkloadKind::Bfs,
+        WorkloadKind::Hotspot,
+        WorkloadKind::KMeans,
+        WorkloadKind::NeedlemanWunsch,
+        WorkloadKind::Pagerank,
+        WorkloadKind::Sssp,
+        WorkloadKind::Spmv,
+        WorkloadKind::TsPow,
+    ];
+
     #[test]
     fn every_workload_builds_nonempty_traces() {
         let params = WorkloadParams::small(4);
-        for kind in [
-            WorkloadKind::Bfs,
-            WorkloadKind::Hotspot,
-            WorkloadKind::KMeans,
-            WorkloadKind::NeedlemanWunsch,
-            WorkloadKind::Pagerank,
-            WorkloadKind::Sssp,
-            WorkloadKind::Spmv,
-            WorkloadKind::TsPow,
-        ] {
+        for kind in ALL {
             let wl = kind.build(&params);
             assert_eq!(wl.traces().len(), params.threads(), "{kind}");
             assert!(wl.total_ops() > 100, "{kind} produced a trivial trace");
@@ -253,5 +255,74 @@ mod tests {
                 "{kind}: unbalanced barrier counts {counts:?}"
             );
         }
+    }
+
+    /// An op in the wide layout traces had before packing: variant, full
+    /// `u64` address (through [`Op::addr`]) and the remaining field.
+    fn widen(op: Op) -> (u8, u64, u64) {
+        let addr = op.addr().unwrap_or(0);
+        match op {
+            Op::Comp(cycles) => (0, 0, u64::from(cycles)),
+            Op::Load { cacheable, .. } => (1, addr, u64::from(cacheable)),
+            Op::Store { cacheable, .. } => (2, addr, u64::from(cacheable)),
+            Op::Atomic { .. } => (3, addr, 0),
+            Op::Broadcast { bytes, .. } => (4, addr, u64::from(bytes)),
+            Op::Barrier => (5, 0, 0),
+        }
+    }
+
+    /// The inverse of [`widen`].
+    fn pack((tag, addr, field): (u8, u64, u64)) -> Op {
+        let addr = Addr::new(addr);
+        match tag {
+            0 => Op::Comp(u32::try_from(field).unwrap()),
+            1 => Op::Load {
+                addr,
+                cacheable: field == 1,
+            },
+            2 => Op::Store {
+                addr,
+                cacheable: field == 1,
+            },
+            3 => Op::Atomic { addr },
+            4 => Op::Broadcast {
+                addr,
+                bytes: u16::try_from(field).unwrap(),
+            },
+            _ => Op::Barrier,
+        }
+    }
+
+    #[test]
+    fn packed_traces_equal_their_wide_encoding() {
+        // FNV-1a over every widened op of every generator at scale 8 (the
+        // broadcast variants too), recorded with the 16-byte `u64`-address
+        // `Op` the packed one replaced: packing changed no op.
+        const WIDE_HASH: u64 = 0xfb47_42c7_b5f8_a9ad;
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for kind in ALL {
+            for broadcast in [false, true] {
+                if broadcast && !WorkloadKind::BROADCAST_SET.contains(&kind) {
+                    continue;
+                }
+                let params = WorkloadParams {
+                    scale: 8,
+                    broadcast,
+                    ..WorkloadParams::small(4)
+                };
+                for trace in kind.build(&params).traces() {
+                    for &op in trace.ops() {
+                        let wide = widen(op);
+                        assert_eq!(pack(wide), op, "{kind}");
+                        for word in [u64::from(wide.0), wide.1, wide.2] {
+                            for byte in word.to_le_bytes() {
+                                hash = (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(hash, WIDE_HASH, "got {hash:#018x}");
     }
 }

@@ -2,7 +2,7 @@
 //! wavefront alignment (paper Table IV).
 
 use crate::layout::{DataLayout, Region};
-use crate::trace::{Op, ThreadTrace, Workload};
+use crate::trace::{Addr, Op, ThreadTrace, Workload};
 use crate::WorkloadParams;
 
 /// Bytes per grid cell.
@@ -48,30 +48,30 @@ pub fn hotspot(params: &WorkloadParams) -> Workload {
                     let col = cl * PER_LINE;
                     // Centre line + vertical neighbours (shared rw).
                     trace.push(Op::Load {
-                        addr: line_of(r, col),
+                        addr: Addr::new(line_of(r, col)),
                         cacheable: false,
                     });
                     if r > 0 {
                         trace.push(Op::Load {
-                            addr: line_of(r - 1, col),
+                            addr: Addr::new(line_of(r - 1, col)),
                             cacheable: false,
                         });
                     }
                     if r + 1 < side {
                         trace.push(Op::Load {
-                            addr: line_of(r + 1, col),
+                            addr: Addr::new(line_of(r + 1, col)),
                             cacheable: false,
                         });
                     }
                     // Power is read-only.
                     let local = r - row0;
                     trace.push(Op::Load {
-                        addr: power[t].line_of(local * side + col, ELEM),
+                        addr: Addr::new(power[t].line_of(local * side + col, ELEM)),
                         cacheable: true,
                     });
                     trace.comp(PER_LINE as u32 * 6);
                     trace.push(Op::Store {
-                        addr: line_of(r, col),
+                        addr: Addr::new(line_of(r, col)),
                         cacheable: false,
                     });
                 }
@@ -128,7 +128,7 @@ pub fn needleman_wunsch(params: &WorkloadParams) -> Workload {
 
             // Read the sequence slices (read-only, cacheable).
             trace.push(Op::Load {
-                addr: seq[t].base(),
+                addr: Addr::new(seq[t].base()),
                 cacheable: true,
             });
 
@@ -137,7 +137,7 @@ pub fn needleman_wunsch(params: &WorkloadParams) -> Workload {
             if brow > 0 {
                 for cl in 0..block / PER_LINE {
                     trace.push(Op::Load {
-                        addr: score_line(brow - 1, block - 1, col0 + cl * PER_LINE),
+                        addr: Addr::new(score_line(brow - 1, block - 1, col0 + cl * PER_LINE)),
                         cacheable: false,
                     });
                 }
@@ -147,7 +147,7 @@ pub fn needleman_wunsch(params: &WorkloadParams) -> Workload {
             if bcol > 0 {
                 for r in 0..block {
                     trace.push(Op::Load {
-                        addr: score_line(brow, r, col0 - PER_LINE),
+                        addr: Addr::new(score_line(brow, r, col0 - PER_LINE)),
                         cacheable: false,
                     });
                 }
@@ -158,11 +158,11 @@ pub fn needleman_wunsch(params: &WorkloadParams) -> Workload {
                     let col = col0 + cl * PER_LINE;
                     trace.comp(PER_LINE as u32 * 6);
                     trace.push(Op::Load {
-                        addr: score_line(brow, r, col),
+                        addr: Addr::new(score_line(brow, r, col)),
                         cacheable: false,
                     });
                     trace.push(Op::Store {
-                        addr: score_line(brow, r, col),
+                        addr: Addr::new(score_line(brow, r, col)),
                         cacheable: false,
                     });
                 }
@@ -226,7 +226,7 @@ mod tests {
             .ops()
             .iter()
             .filter(|o| match o {
-                Op::Load { addr, .. } => layout.dimm_of(*addr) != t4_home,
+                Op::Load { addr, .. } => layout.dimm_of(addr.get()) != t4_home,
                 _ => false,
             })
             .count();

@@ -1,7 +1,7 @@
 //! Synthetic microbenchmarks backing Fig. 1, Table I, and Fig. 14-a.
 
 use crate::layout::DataLayout;
-use crate::trace::{Op, ThreadTrace, Workload};
+use crate::trace::{Addr, Op, ThreadTrace, Workload};
 use crate::WorkloadParams;
 use dl_engine::DetRng;
 
@@ -21,7 +21,7 @@ pub fn sync_sweep(params: &WorkloadParams, interval_cycles: u32, rounds: usize) 
         for r in 0..rounds {
             trace.comp(interval_cycles);
             trace.push(Op::Load {
-                addr: scratch[t].line_of(r as u64, 64),
+                addr: Addr::new(scratch[t].line_of(r as u64, 64)),
                 cacheable: true,
             });
             trace.push(Op::Barrier);
@@ -54,11 +54,11 @@ pub fn bulk_copy(params: &WorkloadParams, bytes: u64) -> Workload {
         let trace = &mut traces[t];
         for l in 0..lines {
             trace.push(Op::Load {
-                addr: buffers[d + 1].line_of(l, 64),
+                addr: Addr::new(buffers[d + 1].line_of(l, 64)),
                 cacheable: false,
             });
             trace.push(Op::Store {
-                addr: buffers[d].line_of(l, 64),
+                addr: Addr::new(buffers[d].line_of(l, 64)),
                 cacheable: false,
             });
         }
@@ -100,7 +100,7 @@ pub fn uniform_random(
             };
             let line = rng.below(buf_lines);
             trace.push(Op::Load {
-                addr: buffers[target].line_of(line, 64),
+                addr: Addr::new(buffers[target].line_of(line, 64)),
                 cacheable: false,
             });
             trace.comp(2);
@@ -152,7 +152,7 @@ mod tests {
             for op in wl.traces()[t].ops() {
                 if let Op::Load { addr, .. } = op {
                     assert_eq!(
-                        layout.dimm_of(*addr),
+                        layout.dimm_of(addr.get()),
                         h + 1,
                         "loads pull from the next DIMM"
                     );

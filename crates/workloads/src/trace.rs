@@ -1,30 +1,74 @@
 //! The trace intermediate representation replayed by simulated cores.
+//!
+//! Traces are fully built before a run, so their size caps the input scale
+//! a host can simulate. Every [`Op`] therefore packs into 8 bytes: addresses
+//! are 40-bit [`Addr`]s, which cover the whole [`DataLayout`] address space.
 
 use crate::layout::DataLayout;
-use serde::{Deserialize, Serialize};
+use std::fmt;
 
-/// One operation in a thread's trace.
+/// A global physical byte address packed into 5 little-endian bytes.
+///
+/// Every address a [`DataLayout`] hands out is below 2^40 (at most
+/// [`MAX_DIMMS`](crate::layout::MAX_DIMMS) DIMMs of
+/// [`BYTES_PER_DIMM`](crate::BYTES_PER_DIMM) bytes), so 40 bits hold it
+/// exactly. Byte alignment keeps [`Op`] at 8 bytes.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Addr([u8; 5]);
+
+impl Addr {
+    /// One past the largest representable address.
+    pub const LIMIT: u64 = 1 << 40;
+
+    /// Packs `addr`.
+    ///
+    /// # Panics
+    /// Panics if `addr` does not fit in 40 bits.
+    #[inline]
+    pub fn new(addr: u64) -> Self {
+        assert!(addr < Self::LIMIT, "address {addr:#x} exceeds 40 bits");
+        let [b0, b1, b2, b3, b4, ..] = addr.to_le_bytes();
+        Addr([b0, b1, b2, b3, b4])
+    }
+
+    /// The address as a `u64`.
+    #[inline]
+    pub fn get(self) -> u64 {
+        let [b0, b1, b2, b3, b4] = self.0;
+        u64::from_le_bytes([b0, b1, b2, b3, b4, 0, 0, 0])
+    }
+}
+
+impl fmt::Debug for Addr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:#x}", self.get())
+    }
+}
+
+/// One operation in a thread's trace, packed into 8 bytes: a one-byte
+/// variant tag, a 40-bit [`Addr`] and a one-byte field (`cacheable` or
+/// nothing), or a 32-bit `Comp` count. A trace of N ops costs 8N bytes.
 ///
 /// Memory operations are line-granular (64 bytes); larger transfers are
 /// emitted as multiple operations by the workload generators. The
 /// `cacheable` flag implements the paper's software-assisted coherence:
 /// thread-private and shared read-only data may be cached, shared
 /// read-write data must bypass the caches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// Busy the core for this many core cycles.
     Comp(u32),
     /// Read one line at `addr`.
     Load {
         /// Global physical address.
-        addr: u64,
+        addr: Addr,
         /// Whether the line may be cached.
         cacheable: bool,
     },
     /// Write one line at `addr`.
     Store {
         /// Global physical address.
-        addr: u64,
+        addr: Addr,
         /// Whether the line may be cached.
         cacheable: bool,
     },
@@ -32,36 +76,39 @@ pub enum Op {
     /// serializes at the home DIMM — used for locks and shared counters).
     Atomic {
         /// Global physical address.
-        addr: u64,
+        addr: Addr,
     },
     /// Broadcast `bytes` starting at `addr` (which lives on this thread's
     /// home DIMM) to every other DIMM. Requires the explicit broadcast API
     /// of the paper's function layer.
     Broadcast {
         /// Global physical address of the source buffer.
-        addr: u64,
+        addr: Addr,
         /// Payload size in bytes.
-        bytes: u32,
+        bytes: u16,
     },
     /// Global barrier across all threads of the workload.
     Barrier,
 }
 
+const _: () = assert!(std::mem::size_of::<Op>() == 8);
+
 impl Op {
     /// The address this op touches, if it is a memory operation.
+    #[inline]
     pub fn addr(&self) -> Option<u64> {
         match self {
             Op::Load { addr, .. }
             | Op::Store { addr, .. }
             | Op::Atomic { addr }
-            | Op::Broadcast { addr, .. } => Some(*addr),
+            | Op::Broadcast { addr, .. } => Some(addr.get()),
             _ => None,
         }
     }
 }
 
 /// The operation sequence of one thread.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ThreadTrace {
     ops: Vec<Op>,
 }
@@ -122,7 +169,7 @@ impl Extend<Op> for ThreadTrace {
 
 /// A complete multi-threaded workload: one trace per thread plus the data
 /// layout the addresses were generated against.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Workload {
     name: String,
     traces: Vec<ThreadTrace>,
@@ -234,16 +281,22 @@ mod tests {
         assert_eq!(Op::Barrier.addr(), None);
         assert_eq!(
             Op::Load {
-                addr: 64,
+                addr: Addr::new(64),
                 cacheable: true
             }
             .addr(),
             Some(64)
         );
-        assert_eq!(Op::Atomic { addr: 128 }.addr(), Some(128));
+        assert_eq!(
+            Op::Atomic {
+                addr: Addr::new(128)
+            }
+            .addr(),
+            Some(128)
+        );
         assert_eq!(
             Op::Broadcast {
-                addr: 0,
+                addr: Addr::new(0),
                 bytes: 256
             }
             .addr(),
@@ -258,16 +311,31 @@ mod tests {
         let b = layout.alloc(1, 4096);
         let mut t0 = ThreadTrace::new();
         t0.push(Op::Load {
-            addr: a.base(),
+            addr: Addr::new(a.base()),
             cacheable: false,
         }); // local
         t0.push(Op::Load {
-            addr: b.base(),
+            addr: Addr::new(b.base()),
             cacheable: false,
         }); // remote
         let wl = Workload::new("x", vec![t0], layout, vec![0]);
         assert!((wl.remote_fraction() - 0.5).abs() < 1e-12);
         assert_eq!(wl.total_mem_ops(), 2);
+    }
+
+    #[test]
+    fn addr_round_trips_every_40_bit_boundary() {
+        let dimm31_top = 32 * crate::BYTES_PER_DIMM - 1;
+        for a in [0, (1 << 34) - 1, dimm31_top, Addr::LIMIT - 1] {
+            assert_eq!(Addr::new(a).get(), a, "{a:#x}");
+        }
+        assert_eq!(dimm31_top, (1 << 39) - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 40 bits")]
+    fn addr_rejects_41_bit_addresses() {
+        let _ = Addr::new(1 << 40);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! synchronization that makes the task stress the IDC mechanism.
 
 use crate::layout::DataLayout;
-use crate::trace::{Op, ThreadTrace, Workload};
+use crate::trace::{Addr, Op, ThreadTrace, Workload};
 use crate::WorkloadParams;
 use dl_engine::DetRng;
 
@@ -44,7 +44,7 @@ pub fn ts_pow(params: &WorkloadParams) -> Workload {
             // Stream the window data (thread-private, cacheable).
             for l in 0..WINDOW_LINES {
                 trace.push(Op::Load {
-                    addr: series[t].line_of(w + l, 64),
+                    addr: Addr::new(series[t].line_of(w + l, 64)),
                     cacheable: true,
                 });
             }
@@ -55,17 +55,21 @@ pub fn ts_pow(params: &WorkloadParams) -> Workload {
                 current_min = d;
                 // Lock, read-check-update, unlock: two atomics plus an
                 // uncacheable read-modify-write of the shared minimum.
-                trace.push(Op::Atomic { addr: lock.base() });
+                trace.push(Op::Atomic {
+                    addr: Addr::new(lock.base()),
+                });
                 trace.push(Op::Load {
-                    addr: global_min.base(),
+                    addr: Addr::new(global_min.base()),
                     cacheable: false,
                 });
                 trace.comp(8);
                 trace.push(Op::Store {
-                    addr: global_min.base(),
+                    addr: Addr::new(global_min.base()),
                     cacheable: false,
                 });
-                trace.push(Op::Atomic { addr: lock.base() });
+                trace.push(Op::Atomic {
+                    addr: Addr::new(lock.base()),
+                });
             }
         }
         trace.push(Op::Barrier);
@@ -85,7 +89,7 @@ mod tests {
         for trace in wl.traces() {
             for op in trace.ops() {
                 if let Op::Atomic { addr } = op {
-                    assert_eq!(layout.dimm_of(*addr), 0);
+                    assert_eq!(layout.dimm_of(addr.get()), 0);
                 }
             }
         }
