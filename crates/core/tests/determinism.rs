@@ -135,14 +135,14 @@ fn golden_fingerprints_are_pinned() {
         .map(|(name, fp)| format!("{name} {:016x}", fnv1a64(fp)))
         .collect();
     let golden = [
-        "host BFS 04c983051f863584",
-        "host HS 9ac852cc6e8f6d86",
-        "host KM 0756cbbfdb771443",
-        "host NW 84c2a560ec00c10e",
-        "host PR 15af34b44de25bb6",
-        "host SSSP 619fb4cd378cb277",
-        "KM/DL 42abe464253379f7",
-        "TS.Pow/MCN-central 155177dc4b2f7511",
+        "host BFS b896914fd5c779d9",
+        "host HS 9cf36ed3f2bbd135",
+        "host KM 68877c55ffbabbbb",
+        "host NW d7aae16de385c8a5",
+        "host PR 48087f9781b59e19",
+        "host SSSP 69721384d2a13484",
+        "KM/DL 8731e5e902a9d919",
+        "TS.Pow/MCN-central c18ee78d44476e50",
         "PR-BC/DL 837b7893a3e908bb",
         "BFS/DL-opt c553c41be02bd434",
     ];

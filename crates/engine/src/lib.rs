@@ -42,3 +42,8 @@ pub use event::EventQueue;
 pub use resource::{BandwidthResource, Resource};
 pub use rng::DetRng;
 pub use time::{Freq, Ps};
+
+/// Whether the runtime auditor (`feature = "audit"`) is on, for crates that
+/// check their own invariants only in audited builds
+/// (`--features dl-engine/audit`).
+pub const AUDIT: bool = cfg!(feature = "audit");

@@ -183,12 +183,14 @@ impl MemController {
         }
     }
 
-    /// Queues a request. Call [`service`](MemController::service) afterwards
-    /// (with the same `now`) to let it issue.
-    pub fn enqueue(&mut self, now: Ps, req: MemRequest) {
-        self.queue.push_back(Pending { req, arrival: now });
-        // Force a re-evaluation no later than now.
-        self.next_wake = Some(self.next_wake.map_or(now, |w| w.min(now)));
+    /// Queues a request arriving at `arrival`, which may be later than the
+    /// controller's current time: the request is not eligible to issue
+    /// before it. Call [`service`](MemController::service) at `arrival` to
+    /// let it issue.
+    pub fn enqueue(&mut self, arrival: Ps, req: MemRequest) {
+        self.queue.push_back(Pending { req, arrival });
+        // Force a re-evaluation no later than the arrival.
+        self.next_wake = Some(self.next_wake.map_or(arrival, |w| w.min(arrival)));
     }
 
     /// Number of requests waiting or in flight.
@@ -231,7 +233,8 @@ impl MemController {
         // Cache the next interesting time. Times at or before `now` are
         // ignored (they belong to requests that are blocked behind their
         // bank's chosen candidate; the candidate's own future time, or a
-        // pending completion, covers the bank's progress).
+        // pending completion, covers the bank's progress). A request that
+        // has not arrived yet is planned from its arrival.
         let mut wake: Option<Ps> = None;
         let consider = |t: Ps, wake: &mut Option<Ps>| {
             if t > now {
@@ -242,7 +245,7 @@ impl MemController {
             consider(f.at, &mut wake);
         }
         for p in &self.queue {
-            let plan = self.plan_for(&p.req, now);
+            let plan = self.plan_for(&p.req, now.max(p.arrival));
             consider(plan.first_cmd_at, &mut wake);
         }
         if !self.queue.is_empty() || !self.finishes.is_empty() {
@@ -333,8 +336,12 @@ impl MemController {
     /// request for that bank (so capped banks drain conflicts instead of
     /// starving them behind an endless stream of ready hits). Among the
     /// per-bank candidates, the first one legal at `now` is issued.
+    /// Requests arriving after `now` are not yet candidates.
     fn pick(&mut self, now: Ps) -> Option<(usize, Plan)> {
         for (i, p) in self.queue.iter().enumerate() {
+            if p.arrival > now {
+                continue;
+            }
             let flat = p.req.addr.flat_bank(&self.cfg);
             let bank = &self.banks[flat];
             let is_hit = bank.open_row == Some(p.req.addr.row);
@@ -369,6 +376,16 @@ impl MemController {
     }
 
     fn issue(&mut self, pending: Pending, plan: Plan) {
+        if dl_engine::AUDIT {
+            assert!(
+                plan.first_cmd_at >= pending.arrival,
+                "controller '{}': request {} issues at {} before it arrives at {}",
+                self.name,
+                pending.req.id,
+                plan.first_cmd_at,
+                pending.arrival
+            );
+        }
         let t = self.cfg.timing;
         let req = pending.req;
         let rank_idx = req.addr.rank as usize;
@@ -443,7 +460,7 @@ impl MemController {
         }
 
         self.queue_latency
-            .record((burst_end.saturating_sub(pending.arrival)).as_ps());
+            .record((burst_end - pending.arrival).as_ps());
         self.finishes.push(Reverse(Finish {
             at: burst_end,
             id: req.id,
@@ -556,6 +573,19 @@ mod tests {
         let expected = t.t(t.rcd + t.cl + t.bl);
         assert_eq!(done[0].at, expected);
         assert!(!done[0].row_hit);
+    }
+
+    #[test]
+    fn a_request_does_not_issue_before_it_arrives() {
+        let (cfg, map, mut mc) = setup();
+        let t = cfg.timing;
+        let arrival = Ps::from_ns(100);
+        mc.enqueue(arrival, MemRequest::new(1, AccessKind::Read, map.decode(0)));
+        // A tick before the arrival (another request's, say) issues nothing.
+        assert!(mc.service(Ps::ZERO).is_empty());
+        assert_eq!(mc.next_wake(), Some(arrival));
+        let done = drain(&mut mc, 1);
+        assert!(done[0].at >= arrival + t.t(t.rcd + t.cl + t.bl));
     }
 
     #[test]
