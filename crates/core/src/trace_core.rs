@@ -151,9 +151,8 @@ impl TraceCore {
                     t += clock.cycles(cycles as u64);
                 }
                 Op::Load { addr, cacheable } | Op::Store { addr, cacheable } => {
-                    let is_write = matches!(op, Op::Store { .. });
+                    let (addr, is_write) = (addr.get(), matches!(op, Op::Store { .. }));
                     // A blocked access repeats its lookup when it resumes.
-                    let addr = addr.get();
                     if let Some(latency) = port.lookup(addr, is_write, cacheable, t) {
                         self.pc += 1;
                         t += latency;
