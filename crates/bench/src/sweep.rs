@@ -55,7 +55,7 @@
 //! ```
 
 use dimm_link::config::SystemConfig;
-use dimm_link::runner::{host_baseline, simulate, simulate_optimized, RunResult};
+use dimm_link::runner::{self, host_baseline, simulate, simulate_optimized, RunResult};
 use dimm_link::EnergyBreakdown;
 use dl_engine::stats::StatSet;
 use dl_engine::{Ps, RunBudget, RunStatus};
@@ -156,27 +156,17 @@ impl RunRecord {
 
     /// Fraction of core time stalled on non-overlapped IDC.
     pub fn idc_stall_frac(&self) -> f64 {
-        self.stats.get("idc_stall_frac").unwrap_or(0.0)
+        runner::idc_stall_frac(&self.stats)
     }
 
     /// Mean memory-channel occupancy.
     pub fn bus_occupancy(&self) -> f64 {
-        self.stats.get("host.bus_occupancy").unwrap_or(0.0)
+        runner::bus_occupancy(&self.stats)
     }
 
     /// Traffic fractions `(local, link, host-forwarded, bus)` by bytes.
     pub fn traffic_breakdown(&self) -> (f64, f64, f64, f64) {
-        let g = |k: &str| self.stats.get(k).unwrap_or(0.0);
-        let local = g("traffic.local_bytes");
-        let link = g("traffic.link_bytes");
-        let fwd = g("traffic.fwd_bytes");
-        let bus = g("traffic.bus_bytes");
-        let total = local + link + fwd + bus;
-        if total == 0.0 {
-            (0.0, 0.0, 0.0, 0.0)
-        } else {
-            (local / total, link / total, fwd / total, bus / total)
-        }
+        runner::traffic_breakdown(&self.stats)
     }
 }
 

@@ -3,6 +3,7 @@
 use dl_engine::{Freq, Ps, RunBudget};
 use dl_mem::{CacheConfig, DramConfig};
 use dl_noc::{LinkParams, TopologyKind};
+use dl_protocol::MAX_DIMMS;
 use serde::{Deserialize, Serialize};
 
 /// Which inter-DIMM communication mechanism the system uses.
@@ -291,8 +292,12 @@ impl SystemConfig {
     /// # Errors
     /// Returns a description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if self.dimms == 0 || self.dimms > 32 {
-            return Err(format!("dimms must be in 1..=32, got {}", self.dimms));
+        // DIMM ids travel in the packet header's 5-bit SRC/DST fields.
+        if !(1..=MAX_DIMMS).contains(&self.dimms) {
+            return Err(format!(
+                "dimms must be in 1..={MAX_DIMMS}, got {}",
+                self.dimms
+            ));
         }
         if !self.dimms.is_multiple_of(self.channels) {
             return Err("dimms must divide evenly over channels".into());
@@ -426,6 +431,13 @@ mod tests {
         let mut cfg = SystemConfig::nmp(16, 8).with_idc(IdcKind::CpuForwarding);
         cfg.polling = PollingStrategy::Proxy;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn dimm_count_is_limited_by_the_header_id_field() {
+        assert_eq!(SystemConfig::nmp(32, 8).validate(), Ok(()));
+        let err = SystemConfig::nmp(33, 1).validate().unwrap_err();
+        assert!(err.contains("1..=32"), "{err}");
     }
 
     #[test]

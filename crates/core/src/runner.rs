@@ -28,28 +28,45 @@ pub struct RunResult {
 impl RunResult {
     /// Fraction of core time stalled on non-overlapped IDC.
     pub fn idc_stall_frac(&self) -> f64 {
-        self.stats.get("idc_stall_frac").unwrap_or(0.0)
+        idc_stall_frac(&self.stats)
     }
 
     /// Mean memory-channel occupancy.
     pub fn bus_occupancy(&self) -> f64 {
-        self.stats.get("host.bus_occupancy").unwrap_or(0.0)
+        bus_occupancy(&self.stats)
     }
 
     /// Traffic fractions `(local, link, host-forwarded, bus)` by bytes
     /// (Fig. 11's breakdown).
     pub fn traffic_breakdown(&self) -> (f64, f64, f64, f64) {
-        let g = |k: &str| self.stats.get(k).unwrap_or(0.0);
-        let local = g("traffic.local_bytes");
-        let link = g("traffic.link_bytes");
-        let fwd = g("traffic.fwd_bytes");
-        let bus = g("traffic.bus_bytes");
-        let total = local + link + fwd + bus;
-        if total == 0.0 {
-            (0.0, 0.0, 0.0, 0.0)
-        } else {
-            (local / total, link / total, fwd / total, bus / total)
-        }
+        traffic_breakdown(&self.stats)
+    }
+}
+
+/// Fraction of core time stalled on non-overlapped IDC, from a run's
+/// counters.
+pub fn idc_stall_frac(stats: &StatSet) -> f64 {
+    stats.get("idc_stall_frac").unwrap_or(0.0)
+}
+
+/// Mean memory-channel occupancy, from a run's counters.
+pub fn bus_occupancy(stats: &StatSet) -> f64 {
+    stats.get("host.bus_occupancy").unwrap_or(0.0)
+}
+
+/// Traffic fractions `(local, link, host-forwarded, bus)` by bytes, from a
+/// run's counters (Fig. 11's breakdown).
+pub fn traffic_breakdown(stats: &StatSet) -> (f64, f64, f64, f64) {
+    let g = |k: &str| stats.get(k).unwrap_or(0.0);
+    let local = g("traffic.local_bytes");
+    let link = g("traffic.link_bytes");
+    let fwd = g("traffic.fwd_bytes");
+    let bus = g("traffic.bus_bytes");
+    let total = local + link + fwd + bus;
+    if total == 0.0 {
+        (0.0, 0.0, 0.0, 0.0)
+    } else {
+        (local / total, link / total, fwd / total, bus / total)
     }
 }
 

@@ -6,8 +6,8 @@
 //! in-order MLP window, and each DIMM's memory controller sits behind its
 //! `McPort`. What is the NMP system's own is its `CorePort`,
 //! `DimmPort`: the L1→L2 path, access profiling for Algorithm 1, local
-//! accesses versus remote ones staged in the partition's [`Outbox`], and
-//! barrier arrivals handed to the coordinator.
+//! accesses versus remote ones staged for the coordinator, and barrier
+//! arrivals handed to it likewise.
 //!
 //! The paper's coarse-grained execution flow is assumed: the host has
 //! already loaded data and kernels, DIMMs are in NMP-Access mode, and the
@@ -26,13 +26,14 @@
 //! ([`crate::idc::min_cross_latency`], the cheapest possible
 //! cross-partition message). Within an epoch each partition, in partition
 //! order, processes only its own events and stages anything
-//! cross-partition as an [`Intent`] in its [`Outbox`]. At the epoch barrier
-//! the coordinator drains all outboxes into one buffer it reuses across
-//! epochs and sorts it in place into a total order — `(timestamp, source
-//! partition, source sequence)`, see [`dl_engine::epoch::merge_epoch`] —
-//! performs the interconnect and host-path reservations in that order, and
-//! pushes the resulting deliveries into the target partitions no earlier
-//! than the epoch boundary.
+//! cross-partition as a timestamped [`Intent`] in its [`Uncore`]'s outbox.
+//! At the epoch barrier the coordinator appends the outboxes, in partition
+//! order, to one buffer it reuses across epochs and stably sorts it by
+//! timestamp ([`merge_outboxes`]). Each outbox is in emission order, so the
+//! result is the total order `(timestamp, source partition, emission
+//! order)`. The coordinator performs the interconnect and host-path
+//! reservations in that order and pushes the resulting deliveries into the
+//! target partitions no earlier than the epoch boundary.
 //!
 //! The epochs are part of the model, not a scheduling device: the merged
 //! order fixes the order of shared-resource reservations, and the boundary
@@ -45,7 +46,6 @@ use crate::idc::{
     NOTIFY_BYTES,
 };
 use crate::trace_core::{CorePort, McPort, TraceCore};
-use dl_engine::epoch::{merge_epoch, Envelope, Outbox};
 use dl_engine::stats::{Histogram, StatSet};
 use dl_engine::{BudgetKind, EventQueue, Freq, Ps, Resource, RunStatus};
 use dl_mem::{AccessKind, Cache, CacheOutcome, DimmAddressMap, MemController, MemRequest};
@@ -231,7 +231,9 @@ struct Uncore {
     mc: McPort,
     atomic_unit: Resource,
     events: EventQueue<Ev>,
-    outbox: Outbox<Intent>,
+    /// Cross-partition intents staged this epoch, in emission order, each
+    /// with the time it takes effect; drained at every barrier.
+    outbox: Vec<(Ps, Intent)>,
     txn_mem: BTreeMap<u64, TxnClass>,
     next_txn: u64,
     now: Ps,
@@ -272,9 +274,9 @@ struct Coordinator {
     cxl_unicast_bytes: u64,
     broadcast_bytes: u64,
     barriers_passed: u64,
-    /// The epoch's drained envelopes in merged order; emptied after each
+    /// The epoch's drained intents in merged order; emptied after each
     /// barrier and reused so barriers do not allocate.
-    merged: Vec<Envelope<Intent>>,
+    merged: Vec<(Ps, Intent)>,
     /// Deliveries produced by the epoch's intents, reused likewise.
     deliveries: Vec<(usize, Ps, XEvent)>,
 }
@@ -371,7 +373,7 @@ impl<'w> NmpSystem<'w> {
                         mc: McPort::new(MemController::new(format!("dimm{d}"), &cfg.dram)),
                         atomic_unit: Resource::new(format!("dimm{d}.atomic")),
                         events,
-                        outbox: Outbox::new(d),
+                        outbox: Vec::new(),
                         txn_mem: BTreeMap::new(),
                         next_txn: 0,
                         now: Ps::ZERO,
@@ -668,11 +670,11 @@ fn epoch_plan(parts: &[DimmPart], cfg: &SystemConfig, lookahead: Ps) -> Plan {
     Plan::Run(next + lookahead)
 }
 
-/// The epoch barrier: drains every outbox, merges the envelopes into the
-/// canonical `(time, source, sequence)` order, performs the shared-model
-/// reservations in that order, and pushes the resulting deliveries into the
-/// target partitions — never earlier than the epoch boundary, so the next
-/// epoch's plan sees a consistent frontier.
+/// The epoch barrier: drains every outbox, merges the intents into the
+/// canonical `(time, source partition, emission order)` order, performs the
+/// shared-model reservations in that order, and pushes the resulting
+/// deliveries into the target partitions — never earlier than the epoch
+/// boundary, so the next epoch's plan sees a consistent frontier.
 fn run_barrier_phase(
     parts: &mut [DimmPart],
     sh: &Shared<'_>,
@@ -683,12 +685,9 @@ fn run_barrier_phase(
     // handed back empty, capacity intact.
     let mut merged = std::mem::take(&mut coord.merged);
     let mut deliveries = std::mem::take(&mut coord.deliveries);
-    for p in parts.iter_mut() {
-        p.uncore.outbox.drain_into(&mut merged);
-    }
-    merge_epoch(&mut merged);
-    for env in merged.drain(..) {
-        coord.apply(sh, &env, &mut deliveries);
+    merge_outboxes(parts.iter_mut().map(|p| &mut p.uncore.outbox), &mut merged);
+    for (at, intent) in merged.drain(..) {
+        coord.apply(sh, at, intent, &mut deliveries);
     }
     for (dimm, at, x) in deliveries.drain(..) {
         parts[dimm]
@@ -698,6 +697,20 @@ fn run_barrier_phase(
     }
     coord.merged = merged;
     coord.deliveries = deliveries;
+}
+
+/// Appends every outbox, in the order given, to `merged` and stably sorts
+/// it by time. Each outbox is in emission order and is left empty with its
+/// capacity intact, so with the outboxes in partition order the result is
+/// ordered by `(time, source partition, emission order)`.
+fn merge_outboxes<'a, T: 'a>(
+    outboxes: impl Iterator<Item = &'a mut Vec<(Ps, T)>>,
+    merged: &mut Vec<(Ps, T)>,
+) {
+    for outbox in outboxes {
+        merged.append(outbox);
+    }
+    merged.sort_by_key(|&(at, _)| at);
 }
 
 impl DimmPart {
@@ -841,7 +854,7 @@ impl Uncore {
     /// Stages a message from this DIMM to `dst`, sent at `t`.
     fn unicast(&mut self, t: Ps, dst: usize, bytes: u64, then: XEvent) {
         let src = self.dimm;
-        self.outbox.send(
+        self.outbox.push((
             t,
             Intent::Unicast {
                 src,
@@ -849,7 +862,7 @@ impl Uncore {
                 bytes,
                 then,
             },
-        );
+        ));
     }
 
     fn record_profile(&mut self, sh: &Shared<'_>, g: usize, addr: u64) {
@@ -894,8 +907,7 @@ impl Uncore {
 
 /// The NMP side of the core model: private L1 then the DIMM's shared L2,
 /// profiling, local accesses to this DIMM's controller or remote ones
-/// through the [`Outbox`], and barrier arrivals staged for the
-/// coordinator.
+/// through the outbox, and barrier arrivals staged for the coordinator.
 impl CorePort for DimmPort<'_, '_> {
     fn clock(&self) -> Freq {
         self.sh.cfg.nmp_freq
@@ -1022,7 +1034,7 @@ impl CorePort for DimmPort<'_, '_> {
         let src = sh.workload.layout().dimm_of(addr);
         let bytes = wire_bytes(u64::from(payload));
         let id = u.alloc_txn();
-        u.outbox.send(
+        u.outbox.push((
             t,
             Intent::Broadcast {
                 src,
@@ -1030,7 +1042,7 @@ impl CorePort for DimmPort<'_, '_> {
                 origin: id,
                 bytes,
             },
-        );
+        ));
         id
     }
 
@@ -1042,31 +1054,32 @@ impl CorePort for DimmPort<'_, '_> {
     fn barrier(&mut self, t: Ps) {
         self.uncore
             .outbox
-            .send(t, Intent::BarrierArrive { thread: self.g });
+            .push((t, Intent::BarrierArrive { thread: self.g }));
     }
 }
 
 impl Coordinator {
-    /// Applies one merged cross-partition intent to the shared models and
-    /// records the deliveries it produces as `(target partition, time,
-    /// event)` triples.
+    /// Applies one merged cross-partition intent, taking effect at `at`, to
+    /// the shared models and records the deliveries it produces as `(target
+    /// partition, time, event)` triples.
     fn apply(
         &mut self,
         sh: &Shared<'_>,
-        env: &Envelope<Intent>,
+        at: Ps,
+        intent: Intent,
         out: &mut Vec<(usize, Ps, XEvent)>,
     ) {
-        match env.payload {
+        match intent {
             Intent::Unicast {
                 src,
                 dst,
                 bytes,
                 then,
             } => {
-                self.call_order.observe(env.at);
+                self.call_order.observe(at);
                 let (arrival, route) =
                     self.idc
-                        .unicast(&mut self.host, &sh.cfg, env.at, src, dst, bytes);
+                        .unicast(&mut self.host, &sh.cfg, at, src, dst, bytes);
                 self.count_route(route, bytes);
                 out.push((dst, arrival, then));
                 // A waited-on remote write is acknowledged on arrival.
@@ -1083,16 +1096,14 @@ impl Coordinator {
                 origin,
                 bytes,
             } => {
-                let arrivals = self
-                    .idc
-                    .broadcast(&mut self.host, &sh.cfg, env.at, src, bytes);
+                let arrivals = self.idc.broadcast(&mut self.host, &sh.cfg, at, src, bytes);
                 self.broadcast_bytes += bytes * (sh.cfg.dimms as u64 - 1);
-                let done = arrivals.into_iter().max().unwrap_or(env.at);
+                let done = arrivals.into_iter().max().unwrap_or(at);
                 // Delivered everywhere: the broadcast's slot is freed.
                 let then = XEvent::Complete { thread, origin };
                 out.push((sh.placement[thread], done, then));
             }
-            Intent::BarrierArrive { thread } => self.barrier_arrive(sh, thread, env.at, out),
+            Intent::BarrierArrive { thread } => self.barrier_arrive(sh, thread, at, out),
         }
     }
 
@@ -1573,5 +1584,59 @@ mod tests {
         assert_eq!(r2.stats.get("events_scheduled"), Some(scheduled));
         assert_eq!(r1.elapsed, r2.elapsed);
         assert_eq!(r1.status, r2.status);
+    }
+
+    /// Merges `outboxes` (in partition order) into a fresh buffer and
+    /// returns the payloads in merged order.
+    fn merged_payloads<T: Copy>(outboxes: &mut [Vec<(Ps, T)>]) -> Vec<T> {
+        let mut merged = Vec::new();
+        merge_outboxes(outboxes.iter_mut(), &mut merged);
+        merged.iter().map(|&(_, x)| x).collect()
+    }
+
+    #[test]
+    fn merge_puts_the_lower_partition_first_at_equal_times() {
+        let at = Ps::from_ns(5);
+        let mut outboxes = [vec![(at, "p0")], vec![(at, "p1")], vec![(at, "p2")]];
+        assert_eq!(merged_payloads(&mut outboxes), ["p0", "p1", "p2"]);
+    }
+
+    #[test]
+    fn merge_keeps_emission_order_within_a_partition() {
+        let at = Ps::from_ns(5);
+        let mut outboxes = [vec![(at, 'a'), (at, 'b'), (at, 'c')], vec![(at, 'd')]];
+        assert_eq!(merged_payloads(&mut outboxes), ['a', 'b', 'c', 'd']);
+    }
+
+    #[test]
+    fn merge_lets_an_earlier_time_win_regardless_of_send_order() {
+        let ns = Ps::from_ns;
+        let mut outboxes = [
+            vec![(ns(5), "a0@5"), (ns(2), "a1@2")],
+            vec![(ns(5), "b0@5"), (ns(1), "b1@1")],
+        ];
+        assert_eq!(
+            merged_payloads(&mut outboxes),
+            ["b1@1", "a1@2", "a0@5", "b0@5"]
+        );
+    }
+
+    #[test]
+    fn reused_merge_buffer_holds_nothing_from_the_previous_epoch() {
+        // The barrier's pattern: merge, consume, repeat with the same
+        // buffer. The second epoch sees only its own intents, and the
+        // drained outboxes start the next epoch empty.
+        let mut outboxes = [(0..8).map(|i| (Ps::from_ns(i), i)).collect(), Vec::new()];
+        let mut merged = Vec::new();
+        merge_outboxes(outboxes.iter_mut(), &mut merged);
+        assert_eq!(merged.len(), 8);
+        merged.clear();
+        assert!(outboxes.iter().all(Vec::is_empty));
+        outboxes[1].push((Ps::from_ns(9), 100));
+        outboxes[0].push((Ps::from_ns(9), 200));
+        merge_outboxes(outboxes.iter_mut(), &mut merged);
+        let order: Vec<u64> = merged.iter().map(|&(_, x)| x).collect();
+        assert_eq!(order, [200, 100]);
+        assert!(merged.capacity() >= 8, "the buffer kept its capacity");
     }
 }

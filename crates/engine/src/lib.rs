@@ -30,7 +30,6 @@
 //! ```
 
 pub mod budget;
-pub mod epoch;
 pub mod event;
 pub mod resource;
 pub mod rng;

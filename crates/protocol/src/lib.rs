@@ -1,21 +1,19 @@
 #![forbid(unsafe_code)]
 //! # dl-protocol
 //!
-//! The DIMM-Link interconnect protocol (paper Section III-B): a four-layer
-//! stack of which this crate implements the three that carry bits:
+//! The DIMM-Link wire format (paper Section III-B, Figure 3-b): packets with
+//! a 64-bit header (SRC / DST / CMD / ADDR / TAG / LEN), up to 256 bytes of
+//! payload, and a 64-bit tail carrying a CRC-32 ([`crc`]), sliced into
+//! 128-bit flits ([`packet`]).
 //!
-//! * **Transaction layer** ([`packet`]): packets with a 64-bit header
-//!   (SRC / DST / CMD / ADDR / TAG / LEN), up to 256 bytes of payload, and a
-//!   64-bit tail, sliced into 128-bit flits.
-//! * **Data-link layer** ([`dll`], [`crc`]): CRC-32 validation, ACK/retry
-//!   retransmission, and credit-based flow control.
-//! * **Physical layer**: serialization timing lives in `dl-noc` (link
-//!   bandwidth × wire size); this crate exposes the exact wire size of a
-//!   packet ([`packet::wire_bytes`]), which the simulator charges links.
-//!
-//! The *function layer* (remote memory access, synchronization, forwarding
-//! requests) is realized by the `dimm-link` system crate on top of these
-//! primitives.
+//! The simulator uses two numbers from here: the exact wire size of a packet
+//! ([`wire_bytes`]), which it charges links, and the flit size
+//! ([`FLIT_BYTES`]), which the networks serialize at. The paper's data-link
+//! layer (ACK/retry, credit flow control) is not modelled: at a link
+//! bit-error rate of 10⁻¹² a simulated run expects far less than one retry,
+//! so no result could depend on it. The tail's DLL field stays in the format
+//! and under the CRC. The *function layer* (remote memory access,
+//! synchronization, forwarding requests) is the `dimm-link` system crate.
 //!
 //! # Examples
 //!
@@ -32,13 +30,9 @@
 //! ```
 
 pub mod crc;
-pub mod dll;
-pub mod faults;
 pub mod packet;
 
 pub use crc::crc32;
-pub use dll::{CreditCounter, DllEndpoint, DllEvent};
-pub use faults::{FaultSpec, WireHarness, WireOutcome, WireReport};
 pub use packet::{
-    wire_bytes, DimmId, DlCommand, Flit, Packet, PacketHeader, ProtocolError, FLIT_BYTES,
+    wire_bytes, DimmId, DlCommand, Flit, Packet, PacketHeader, ProtocolError, FLIT_BYTES, MAX_DIMMS,
 };

@@ -13,13 +13,11 @@
 //!  bits  4..0   LEN   (5 b: number of flits minus one, so up to 32 flits)
 //! ```
 //!
-//! and the tail carries `CRC-32 (32 b) || DLL field (32 b: sequence number
-//! and credit return, managed by [`crate::dll`])`. The CRC covers the
-//! header, payload, *and* the DLL field: an undetected bit-flip in the
-//! sequence number would silently break the link layer's exactly-once
-//! delivery (a duplicate could be delivered under a fresh sequence number),
-//! so the DLL stamps its field before the physical layer serializes and the
-//! CRC is computed at [`Packet::encode`] time over everything but itself.
+//! and the tail carries `CRC-32 (32 b) || DLL field (32 b)`. The DLL field
+//! is the paper's data-link word (sequence number and credit return); this
+//! crate carries it opaquely. The CRC is computed at [`Packet::encode`] time
+//! over everything on the wire but itself — header, payload, *and* the DLL
+//! field — so a flipped sequence-number bit is caught like any other.
 
 use crate::crc::crc32;
 use serde::{Deserialize, Serialize};
@@ -33,6 +31,8 @@ pub const MAX_PAYLOAD: usize = 256;
 pub const MAX_FLITS: usize = 32;
 /// Width of the ADDR field in bits.
 pub const ADDR_BITS: u32 = 37;
+/// DIMMs addressable by the 5-bit SRC/DST fields: the system size limit.
+pub const MAX_DIMMS: usize = 1 << 5;
 
 /// A 128-bit flit on the wire.
 pub type Flit = [u8; FLIT_BYTES];
@@ -190,11 +190,10 @@ impl PacketHeader {
         if addr >= (1u64 << ADDR_BITS) {
             return Err(ProtocolError::AddrTooWide(addr));
         }
-        if src.0 >= 32 {
-            return Err(ProtocolError::IdTooWide(src.0));
-        }
-        if dst.0 >= 32 {
-            return Err(ProtocolError::IdTooWide(dst.0));
+        for id in [src, dst] {
+            if usize::from(id.0) >= MAX_DIMMS {
+                return Err(ProtocolError::IdTooWide(id.0));
+            }
         }
         Ok(PacketHeader {
             src,
@@ -242,8 +241,9 @@ pub struct Packet {
     pub header: PacketHeader,
     /// Payload bytes (empty for requests without data).
     pub payload: Vec<u8>,
-    /// The 32-bit DLL field in the tail (sequence / credit return),
-    /// filled in by the data-link layer; zero until then.
+    /// The 32-bit DLL field in the tail (the paper's sequence / credit
+    /// return word), carried opaquely and covered by the CRC; zero unless
+    /// set.
     pub dll_field: u32,
 }
 
@@ -429,8 +429,7 @@ mod tests {
     #[test]
     fn corruption_detected_anywhere() {
         // Every wire byte is covered: header, payload, padding, the CRC
-        // itself, and the DLL field (an unprotected sequence number would
-        // break exactly-once delivery undetected).
+        // itself, and the DLL field.
         let mut p = Packet::with_payload(header(), (0..64u8).collect()).unwrap();
         p.dll_field = 0x0102_0304;
         let flits = p.encode();

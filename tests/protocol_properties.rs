@@ -1,11 +1,8 @@
-//! Property-based tests of the DIMM-Link protocol stack (transaction-layer
-//! codec and data-link layer) — invariants the FPGA prototype of the paper's
-//! Section V-A validates in hardware.
+//! Property-based tests of the DIMM-Link wire format (flit codec and CRC-32
+//! tail) — invariants the FPGA prototype of the paper's Section V-A
+//! validates in hardware.
 
-use dl_protocol::{
-    crc32, DimmId, DlCommand, DllEndpoint, DllEvent, FaultSpec, Packet, PacketHeader, WireHarness,
-    WireOutcome,
-};
+use dl_protocol::{crc32, DimmId, DlCommand, Packet, PacketHeader};
 use proptest::prelude::*;
 
 fn arb_command() -> impl Strategy<Value = DlCommand> {
@@ -71,8 +68,7 @@ proptest! {
         let mut flits = pkt.encode();
         let total = flits.len() * 16;
         // Every wire byte is covered: the CRC spans header, payload, and
-        // the DLL field (so a corrupted sequence number cannot slip through
-        // and break exactly-once delivery).
+        // the DLL field.
         let idx = byte % total.max(1);
         flits[idx / 16][idx % 16] ^= flip;
         prop_assert!(Packet::decode(&flits).is_err(), "corruption at byte {idx} undetected");
@@ -83,118 +79,5 @@ proptest! {
         let mut b = a.clone();
         b[0] ^= 0x01;
         prop_assert_ne!(crc32(&a), crc32(&b));
-    }
-
-    #[test]
-    fn dll_delivers_exactly_once_despite_retries(
-        n_packets in 1usize..8,
-        drop_mask in any::<u16>(),
-    ) {
-        // Sender transmits n packets; transmissions indicated by drop_mask
-        // bits are lost. Timeouts retransmit; the receiver must deliver each
-        // packet exactly once, in spite of duplicates.
-        let timeout = dl_engine::Ps::from_ns(100);
-        let mut tx = DllEndpoint::new(16, timeout);
-        let mut rx = DllEndpoint::new(16, timeout);
-        let mut wire: Vec<Packet> = Vec::new();
-        for i in 0..n_packets {
-            let h = PacketHeader::new(DimmId(0), DimmId(1), DlCommand::WriteReq, i as u64, i as u8)
-                .unwrap();
-            for ev in tx.send(dl_engine::Ps::ZERO, Packet::without_payload(h)) {
-                if let DllEvent::Transmit(p) = ev {
-                    wire.push(p);
-                }
-            }
-        }
-        let mut delivered: Vec<u8> = Vec::new();
-        let mut now = dl_engine::Ps::ZERO;
-        let mut attempt = 0u32;
-        let mut guard = 0;
-        while tx.outstanding() > 0 {
-            guard += 1;
-            prop_assert!(guard < 100, "retry loop did not converge");
-            for p in std::mem::take(&mut wire) {
-                attempt += 1;
-                let lost = (drop_mask >> (attempt % 16)) & 1 == 1 && attempt <= 16;
-                if lost {
-                    continue;
-                }
-                for ev in rx.receive(now, &p.encode()).unwrap() {
-                    match ev {
-                        DllEvent::Deliver(d) => delivered.push(d.header.tag),
-                        DllEvent::SendAck { seq } => {
-                            tx.on_ack(seq);
-                        }
-                        DllEvent::Transmit(_) | DllEvent::LinkFailed { .. } => unreachable!(),
-                    }
-                }
-            }
-            now += timeout;
-            for ev in tx.poll_timeouts(now) {
-                if let DllEvent::Transmit(p) = ev {
-                    wire.push(p);
-                }
-            }
-        }
-        delivered.sort_unstable();
-        let expected: Vec<u8> = (0..n_packets as u8).collect();
-        prop_assert_eq!(delivered, expected);
-    }
-
-    #[test]
-    fn faulty_wire_preserves_exactly_once_delivery(
-        drop_pct in 0u8..=60,
-        corrupt_pct in 0u8..=40,
-        duplicate_pct in 0u8..=60,
-        reorder_pct in 0u8..=100,
-        ack_drop_pct in 0u8..=40,
-        credits in 1u32..=8,
-        count in 1u32..=24,
-        seed in any::<u64>(),
-    ) {
-        // Any mix of drops, corruptions, duplications, reorderings, and
-        // lost ACKs: every packet is still delivered exactly once and all
-        // credits return to the pool.
-        let faults = FaultSpec { drop_pct, corrupt_pct, duplicate_pct, reorder_pct, ack_drop_pct };
-        let report = WireHarness::new(credits, faults, seed).run(count);
-        prop_assert_eq!(report.outcome, WireOutcome::AllDelivered);
-        prop_assert_eq!(report.delivered, count as u64);
-        prop_assert_eq!(report.max_deliveries_per_seq, 1);
-        prop_assert_eq!(report.credits_available, report.credits_max);
-    }
-
-    #[test]
-    fn retry_cap_converts_dead_links_into_failures_not_hangs(
-        max_retries in 0u32..=4,
-        credits in 1u32..=4,
-        count in 1u32..=8,
-        seed in any::<u64>(),
-    ) {
-        // A fully dead wire with a retry cap must terminate with every
-        // packet accounted for as a link failure — and the abandoned
-        // packets must hand their credits back.
-        let faults = FaultSpec { drop_pct: 100, ..FaultSpec::NONE };
-        let report = WireHarness::new(credits, faults, seed)
-            .with_max_retries(max_retries)
-            .run(count);
-        prop_assert_eq!(report.outcome, WireOutcome::LinkFailed);
-        prop_assert_eq!(report.delivered, 0);
-        prop_assert_eq!(report.link_failures, count as u64);
-        prop_assert_eq!(report.credits_available, report.credits_max);
-    }
-
-    #[test]
-    fn lossy_wire_with_generous_cap_still_delivers(
-        drop_pct in 0u8..=50,
-        count in 1u32..=16,
-        seed in any::<u64>(),
-    ) {
-        // With a cap far above the expected retry count for a <=50% lossy
-        // wire, the cap must not fire spuriously.
-        let faults = FaultSpec { drop_pct, ..FaultSpec::NONE };
-        let report = WireHarness::new(4, faults, seed).with_max_retries(64).run(count);
-        prop_assert_eq!(report.outcome, WireOutcome::AllDelivered);
-        prop_assert_eq!(report.delivered, count as u64);
-        prop_assert_eq!(report.max_deliveries_per_seq, 1);
     }
 }
