@@ -169,28 +169,6 @@ impl DlState {
     }
 }
 
-/// Debug instrumentation: tracks out-of-order unicast invocation.
-#[derive(Debug, Default)]
-pub struct CallOrderStats {
-    last: Ps,
-    /// Calls whose `now` precedes an earlier call's `now`.
-    pub inversions: u64,
-    /// Largest backwards jump observed, ps.
-    pub max_backjump: u64,
-}
-
-impl CallOrderStats {
-    /// Records one call at `now`.
-    pub fn observe(&mut self, now: Ps) {
-        if now < self.last {
-            self.inversions += 1;
-            self.max_backjump = self.max_backjump.max((self.last - now).as_ps());
-        } else {
-            self.last = now;
-        }
-    }
-}
-
 /// One of the four IDC mechanisms, holding its private resources.
 #[derive(Debug)]
 pub enum Interconnect {

@@ -42,8 +42,7 @@
 use crate::config::{SyncScheme, SystemConfig};
 use crate::host::HostPath;
 use crate::idc::{
-    distance_matrix, min_cross_latency, wire_bytes, CallOrderStats, Interconnect, Route,
-    NOTIFY_BYTES,
+    distance_matrix, min_cross_latency, wire_bytes, Interconnect, Route, NOTIFY_BYTES,
 };
 use crate::trace_core::{CorePort, McPort, TraceCore};
 use dl_engine::stats::{Histogram, StatSet};
@@ -267,7 +266,6 @@ struct Coordinator {
     /// a time (the serialization hierarchical sync alleviates).
     sync_units: Vec<Resource>,
     barrier: BarrierState,
-    call_order: CallOrderStats,
     link_unicast_bytes: u64,
     fwd_unicast_bytes: u64,
     bus_unicast_bytes: u64,
@@ -417,7 +415,6 @@ impl<'w> NmpSystem<'w> {
                     global_ready: Ps::ZERO,
                     waiting: Vec::new(),
                 },
-                call_order: CallOrderStats::default(),
                 link_unicast_bytes: 0,
                 fwd_unicast_bytes: 0,
                 bus_unicast_bytes: 0,
@@ -543,11 +540,6 @@ impl<'w> NmpSystem<'w> {
             remote_rtt.percentile(0.99) as f64 / 1e3,
         );
         s.set("remote_read_rtt_max_ns", remote_rtt.max() as f64 / 1e3);
-        s.set("idc.call_inversions", coord.call_order.inversions as f64);
-        s.set(
-            "idc.call_max_backjump_ns",
-            coord.call_order.max_backjump as f64 / 1e3,
-        );
         if let Some(dl) = coord.idc.dimm_link() {
             s.set("dl.notify_wait_mean_ns", dl.notify_wait.mean() / 1e3);
             s.set("dl.disc_wait_mean_ns", dl.disc_wait.mean() / 1e3);
@@ -1076,7 +1068,6 @@ impl Coordinator {
                 bytes,
                 then,
             } => {
-                self.call_order.observe(at);
                 let (arrival, route) =
                     self.idc
                         .unicast(&mut self.host, &sh.cfg, at, src, dst, bytes);
@@ -1237,7 +1228,6 @@ impl Coordinator {
         if a == b {
             return t + SYNC_PROC;
         }
-        self.call_order.observe(t);
         let (arrival, route) = self
             .idc
             .sync_unicast(&mut self.host, &sh.cfg, t, a, b, SYNC_BYTES);

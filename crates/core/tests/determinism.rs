@@ -141,10 +141,10 @@ fn golden_fingerprints_are_pinned() {
         "host NW d7aae16de385c8a5",
         "host PR 48087f9781b59e19",
         "host SSSP 69721384d2a13484",
-        "KM/DL 8731e5e902a9d919",
-        "TS.Pow/MCN-central c18ee78d44476e50",
-        "PR-BC/DL 837b7893a3e908bb",
-        "BFS/DL-opt c553c41be02bd434",
+        "KM/DL edffe2a99de6770d",
+        "TS.Pow/MCN-central 76ea9861ad63ccd0",
+        "PR-BC/DL f657d82950e8dc0f",
+        "BFS/DL-opt 773e7108b2eef857",
     ];
     assert_eq!(got, golden, "a pinned simulation result changed");
 }
