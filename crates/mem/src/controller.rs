@@ -136,6 +136,8 @@ pub struct MemController {
     /// chosen queue index (oldest or oldest-hit). All `None` between calls:
     /// `pick` empties each entry as it reads it.
     candidates: Vec<Option<usize>>,
+    /// The flat banks `pick` filled in `candidates`, so it sweeps only those.
+    touched: Vec<usize>,
     finishes: BinaryHeap<Reverse<Finish>>,
     next_wake: Option<Ps>,
     // statistics
@@ -170,6 +172,7 @@ impl MemController {
             ranks,
             queue: VecDeque::new(),
             candidates: vec![None; cfg.total_banks() as usize],
+            touched: Vec::with_capacity(cfg.total_banks() as usize),
             finishes: BinaryHeap::new(),
             next_wake: None,
             reads: 0,
@@ -347,7 +350,10 @@ impl MemController {
             let is_hit = bank.open_row == Some(p.req.addr.row);
             let hits_allowed = bank.hit_streak < self.cfg.hit_streak_cap;
             match self.candidates[flat] {
-                None => self.candidates[flat] = Some(i),
+                None => {
+                    self.candidates[flat] = Some(i);
+                    self.touched.push(flat);
+                }
                 Some(cur) => {
                     // Upgrade the oldest non-hit to the oldest hit while the
                     // streak cap permits hit-first scheduling.
@@ -358,9 +364,10 @@ impl MemController {
                 }
             }
         }
+        // `best` is the lowest queue index, so the sweep order is immaterial.
         let mut best: Option<(usize, Plan)> = None;
-        for flat in 0..self.candidates.len() {
-            let Some(i) = self.candidates[flat].take() else {
+        for k in 0..self.touched.len() {
+            let Some(i) = self.candidates[self.touched[k]].take() else {
                 continue;
             };
             let plan = self.plan_for(&self.queue[i].req, now);
@@ -372,6 +379,7 @@ impl MemController {
                 best = Some((i, plan));
             }
         }
+        self.touched.clear();
         best
     }
 
