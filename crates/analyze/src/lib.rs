@@ -120,6 +120,7 @@ const CHANNEL_METHODS: &[&str] = &[
     "pop_front",
     "peek",
     "peek_time",
+    "peek_key",
     "lock",
     "try_lock",
     "join",

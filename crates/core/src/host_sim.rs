@@ -18,7 +18,7 @@
 use crate::config::HostConfig;
 use crate::trace_core::{CorePort, McPort, TraceCore};
 use dl_engine::stats::StatSet;
-use dl_engine::{EventQueue, Freq, Ps, Resource};
+use dl_engine::{EventKey, EventQueue, Freq, Ps, Resource};
 use dl_mem::{AccessKind, Cache, CacheOutcome, DimmAddressMap, MemController, MemRequest};
 use dl_workloads::Workload;
 use std::collections::BTreeMap;
@@ -28,6 +28,23 @@ enum Ev {
     Wake(usize),
     MemTick(usize),
     Done(u64),
+}
+
+/// Ranks among events at the same time, the NMP system's order (see
+/// `crate::system`): completions, then memory ticks by channel, then wakes
+/// by core.
+impl Ev {
+    fn rank(&self, channels: usize) -> u64 {
+        match self {
+            Ev::Done(_) => 0,
+            Ev::MemTick(ch) => 1 + *ch as u64,
+            Ev::Wake(c) => wake_rank(*c, channels),
+        }
+    }
+}
+
+fn wake_rank(c: usize, channels: usize) -> u64 {
+    (1 + channels + c) as u64
 }
 
 /// Result of a host-baseline run.
@@ -94,8 +111,8 @@ impl<'w> HostSystem<'w> {
     fn new(workload: &'w Workload, cfg: &HostConfig) -> Self {
         let threads = workload.traces().len();
         let mut events = EventQueue::new();
-        for t in 0..threads {
-            events.push(Ps::ZERO, Ev::Wake(t));
+        for c in 0..threads {
+            events.push_ranked(Ps::ZERO, wake_rank(c, cfg.channels), Ev::Wake(c));
         }
         HostSystem {
             workload,
@@ -185,11 +202,11 @@ impl<'w> HostSystem<'w> {
         let at = u.now + u.cfg.channel_latency;
         for comp in &completions {
             if u.txns.contains_key(&comp.id) {
-                u.events.push(at, Ev::Done(comp.id));
+                u.schedule(at, Ev::Done(comp.id));
             }
         }
         if let Some(w) = u.mcs[ch].rearm(completions) {
-            u.events.push(w, Ev::MemTick(ch));
+            u.schedule(w, Ev::MemTick(ch));
         }
     }
 
@@ -227,6 +244,12 @@ impl<'w> HostSystem<'w> {
 }
 
 impl Uncore {
+    /// Queues `ev` at `at` under its canonical rank.
+    fn schedule(&mut self, at: Ps, ev: Ev) {
+        let rank = ev.rank(self.cfg.channels);
+        self.events.push_ranked(at, rank, ev);
+    }
+
     /// Sends a line access at `t` down its channel; returns the transaction.
     fn send_line(&mut self, addr: u64, kind: AccessKind, t: Ps) -> u64 {
         self.next_txn += 1;
@@ -238,7 +261,7 @@ impl Uncore {
         // Channel command/IO latency folded into the request arrival.
         let arrival = t + self.cfg.channel_latency;
         if let Some(w) = self.mcs[ch].enqueue(self.now, arrival, req) {
-            self.events.push(w, Ev::MemTick(ch));
+            self.schedule(w, Ev::MemTick(ch));
         }
         self.next_txn
     }
@@ -256,24 +279,30 @@ impl CorePort for HostPort<'_> {
         self.uncore.cfg.mlp
     }
 
-    fn horizon(&self) -> Ps {
-        self.uncore.events.peek_time().unwrap_or(Ps::MAX)
+    fn rank(&self) -> u64 {
+        wake_rank(self.c, self.uncore.cfg.channels)
+    }
+
+    fn horizon(&self) -> EventKey {
+        self.uncore.events.peek_key().unwrap_or(EventKey::MAX)
     }
 
     fn wake(&mut self, at: Ps) {
-        self.uncore.events.push(at, Ev::Wake(self.c));
+        self.uncore.schedule(at, Ev::Wake(self.c));
     }
 
     fn lookup(&mut self, addr: u64, is_write: bool, cacheable: bool, t: Ps) -> Option<Ps> {
         if !cacheable {
             return None;
         }
-        let u = &mut *self.uncore;
-        let l1 = &mut u.l1[self.c];
-        let l1_lat = u.cfg.freq.cycles(l1.hit_latency_cycles() as u64);
+        let l1 = &mut self.uncore.l1[self.c];
+        let l1_lat = self.uncore.cfg.freq.cycles(l1.hit_latency_cycles() as u64);
         let CacheOutcome::Miss { writeback } = l1.access(addr, is_write) else {
             return Some(l1_lat);
         };
+        // Past the private L1: the shared LLC, then memory.
+        self.audit_in_order(t);
+        let u = &mut *self.uncore;
         if let Some(v) = writeback {
             u.llc.access(v, true);
         }
@@ -290,6 +319,7 @@ impl CorePort for HostPort<'_> {
     }
 
     fn issue(&mut self, addr: u64, is_write: bool, t: Ps) -> (u64, bool) {
+        self.audit_in_order(t);
         let kind = if is_write {
             AccessKind::Write
         } else {
@@ -301,12 +331,13 @@ impl CorePort for HostPort<'_> {
     }
 
     fn atomic(&mut self, _addr: u64, t: Ps) -> (u64, bool) {
+        self.audit_in_order(t);
         // LLC-resident atomic: fast but serialized globally.
         let u = &mut *self.uncore;
         let done = u.atomic_unit.reserve(t, Ps::from_ns(25));
         u.next_txn += 1;
         u.txns.insert(u.next_txn, self.c);
-        u.events.push(done, Ev::Done(u.next_txn));
+        u.schedule(done, Ev::Done(u.next_txn));
         (u.next_txn, false)
     }
 
@@ -319,6 +350,7 @@ impl CorePort for HostPort<'_> {
     }
 
     fn barrier(&mut self, t: Ps) {
+        self.audit_in_order(t);
         let u = &mut *self.uncore;
         u.waiting.push(self.c);
         u.barrier_ready = u.barrier_ready.max(t);

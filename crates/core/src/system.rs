@@ -21,10 +21,12 @@
 //! memory controller, atomic unit, and a local event queue — plus one
 //! [`Coordinator`] owning every genuinely shared model (the interconnect,
 //! the host path, the sync masters, the barrier). Partitions advance in
-//! bounded time *epochs*: each epoch spans `[m, m + W)` where `m` is the
-//! earliest pending event across all partitions and `W` is the lookahead
-//! ([`crate::idc::min_cross_latency`], the cheapest possible
-//! cross-partition message). Within an epoch each partition, in partition
+//! bounded time *epochs*, the cells of a fixed grid of width `W`, the
+//! lookahead ([`crate::idc::min_cross_latency`], the cheapest possible
+//! cross-partition message). Each epoch spans `[m, (⌊m / W⌋ + 1)·W)`,
+//! where `m` is the earliest pending event across all partitions; a
+//! message sent at `t` in the cell arrives no earlier than `t + W`, past
+//! its end. Within an epoch each partition, in partition
 //! order, processes only its own events and stages anything
 //! cross-partition as a timestamped [`Intent`] in its [`Uncore`]'s outbox.
 //! At the epoch barrier the coordinator appends the outboxes, in partition
@@ -38,6 +40,29 @@
 //! The epochs are part of the model, not a scheduling device: the merged
 //! order fixes the order of shared-resource reservations, and the boundary
 //! clamp fixes delivery times, so every simulated result depends on them.
+//!
+//! # Event order
+//!
+//! Each partition's queue pops events by [`EventKey`]: time, then a rank
+//! fixed by the event's class, then push order.
+//!
+//! 1. `Deliver` (rank 0). What arrives at `t` — a response, a release, a
+//!    request at its home DIMM — is in place before anything else at `t`
+//!    looks: a core acting at `t` sees the slot it frees, and the memory
+//!    tick at `t` sees the request it enqueues. Deliveries are pushed in
+//!    the coordinator's merged order, or by a local atomic as it acts, so
+//!    push order among them is already canonical.
+//! 2. `MemTick` (rank 1): the controller serves `t` once `t`'s arrivals
+//!    are queued, and its completions land before the cores act.
+//! 3. `Wake(g)` (rank `2 + g`): the cores act last, by global thread id.
+//!
+//! A core's shared accesses carry its wake's key, and a core acts only
+//! while that key is not above the next queued key and its time is
+//! strictly before `epoch_end` (see `trace_core`). So every action on
+//! shared state happens in key order. Where a core yields decides only
+//! when its wakes are pushed, never where they pop. Nor does it move the
+//! epochs: a pending wake can only start an epoch in the grid cell of its
+//! own time. So no simulated result depends on where a core yields.
 
 use crate::config::{SyncScheme, SystemConfig};
 use crate::host::HostPath;
@@ -46,7 +71,7 @@ use crate::idc::{
 };
 use crate::trace_core::{CorePort, McPort, TraceCore};
 use dl_engine::stats::{Histogram, StatSet};
-use dl_engine::{BudgetKind, EventQueue, Freq, Ps, Resource, RunStatus};
+use dl_engine::{BudgetKind, EventKey, EventQueue, Freq, Ps, Resource, RunStatus};
 use dl_mem::{AccessKind, Cache, CacheOutcome, DimmAddressMap, MemController, MemRequest};
 use dl_placement::AccessProfile;
 use dl_workloads::Workload;
@@ -138,6 +163,24 @@ enum Ev {
     MemTick,
     /// A cross-partition event (or a local completion modeled as one).
     Deliver(XEvent),
+}
+
+impl Ev {
+    /// The event's rank among events at the same time (see "Event order"
+    /// in the module docs): deliveries, then the memory tick, then wakes
+    /// by global thread id.
+    fn rank(&self) -> u64 {
+        match self {
+            Ev::Deliver(_) => 0,
+            Ev::MemTick => 1,
+            Ev::Wake(g) => wake_rank(*g),
+        }
+    }
+}
+
+/// The rank of global thread `g`'s wakes.
+fn wake_rank(g: usize) -> u64 {
+    2 + g as u64
 }
 
 #[derive(Debug, Default, Clone)]
@@ -236,9 +279,9 @@ struct Uncore {
     txn_mem: BTreeMap<u64, TxnClass>,
     next_txn: u64,
     now: Ps,
-    /// Exclusive upper bound on this epoch (cores must not run past it:
-    /// cross-partition events may still arrive there).
-    horizon: Ps,
+    /// Exclusive upper bound on this epoch (cores must not act at or past
+    /// it: cross-partition events may still arrive there).
+    epoch_end: Ps,
     local_bytes: u64,
     remote_reads: u64,
     remote_writes: u64,
@@ -350,7 +393,7 @@ impl<'w> NmpSystem<'w> {
             .map(|(d, residents)| {
                 let mut events = EventQueue::new();
                 for &g in &residents {
-                    events.push(Ps::ZERO, Ev::Wake(g));
+                    events.push_ranked(Ps::ZERO, wake_rank(g), Ev::Wake(g));
                 }
                 DimmPart {
                     cores: residents
@@ -375,7 +418,7 @@ impl<'w> NmpSystem<'w> {
                         txn_mem: BTreeMap::new(),
                         next_txn: 0,
                         now: Ps::ZERO,
-                        horizon: Ps::ZERO,
+                        epoch_end: Ps::ZERO,
                         local_bytes: 0,
                         remote_reads: 0,
                         remote_writes: 0,
@@ -471,7 +514,7 @@ impl<'w> NmpSystem<'w> {
     #[cfg(test)]
     fn inject_wake(&mut self, thread: usize, at: Ps) {
         let d = self.shared.placement[thread];
-        self.parts[d].uncore.events.push(at, Ev::Wake(thread));
+        self.parts[d].uncore.schedule(at, Ev::Wake(thread));
     }
 
     // ------------------------------------------------------------------
@@ -659,7 +702,11 @@ fn epoch_plan(parts: &[DimmPart], cfg: &SystemConfig, lookahead: Ps) -> Plan {
         next != Ps::MAX,
         "deadlock: {done} of {total} threads finished (unbalanced barriers?)"
     );
-    Plan::Run(next + lookahead)
+    // Epochs are cells of a fixed grid of width W: which actions share an
+    // epoch depends only on their times, not on which events happen to be
+    // pending.
+    let w = lookahead.as_ps();
+    Plan::Run(Ps::from_ps((next.as_ps() / w + 1) * w))
 }
 
 /// The epoch barrier: drains every outbox, merges the intents into the
@@ -684,8 +731,7 @@ fn run_barrier_phase(
     for (dimm, at, x) in deliveries.drain(..) {
         parts[dimm]
             .uncore
-            .events
-            .push(at.max(epoch_end), Ev::Deliver(x));
+            .schedule(at.max(epoch_end), Ev::Deliver(x));
     }
     coord.merged = merged;
     coord.deliveries = deliveries;
@@ -708,7 +754,7 @@ fn merge_outboxes<'a, T: 'a>(
 impl DimmPart {
     /// Processes every local event strictly before `epoch_end`.
     fn run_epoch(&mut self, sh: &Shared<'_>, epoch_end: Ps) {
-        self.uncore.horizon = epoch_end;
+        self.uncore.epoch_end = epoch_end;
         while let Some(t) = self.uncore.events.peek_time() {
             if t >= epoch_end {
                 break;
@@ -784,7 +830,7 @@ impl DimmPart {
             }
         }
         if let Some(w) = self.uncore.mc.rearm(completions) {
-            self.uncore.events.push(w, Ev::MemTick);
+            self.uncore.schedule(w, Ev::MemTick);
         }
     }
 
@@ -838,6 +884,11 @@ impl DimmPart {
 }
 
 impl Uncore {
+    /// Queues `ev` at `at` under its canonical rank.
+    fn schedule(&mut self, at: Ps, ev: Ev) {
+        self.events.push_ranked(at, ev.rank(), ev);
+    }
+
     fn alloc_txn(&mut self) -> u64 {
         self.next_txn += 1;
         self.next_txn
@@ -892,7 +943,7 @@ impl Uncore {
 
     fn mc_enqueue(&mut self, at: Ps, req: MemRequest) {
         if let Some(w) = self.mc.enqueue(self.now, at, req) {
-            self.events.push(w, Ev::MemTick);
+            self.schedule(w, Ev::MemTick);
         }
     }
 }
@@ -909,29 +960,37 @@ impl CorePort for DimmPort<'_, '_> {
         self.sh.cfg.nmp_mlp
     }
 
+    fn rank(&self) -> u64 {
+        wake_rank(self.g)
+    }
+
     /// The next local event or the epoch boundary (cross-partition events
-    /// can arrive there).
-    fn horizon(&self) -> Ps {
-        let next = self.uncore.events.peek_time().unwrap_or(Ps::MAX);
-        self.uncore.horizon.min(next)
+    /// can arrive there): ranked below every wake, so a core acts strictly
+    /// before it.
+    fn horizon(&self) -> EventKey {
+        let next = self.uncore.events.peek_key().unwrap_or(EventKey::MAX);
+        next.min(EventKey::new(self.uncore.epoch_end, 0))
     }
 
     fn wake(&mut self, at: Ps) {
-        self.uncore.events.push(at, Ev::Wake(self.g));
+        self.uncore.schedule(at, Ev::Wake(self.g));
     }
 
     fn lookup(&mut self, addr: u64, is_write: bool, cacheable: bool, t: Ps) -> Option<Ps> {
-        let (sh, u) = (self.sh, &mut *self.uncore);
-        u.record_profile(sh, self.g, addr);
+        let sh = self.sh;
+        self.uncore.record_profile(sh, self.g, addr);
         if !cacheable {
             return None;
         }
         let clock = sh.cfg.nmp_freq;
-        let l1 = &mut u.l1[self.l];
+        let l1 = &mut self.uncore.l1[self.l];
         let l1_lat = clock.cycles(l1.hit_latency_cycles() as u64);
         let CacheOutcome::Miss { writeback } = l1.access(addr, is_write) else {
             return Some(l1_lat);
         };
+        // Past the private L1: the shared L2, then memory.
+        self.audit_in_order(t);
+        let u = &mut *self.uncore;
         let l2_lat = clock.cycles(u.l2.hit_latency_cycles() as u64);
         // L1 victims land in the shared L2.
         let mut victim_to_mem = None;
@@ -958,6 +1017,7 @@ impl CorePort for DimmPort<'_, '_> {
     }
 
     fn issue(&mut self, addr: u64, is_write: bool, t: Ps) -> (u64, bool) {
+        self.audit_in_order(t);
         let (sh, u, g) = (self.sh, &mut *self.uncore, self.g);
         let target = sh.workload.layout().dimm_of(addr);
         let id = u.alloc_txn();
@@ -994,6 +1054,7 @@ impl CorePort for DimmPort<'_, '_> {
     }
 
     fn atomic(&mut self, addr: u64, t: Ps) -> (u64, bool) {
+        self.audit_in_order(t);
         let (sh, u, g) = (self.sh, &mut *self.uncore, self.g);
         u.record_profile(sh, g, addr);
         u.atomic_ops += 1;
@@ -1007,7 +1068,7 @@ impl CorePort for DimmPort<'_, '_> {
                 thread: g,
                 origin: id,
             };
-            u.events.push(done, Ev::Deliver(then));
+            u.schedule(done, Ev::Deliver(then));
             (id, false)
         } else {
             let then = XEvent::AtomicAtHome {
@@ -1021,6 +1082,7 @@ impl CorePort for DimmPort<'_, '_> {
     }
 
     fn broadcast(&mut self, addr: u64, payload: u16, t: Ps) -> u64 {
+        self.audit_in_order(t);
         let (sh, u, g) = (self.sh, &mut *self.uncore, self.g);
         u.record_profile(sh, g, addr);
         let src = sh.workload.layout().dimm_of(addr);
@@ -1044,6 +1106,7 @@ impl CorePort for DimmPort<'_, '_> {
     }
 
     fn barrier(&mut self, t: Ps) {
+        self.audit_in_order(t);
         self.uncore
             .outbox
             .push((t, Intent::BarrierArrive { thread: self.g }));
@@ -1502,9 +1565,12 @@ mod tests {
         }
     }
 
-    /// Satellite: a core woken twice at the same timestamp must execute its
-    /// trace exactly once; the duplicate delivery is counted in
-    /// `events.wake` but has no other observable effect.
+    /// Satellite: a duplicate wake must not run a core's trace twice. A
+    /// wake landing while the core is blocked is stale: it is counted in
+    /// `events.wake` but has no other observable effect. A duplicate at the
+    /// very time the core is released runs the core once between the two
+    /// wakes, which the key order may split differently, but the simulated
+    /// results stay the same.
     #[test]
     fn stale_wake_is_counted_but_changes_nothing() {
         let cfg = SystemConfig::nmp(4, 2).with_idc(IdcKind::DimmLink);
@@ -1529,28 +1595,34 @@ mod tests {
         let wl = Workload::new("stale-wake", traces, layout, vec![0, 1, 2, 3]);
         let placement = natural_placement(&wl);
         let base = NmpSystem::new(&wl, &cfg, &placement, None).run();
+        let stat = |r: &RawRun, k: &str| r.stats.get(k).unwrap();
 
-        // Inject a duplicate wake for thread 0 at the exact completion time
-        // of its atomic. FIFO tie-breaking pops the injected wake first,
-        // while the core is still WaitTxn: the stale path must swallow it.
-        let mut sys = NmpSystem::new(&wl, &cfg, &placement, None);
-        sys.inject_wake(0, cfg.atomic_service);
-        let poked = sys.run();
-
-        assert_eq!(
-            poked.stats.get("events.wake").unwrap(),
-            base.stats.get("events.wake").unwrap() + 1.0,
-            "both deliveries must be counted"
-        );
-        assert_eq!(
-            poked.stats.get("events_scheduled").unwrap(),
-            base.stats.get("events_scheduled").unwrap() + 1.0
-        );
-        // ...but the trace ran exactly once: identical timing and DRAM work.
-        assert_eq!(poked.elapsed, base.elapsed);
-        assert_eq!(poked.stats.get("dram.reads"), base.stats.get("dram.reads"));
-        assert_eq!(poked.stats.get("atomics"), Some(4.0));
-        assert_eq!(poked.stats.get("barriers"), base.stats.get("barriers"));
+        // Mid-service: thread 0 is still WaitTxn, so the stale path must
+        // swallow the wake.
+        // At the completion time: the delivery pops first and releases
+        // the core; the injected wake, pushed earlier with an equal key,
+        // runs it.
+        for (at, stale) in [(cfg.atomic_service / 2, true), (cfg.atomic_service, false)] {
+            let mut sys = NmpSystem::new(&wl, &cfg, &placement, None);
+            sys.inject_wake(0, at);
+            let poked = sys.run();
+            let extra = stat(&poked, "events.wake") - stat(&base, "events.wake");
+            if stale {
+                assert_eq!(extra, 1.0, "both deliveries must be counted");
+                assert_eq!(
+                    stat(&poked, "events_scheduled"),
+                    stat(&base, "events_scheduled") + 1.0
+                );
+            } else {
+                assert!(extra >= 1.0, "both deliveries must be counted");
+            }
+            // ...but the trace ran exactly once: identical timing and DRAM
+            // work.
+            assert_eq!(poked.elapsed, base.elapsed, "{at}");
+            assert_eq!(poked.stats.get("dram.reads"), base.stats.get("dram.reads"));
+            assert_eq!(poked.stats.get("atomics"), Some(4.0));
+            assert_eq!(poked.stats.get("barriers"), base.stats.get("barriers"));
+        }
     }
 
     /// Satellite: the budget is observed at the top of the epoch loop, so a

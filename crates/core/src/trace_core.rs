@@ -12,8 +12,17 @@
 //!
 //! [`McPort`] is the memory-controller plumbing both systems share: one
 //! live service tick per controller.
+//!
+//! # Order
+//!
+//! Each system orders its events by [`EventKey`], and a core's actions
+//! carry the key of its own wake, `(t, rank)`. A core acts only while that
+//! key is not above the port's [`horizon`](CorePort::horizon), the lowest
+//! key of anything else still to happen. So every action happens in key
+//! order, whatever the host-side schedule of wakes: no result depends on
+//! where a core last yielded.
 
-use dl_engine::{Freq, Ps};
+use dl_engine::{EventKey, Freq, Ps};
 use dl_mem::{Completion, MemController, MemRequest};
 use dl_workloads::Op;
 
@@ -44,9 +53,13 @@ pub(crate) trait CorePort {
     fn clock(&self) -> Freq;
     /// The MLP window: outstanding memory transactions allowed at once.
     fn mlp(&self) -> usize;
-    /// The core may run up to and including this time; past it, it yields
-    /// (something else may happen first).
-    fn horizon(&self) -> Ps;
+    /// The rank of this core's wakes among events at the same time. It is
+    /// unique to the core.
+    fn rank(&self) -> u64;
+    /// The lowest key of anything else still to happen. The core may act
+    /// at `t` while `(t, rank)` is not above it; past it, the core yields.
+    /// (An equal key can only be this core's own wake.)
+    fn horizon(&self) -> EventKey;
     /// Schedules this core's next [`TraceCore::advance`] at `at`.
     fn wake(&mut self, at: Ps);
     /// Looks up a load or store issued at `t` (called once per attempt,
@@ -68,6 +81,18 @@ pub(crate) trait CorePort {
     /// The core arrived at a barrier at `t` (the window is empty); it is
     /// released via [`TraceCore::unblock`].
     fn barrier(&mut self, t: Ps);
+
+    /// Under the auditor, panics if an access to shared state at `t`
+    /// overtakes the horizon: the port calls this before each one.
+    fn audit_in_order(&self, t: Ps) {
+        if dl_engine::AUDIT {
+            let (key, horizon) = (EventKey::new(t, self.rank()), self.horizon());
+            assert!(
+                key <= horizon,
+                "core acted at {key:?}, past the next event or epoch end {horizon:?}"
+            );
+        }
+    }
 }
 
 /// One trace-driven core: the position in its trace, the MLP window, what
@@ -117,7 +142,7 @@ impl TraceCore {
     }
 
     /// Runs the core from `now` until it blocks, finishes, or passes the
-    /// port's horizon. A wake for a core that is not `Ready` is stale and
+    /// port's horizon (see the module docs on order). A wake for a core that is not `Ready` is stale and
     /// does nothing. Returns whether the core finished in this call.
     // `#[inline]` here and on the transitions places each system's copy in
     // that system's codegen unit, so the port's hooks inline into the loop;
@@ -128,9 +153,9 @@ impl TraceCore {
             return false;
         }
         let mut t = now.max(self.ready_at);
-        let (clock, mlp) = (port.clock(), port.mlp());
+        let (clock, mlp, rank) = (port.clock(), port.mlp(), port.rank());
         loop {
-            if t > port.horizon() {
+            if EventKey::new(t, rank) > port.horizon() {
                 self.ready_at = t;
                 port.wake(t);
                 return false;
@@ -322,7 +347,7 @@ mod tests {
     #[derive(Default)]
     struct FakePort {
         mlp: usize,
-        horizon: Option<Ps>,
+        horizon: Option<EventKey>,
         hit_below: u64,
         next_id: u64,
         wakes: Vec<Ps>,
@@ -346,8 +371,11 @@ mod tests {
         fn mlp(&self) -> usize {
             self.mlp
         }
-        fn horizon(&self) -> Ps {
-            self.horizon.unwrap_or(Ps::MAX)
+        fn rank(&self) -> u64 {
+            1
+        }
+        fn horizon(&self) -> EventKey {
+            self.horizon.unwrap_or(EventKey::MAX)
         }
         fn wake(&mut self, at: Ps) {
             self.wakes.push(at);
@@ -489,7 +517,7 @@ mod tests {
     fn a_core_yields_at_the_horizon() {
         let ops = [Op::Comp(10), Op::Comp(10)];
         let mut port = FakePort {
-            horizon: Some(ns(5)),
+            horizon: Some(EventKey::new(ns(5), 0)),
             ..FakePort::new(1)
         };
         let mut core = TraceCore::new(ops.len(), 1);
@@ -500,6 +528,25 @@ mod tests {
         // Woken early, the core still resumes where it left off.
         assert!(core.advance(&ops, ns(6), &mut port));
         assert_eq!(core.finish, Some(ns(20)));
+    }
+
+    #[test]
+    fn an_equal_time_event_goes_first_only_if_it_ranks_lower() {
+        // The fake core's rank is 1; the load is issued at 5 ns.
+        let ops = [Op::Comp(5), load(2)];
+        for (rank, yields) in [(0, true), (1, false), (2, false)] {
+            let mut port = FakePort {
+                horizon: Some(EventKey::new(ns(5), rank)),
+                ..FakePort::new(1)
+            };
+            let mut core = TraceCore::new(ops.len(), 1);
+            core.advance(&ops, Ps::ZERO, &mut port);
+            assert_eq!(port.issued.is_empty(), yields, "rank {rank}");
+            // Either way the core stops at the horizon, before the load or
+            // before finishing after it.
+            let stop = if yields { ns(5) } else { ns(6) };
+            assert_eq!(port.wakes, [stop], "rank {rank}");
+        }
     }
 
     #[test]

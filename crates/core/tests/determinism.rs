@@ -135,16 +135,16 @@ fn golden_fingerprints_are_pinned() {
         .map(|(name, fp)| format!("{name} {:016x}", fnv1a64(fp)))
         .collect();
     let golden = [
-        "host BFS b896914fd5c779d9",
-        "host HS 9cf36ed3f2bbd135",
-        "host KM 68877c55ffbabbbb",
-        "host NW d7aae16de385c8a5",
-        "host PR 48087f9781b59e19",
-        "host SSSP 69721384d2a13484",
-        "KM/DL edffe2a99de6770d",
-        "TS.Pow/MCN-central 76ea9861ad63ccd0",
-        "PR-BC/DL f657d82950e8dc0f",
-        "BFS/DL-opt 773e7108b2eef857",
+        "host BFS f6cea4d6f665d604",
+        "host HS 1b459df513de8ded",
+        "host KM 6b6314e2eb6415cd",
+        "host NW 33471a9e20a249bf",
+        "host PR 42e7353d90ba7f9e",
+        "host SSSP 8dd2f53823181578",
+        "KM/DL 5b57862b41054e96",
+        "TS.Pow/MCN-central 417d70dfaf59984a",
+        "PR-BC/DL 88c41233adb1061a",
+        "BFS/DL-opt b6249e2438849e1f",
     ];
     assert_eq!(got, golden, "a pinned simulation result changed");
 }

@@ -1,18 +1,46 @@
 //! Deterministic discrete-event queue.
+//!
+//! Events pop in the canonical order of their [`EventKey`]: time first,
+//! then a rank the scheduler assigns, then push order. A simulator that
+//! ranks every class of event whose push order could vary between two
+//! equivalent schedules — for example, where a core happened to yield —
+//! gets results that do not depend on push order at all. Plain
+//! [`EventQueue::push`] uses rank 0, so a queue that never ranks is FIFO
+//! at equal times.
 
 use crate::time::Ps;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+/// An event's place in the canonical order: its time, then its rank.
+/// Events with equal keys pop in push order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct EventKey {
+    /// When the event fires.
+    pub at: Ps,
+    /// Its order among events at the same time (lower first).
+    pub rank: u64,
+}
+
+impl EventKey {
+    /// A key above every other.
+    pub const MAX: EventKey = EventKey::new(Ps::MAX, u64::MAX);
+
+    /// The key of an event of rank `rank` at `at`.
+    pub const fn new(at: Ps, rank: u64) -> Self {
+        EventKey { at, rank }
+    }
+}
+
 struct Entry<T> {
-    at: Ps,
+    key: EventKey,
     seq: u64,
     payload: T,
 }
 
 impl<T> PartialEq for Entry<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key == other.key && self.seq == other.seq
     }
 }
 impl<T> Eq for Entry<T> {}
@@ -24,22 +52,23 @@ impl<T> PartialOrd for Entry<T> {
 }
 
 impl<T> Ord for Entry<T> {
-    // Reversed so that the std max-heap yields the *earliest* entry first;
-    // ties break on insertion order (FIFO) for determinism.
+    // Reversed so that the std max-heap yields the *lowest* key first;
+    // equal keys break on insertion order (FIFO) for determinism.
     fn cmp(&self, other: &Self) -> Ordering {
         other
-            .at
-            .cmp(&self.at)
+            .key
+            .cmp(&self.key)
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
 
-/// A time-ordered event queue with deterministic FIFO tie-breaking.
+/// An event queue ordered by `(time, rank, push order)`.
 ///
-/// Every simulator in this workspace drives its model by popping the earliest
-/// pending event, advancing the clock to its timestamp, and handling it.
-/// Events scheduled for the same timestamp are delivered in insertion order,
-/// which makes simulations bit-reproducible across runs.
+/// Every simulator in this workspace drives its model by popping the
+/// lowest pending key, advancing the clock to its timestamp, and handling
+/// it. Events at the same timestamp pop in rank order, and events with
+/// equal keys in insertion order, which makes simulations bit-reproducible
+/// across runs.
 ///
 /// # Examples
 ///
@@ -48,10 +77,11 @@ impl<T> Ord for Entry<T> {
 ///
 /// let mut q = EventQueue::new();
 /// q.push(Ps::from_ns(5), 'b');
-/// q.push(Ps::from_ns(5), 'c'); // same time: FIFO order preserved
+/// q.push_ranked(Ps::from_ns(5), 7, 'd'); // same time, higher rank: later
+/// q.push(Ps::from_ns(5), 'c'); // same key as 'b': FIFO
 /// q.push(Ps::from_ns(1), 'a');
 /// let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-/// assert_eq!(order, vec!['a', 'b', 'c']);
+/// assert_eq!(order, vec!['a', 'b', 'c', 'd']);
 /// ```
 #[derive(Default)]
 pub struct EventQueue<T> {
@@ -76,12 +106,18 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Schedules `payload` to fire at absolute time `at`.
+    /// Schedules `payload` to fire at absolute time `at`, with rank 0.
+    pub fn push(&mut self, at: Ps, payload: T) {
+        self.push_ranked(at, 0, payload);
+    }
+
+    /// Schedules `payload` to fire at absolute time `at`, after every
+    /// event at `at` of a lower rank and before every one of a higher rank.
     ///
     /// Under `feature = "audit"`, panics if `at` predates the timestamp of
     /// the last popped event — scheduling into the past means a handler's
     /// effect could never be observed in causal order.
-    pub fn push(&mut self, at: Ps, payload: T) {
+    pub fn push_ranked(&mut self, at: Ps, rank: u64, payload: T) {
         #[cfg(feature = "audit")]
         assert!(
             at >= self.now,
@@ -91,12 +127,13 @@ impl<T> EventQueue<T> {
         let seq = self.seq;
         self.seq += 1;
         self.scheduled += 1;
-        self.heap.push(Entry { at, seq, payload });
+        let key = EventKey::new(at, rank);
+        self.heap.push(Entry { key, seq, payload });
     }
 
-    /// Removes and returns the earliest event, if any.
+    /// Removes and returns the event with the lowest key, if any.
     pub fn pop(&mut self) -> Option<(Ps, T)> {
-        let next = self.heap.pop().map(|e| (e.at, e.payload));
+        let next = self.heap.pop().map(|e| (e.key.at, e.payload));
         #[cfg(feature = "audit")]
         if let Some((at, _)) = &next {
             self.now = *at;
@@ -106,7 +143,12 @@ impl<T> EventQueue<T> {
 
     /// The timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<Ps> {
-        self.heap.peek().map(|e| e.at)
+        self.heap.peek().map(|e| e.key.at)
+    }
+
+    /// The key of the next event to pop.
+    pub fn peek_key(&self) -> Option<EventKey> {
+        self.heap.peek().map(|e| e.key)
     }
 
     /// Number of pending events.
@@ -162,6 +204,46 @@ mod tests {
     }
 
     #[test]
+    fn rank_beats_push_order_at_equal_times() {
+        let mut q = EventQueue::new();
+        q.push_ranked(Ps::from_ns(4), 9, "high");
+        q.push_ranked(Ps::from_ns(4), 2, "low");
+        q.push(Ps::from_ns(4), "zero");
+        // An earlier time still wins over any rank.
+        q.push_ranked(Ps::from_ns(3), u64::MAX, "earlier");
+        assert_eq!(q.peek_key(), Some(EventKey::new(Ps::from_ns(3), u64::MAX)));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, ["earlier", "zero", "low", "high"]);
+    }
+
+    #[test]
+    fn equal_ranks_stay_fifo() {
+        let mut q = EventQueue::new();
+        for i in 0..50u32 {
+            q.push_ranked(Ps::from_ns(7), 3, i);
+            q.push_ranked(Ps::from_ns(7), 1, 100 + i);
+        }
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        let expected: Vec<u32> = (100..150).chain(0..50).collect();
+        assert_eq!(order, expected);
+    }
+
+    #[test]
+    fn plain_push_is_rank_zero() {
+        // `push` behaves exactly as FIFO ties did before ranks existed, and
+        // sorts before any ranked event at the same time.
+        let mut q = EventQueue::new();
+        q.push_ranked(Ps::from_ns(2), 1, 'x');
+        q.push(Ps::from_ns(2), 'a');
+        q.push_ranked(Ps::from_ns(2), 0, 'b');
+        q.push(Ps::from_ns(2), 'c');
+        assert_eq!(q.peek_key(), Some(EventKey::new(Ps::from_ns(2), 0)));
+        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, ['a', 'b', 'c', 'x']);
+        assert_eq!(q.total_scheduled(), 4);
+    }
+
+    #[test]
     fn peek_does_not_remove() {
         let mut q = EventQueue::new();
         q.push(Ps::from_ns(9), ());
@@ -171,6 +253,7 @@ mod tests {
         q.pop();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
+        assert_eq!(q.peek_key(), None);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! * a global picosecond-resolution clock ([`Ps`]) and frequency conversions
 //!   ([`Freq`]),
-//! * a deterministic event queue ([`EventQueue`]) with stable FIFO ordering
-//!   for simultaneous events,
+//! * a deterministic event queue ([`EventQueue`]) ordered by time, then an
+//!   explicit rank ([`EventKey`]), then push order,
 //! * contended, utilization-tracked resources ([`Resource`],
 //!   [`BandwidthResource`]) used to model memory channels, SerDes links, and
 //!   shared buses,
@@ -37,7 +37,7 @@ pub mod stats;
 pub mod time;
 
 pub use budget::{BudgetKind, RunBudget, RunStatus};
-pub use event::EventQueue;
+pub use event::{EventKey, EventQueue};
 pub use resource::{BandwidthResource, Resource};
 pub use rng::DetRng;
 pub use time::{Freq, Ps};
