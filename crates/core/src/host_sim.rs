@@ -287,6 +287,10 @@ impl CorePort for HostPort<'_> {
         self.uncore.events.peek_key().unwrap_or(EventKey::MAX)
     }
 
+    fn probe(&self, addr: u64) -> bool {
+        self.uncore.l1[self.c].probe(addr)
+    }
+
     fn wake(&mut self, at: Ps) {
         self.uncore.schedule(at, Ev::Wake(self.c));
     }

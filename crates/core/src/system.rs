@@ -62,7 +62,9 @@
 //! shared state happens in key order. Where a core yields decides only
 //! when its wakes are pushed, never where they pop. Nor does it move the
 //! epochs: a pending wake can only start an epoch in the grid cell of its
-//! own time. So no simulated result depends on where a core yields.
+//! own time. So no simulated result depends on where a core yields, and
+//! a core runs ahead through compute ops and L1 hits without comparing
+//! keys: it yields only in front of a shared action past the horizon.
 
 use crate::config::{SyncScheme, SystemConfig};
 use crate::host::HostPath;
@@ -970,6 +972,10 @@ impl CorePort for DimmPort<'_, '_> {
     fn horizon(&self) -> EventKey {
         let next = self.uncore.events.peek_key().unwrap_or(EventKey::MAX);
         next.min(EventKey::new(self.uncore.epoch_end, 0))
+    }
+
+    fn probe(&self, addr: u64) -> bool {
+        self.uncore.l1[self.l].probe(addr)
     }
 
     fn wake(&mut self, at: Ps) {

@@ -16,11 +16,15 @@
 //! # Order
 //!
 //! Each system orders its events by [`EventKey`], and a core's actions
-//! carry the key of its own wake, `(t, rank)`. A core acts only while that
-//! key is not above the port's [`horizon`](CorePort::horizon), the lowest
-//! key of anything else still to happen. So every action happens in key
-//! order, whatever the host-side schedule of wakes: no result depends on
-//! where a core last yielded.
+//! carry the key of its own wake, `(t, rank)`. A core acts on shared state
+//! — the caches past its L1, memory, the interconnect, the barrier — or
+//! finishes only while that key is not above the port's
+//! [`horizon`](CorePort::horizon), the lowest key of anything else still
+//! to happen. So every such action happens in key order, whatever the
+//! host-side schedule of wakes: no result depends on where a core last
+//! yielded. Compute ops and L1 hits touch only the core's own state, so
+//! the core runs ahead through them without comparing keys; it yields only
+//! in front of a shared action past the horizon.
 
 use dl_engine::{EventKey, Freq, Ps};
 use dl_mem::{Completion, MemController, MemRequest};
@@ -57,9 +61,11 @@ pub(crate) trait CorePort {
     /// unique to the core.
     fn rank(&self) -> u64;
     /// The lowest key of anything else still to happen. The core may act
-    /// at `t` while `(t, rank)` is not above it; past it, the core yields.
-    /// (An equal key can only be this core's own wake.)
+    /// on shared state at `t` while `(t, rank)` is not above it; past it,
+    /// the core yields. (An equal key can only be this core's own wake.)
     fn horizon(&self) -> EventKey;
+    /// Whether `addr` hits the core's private L1. Changes nothing.
+    fn probe(&self, addr: u64) -> bool;
     /// Schedules this core's next [`TraceCore::advance`] at `at`.
     fn wake(&mut self, at: Ps);
     /// Looks up a load or store issued at `t` (called once per attempt,
@@ -141,9 +147,10 @@ impl TraceCore {
         self.blocked_at = t;
     }
 
-    /// Runs the core from `now` until it blocks, finishes, or passes the
-    /// port's horizon (see the module docs on order). A wake for a core that is not `Ready` is stale and
-    /// does nothing. Returns whether the core finished in this call.
+    /// Runs the core from `now` until it blocks, finishes, or reaches a
+    /// shared action past the port's horizon (see the module docs on
+    /// order). A wake for a core that is not `Ready` is stale and does
+    /// nothing. Returns whether the core finished in this call.
     // `#[inline]` here and on the transitions places each system's copy in
     // that system's codegen unit, so the port's hooks inline into the loop;
     // without it the partition-local loop ran ~10% slower.
@@ -155,12 +162,13 @@ impl TraceCore {
         let mut t = now.max(self.ready_at);
         let (clock, mlp, rank) = (port.clock(), port.mlp(), port.rank());
         loop {
-            if EventKey::new(t, rank) > port.horizon() {
+            let op = (self.pc < self.limit).then(|| ops[self.pc]);
+            if EventKey::new(t, rank) > port.horizon() && !is_private(op, port) {
                 self.ready_at = t;
                 port.wake(t);
                 return false;
             }
-            if self.pc >= self.limit {
+            let Some(op) = op else {
                 if self.outstanding.is_empty() {
                     self.status = Status::Done;
                     self.finish = Some(t);
@@ -168,8 +176,7 @@ impl TraceCore {
                 }
                 self.block(Status::WaitDrain, t);
                 return false;
-            }
-            let op = ops[self.pc];
+            };
             match op {
                 Op::Comp(cycles) => {
                     self.pc += 1;
@@ -271,6 +278,24 @@ impl TraceCore {
             Status::WaitDrain if self.outstanding.is_empty() => self.unblock(at, remote, port),
             _ => {}
         }
+    }
+}
+
+/// Whether the next action — `op`, or finishing the trace at `None` —
+/// touches only the core's own state: compute, an L1 hit, or a barrier the
+/// port skips. Those change just the core's L1 and the commutative profile
+/// counts, so the core runs through them past the horizon. Everything else
+/// is ordered against it. A completion that arrives meanwhile for a
+/// `Ready` core only frees a window slot, which the next shared access
+/// sees: the key check runs before it.
+fn is_private<P: CorePort>(op: Option<Op>, port: &P) -> bool {
+    match op {
+        Some(Op::Comp(_)) => true,
+        Some(Op::Load { addr, cacheable } | Op::Store { addr, cacheable }) => {
+            cacheable && port.probe(addr.get())
+        }
+        Some(Op::Barrier) => port.skips_barriers(),
+        Some(Op::Atomic { .. } | Op::Broadcast { .. }) | None => false,
     }
 }
 
@@ -376,6 +401,9 @@ mod tests {
         }
         fn horizon(&self) -> EventKey {
             self.horizon.unwrap_or(EventKey::MAX)
+        }
+        fn probe(&self, addr: u64) -> bool {
+            addr < self.hit_below
         }
         fn wake(&mut self, at: Ps) {
             self.wakes.push(at);
@@ -514,20 +542,39 @@ mod tests {
     }
 
     #[test]
-    fn a_core_yields_at_the_horizon() {
-        let ops = [Op::Comp(10), Op::Comp(10)];
+    fn past_the_horizon_only_a_shared_access_yields() {
+        let hit = |addr| Op::Load {
+            addr: Addr::new(addr),
+            cacheable: true,
+        };
+        let ops = [
+            Op::Comp(10),
+            hit(0),
+            Op::Comp(10),
+            hit(8),
+            load(70),
+            Op::Comp(1),
+        ];
         let mut port = FakePort {
+            hit_below: 64,
             horizon: Some(EventKey::new(ns(5), 0)),
             ..FakePort::new(1)
         };
         let mut core = TraceCore::new(ops.len(), 1);
         assert!(!core.advance(&ops, Ps::ZERO, &mut port));
-        assert_eq!((core.pc, core.status), (1, Status::Ready));
-        assert_eq!(port.wakes, vec![ns(10)]);
+        // Compute and L1 hits ran past 5 ns without a wake; the miss at
+        // 22 ns yields in front of its access.
+        assert_eq!((core.pc, core.status), (4, Status::Ready));
+        assert_eq!(port.wakes, [ns(22)]);
+        assert!(port.issued.is_empty());
         port.horizon = None;
         // Woken early, the core still resumes where it left off.
-        assert!(core.advance(&ops, ns(6), &mut port));
-        assert_eq!(core.finish, Some(ns(20)));
+        assert!(!core.advance(&ops, ns(6), &mut port));
+        assert_eq!(port.issued, [(1, 70)]);
+        assert_eq!((core.status, core.blocked_at), (Status::WaitDrain, ns(24)));
+        core.complete(1, ns(30), &mut port);
+        assert!(core.advance(&ops, ns(30), &mut port));
+        assert_eq!(core.finish, Some(ns(30)));
     }
 
     #[test]

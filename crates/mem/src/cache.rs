@@ -149,13 +149,28 @@ impl Cache {
         }
     }
 
+    /// The set `addr` maps to and its tag within the set.
+    fn set_and_tag(&self, addr: u64) -> (usize, u64) {
+        let line_addr = addr >> self.line_shift;
+        let set = (line_addr & self.set_mask) as usize;
+        (set, line_addr >> self.set_mask.count_ones())
+    }
+
+    /// Whether `addr` would hit, without touching the cache: no LRU, dirty
+    /// or hit/miss state changes.
+    pub fn probe(&self, addr: u64) -> bool {
+        let (set, tag) = self.set_and_tag(addr);
+        let ways = self.cfg.ways as usize;
+        self.lines[set * ways..(set + 1) * ways]
+            .iter()
+            .any(|line| line.valid && line.tag == tag)
+    }
+
     /// Accesses `addr`; on a miss, allocates the line (write-allocate).
     pub fn access(&mut self, addr: u64, is_write: bool) -> CacheOutcome {
         self.tick += 1;
         let tick = self.tick;
-        let line_addr = addr >> self.line_shift;
-        let set = (line_addr & self.set_mask) as usize;
-        let tag = line_addr >> self.set_mask.count_ones();
+        let (set, tag) = self.set_and_tag(addr);
         let ways = self.cfg.ways as usize;
         let base = set * ways;
 
@@ -313,6 +328,40 @@ mod tests {
             c.access(set_stride as u64, false),
             CacheOutcome::Miss { .. }
         ));
+    }
+
+    #[test]
+    fn probe_changes_no_lru_dirty_or_hit_state() {
+        // 2 sets of 2 ways, 64 B lines: 0, 128 and 256 share set 0.
+        let cfg = CacheConfig {
+            capacity_bytes: 256,
+            ways: 2,
+            line_bytes: 64,
+            hit_latency_cycles: 1,
+        };
+        let mut c = Cache::new(cfg);
+        c.access(0, false); // clean A
+        c.access(128, true); // dirty B, now most recent
+        let before = format!("{:?}", c.stats());
+        for _ in 0..3 {
+            assert!(c.probe(0));
+            assert!(c.probe(0x30), "same line as A");
+            assert!(c.probe(128));
+            assert!(!c.probe(256), "absent");
+        }
+        assert_eq!(format!("{:?}", c.stats()), before, "no hit/miss counted");
+        assert!(!c.probe(256), "a probe allocates nothing");
+        // A stays least recent despite the probes, and stays clean: it is
+        // evicted without a writeback.
+        assert_eq!(c.access(256, false), CacheOutcome::Miss { writeback: None });
+        assert!(!c.probe(0));
+        // B is still dirty: evicting it writes it back.
+        assert_eq!(
+            c.access(0, false),
+            CacheOutcome::Miss {
+                writeback: Some(128)
+            }
+        );
     }
 
     #[test]
