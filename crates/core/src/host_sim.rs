@@ -26,21 +26,23 @@ use std::collections::BTreeMap;
 #[derive(Debug)]
 enum Ev {
     Wake(usize),
-    MemTick(usize),
     Done(u64),
 }
 
 /// Ranks among events at the same time, the NMP system's order (see
 /// `crate::system`): completions, then memory ticks by channel, then wakes
-/// by core.
+/// by core. The ticks are keyed slots beside the queue, one per channel.
 impl Ev {
     fn rank(&self, channels: usize) -> u64 {
         match self {
             Ev::Done(_) => 0,
-            Ev::MemTick(ch) => 1 + *ch as u64,
             Ev::Wake(c) => wake_rank(*c, channels),
         }
     }
+}
+
+fn tick_rank(ch: usize) -> u64 {
+    1 + ch as u64
 }
 
 fn wake_rank(c: usize, channels: usize) -> u64 {
@@ -89,6 +91,8 @@ struct Uncore {
     l1: Vec<Cache>,
     llc: Cache,
     mcs: Vec<McPort>,
+    /// The earliest live memory tick over all channels, as a key.
+    tick: EventKey,
     map: DimmAddressMap,
     atomic_unit: Resource,
     /// Transaction -> the core waiting for it.
@@ -130,6 +134,7 @@ impl<'w> HostSystem<'w> {
                 mcs: (0..cfg.channels)
                     .map(|c| McPort::new(MemController::new(format!("host-ch{c}"), &cfg.dram)))
                     .collect(),
+                tick: EventKey::MAX,
                 map: DimmAddressMap::new(&cfg.dram),
                 atomic_unit: Resource::new("host-atomics"),
                 txns: BTreeMap::new(),
@@ -143,7 +148,22 @@ impl<'w> HostSystem<'w> {
     }
 
     fn run(mut self) -> HostRun {
-        while let Some((t, ev)) = self.uncore.events.pop() {
+        loop {
+            // The earliest memory tick or the queue's head, whichever key
+            // is lower (no queued event shares a tick's rank).
+            let tick = self.uncore.tick;
+            let (t, ev) = match self.uncore.events.peek_key() {
+                Some(head) if head < tick => {
+                    self.uncore.events.pop().expect("peeked event vanished")
+                }
+                _ if tick.at < Ps::MAX => {
+                    self.uncore.now = tick.at;
+                    // The rank names the channel.
+                    self.mem_tick((tick.rank - tick_rank(0)) as usize);
+                    continue;
+                }
+                _ => break,
+            };
             self.uncore.now = t;
             match ev {
                 Ev::Wake(c) => {
@@ -156,7 +176,6 @@ impl<'w> HostSystem<'w> {
                         self.release_barrier();
                     }
                 }
-                Ev::MemTick(ch) => self.mem_tick(ch),
                 Ev::Done(id) => {
                     if let Some(c) = self.uncore.txns.remove(&id) {
                         let (core, mut port) = self.core(c);
@@ -194,9 +213,7 @@ impl<'w> HostSystem<'w> {
 
     fn mem_tick(&mut self, ch: usize) {
         let u = &mut self.uncore;
-        let Some(completions) = u.mcs[ch].service(u.now) else {
-            return;
-        };
+        let completions = u.mcs[ch].service(u.now);
         // The data return crosses the channel too: deliver completions with
         // the return-path latency added.
         let at = u.now + u.cfg.channel_latency;
@@ -205,9 +222,11 @@ impl<'w> HostSystem<'w> {
                 u.schedule(at, Ev::Done(comp.id));
             }
         }
-        if let Some(w) = u.mcs[ch].rearm(completions) {
-            u.schedule(w, Ev::MemTick(ch));
-        }
+        u.mcs[ch].rearm(completions);
+        u.tick = (0..u.mcs.len())
+            .map(|ch| EventKey::new(u.mcs[ch].tick(), tick_rank(ch)))
+            .min()
+            .unwrap_or(EventKey::MAX);
     }
 
     fn collect(self) -> HostRun {
@@ -260,9 +279,10 @@ impl Uncore {
         let req = MemRequest::new(self.next_txn, kind, self.map.decode(addr / channels));
         // Channel command/IO latency folded into the request arrival.
         let arrival = t + self.cfg.channel_latency;
-        if let Some(w) = self.mcs[ch].enqueue(self.now, arrival, req) {
-            self.schedule(w, Ev::MemTick(ch));
-        }
+        self.mcs[ch].enqueue(self.now, arrival, req);
+        self.tick = self
+            .tick
+            .min(EventKey::new(self.mcs[ch].tick(), tick_rank(ch)));
         self.next_txn
     }
 }
@@ -284,7 +304,11 @@ impl CorePort for HostPort<'_> {
     }
 
     fn horizon(&self) -> EventKey {
-        self.uncore.events.peek_key().unwrap_or(EventKey::MAX)
+        let tick = self.uncore.tick;
+        self.uncore
+            .events
+            .peek_key()
+            .map_or(tick, |head| head.min(tick))
     }
 
     fn probe(&self, addr: u64) -> bool {

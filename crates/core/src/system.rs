@@ -52,8 +52,10 @@
 //!    tick at `t` sees the request it enqueues. Deliveries are pushed in
 //!    the coordinator's merged order, or by a local atomic as it acts, so
 //!    push order among them is already canonical.
-//! 2. `MemTick` (rank 1): the controller serves `t` once `t`'s arrivals
-//!    are queued, and its completions land before the cores act.
+//! 2. The memory tick (rank 1): the controller serves `t` once `t`'s
+//!    arrivals are queued, and its completions land before the cores act.
+//!    The partition's one live tick is a keyed slot beside the queue
+//!    (`McPort`), so a tick moved earlier leaves no stale event behind.
 //! 3. `Wake(g)` (rank `2 + g`): the cores act last, by global thread id.
 //!
 //! A core's shared accesses carry its wake's key, and a core acts only
@@ -161,24 +163,24 @@ enum Intent {
 enum Ev {
     /// Wake global thread `usize` (resident on this partition).
     Wake(usize),
-    /// Service this partition's memory controller.
-    MemTick,
     /// A cross-partition event (or a local completion modeled as one).
     Deliver(XEvent),
 }
 
 impl Ev {
     /// The event's rank among events at the same time (see "Event order"
-    /// in the module docs): deliveries, then the memory tick, then wakes
-    /// by global thread id.
+    /// in the module docs): deliveries, then the memory tick
+    /// ([`MEM_TICK_RANK`]), then wakes by global thread id.
     fn rank(&self) -> u64 {
         match self {
             Ev::Deliver(_) => 0,
-            Ev::MemTick => 1,
             Ev::Wake(g) => wake_rank(*g),
         }
     }
 }
+
+/// The rank of a partition's memory tick, between deliveries and wakes.
+const MEM_TICK_RANK: u64 = 1;
 
 /// The rank of global thread `g`'s wakes.
 fn wake_rank(g: usize) -> u64 {
@@ -543,10 +545,7 @@ impl<'w> NmpSystem<'w> {
         }
         coord.host.finalize(elapsed);
 
-        let events_scheduled: u64 = parts
-            .iter()
-            .map(|p| p.uncore.events.total_scheduled())
-            .sum();
+        let events_scheduled: u64 = parts.iter().map(DimmPart::scheduled).sum();
         let ev_wake: u64 = parts.iter().map(|p| p.ev_wake).sum();
         let ev_mem: u64 = parts.iter().map(|p| p.ev_mem).sum();
         let ev_net: u64 = parts.iter().map(|p| p.ev_net).sum();
@@ -685,10 +684,8 @@ fn epoch_plan(parts: &[DimmPart], cfg: &SystemConfig, lookahead: Ps) -> Plan {
     for p in parts {
         done += p.done;
         total += p.cores.len();
-        scheduled += p.uncore.events.total_scheduled();
-        if let Some(t) = p.uncore.events.peek_time() {
-            next = next.min(t);
-        }
+        scheduled += p.scheduled();
+        next = next.min(p.uncore.next_key().at);
         high = high.max(p.uncore.now);
     }
     if done == total {
@@ -754,14 +751,20 @@ fn merge_outboxes<'a, T: 'a>(
 }
 
 impl DimmPart {
+    /// Events scheduled so far: queued ones and memory ticks served.
+    fn scheduled(&self) -> u64 {
+        self.uncore.events.total_scheduled() + self.ev_mem
+    }
+
     /// Processes every local event strictly before `epoch_end`.
     fn run_epoch(&mut self, sh: &Shared<'_>, epoch_end: Ps) {
         self.uncore.epoch_end = epoch_end;
-        while let Some(t) = self.uncore.events.peek_time() {
+        loop {
+            let next = self.uncore.next_key();
+            let t = next.at;
             if t >= epoch_end {
                 break;
             }
-            let (t, ev) = self.uncore.events.pop().expect("peeked event vanished");
             // A real (not debug) assert: a causality violation here means
             // cross-partition clamping failed and results are garbage.
             assert!(
@@ -771,6 +774,12 @@ impl DimmPart {
                 self.uncore.now
             );
             self.uncore.now = t;
+            if next == self.uncore.tick_key() {
+                self.ev_mem += 1;
+                self.mem_tick(sh);
+                continue;
+            }
+            let (_, ev) = self.uncore.events.pop().expect("peeked event vanished");
             match ev {
                 Ev::Wake(g) => {
                     self.ev_wake += 1;
@@ -779,10 +788,6 @@ impl DimmPart {
                     if core.advance(ops, t, &mut port) {
                         self.done += 1;
                     }
-                }
-                Ev::MemTick => {
-                    self.ev_mem += 1;
-                    self.mem_tick(sh);
                 }
                 Ev::Deliver(x) => {
                     self.ev_net += 1;
@@ -809,9 +814,7 @@ impl DimmPart {
     }
 
     fn mem_tick(&mut self, sh: &Shared<'_>) {
-        let Some(completions) = self.uncore.mc.service(self.uncore.now) else {
-            return;
-        };
+        let completions = self.uncore.mc.service(self.uncore.now);
         for &comp in &completions {
             match self.uncore.txn_mem.remove(&comp.id) {
                 None | Some(TxnClass::Background) => {}
@@ -831,9 +834,7 @@ impl DimmPart {
                 }
             }
         }
-        if let Some(w) = self.uncore.mc.rearm(completions) {
-            self.uncore.schedule(w, Ev::MemTick);
-        }
+        self.uncore.mc.rearm(completions);
     }
 
     fn deliver(&mut self, sh: &Shared<'_>, x: XEvent) {
@@ -891,6 +892,17 @@ impl Uncore {
         self.events.push_ranked(at, ev.rank(), ev);
     }
 
+    /// The memory controller's live tick as a key (at `Ps::MAX`: none).
+    fn tick_key(&self) -> EventKey {
+        EventKey::new(self.mc.tick(), MEM_TICK_RANK)
+    }
+
+    /// The next thing to happen here: the queue's head or the memory tick.
+    fn next_key(&self) -> EventKey {
+        let tick = self.tick_key();
+        self.events.peek_key().map_or(tick, |head| head.min(tick))
+    }
+
     fn alloc_txn(&mut self) -> u64 {
         self.next_txn += 1;
         self.next_txn
@@ -944,9 +956,7 @@ impl Uncore {
     }
 
     fn mc_enqueue(&mut self, at: Ps, req: MemRequest) {
-        if let Some(w) = self.mc.enqueue(self.now, at, req) {
-            self.schedule(w, Ev::MemTick);
-        }
+        self.mc.enqueue(self.now, at, req);
     }
 }
 
@@ -970,7 +980,7 @@ impl CorePort for DimmPort<'_, '_> {
     /// can arrive there): ranked below every wake, so a core acts strictly
     /// before it.
     fn horizon(&self) -> EventKey {
-        let next = self.uncore.events.peek_key().unwrap_or(EventKey::MAX);
+        let next = self.uncore.next_key();
         next.min(EventKey::new(self.uncore.epoch_end, 0))
     }
 

@@ -11,7 +11,7 @@
 //! through a [`CorePort`], which each system implements for itself.
 //!
 //! [`McPort`] is the memory-controller plumbing both systems share: one
-//! live service tick per controller.
+//! live service tick per controller, kept outside the event queue.
 //!
 //! # Order
 //!
@@ -299,13 +299,15 @@ fn is_private<P: CorePort>(op: Option<Op>, port: &P) -> bool {
     }
 }
 
-/// A memory controller plus the time of its one live service tick. Ticks
-/// are events in the owner's queue; the owner schedules the times this
-/// returns and hands every tick back to [`McPort::service`].
+/// A memory controller plus the time of its one live service tick. The
+/// tick is not an event in the owner's queue: the owner keeps it as a
+/// keyed slot, compares it with the queue's head, and calls
+/// [`McPort::service`] when it comes first. Moving the tick never leaves a
+/// stale one behind.
 #[derive(Debug)]
 pub(crate) struct McPort {
     pub(crate) mc: MemController,
-    /// When the live tick fires (`Ps::MAX`: none pending).
+    /// When the live tick fires (`Ps::MAX`: none armed).
     next: Ps,
     /// The completion buffer, lent out by `service` and returned by `rearm`.
     done: Vec<Completion>,
@@ -320,44 +322,42 @@ impl McPort {
         }
     }
 
-    /// Enqueues `req` arriving at `at`. Returns the time of a tick to
-    /// schedule, when the request needs one earlier than the live tick.
-    #[must_use]
-    pub(crate) fn enqueue(&mut self, now: Ps, at: Ps, req: MemRequest) -> Option<Ps> {
-        self.mc.enqueue(at, req);
-        self.arm(at.max(now))
+    /// When the live tick fires (`Ps::MAX`: none armed).
+    pub(crate) fn tick(&self) -> Ps {
+        self.next
     }
 
-    /// Services the controller on a tick firing at `now`. A stale tick —
-    /// not the live one — returns `None` and must spawn no successor (that
-    /// would chain ticks forever). After handling the completions, the
-    /// owner hands the buffer back to [`McPort::rearm`] and schedules the
-    /// successor tick it returns.
+    /// Enqueues `req` arriving at `at`, moving the tick earlier if the
+    /// request needs one before it.
+    pub(crate) fn enqueue(&mut self, now: Ps, at: Ps, req: MemRequest) {
+        self.mc.enqueue(at, req);
+        self.arm(at.max(now));
+    }
+
+    /// Services the controller on its tick, firing at `now`. After
+    /// handling the completions, the owner hands the buffer back to
+    /// [`McPort::rearm`].
     #[must_use]
-    pub(crate) fn service(&mut self, now: Ps) -> Option<Vec<Completion>> {
-        if now != self.next {
-            return None;
-        }
+    pub(crate) fn service(&mut self, now: Ps) -> Vec<Completion> {
+        assert_eq!(now, self.next, "a memory tick fired off its time");
         self.next = Ps::MAX;
         let mut done = std::mem::take(&mut self.done);
         self.mc.service_into(now, &mut done);
-        Some(done)
+        done
     }
 
-    /// Takes back the buffer [`McPort::service`] lent out and returns the
-    /// successor tick to schedule after a live tick, if any.
-    #[must_use]
-    pub(crate) fn rearm(&mut self, mut done: Vec<Completion>) -> Option<Ps> {
+    /// Takes back the buffer [`McPort::service`] lent out and arms the next
+    /// tick, if the controller has work pending.
+    pub(crate) fn rearm(&mut self, mut done: Vec<Completion>) {
         done.clear();
         self.done = done;
-        self.mc.next_wake().and_then(|w| self.arm(w))
+        if let Some(w) = self.mc.next_wake() {
+            self.arm(w);
+        }
     }
 
-    fn arm(&mut self, wake: Ps) -> Option<Ps> {
-        (self.next > wake).then(|| {
-            self.next = wake;
-            wake
-        })
+    fn arm(&mut self, wake: Ps) {
+        self.next = self.next.min(wake);
     }
 }
 
@@ -602,19 +602,36 @@ mod tests {
         let map = dl_mem::DimmAddressMap::new(&cfg);
         let mut port = McPort::new(MemController::new("mc", &cfg));
         let read = |id| MemRequest::new(id, dl_mem::AccessKind::Read, map.decode(id * 64));
-        assert_eq!(port.enqueue(Ps::ZERO, ns(10), read(1)), Some(ns(10)));
-        assert_eq!(port.enqueue(Ps::ZERO, ns(20), read(2)), None, "covered");
-        // An earlier arrival moves the live tick; the 10 ns one goes stale.
-        assert_eq!(port.enqueue(Ps::ZERO, ns(5), read(3)), Some(ns(5)));
-        assert!(port.service(ns(10)).is_none());
+        assert_eq!(port.tick(), Ps::MAX, "idle");
+        port.enqueue(Ps::ZERO, ns(10), read(1));
+        assert_eq!(port.tick(), ns(10));
+        port.enqueue(Ps::ZERO, ns(20), read(2));
+        assert_eq!(port.tick(), ns(10), "covered");
+        // An earlier arrival moves the one tick; nothing is left at 10 ns.
+        port.enqueue(Ps::ZERO, ns(5), read(3));
+        assert_eq!(port.tick(), ns(5));
         // A request arriving in the past is due now.
         let now = ns(5);
-        assert_eq!(port.enqueue(now, Ps::ZERO, read(4)), None, "due at 5 ns");
-        let done = port.service(now).expect("live tick");
-        assert!(port.service(now).is_none(), "one service per live tick");
-        let next = port.rearm(done).expect("requests still pending");
-        assert!(next > now);
-        assert_eq!(port.rearm(Vec::new()), None, "already armed");
+        port.enqueue(now, Ps::ZERO, read(4));
+        assert_eq!(port.tick(), now);
+        let done = port.service(now);
+        assert_eq!(port.tick(), Ps::MAX, "disarmed until rearmed");
+        port.rearm(done);
+        assert!(port.tick() > now, "requests still pending");
+    }
+
+    #[test]
+    #[should_panic(expected = "a memory tick fired off its time")]
+    fn a_tick_fires_only_at_its_time() {
+        let cfg = dl_mem::DramConfig::ddr4_2400_lrdimm();
+        let map = dl_mem::DimmAddressMap::new(&cfg);
+        let mut port = McPort::new(MemController::new("mc", &cfg));
+        port.enqueue(
+            Ps::ZERO,
+            ns(10),
+            MemRequest::new(1, dl_mem::AccessKind::Read, map.decode(0)),
+        );
+        let _ = port.service(ns(9));
     }
 
     #[test]

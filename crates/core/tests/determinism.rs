@@ -141,10 +141,10 @@ fn golden_fingerprints_are_pinned() {
         "host NW 33471a9e20a249bf",
         "host PR 42e7353d90ba7f9e",
         "host SSSP 8dd2f53823181578",
-        "KM/DL 275c17bb2f794964",
-        "TS.Pow/MCN-central e07fe07cbc86df54",
-        "PR-BC/DL 4a007345ee2762ef",
-        "BFS/DL-opt fb2dddfd5df569e5",
+        "KM/DL a91cf7e5005ebeb9",
+        "TS.Pow/MCN-central 4717512575fb5fc5",
+        "PR-BC/DL fe033486482ce443",
+        "BFS/DL-opt 8be008cde6b45eeb",
     ];
     assert_eq!(got, golden, "a pinned simulation result changed");
 }
