@@ -20,7 +20,7 @@
 //! | `wall-clock` | everywhere except `crates/bench` | `Instant`, `SystemTime`, `thread_rng`, and other ambient-entropy sources |
 //! | `float-time` | sim crates | `f32`/`f64` bindings whose name marks them as event timestamps or credit counters (`at`, `deadline`, `*_ps`, `*credit*`, …) |
 //! | `unsafe-code` | everywhere | any `unsafe` token (belt-and-braces on top of `#![forbid(unsafe_code)]`) |
-//! | `bare-unwrap` | sim crates, non-test | `.unwrap()` directly on channel/event results (`recv`, `send`, `pop`, `peek_time`, `lock`, `join`, …) in sim hot paths |
+//! | `bare-unwrap` | sim crates, non-test | `.unwrap()` directly on channel/event results (`recv`, `send`, `pop`, `peek_key`, `lock`, `join`, …) in sim hot paths |
 //!
 //! Simulation crates are `crates/{engine,mem,noc,protocol,core}`;
 //! `crates/bench` is the only place allowed to read the wall clock (its
@@ -119,7 +119,6 @@ const CHANNEL_METHODS: &[&str] = &[
     "pop",
     "pop_front",
     "peek",
-    "peek_time",
     "peek_key",
     "lock",
     "try_lock",

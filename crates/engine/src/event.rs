@@ -141,11 +141,6 @@ impl<T> EventQueue<T> {
         next
     }
 
-    /// The timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<Ps> {
-        self.heap.peek().map(|e| e.key.at)
-    }
-
     /// The key of the next event to pop.
     pub fn peek_key(&self) -> Option<EventKey> {
         self.heap.peek().map(|e| e.key)
@@ -247,12 +242,11 @@ mod tests {
     fn peek_does_not_remove() {
         let mut q = EventQueue::new();
         q.push(Ps::from_ns(9), ());
-        assert_eq!(q.peek_time(), Some(Ps::from_ns(9)));
+        assert_eq!(q.peek_key(), Some(EventKey::new(Ps::from_ns(9), 0)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
         q.pop();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
         assert_eq!(q.peek_key(), None);
     }
 
