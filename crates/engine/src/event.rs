@@ -225,8 +225,8 @@ mod tests {
 
     #[test]
     fn plain_push_is_rank_zero() {
-        // `push` behaves exactly as FIFO ties did before ranks existed, and
-        // sorts before any ranked event at the same time.
+        // `push` is rank 0: FIFO among equal keys, and ahead of every
+        // higher-ranked event at the same time.
         let mut q = EventQueue::new();
         q.push_ranked(Ps::from_ns(2), 1, 'x');
         q.push(Ps::from_ns(2), 'a');
