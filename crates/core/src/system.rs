@@ -1581,12 +1581,11 @@ mod tests {
         }
     }
 
-    /// Satellite: a duplicate wake must not run a core's trace twice. A
-    /// wake landing while the core is blocked is stale: it is counted in
-    /// `events.wake` but has no other observable effect. A duplicate at the
-    /// very time the core is released runs the core once between the two
-    /// wakes, which the key order may split differently, but the simulated
-    /// results stay the same.
+    /// A duplicate wake must not run a core's trace twice. A wake landing
+    /// while the core is blocked is stale: it is counted in `events.wake`
+    /// but has no other observable effect. A duplicate at the very time
+    /// the core is released may split the core's run differently across
+    /// the wakes, but the simulated results stay the same.
     #[test]
     fn stale_wake_is_counted_but_changes_nothing() {
         let cfg = SystemConfig::nmp(4, 2).with_idc(IdcKind::DimmLink);
