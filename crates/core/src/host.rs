@@ -149,13 +149,7 @@ impl HostPath {
     /// bounds CPU-forwarding throughput without charging the full
     /// cache-hierarchy round trip serially per packet.
     pub fn forward(&mut self, t: Ps, src_channel: usize, dst_channel: usize, bytes: u64) -> Ps {
-        let read_done = self.channel_transfer(src_channel, t, bytes);
-        let slot_end = self.cpu.reserve(read_done, self.fwd_occupancy);
-        let processed = slot_end + self.fwd_proc;
-        let written = self.channel_transfer(dst_channel, processed, bytes);
-        self.forwarded_packets += 1;
-        self.forwarded_bytes += bytes;
-        written
+        self.forward_with(self.fwd_occupancy, t, src_channel, dst_channel, bytes)
     }
 
     /// Forwards a synchronization message: same path as [`Self::forward`]
@@ -170,8 +164,21 @@ impl HostPath {
         dst_channel: usize,
         bytes: u64,
     ) -> Ps {
+        self.forward_with(self.sync_fwd_occupancy, t, src_channel, dst_channel, bytes)
+    }
+
+    /// The forwarding path shared by [`Self::forward`] and
+    /// [`Self::forward_sync`]: the forwarding thread is held for `occupancy`.
+    fn forward_with(
+        &mut self,
+        occupancy: Ps,
+        t: Ps,
+        src_channel: usize,
+        dst_channel: usize,
+        bytes: u64,
+    ) -> Ps {
         let read_done = self.channel_transfer(src_channel, t, bytes);
-        let slot_end = self.cpu.reserve(read_done, self.sync_fwd_occupancy);
+        let slot_end = self.cpu.reserve(read_done, occupancy);
         let processed = slot_end + self.fwd_proc;
         let written = self.channel_transfer(dst_channel, processed, bytes);
         self.forwarded_packets += 1;

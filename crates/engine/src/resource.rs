@@ -264,11 +264,6 @@ impl Resource {
         self.intervals.back().map_or(Ps::ZERO, |&(_, e)| e)
     }
 
-    /// Whether the resource has no reservation at or after `now`.
-    pub fn is_free(&self, now: Ps) -> bool {
-        self.free_at() <= now
-    }
-
     /// Total time the resource has been occupied.
     pub fn busy_time(&self) -> Ps {
         self.busy
@@ -373,13 +368,6 @@ impl BandwidthResource {
         self.inner.reserve(now, dur)
     }
 
-    /// Reserves for `bytes` and returns `(start, end)`.
-    pub fn transfer_with_start(&mut self, now: Ps, bytes: u64) -> (Ps, Ps) {
-        self.bytes_moved += bytes;
-        let dur = self.duration_of(bytes);
-        self.inner.reserve_with_start(now, dur)
-    }
-
     /// Reserves for `bytes`, allowing the occupancy to split across idle
     /// gaps (see [`Resource::reserve_split_with_start`]); returns
     /// `(start_of_first_segment, end_of_last_segment)`.
@@ -398,11 +386,6 @@ impl BandwidthResource {
     /// See [`Resource::account_busy`].
     pub fn account_busy(&mut self, dur: Ps) {
         self.inner.account_busy(dur);
-    }
-
-    /// Whether the resource is idle at `now`.
-    pub fn is_free(&self, now: Ps) -> bool {
-        self.inner.is_free(now)
     }
 
     /// Total bytes moved.

@@ -61,11 +61,6 @@ impl DetRng {
         DetRng::seed(h)
     }
 
-    /// The seed this RNG was created from.
-    pub fn initial_seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Uniform value in `[0, bound)`.
     ///
     /// # Panics

@@ -53,13 +53,6 @@ impl StatSet {
         }
     }
 
-    /// Copies every entry of `other` under `prefix.`.
-    pub fn absorb_prefixed(&mut self, prefix: &str, other: &StatSet) {
-        for (k, v) in &other.values {
-            self.values.insert(format!("{prefix}.{k}"), *v);
-        }
-    }
-
     /// Iterates entries in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
         self.values.iter().map(|(k, v)| (k.as_str(), *v))
@@ -265,15 +258,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.get("x"), Some(3.0));
         assert_eq!(a.get("y"), Some(3.0));
-    }
-
-    #[test]
-    fn statset_prefix_absorb() {
-        let mut inner = StatSet::new();
-        inner.set("reads", 7.0);
-        let mut outer = StatSet::new();
-        outer.absorb_prefixed("dimm0", &inner);
-        assert_eq!(outer.get("dimm0.reads"), Some(7.0));
     }
 
     #[test]

@@ -96,12 +96,6 @@ impl Ps {
         Ps(self.0.saturating_sub(rhs.0))
     }
 
-    /// Checked addition; `None` on overflow.
-    #[inline]
-    pub fn checked_add(self, rhs: Ps) -> Option<Ps> {
-        self.0.checked_add(rhs.0).map(Ps)
-    }
-
     /// The larger of two times.
     #[inline]
     pub fn max(self, rhs: Ps) -> Ps {
@@ -112,16 +106,6 @@ impl Ps {
     #[inline]
     pub fn min(self, rhs: Ps) -> Ps {
         Ps(self.0.min(rhs.0))
-    }
-
-    /// Number of whole cycles of `freq` that fit in this span.
-    ///
-    /// Used to convert measured spans back into "core cycles" when reporting
-    /// statistics in the units the paper uses.
-    #[inline]
-    pub fn cycles_at(self, freq: Freq) -> u64 {
-        let period = freq.period().as_ps();
-        self.0.checked_div(period).unwrap_or(0)
     }
 }
 
@@ -232,12 +216,6 @@ impl Freq {
         Self::from_hz((ghz * 1e9).round() as u64)
     }
 
-    /// The frequency in hertz.
-    #[inline]
-    pub fn as_hz(self) -> u64 {
-        self.0
-    }
-
     /// The clock period, rounded to the nearest picosecond.
     #[inline]
     pub fn period(self) -> Ps {
@@ -299,12 +277,6 @@ mod tests {
         assert_eq!(Freq::from_ghz(3.0).period(), Ps::from_ps(333));
         // DDR4-2400 I/O clock is 1200 MHz.
         assert_eq!(Freq::from_mhz(1200).period(), Ps::from_ps(833));
-    }
-
-    #[test]
-    fn cycles_at_inverts_cycles() {
-        let f = Freq::from_ghz(2.0);
-        assert_eq!(f.cycles(17).cycles_at(f), 17);
     }
 
     #[test]

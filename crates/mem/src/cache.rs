@@ -215,26 +215,6 @@ impl Cache {
         CacheOutcome::Miss { writeback }
     }
 
-    /// Invalidates everything, returning dirty line addresses (the paper's
-    /// kernel-exit flush so the host sees NMP results).
-    pub fn flush(&mut self) -> Vec<u64> {
-        let mut dirty = Vec::new();
-        let sets = self.set_mask as usize + 1;
-        let ways = self.cfg.ways as usize;
-        for set in 0..sets {
-            for i in set * ways..(set + 1) * ways {
-                let line = &mut self.lines[i];
-                if line.valid && line.dirty {
-                    let victim_line = (line.tag << self.set_mask.count_ones()) | set as u64;
-                    dirty.push(victim_line << self.line_shift);
-                }
-                *line = Line::default();
-            }
-        }
-        self.writebacks += dirty.len() as u64;
-        dirty
-    }
-
     /// Hit latency in core cycles.
     pub fn hit_latency_cycles(&self) -> u32 {
         self.cfg.hit_latency_cycles
@@ -378,19 +358,6 @@ mod tests {
             CacheOutcome::Miss { writeback } => assert_eq!(writeback, Some(0x80)),
             CacheOutcome::Hit => panic!("expected miss"),
         }
-    }
-
-    #[test]
-    fn flush_returns_dirty_lines_and_clears() {
-        let mut c = Cache::new(CacheConfig::l1_32k());
-        c.access(0, true);
-        c.access(64, false);
-        c.access(128, true);
-        let mut dirty = c.flush();
-        dirty.sort_unstable();
-        assert_eq!(dirty, vec![0, 128]);
-        // Everything gone.
-        assert!(matches!(c.access(64, false), CacheOutcome::Miss { .. }));
     }
 
     #[test]

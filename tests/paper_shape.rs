@@ -6,14 +6,59 @@
 
 use dimm_link::config::{IdcKind, PollingStrategy, SyncScheme, SystemConfig};
 use dimm_link::runner::{host_baseline, simulate};
+use dimm_link::system::{natural_placement, NmpSystem, RawRun};
 use dl_noc::TopologyKind;
-use dl_workloads::{synth, WorkloadKind, WorkloadParams};
+use dl_workloads::{synth, Workload, WorkloadKind, WorkloadParams};
 
 fn params16(scale: u32) -> WorkloadParams {
     WorkloadParams {
         scale,
         ..WorkloadParams::small(16)
     }
+}
+
+/// Fig. 1: on the 16D-8C MCN system, P2P bandwidth through CPU forwarding
+/// grows with the transfer size, yet all-local traffic still moves an order
+/// of magnitude more (the paper reports a 51x gap). Raw `NmpSystem` runs
+/// with the natural placement, as in the `fig01_motivation` binary.
+#[test]
+fn fig01_shape_cpu_forwarding_bandwidth_gap() {
+    let cfg = SystemConfig::nmp(16, 8).with_idc(IdcKind::CpuForwarding);
+    let run = |wl: &Workload| NmpSystem::new(wl, &cfg, &natural_placement(wl), None).run();
+    let gbps = |bytes: f64, run: &RawRun| bytes / run.elapsed.as_secs_f64() / 1e9;
+
+    let bulk_params = WorkloadParams {
+        threads_per_dimm: 1,
+        ..WorkloadParams::small(16)
+    };
+    // Each of the 8 concurrent pairs copies bytes/8.
+    let bulk = |bytes: u64| {
+        gbps(
+            bytes as f64,
+            &run(&synth::bulk_copy(&bulk_params, bytes / 8)),
+        )
+    };
+    let small = bulk(4 * 1024);
+    let large = bulk(256 * 1024);
+    assert!(
+        large > small,
+        "bulk P2P bandwidth should grow with transfer size: \
+         256 KiB {large:.2} GB/s !> 4 KiB {small:.2} GB/s"
+    );
+
+    let local_params = WorkloadParams {
+        threads_per_dimm: 4,
+        ..WorkloadParams::small(16)
+    };
+    let local = run(&synth::uniform_random(&local_params, 2_000, 0.0));
+    let nmp = gbps(
+        local.stats.get("traffic.local_bytes").unwrap_or(0.0),
+        &local,
+    );
+    assert!(
+        nmp >= 10.0 * large,
+        "all-local traffic {nmp:.1} GB/s should be >= 10x bulk P2P {large:.2} GB/s"
+    );
 }
 
 /// Fig. 10: on IDC-heavy graph workloads at 16D-8C, DIMM-Link beats AIM
