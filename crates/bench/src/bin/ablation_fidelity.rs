@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Ablation — packet-level vs flit-level network fidelity.
 //!
 //! The big sweeps use the packet-level model (`PacketNet`); this ablation

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Ablation — profiling-fraction sensitivity of Algorithm 1.
 //!
 //! The paper profiles the first 1 % of memory accesses (following TOM).

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Ablation — DRAM controller policies.
 //!
 //! DESIGN.md calls out three controller design choices; this ablation

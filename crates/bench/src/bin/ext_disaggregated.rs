@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Extension — DIMM-Link on disaggregated memory (paper Section VI).
 //!
 //! The paper proposes organizing DIMM-NMP blades behind CXL/RDMA instead of

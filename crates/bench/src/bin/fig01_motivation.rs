@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Figure 1 — IDC performance exploration on a UPMEM-like platform.
 //!
 //! (a) Point-to-point IDC bandwidth through CPU forwarding as a function of

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Figure 10 — point-to-point IDC performance.
 //!
 //! For each system size (4D-2C, 8D-4C, 12D-6C, 16D-8C) and each Table IV

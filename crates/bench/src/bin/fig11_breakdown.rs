@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Figure 11 — data-transfer breakdown of DIMM-Link-opt.
 //!
 //! The paper reports that with the thread-placement optimization only ~29 %

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Figure 12 — broadcast performance.
 //!
 //! PR, SSSP and SpMV in their explicit-broadcast formulations on MCN-BC,

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Figure 13 — energy consumption of the IDC methods at 16D-8C.
 //!
 //! Paper: DIMM-Link consumes 1.76x less energy than MCN on average (mostly

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Figure 14 — synchronization sensitivity.
 //!
 //! (a) Synthetic sweep over the synchronization interval: speedup of

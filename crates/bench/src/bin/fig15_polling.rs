@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Figure 15 — polling strategies at 16D-8C.
 //!
 //! Compares Table III's four mechanisms on end-to-end performance (a) and

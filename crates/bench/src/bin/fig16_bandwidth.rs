@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Figure 16 — DIMM-Link bandwidth exploration, 4 GB/s to 64 GB/s.
 //!
 //! Paper: the benefit of extra link bandwidth grows with the system size;

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Figure 17 / Section VI — DL-group topology exploration at 16D-8C.
 //!
 //! Paper: relative to the practical chain ("half-ring") baseline, Ring

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Collates `target/results/*.json` (derived per-figure tables) and the
 //! `target/sweeps/*.jsonl` sweep artifacts into one markdown report
 //! (`target/results/REPORT.md`) — run after the figure binaries.
@@ -57,7 +56,11 @@ fn main() {
     }
 
     for path in &entries {
-        let name = path.file_stem().unwrap().to_string_lossy().to_string();
+        let name = path
+            .file_stem()
+            .expect("a read_dir entry has a file name")
+            .to_string_lossy()
+            .to_string();
         let text = std::fs::read_to_string(path).unwrap_or_default();
         let value: serde_json::Value = match serde_json::from_str(&text) {
             Ok(v) => v,
@@ -129,7 +132,11 @@ fn main() {
             );
             let _ = writeln!(report, "| --- | --- | --- | --- | --- |");
             for path in &sweeps {
-                let name = path.file_stem().unwrap().to_string_lossy().to_string();
+                let name = path
+                    .file_stem()
+                    .expect("a read_dir entry has a file name")
+                    .to_string_lossy()
+                    .to_string();
                 if let Some((count, sim_ps, first, last)) = sweep_summary(path) {
                     let _ = writeln!(
                         report,

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Table I — maximum-bandwidth comparison of the IDC methods.
 //!
 //! Prints the paper's analytic maxima (β = one channel's bandwidth) next to

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Table II — SerDes technique comparison (static parameters).
 //!
 //! These are the physical-layer options the paper weighs for the DL-Bridge;

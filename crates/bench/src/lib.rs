@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # dl-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper's

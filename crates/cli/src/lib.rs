@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # dl-cli
 //!
 //! `dlsim` — the command-line front end of the DIMM-Link simulator.

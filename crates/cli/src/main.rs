@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! `dlsim` binary: see [`dl_cli`] for the command grammar.
 
 use dl_cli::{execute_compare, execute_run, execute_sweep, listing, parse_args, usage, Command};

@@ -687,13 +687,13 @@ mod tests {
         // last delivery must match Fig. 12: AIM-BC (idealized single-
         // transaction bus) beats DIMM-Link, which beats ABC-DIMM, which
         // beats MCN-BC.
-        let mut finish = std::collections::HashMap::new();
-        for kind in [
+        let [mcn, aim, abc, dl] = [
             IdcKind::CpuForwarding,
             IdcKind::DedicatedBus,
             IdcKind::AbcDimm,
             IdcKind::DimmLink,
-        ] {
+        ]
+        .map(|kind| {
             let cfg = SystemConfig::nmp(16, 8).with_idc(kind);
             let mut idc = Interconnect::new(&cfg);
             let mut host = HostPath::new(&cfg, &idc.proxy_channels(&cfg));
@@ -705,32 +705,19 @@ mod tests {
                     last = last.max(arrivals.into_iter().max().unwrap());
                 }
             }
-            finish.insert(kind, last);
-        }
+            last
+        });
         // AIM-BC (idealized single bus transaction) and DIMM-Link trade
         // latency against aggregate link bandwidth: both must be fast and
         // within 2x of each other; end-to-end ordering is exercised by the
         // fig12 bench.
-        let aim = finish[&IdcKind::DedicatedBus].as_ps() as f64;
-        let dl = finish[&IdcKind::DimmLink].as_ps() as f64;
+        let ratio = aim.as_ps() as f64 / dl.as_ps() as f64;
         assert!(
-            (0.5..=2.0).contains(&(aim / dl)),
-            "AIM {} vs DL {} diverged",
-            finish[&IdcKind::DedicatedBus],
-            finish[&IdcKind::DimmLink]
+            (0.5..=2.0).contains(&ratio),
+            "AIM {aim} vs DL {dl} diverged"
         );
-        assert!(
-            finish[&IdcKind::DimmLink] < finish[&IdcKind::AbcDimm],
-            "DL {} vs ABC {}",
-            finish[&IdcKind::DimmLink],
-            finish[&IdcKind::AbcDimm]
-        );
-        assert!(
-            finish[&IdcKind::AbcDimm] <= finish[&IdcKind::CpuForwarding],
-            "ABC {} vs MCN {}",
-            finish[&IdcKind::AbcDimm],
-            finish[&IdcKind::CpuForwarding]
-        );
+        assert!(dl < abc, "DL {dl} vs ABC {abc}");
+        assert!(abc <= mcn, "ABC {abc} vs MCN {mcn}");
     }
 
     #[test]

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # dimm-link
 //!
 //! A from-scratch reproduction of **DIMM-Link: Enabling Efficient Inter-DIMM

@@ -2,8 +2,9 @@
 //!
 //! Within one process, every `HashMap` instance gets its own random
 //! `RandomState`, so repeating the same simulation ten times genuinely
-//! exercises ten different hash-iteration orders. Before `dl-analyze`
-//! forced the simulation crates onto `BTreeMap`, `NmpSystem` counted DIMM
+//! exercises ten different hash-iteration orders. Before the workspace
+//! banned `HashMap` (clippy's `disallowed-types`, in `clippy.toml`) and
+//! moved the simulation crates onto `BTreeMap`, `NmpSystem` counted DIMM
 //! groups and drove barrier releases off hash-map iteration — an order leak
 //! this test is designed to catch if it ever regresses.
 

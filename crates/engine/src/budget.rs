@@ -6,8 +6,8 @@
 //! the same configuration produces the same [`RunStatus`] on every machine
 //! and at every sweep thread count. Wall-clock watchdogs, which are
 //! inherently nondeterministic, belong to the benchmark harness
-//! (`crates/bench`), the only crate the `wall-clock` lint allows to read
-//! host time.
+//! (`dl_bench::sweep`), the one module exempt from the workspace's ban on
+//! reading host time.
 //!
 //! # Examples
 //!

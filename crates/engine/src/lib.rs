@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # dl-engine
 //!
 //! Discrete-event simulation substrate for the DIMM-Link reproduction.

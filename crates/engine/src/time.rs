@@ -24,6 +24,26 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert_eq!(t.as_ps(), 2_500);
 /// assert_eq!(t.as_ns_f64(), 2.5);
 /// ```
+///
+/// Simulated time is exact: no float converts into a `Ps`. Each rejected
+/// line below sits next to its accepted integer twin.
+///
+/// ```compile_fail
+/// # use dl_engine::Ps;
+/// let _ = Ps::from_ns(1.5);
+/// ```
+/// ```
+/// # use dl_engine::Ps;
+/// let _ = Ps::from_ns(1);
+/// ```
+/// ```compile_fail
+/// # use dl_engine::Ps;
+/// let _: Ps = 1.5f64.into();
+/// ```
+/// ```
+/// # use dl_engine::Ps;
+/// let _: Ps = Ps::from_ps(1_500).into();
+/// ```
 #[derive(
     Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
 )]

@@ -166,7 +166,7 @@ mod tests {
         let m = map();
         let cfg = DramConfig::ddr4_2400_lrdimm();
         // Walking row-sized strides visits every bank before reusing one.
-        let mut banks = std::collections::HashSet::new();
+        let mut banks = std::collections::BTreeSet::new();
         for i in 0..cfg.total_banks() as u64 {
             let a = m.decode(i * cfg.row_bytes as u64);
             banks.insert((a.rank, a.bank));
@@ -184,7 +184,7 @@ mod tests {
     #[test]
     fn flat_bank_is_injective() {
         let cfg = DramConfig::ddr4_2400_lrdimm();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for rank in 0..cfg.ranks {
             for bank in 0..cfg.banks_per_rank() {
                 let a = DimmAddr {

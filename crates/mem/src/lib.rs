@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # dl-mem
 //!
 //! DDR4 DIMM memory-system timing model — the workspace's stand-in for

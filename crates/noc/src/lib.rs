@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # dl-noc
 //!
 //! The interconnect network model — this workspace's stand-in for BookSim,

@@ -386,7 +386,7 @@ mod tests {
             for src in 0..12 {
                 let tree = t.broadcast_tree(src);
                 assert_eq!(tree.len(), 11, "{kind} from {src}");
-                let mut seen = std::collections::HashSet::from([src]);
+                let mut seen = std::collections::BTreeSet::from([src]);
                 for (parent, child, link) in tree {
                     assert!(seen.contains(&parent), "parent {parent} before child");
                     assert!(seen.insert(child), "child {child} reached twice");

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # dl-placement
 //!
 //! Distance-aware task mapping (paper Section IV-B, Algorithm 1).

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # dl-protocol
 //!
 //! The DIMM-Link wire format (paper Section III-B, Figure 3-b): packets with

@@ -165,7 +165,7 @@ mod tests {
         let params = WorkloadParams::small(4);
         let wl = kmeans(&params);
         let layout = wl.layout();
-        let mut dimms_touched = std::collections::HashSet::new();
+        let mut dimms_touched = std::collections::BTreeSet::new();
         for op in wl.traces()[0].ops() {
             if let Op::Load {
                 addr,

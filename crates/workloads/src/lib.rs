@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # dl-workloads
 //!
 //! The benchmark workloads of the DIMM-Link evaluation (paper Table IV and

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # dimm-link-repro
 //!
 //! Facade crate of the DIMM-Link (HPCA 2023) reproduction workspace: it
