@@ -16,12 +16,11 @@
 //! local, so all memory stall counts as memory stall.
 
 use crate::config::HostConfig;
-use crate::trace_core::{CorePort, McPort, TraceCore};
+use crate::trace_core::{CorePort, McPort, TraceCore, TxnTable};
 use dl_engine::stats::StatSet;
 use dl_engine::{EventKey, EventQueue, Freq, Ps, Resource};
 use dl_mem::{AccessKind, Cache, CacheOutcome, DimmAddressMap, MemController, MemRequest};
 use dl_workloads::Workload;
-use std::collections::BTreeMap;
 
 #[derive(Debug)]
 enum Ev {
@@ -90,13 +89,16 @@ struct Uncore {
     events: EventQueue<Ev>,
     l1: Vec<Cache>,
     llc: Cache,
+    /// L1 and LLC hit latencies at the core clock.
+    l1_hit: Ps,
+    llc_hit: Ps,
     mcs: Vec<McPort>,
     /// The earliest live memory tick over all channels, as a key.
     tick: EventKey,
     map: DimmAddressMap,
     atomic_unit: Resource,
     /// Transaction -> the core waiting for it.
-    txns: BTreeMap<u64, usize>,
+    txns: TxnTable<usize>,
     next_txn: u64,
     now: Ps,
     /// Cores arrived at the current barrier, in arrival order.
@@ -131,13 +133,15 @@ impl<'w> HostSystem<'w> {
                 events,
                 l1: (0..threads).map(|_| Cache::new(cfg.l1)).collect(),
                 llc: Cache::new(cfg.llc),
+                l1_hit: cfg.freq.cycles(u64::from(cfg.l1.hit_latency_cycles)),
+                llc_hit: cfg.freq.cycles(u64::from(cfg.llc.hit_latency_cycles)),
                 mcs: (0..cfg.channels)
                     .map(|c| McPort::new(MemController::new(format!("host-ch{c}"), &cfg.dram)))
                     .collect(),
                 tick: EventKey::MAX,
                 map: DimmAddressMap::new(&cfg.dram),
                 atomic_unit: Resource::new("host-atomics"),
-                txns: BTreeMap::new(),
+                txns: TxnTable::new(),
                 next_txn: 0,
                 now: Ps::ZERO,
                 waiting: Vec::new(),
@@ -177,7 +181,7 @@ impl<'w> HostSystem<'w> {
                     }
                 }
                 Ev::Done(id) => {
-                    if let Some(c) = self.uncore.txns.remove(&id) {
+                    if let Some(c) = self.uncore.txns.remove(id) {
                         let (core, mut port) = self.core(c);
                         core.complete(id, t, &mut port);
                     }
@@ -218,7 +222,7 @@ impl<'w> HostSystem<'w> {
         // the return-path latency added.
         let at = u.now + u.cfg.channel_latency;
         for comp in &completions {
-            if u.txns.contains_key(&comp.id) {
+            if u.txns.contains(comp.id) {
                 u.schedule(at, Ev::Done(comp.id));
             }
         }
@@ -323,10 +327,8 @@ impl CorePort for HostPort<'_> {
         if !cacheable {
             return None;
         }
-        let l1 = &mut self.uncore.l1[self.c];
-        let l1_lat = self.uncore.cfg.freq.cycles(l1.hit_latency_cycles() as u64);
-        let CacheOutcome::Miss { writeback } = l1.access(addr, is_write) else {
-            return Some(l1_lat);
+        let CacheOutcome::Miss { writeback } = self.uncore.l1[self.c].access(addr, is_write) else {
+            return Some(self.uncore.l1_hit);
         };
         // Past the private L1: the shared LLC, then memory.
         self.audit_in_order(t);
@@ -334,9 +336,8 @@ impl CorePort for HostPort<'_> {
         if let Some(v) = writeback {
             u.llc.access(v, true);
         }
-        let llc_lat = u.cfg.freq.cycles(u.llc.hit_latency_cycles() as u64);
         match u.llc.access(addr, is_write) {
-            CacheOutcome::Hit => Some(l1_lat + llc_lat),
+            CacheOutcome::Hit => Some(u.l1_hit + u.llc_hit),
             CacheOutcome::Miss { writeback } => {
                 if let Some(v) = writeback {
                     u.send_line(v, AccessKind::Write, t);

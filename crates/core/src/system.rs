@@ -73,13 +73,12 @@ use crate::host::HostPath;
 use crate::idc::{
     distance_matrix, min_cross_latency, wire_bytes, Interconnect, Route, NOTIFY_BYTES,
 };
-use crate::trace_core::{CorePort, McPort, TraceCore};
+use crate::trace_core::{CorePort, McPort, TraceCore, TxnTable};
 use dl_engine::stats::{Histogram, StatSet};
 use dl_engine::{BudgetKind, EventKey, EventQueue, Freq, Ps, Resource, RunStatus};
 use dl_mem::{AccessKind, Cache, CacheOutcome, DimmAddressMap, MemController, MemRequest};
 use dl_placement::AccessProfile;
 use dl_workloads::Workload;
-use std::collections::BTreeMap;
 
 /// Cycles of local bookkeeping at each synchronization stage.
 const SYNC_PROC: Ps = Ps::from_ns(5);
@@ -248,6 +247,9 @@ struct Shared<'w> {
     local_of: Vec<usize>,
     profiling: bool,
     map: DimmAddressMap,
+    /// L1 and L2 hit latencies at the core clock.
+    l1_hit: Ps,
+    l2_hit: Ps,
 }
 
 impl Shared<'_> {
@@ -280,7 +282,10 @@ struct Uncore {
     /// Cross-partition intents staged this epoch, in emission order, each
     /// with the time it takes effect; drained at every barrier.
     outbox: Vec<(Ps, Intent)>,
-    txn_mem: BTreeMap<u64, TxnClass>,
+    /// This DIMM's memory transactions, by id.
+    txn_mem: TxnTable<TxnClass>,
+    /// The last transaction id handed out: ids are partition-local and
+    /// increasing, which the id-indexed tables rely on.
     next_txn: u64,
     now: Ps,
     /// Exclusive upper bound on this epoch (cores must not act at or past
@@ -290,7 +295,8 @@ struct Uncore {
     remote_reads: u64,
     remote_writes: u64,
     atomic_ops: u64,
-    remote_issue: BTreeMap<u64, Ps>,
+    /// Issue times of this DIMM's remote reads in flight, by id.
+    remote_issue: TxnTable<Ps>,
     remote_rtt: Histogram,
     /// Full-size table; merged across partitions at collection.
     profile: AccessProfile,
@@ -419,7 +425,7 @@ impl<'w> NmpSystem<'w> {
                         atomic_unit: Resource::new(format!("dimm{d}.atomic")),
                         events,
                         outbox: Vec::new(),
-                        txn_mem: BTreeMap::new(),
+                        txn_mem: TxnTable::new(),
                         next_txn: 0,
                         now: Ps::ZERO,
                         epoch_end: Ps::ZERO,
@@ -427,7 +433,7 @@ impl<'w> NmpSystem<'w> {
                         remote_reads: 0,
                         remote_writes: 0,
                         atomic_ops: 0,
-                        remote_issue: BTreeMap::new(),
+                        remote_issue: TxnTable::new(),
                         remote_rtt: Histogram::new(),
                         profile: AccessProfile::new(threads, cfg.dimms),
                     },
@@ -443,6 +449,12 @@ impl<'w> NmpSystem<'w> {
                 local_of,
                 profiling,
                 map: DimmAddressMap::new(&cfg.dram),
+                l1_hit: cfg
+                    .nmp_freq
+                    .cycles(u64::from(cfg.nmp_l1.hit_latency_cycles)),
+                l2_hit: cfg
+                    .nmp_freq
+                    .cycles(u64::from(cfg.nmp_l2.hit_latency_cycles)),
             },
             parts,
             coord: Coordinator {
@@ -816,7 +828,7 @@ impl DimmPart {
     fn mem_tick(&mut self, sh: &Shared<'_>) {
         let completions = self.uncore.mc.service(self.uncore.now);
         for &comp in &completions {
-            match self.uncore.txn_mem.remove(&comp.id) {
+            match self.uncore.txn_mem.remove(comp.id) {
                 None | Some(TxnClass::Background) => {}
                 Some(TxnClass::LocalMem { thread }) => {
                     let (core, mut port) = self.core(sh, thread);
@@ -872,7 +884,7 @@ impl DimmPart {
                 );
             }
             XEvent::Complete { thread, origin } => {
-                if let Some(issued) = u.remote_issue.remove(&origin) {
+                if let Some(issued) = u.remote_issue.remove(origin) {
                     u.remote_rtt.record((now.saturating_sub(issued)).as_ps());
                 }
                 let (core, mut port) = self.core(sh, thread);
@@ -998,16 +1010,12 @@ impl CorePort for DimmPort<'_, '_> {
         if !cacheable {
             return None;
         }
-        let clock = sh.cfg.nmp_freq;
-        let l1 = &mut self.uncore.l1[self.l];
-        let l1_lat = clock.cycles(l1.hit_latency_cycles() as u64);
-        let CacheOutcome::Miss { writeback } = l1.access(addr, is_write) else {
-            return Some(l1_lat);
+        let CacheOutcome::Miss { writeback } = self.uncore.l1[self.l].access(addr, is_write) else {
+            return Some(sh.l1_hit);
         };
         // Past the private L1: the shared L2, then memory.
         self.audit_in_order(t);
         let u = &mut *self.uncore;
-        let l2_lat = clock.cycles(u.l2.hit_latency_cycles() as u64);
         // L1 victims land in the shared L2.
         let mut victim_to_mem = None;
         if let Some(v) = writeback {
@@ -1022,7 +1030,7 @@ impl CorePort for DimmPort<'_, '_> {
             // A victim evicted by the L1-writeback insertion is absorbed on
             // the hit path (modeling simplification: its memory write
             // happens off the critical path).
-            CacheOutcome::Hit => Some(l1_lat + l2_lat),
+            CacheOutcome::Hit => Some(sh.l1_hit + sh.l2_hit),
             CacheOutcome::Miss { writeback } => {
                 if let Some(victim) = writeback.or(victim_to_mem) {
                     u.background_write(sh, victim, t);

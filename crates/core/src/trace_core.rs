@@ -29,6 +29,7 @@
 use dl_engine::{EventKey, Freq, Ps};
 use dl_mem::{Completion, MemController, MemRequest};
 use dl_workloads::Op;
+use std::collections::VecDeque;
 
 /// Where a core is in its trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,7 +161,7 @@ impl TraceCore {
             return false;
         }
         let mut t = now.max(self.ready_at);
-        let (clock, mlp, rank) = (port.clock(), port.mlp(), port.rank());
+        let (period, mlp, rank) = (port.clock().period(), port.mlp(), port.rank());
         loop {
             let op = (self.pc < self.limit).then(|| ops[self.pc]);
             if EventKey::new(t, rank) > port.horizon() && !is_private(op, port) {
@@ -180,7 +181,7 @@ impl TraceCore {
             match op {
                 Op::Comp(cycles) => {
                     self.pc += 1;
-                    t += clock.cycles(cycles as u64);
+                    t += period * u64::from(cycles);
                 }
                 Op::Load { addr, cacheable } | Op::Store { addr, cacheable } => {
                     let (addr, is_write) = (addr.get(), matches!(op, Op::Store { .. }));
@@ -197,7 +198,7 @@ impl TraceCore {
                     self.pc += 1;
                     let slot = port.issue(addr, is_write, t);
                     self.outstanding.push(slot);
-                    t += clock.cycles(1);
+                    t += period;
                 }
                 Op::Atomic { addr } => {
                     if !self.outstanding.is_empty() {
@@ -217,11 +218,11 @@ impl TraceCore {
                     self.pc += 1;
                     let id = port.broadcast(addr.get(), bytes, t);
                     self.outstanding.push((id, true));
-                    t += clock.cycles(2);
+                    t += period * 2;
                 }
                 Op::Barrier if port.skips_barriers() => {
                     self.pc += 1;
-                    t += clock.cycles(10);
+                    t += period * 10;
                 }
                 Op::Barrier => {
                     if !self.outstanding.is_empty() {
@@ -328,10 +329,14 @@ impl McPort {
     }
 
     /// Enqueues `req` arriving at `at`, moving the tick earlier if the
-    /// request needs one before it.
+    /// request needs one before it: to when the request or a pending
+    /// refresh can first change the controller's state
+    /// ([`MemController::next_wake`]), not to its arrival, and never
+    /// before `now`.
     pub(crate) fn enqueue(&mut self, now: Ps, at: Ps, req: MemRequest) {
         self.mc.enqueue(at, req);
-        self.arm(at.max(now));
+        let wake = self.mc.next_wake().expect("a request is pending");
+        self.arm(wake.max(now));
     }
 
     /// Services the controller on its tick, firing at `now`. After
@@ -358,6 +363,60 @@ impl McPort {
 
     fn arm(&mut self, wake: Ps) {
         self.next = self.next.min(wake);
+    }
+}
+
+/// The transactions in flight, by id. Ids come from one counter that only
+/// increases, and each is inserted when it is handed out, so the table is a
+/// ring: id `i` sits at `i - base`, ids handed out for other tables leave
+/// empty slots, and the empty slots at the front are dropped as the oldest
+/// transactions finish. A lookup is an index, not a search; the ring spans
+/// the ids handed out during the oldest live transaction.
+#[derive(Debug)]
+pub(crate) struct TxnTable<T> {
+    base: u64,
+    slots: VecDeque<Option<T>>,
+}
+
+impl<T> TxnTable<T> {
+    pub(crate) fn new() -> Self {
+        TxnTable {
+            base: 0,
+            slots: VecDeque::new(),
+        }
+    }
+
+    /// Records transaction `id`, which must be newer than every id recorded
+    /// before.
+    pub(crate) fn insert(&mut self, id: u64, value: T) {
+        if self.slots.is_empty() {
+            self.base = id;
+        }
+        let end = self.base + self.slots.len() as u64;
+        assert!(id >= end, "transaction {id} recorded out of order");
+        self.slots.extend((end..id).map(|_| None));
+        self.slots.push_back(Some(value));
+    }
+
+    /// Whether transaction `id` is recorded.
+    pub(crate) fn contains(&self, id: u64) -> bool {
+        self.index(id)
+            .and_then(|i| self.slots.get(i))
+            .is_some_and(Option::is_some)
+    }
+
+    /// Removes and returns transaction `id`, if it is recorded.
+    pub(crate) fn remove(&mut self, id: u64) -> Option<T> {
+        let value = self.slots.get_mut(self.index(id)?)?.take();
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        value
+    }
+
+    fn index(&self, id: u64) -> Option<usize> {
+        usize::try_from(id.checked_sub(self.base)?).ok()
     }
 }
 
@@ -632,6 +691,36 @@ mod tests {
             MemRequest::new(1, dl_mem::AccessKind::Read, map.decode(0)),
         );
         let _ = port.service(ns(9));
+    }
+
+    #[test]
+    fn a_txn_table_indexes_ids_and_drops_finished_ones() {
+        let mut t = TxnTable::new();
+        t.insert(3, 'a');
+        // Ids 4 and 5 went to another table.
+        t.insert(6, 'b');
+        t.insert(7, 'c');
+        assert!(t.contains(6) && !t.contains(5) && !t.contains(2));
+        // Out of order: the ring keeps its span until the oldest finishes.
+        assert_eq!(t.remove(6), Some('b'));
+        assert_eq!(t.remove(6), None, "removed once");
+        assert_eq!(t.slots.len(), 5);
+        assert_eq!(t.remove(3), Some('a'));
+        assert_eq!((t.base, t.slots.len()), (7, 1));
+        assert_eq!(t.remove(99), None);
+        assert_eq!(t.remove(7), Some('c'));
+        assert!(t.slots.is_empty());
+        // An empty table restarts at the next id.
+        t.insert(40, 'd');
+        assert_eq!((t.base, t.remove(40)), (40, Some('d')));
+    }
+
+    #[test]
+    #[should_panic(expected = "recorded out of order")]
+    fn a_txn_table_rejects_an_old_id() {
+        let mut t = TxnTable::new();
+        t.insert(5, ());
+        t.insert(5, ());
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use dimm_link::config::{IdcKind, PlacementPolicy, SyncScheme, SystemConfig};
 use dimm_link::host_sim::HostRun;
 use dimm_link::runner::{host_baseline, simulate, simulate_optimized, RunResult};
+use dl_engine::stats::StatSet;
 use dl_workloads::{WorkloadKind, WorkloadParams};
 
 /// Serializes everything observable about a run into one comparable blob.
@@ -92,15 +93,40 @@ fn host_fingerprint(r: &HostRun) -> String {
     format!("elapsed={} stats={:?}", r.elapsed, r.stats)
 }
 
-/// Pins *what* a run produces, not just that repeated runs agree: any change
-/// to simulated behaviour — event order, transaction ids, stall accounting —
-/// moves one of these hashes. Covers the host baseline on every P2P
-/// workload, atomics (K-Means), the central barrier (TS.Pow on MCN), the NMP
-/// broadcast path, and truncated profiling traces with no-op barriers (the
-/// optimized pipeline).
+/// Whether a statistic counts scheduled events: it says how the engine
+/// reached a result (how often it woke a core or ticked a controller), not
+/// what the result is.
+fn is_schedule_key(key: &str) -> bool {
+    key == "events_scheduled" || key.starts_with("events.")
+}
+
+/// [`fingerprint`] without the event counts.
+fn result_fingerprint(r: &RunResult) -> String {
+    let mut stats = StatSet::new();
+    for (key, value) in r.stats.iter().filter(|&(key, _)| !is_schedule_key(key)) {
+        stats.set(key, value);
+    }
+    format!(
+        "elapsed={} profiling={} stats={stats:?} energy={:?}",
+        r.elapsed, r.profiling, r.energy
+    )
+}
+
+/// Pins *what* a run produces, not just that repeated runs agree. Covers
+/// the host baseline on every P2P workload, atomics (K-Means), the central
+/// barrier (TS.Pow on MCN), the NMP broadcast path, and truncated profiling
+/// traces with no-op barriers (the optimized pipeline).
+///
+/// Each NMP run has two pins. Its *result pin* hashes everything but the
+/// event counts (`events_scheduled`, `events.*`): any change to simulated
+/// behaviour — event order, transaction ids, stall accounting — moves it.
+/// Its *schedule pin* hashes everything: a change that only schedules
+/// fewer or more events (a core that runs further between wakes, a memory
+/// tick that would have made no progress) moves it and keeps the result
+/// pin. The host baseline exports no event counts, so one pin covers it.
 #[test]
 fn golden_fingerprints_are_pinned() {
-    let mut runs: Vec<(String, String)> = WorkloadKind::P2P_SET
+    let mut hosts: Vec<(String, String)> = WorkloadKind::P2P_SET
         .iter()
         .map(|&kind| {
             let r = host_baseline(kind, 8, 42);
@@ -109,43 +135,61 @@ fn golden_fingerprints_are_pinned() {
         .collect();
     let params = workload_params(8);
     let dl = SystemConfig::nmp(8, 4).with_idc(IdcKind::DimmLink);
+    let mut runs: Vec<(&str, RunResult)> = Vec::new();
     let km = simulate(&WorkloadKind::KMeans.build(&params), &dl);
     assert!(km.stats.get("atomics").unwrap() > 0.0);
-    runs.push(("KM/DL".into(), fingerprint(&km)));
+    runs.push(("KM/DL", km));
     let mut mcn_central = SystemConfig::nmp(8, 4).with_idc(IdcKind::CpuForwarding);
     mcn_central.sync = SyncScheme::Central;
     let ts = simulate(&WorkloadKind::TsPow.build(&params), &mcn_central);
     assert!(ts.stats.get("barriers").unwrap() > 0.0);
     assert!(ts.stats.get("atomics").unwrap() > 0.0);
-    runs.push(("TS.Pow/MCN-central".into(), fingerprint(&ts)));
+    runs.push(("TS.Pow/MCN-central", ts));
     let pr_bc = WorkloadKind::Pagerank.build(&WorkloadParams {
         broadcast: true,
         ..params
     });
     let pr_bc = simulate(&pr_bc, &dl);
     assert!(pr_bc.stats.get("traffic.broadcast_bytes").unwrap() > 0.0);
-    runs.push(("PR-BC/DL".into(), fingerprint(&pr_bc)));
+    runs.push(("PR-BC/DL", pr_bc));
     let bfs = WorkloadKind::Bfs.build(&params);
-    runs.push((
-        "BFS/DL-opt".into(),
-        fingerprint(&simulate_optimized(&bfs, &dl)),
-    ));
+    runs.push(("BFS/DL-opt", simulate_optimized(&bfs, &dl)));
 
-    let got: Vec<String> = runs
-        .iter()
-        .map(|(name, fp)| format!("{name} {:016x}", fnv1a64(fp)))
-        .collect();
-    let golden = [
+    let pins = |runs: &[(String, String)]| -> Vec<String> {
+        runs.iter()
+            .map(|(name, fp)| format!("{name} {:016x}", fnv1a64(fp)))
+            .collect()
+    };
+    hosts.extend(
+        runs.iter()
+            .map(|(name, r)| (format!("{name} result"), result_fingerprint(r))),
+    );
+    let results = [
         "host BFS f6cea4d6f665d604",
         "host HS 1b459df513de8ded",
         "host KM 6b6314e2eb6415cd",
         "host NW 33471a9e20a249bf",
         "host PR 42e7353d90ba7f9e",
         "host SSSP 8dd2f53823181578",
-        "KM/DL a91cf7e5005ebeb9",
-        "TS.Pow/MCN-central 4717512575fb5fc5",
-        "PR-BC/DL fe033486482ce443",
-        "BFS/DL-opt 8be008cde6b45eeb",
+        "KM/DL result c1622e583b8e2a55",
+        "TS.Pow/MCN-central result 4bc1c9cd5a75156d",
+        "PR-BC/DL result b694854d9c066e4a",
+        "BFS/DL-opt result 8b40c907c1fa9511",
     ];
-    assert_eq!(got, golden, "a pinned simulation result changed");
+    assert_eq!(pins(&hosts), results, "a pinned simulation result changed");
+    let schedules: Vec<(String, String)> = runs
+        .iter()
+        .map(|(name, r)| (format!("{name} schedule"), fingerprint(r)))
+        .collect();
+    let golden = [
+        "KM/DL schedule 7a52165c5b90d04c",
+        "TS.Pow/MCN-central schedule b5cf695f69f353df",
+        "PR-BC/DL schedule bb6989dcfed1680f",
+        "BFS/DL-opt schedule e83f61c245814f82",
+    ];
+    assert_eq!(
+        pins(&schedules),
+        golden,
+        "only an event count changed: the result pins still hold"
+    );
 }

@@ -25,12 +25,12 @@ const RETENTION: Ps = Ps::from_us(50);
 /// A shared, capacity-1 resource (bus, link, port) with gap-filling
 /// reservation.
 ///
-/// A reservation costs one binary search for the first busy interval ending
-/// after the request time, plus a step over each busy interval the request
-/// overlaps before it finds room, plus the insertion of the result. The
-/// intervals behind the request time are never visited, so a retention
-/// window full of standing polls does not slow down a request near its
-/// tail.
+/// A reservation costs a search from the tail for the first busy interval
+/// ending after the request time, plus a step over each busy interval the
+/// request overlaps before it finds room, plus the insertion of the result
+/// (found by the same tail search). The intervals behind the request time
+/// are never visited, so a retention window full of standing polls does not
+/// slow down a request near its tail.
 ///
 /// # Examples
 ///
@@ -179,7 +179,7 @@ impl Resource {
     /// before it lie wholly behind a request at `now` and cannot affect
     /// where it is placed.
     fn first_ending_after(&self, now: Ps) -> usize {
-        self.intervals.partition_point(|&(_, e)| e <= now)
+        tail_partition_point(&self.intervals, |&(_, e)| e <= now)
     }
 
     /// Inserts busy interval `[start, end)`, merging with neighbours.
@@ -198,7 +198,7 @@ impl Resource {
                 self.name
             );
         }
-        let mut pos = self.intervals.partition_point(|&(s, _)| s < start);
+        let mut pos = tail_partition_point(&self.intervals, |&(s, _)| s < start);
         // Walk back over intervals that touch `start`.
         while pos > 0 && self.intervals[pos - 1].1 >= start {
             pos -= 1;
@@ -314,6 +314,38 @@ impl Resource {
         self.busy = Ps::ZERO;
         self.reservations = 0;
     }
+}
+
+/// [`VecDeque::partition_point`], searched from the back: `pred` holds on a
+/// prefix of `v`, and the result is the prefix's length. Requests land near
+/// the newest reservations, so the search gallops back from the tail in
+/// doubling steps and then bisects the last step. It costs O(log d) probes
+/// for an answer d intervals from the tail, and one probe for the tail
+/// itself, instead of a bisection of the whole retention window.
+fn tail_partition_point<T>(v: &VecDeque<T>, pred: impl Fn(&T) -> bool) -> usize {
+    // `pred` fails on every element from `hi` on, and holds below `lo`.
+    let mut hi = v.len();
+    let mut step = 1;
+    let mut lo = loop {
+        if hi == 0 {
+            return 0;
+        }
+        let probe = hi.saturating_sub(step);
+        if pred(&v[probe]) {
+            break probe + 1;
+        }
+        hi = probe;
+        step *= 2;
+    };
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(&v[mid]) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// A [`Resource`] with an associated bandwidth, reserving by transfer size.
@@ -898,6 +930,60 @@ mod tests {
     fn scan_from_now_matches_front_scan_under_heavy_pruning() {
         for seed in 10..14 {
             differential(seed, 4_000, 200);
+        }
+    }
+
+    /// The tail search returns `partition_point`'s index for both of
+    /// [`Resource`]'s predicates, on random sorted interval sets and on the
+    /// edge cases: no interval, one interval, a request before the first
+    /// interval and one after the last.
+    #[test]
+    fn tail_search_matches_partition_point() {
+        fn check(v: &VecDeque<(Ps, Ps)>, at: Ps) {
+            let ends = |&(_, e): &(Ps, Ps)| e <= at;
+            let starts = |&(s, _): &(Ps, Ps)| s < at;
+            assert_eq!(
+                tail_partition_point(v, ends),
+                v.partition_point(ends),
+                "ends, {} intervals, at {at}",
+                v.len()
+            );
+            assert_eq!(
+                tail_partition_point(v, starts),
+                v.partition_point(starts),
+                "starts, {} intervals, at {at}",
+                v.len()
+            );
+        }
+        let ns = Ps::from_ns;
+        for at in [0, 5, 10] {
+            check(&VecDeque::new(), ns(at));
+        }
+        let one = VecDeque::from([(ns(10), ns(20))]);
+        for at in [0, 9, 10, 15, 19, 20, 21, 100] {
+            check(&one, ns(at));
+        }
+        let mut rng = DetRng::seed(17);
+        for _ in 0..400 {
+            let mut v = VecDeque::new();
+            let mut t = ns(rng.below(50));
+            for _ in 0..rng.below(300) {
+                t += ns(rng.below(6));
+                let end = t + ns(1 + rng.below(20));
+                v.push_back((t, end));
+                t = end;
+            }
+            let last = v.back().map_or(Ps::ZERO, |&(_, e)| e);
+            check(&v, Ps::ZERO);
+            check(&v, last);
+            check(&v, last + ns(1));
+            for &(s, e) in &v {
+                check(&v, s);
+                check(&v, e);
+            }
+            for _ in 0..20 {
+                check(&v, ns(rng.below(last.as_ps() / 1000 + 10)));
+            }
         }
     }
 

@@ -215,11 +215,6 @@ impl Cache {
         CacheOutcome::Miss { writeback }
     }
 
-    /// Hit latency in core cycles.
-    pub fn hit_latency_cycles(&self) -> u32 {
-        self.cfg.hit_latency_cycles
-    }
-
     /// The configuration.
     pub fn config(&self) -> &CacheConfig {
         &self.cfg

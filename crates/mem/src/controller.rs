@@ -188,12 +188,23 @@ impl MemController {
 
     /// Queues a request arriving at `arrival`, which may be later than the
     /// controller's current time: the request is not eligible to issue
-    /// before it. Call [`service`](MemController::service) at `arrival` to
-    /// let it issue.
+    /// before it.
+    ///
+    /// [`next_wake`](MemController::next_wake) moves no later than the
+    /// first time the new request could change state: its first command
+    /// as planned from `arrival` against the current bank and rank state,
+    /// or the earliest refresh not yet applied, whichever comes first.
+    /// Until then only a `service` call can change that state, and every
+    /// `service` call recomputes the wake; a refresh can close the
+    /// request's row and so move its plan either way, hence the cap. A
+    /// call at the arrival itself, while the bank is still busy, would
+    /// make no progress.
     pub fn enqueue(&mut self, arrival: Ps, req: MemRequest) {
+        let refresh = self.ranks.iter().map(|r| r.next_refresh).min();
+        let first = self.plan_for(&req, arrival).first_cmd_at;
+        let wake = first.min(refresh.unwrap_or(Ps::MAX));
         self.queue.push_back(Pending { req, arrival });
-        // Force a re-evaluation no later than the arrival.
-        self.next_wake = Some(self.next_wake.map_or(arrival, |w| w.min(arrival)));
+        self.next_wake = Some(self.next_wake.map_or(wake, |w| w.min(wake)));
     }
 
     /// Number of requests waiting or in flight.
@@ -260,8 +271,14 @@ impl MemController {
         self.next_wake = wake;
     }
 
-    /// The next time `service` would make progress, cached by the last
-    /// `service` call (or forced by `enqueue`).
+    /// The next time a `service` call could make progress: issue a
+    /// request, complete one, or apply a refresh while work is pending.
+    /// Computed by the last `service` call and lowered by each `enqueue` to
+    /// when the new request or a pending refresh can first change state
+    /// (not to its arrival). After an `enqueue` it may lie before the
+    /// caller's clock, for a request that arrived in the past or a refresh
+    /// overdue on an idle controller: serve it at the clock then. `None`
+    /// when idle.
     pub fn next_wake(&self) -> Option<Ps> {
         self.next_wake
     }
@@ -973,5 +990,208 @@ mod shared_bus_tests {
             t_host.as_ps() > t_nmp.as_ps() * 5 / 4,
             "shared bus {t_host} should be slower than per-rank {t_nmp}"
         );
+    }
+}
+
+#[cfg(test)]
+mod wake_tests {
+    use super::*;
+    use crate::address::DimmAddressMap;
+    use crate::timing::{DramConfig, MappingScheme, RowPolicy};
+    use dl_engine::DetRng;
+
+    /// The wake rule before `enqueue` planned the request: it lowered the
+    /// wake to the arrival, so a busy bank cost a tick that issued nothing.
+    /// Kept only as the oracle of the differential test below.
+    fn enqueue_at_arrival(mc: &mut MemController, arrival: Ps, req: MemRequest) {
+        mc.queue.push_back(Pending { req, arrival });
+        mc.next_wake = Some(mc.next_wake.map_or(arrival, |w| w.min(arrival)));
+    }
+
+    /// A request handed to the controller at `at`, before a tick at `at`
+    /// or, if `late`, after it; it arrives at `arrival`.
+    struct Send {
+        at: Ps,
+        late: bool,
+        arrival: Ps,
+        req: MemRequest,
+    }
+
+    struct Drive {
+        /// Each completion with the time of the tick that returned it.
+        completions: Vec<(Ps, Completion)>,
+        ticks: u64,
+        refreshes: u64,
+        row_hits: u64,
+        row_misses: u64,
+    }
+
+    /// Drives a controller the way a system's memory port does: one live
+    /// tick, armed at the controller's wake but never before the sender's
+    /// clock, served at its time.
+    fn drive(
+        cfg: &DramConfig,
+        sends: &[Send],
+        enqueue: fn(&mut MemController, Ps, MemRequest),
+    ) -> Drive {
+        let mut mc = MemController::new("w", cfg);
+        let (mut tick, mut next, mut ticks) = (Ps::MAX, 0, 0);
+        let mut completions = Vec::new();
+        loop {
+            match sends.get(next) {
+                Some(s) if (s.at, 2 * u8::from(s.late)) < (tick, 1) => {
+                    enqueue(&mut mc, s.arrival, s.req);
+                    let wake = mc.next_wake().expect("a request is pending");
+                    tick = tick.min(wake.max(s.at));
+                    next += 1;
+                }
+                _ if tick < Ps::MAX => {
+                    ticks += 1;
+                    completions.extend(mc.service(tick).into_iter().map(|c| (tick, c)));
+                    tick = mc.next_wake().unwrap_or(Ps::MAX);
+                }
+                _ => break,
+            }
+        }
+        assert_eq!(completions.len(), sends.len(), "every request completes");
+        Drive {
+            completions,
+            ticks,
+            refreshes: mc.refreshes,
+            row_hits: mc.row_hits,
+            row_misses: mc.row_misses,
+        }
+    }
+
+    /// A seeded request stream over a few rows of five banks in both
+    /// ranks: reads and writes, row hits and conflicts, bursts to one row
+    /// (long enough to reach the hit-streak cap), arrivals now, in the
+    /// future and in the past, and idle gaps that cross refreshes.
+    fn stream(cfg: &DramConfig, seed: u64, n: usize) -> Vec<Send> {
+        let map = DimmAddressMap::new(cfg);
+        let bpr = u64::from(cfg.banks_per_rank());
+        let banks = [0, 1, 2, bpr, bpr + 1];
+        let row_stride = u64::from(cfg.total_banks()) * u64::from(cfg.row_bytes);
+        let mut rng = DetRng::seed(seed);
+        let mut clock = Ps::ZERO;
+        let mut sends = Vec::with_capacity(n);
+        while sends.len() < n {
+            clock += match rng.below(60) {
+                0 => Ps::from_ns(2_000 + rng.below(12_000)),
+                _ => Ps::from_ns(rng.below(25)),
+            };
+            let bank = banks[rng.below(banks.len() as u64) as usize];
+            let row = rng.below(3);
+            let burst = if rng.chance(0.08) { 10 } else { 1 };
+            for _ in 0..burst {
+                let offset =
+                    row * row_stride + bank * u64::from(cfg.row_bytes) + rng.below(32) * 64;
+                let arrival = match rng.below(20) {
+                    0 => clock.saturating_sub(Ps::from_ns(30)),
+                    1..=9 => clock,
+                    _ => clock + Ps::from_ns(rng.below(300)),
+                };
+                let kind = if rng.chance(0.3) {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                let id = sends.len() as u64;
+                sends.push(Send {
+                    at: clock,
+                    late: rng.chance(0.5),
+                    arrival,
+                    req: MemRequest::new(id, kind, map.decode(offset)),
+                });
+            }
+        }
+        sends
+    }
+
+    /// Planning the wake at `enqueue` only drops ticks that make no
+    /// progress: every completion, with its row-hit flag and the tick that
+    /// returns it, is the same as under the arrival-armed rule, and no
+    /// configuration needs more ticks.
+    #[test]
+    fn planned_wakes_match_arrival_wakes_with_fewer_ticks() {
+        let open = DramConfig::ddr4_2400_lrdimm();
+        let closed = DramConfig {
+            row_policy: RowPolicy::Closed,
+            ..open
+        };
+        let xor = DramConfig {
+            mapping: MappingScheme::BankXor,
+            ..open
+        };
+        let capped = DramConfig {
+            hit_streak_cap: 1,
+            ..open
+        };
+        let shared_bus = DramConfig {
+            bus_per_rank: false,
+            ..open
+        };
+        let (mut old_ticks, mut new_ticks) = (0, 0);
+        for (name, cfg) in [
+            ("open", open),
+            ("closed", closed),
+            ("xor", xor),
+            ("streak cap 1", capped),
+            ("shared bus", shared_bus),
+        ] {
+            for seed in 0..3 {
+                let sends = stream(&cfg, seed, 2_000);
+                let old = drive(&cfg, &sends, enqueue_at_arrival);
+                let new = drive(&cfg, &sends, MemController::enqueue);
+                assert_eq!(new.completions, old.completions, "{name}, seed {seed}");
+                assert!(
+                    new.ticks <= old.ticks,
+                    "{name}, seed {seed}: {} ticks vs {}",
+                    new.ticks,
+                    old.ticks
+                );
+                assert!(new.refreshes > 0, "{name}: no refresh crossed");
+                assert!(new.row_misses > 0, "{name}: no conflicts");
+                if !matches!(cfg.row_policy, RowPolicy::Closed) {
+                    assert!(new.row_hits > 0, "{name}: no row hits");
+                }
+                old_ticks += old.ticks;
+                new_ticks += new.ticks;
+            }
+        }
+        assert!(new_ticks < old_ticks, "no tick was saved");
+    }
+
+    /// A refresh can bring a request's first command forward: here a read
+    /// hit waits out a long write-to-read turnaround, but the refresh closes
+    /// its row, and the activation it then needs may start right after the
+    /// refresh. So `enqueue` wakes no later than the refresh, and serving
+    /// it there finishes the read as early as the arrival-armed rule does.
+    #[test]
+    fn a_refresh_before_the_planned_command_is_a_wake() {
+        let mut cfg = DramConfig::ddr4_2400_lrdimm();
+        cfg.timing.wtr = 2_000;
+        cfg.timing.refi = 1_000;
+        cfg.timing.rfc = 1;
+        let map = DimmAddressMap::new(&cfg);
+        let send = |id, at, kind, offset| Send {
+            at,
+            late: false,
+            arrival: at,
+            req: MemRequest::new(id, kind, map.decode(offset)),
+        };
+        // The write finishes long before the refresh; the read reaches an
+        // idle controller.
+        let sends = [
+            send(0, Ps::ZERO, AccessKind::Write, 0),
+            send(1, cfg.timing.t(40), AccessKind::Read, 64),
+        ];
+        let old = drive(&cfg, &sends, enqueue_at_arrival);
+        let new = drive(&cfg, &sends, MemController::enqueue);
+        assert_eq!(new.completions, old.completions);
+        let (_, read) = new.completions[1];
+        let t = cfg.timing;
+        assert_eq!(read.at, t.t(t.rcd + t.cwl + t.bl + t.wtr + t.cl + t.bl));
+        assert!(!read.row_hit, "the refresh closed the row");
     }
 }
