@@ -37,16 +37,12 @@ pub struct Args {
     pub out: Option<std::path::PathBuf>,
     /// Reuse journaled points from an interrupted run (`--resume`).
     pub resume: bool,
-    /// Wall-clock watchdog per sweep point (`--point-budget SECS`).
-    pub point_budget: Option<std::time::Duration>,
-    /// Deterministic engine event budget per run (`--max-events N`).
-    pub max_events: Option<u64>,
-    /// Deterministic simulated-time budget per run (`--max-sim-ms N`).
+    /// Simulated-time cap per run, milliseconds (`--max-sim-ms N`).
     pub max_sim_ms: Option<u64>,
 }
 
-const USAGE: &str = "usage: [--scale N] [--seed N] [--quick] [--threads N] [--out DIR]\n       \
-                     [--resume] [--point-budget SECS] [--max-events N] [--max-sim-ms N]";
+const USAGE: &str =
+    "usage: [--scale N] [--seed N] [--quick] [--threads N] [--out DIR] [--resume] [--max-sim-ms N]";
 
 /// Takes the value following `flag` and parses it, naming the flag and the
 /// offending text on failure.
@@ -71,14 +67,13 @@ impl Args {
     }
 
     /// Parses `--scale N`, `--seed N`, `--quick`, `--threads N`, `--out DIR`,
-    /// `--resume`, `--point-budget SECS`, `--max-events N`, `--max-sim-ms N`
-    /// (arguments without the program name). `--help` prints the usage and
-    /// exits; unknown arguments are reported and ignored.
+    /// `--resume`, `--max-sim-ms N` (arguments without the program name).
+    /// `--help` prints the usage and exits.
     ///
     /// # Errors
     /// A numeric flag with a missing or unparsable value, `--threads 0`,
-    /// and a `--point-budget` that is not a positive number of seconds —
-    /// each would otherwise silently run a different experiment.
+    /// and an unknown argument — each would otherwise silently run a
+    /// different experiment.
     pub fn parse_from(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         let mut args = Args {
             scale: 0,
@@ -87,8 +82,6 @@ impl Args {
             threads: None,
             out: None,
             resume: false,
-            point_budget: None,
-            max_events: None,
             max_sim_ms: None,
         };
         let mut scale = None;
@@ -107,21 +100,12 @@ impl Args {
                 }
                 "--out" => args.out = it.next().map(std::path::PathBuf::from),
                 "--resume" => args.resume = true,
-                "--point-budget" => {
-                    let secs: f64 = flag_value(&mut it, "--point-budget")?;
-                    let budget = std::time::Duration::try_from_secs_f64(secs)
-                        .ok()
-                        .filter(|d| !d.is_zero())
-                        .ok_or("--point-budget must be a positive number of seconds")?;
-                    args.point_budget = Some(budget);
-                }
-                "--max-events" => args.max_events = Some(flag_value(&mut it, "--max-events")?),
                 "--max-sim-ms" => args.max_sim_ms = Some(flag_value(&mut it, "--max-sim-ms")?),
                 "--help" | "-h" => {
                     eprintln!("{USAGE}");
                     std::process::exit(0);
                 }
-                other => eprintln!("ignoring unknown argument {other}"),
+                other => return Err(format!("unknown argument '{other}'")),
             }
         }
         args.scale = scale.unwrap_or(if args.quick { 10 } else { 13 });
@@ -135,27 +119,25 @@ impl Args {
             out_dir: self.out.clone(),
             quiet: false,
             resume: self.resume,
-            point_budget: self.point_budget,
             halt_after: None,
-        }
-    }
-
-    /// The deterministic engine budget these arguments describe
-    /// (unlimited when neither `--max-events` nor `--max-sim-ms` is given).
-    pub fn run_budget(&self) -> dl_engine::RunBudget {
-        dl_engine::RunBudget {
-            max_events: self.max_events,
-            max_sim_ps: self.max_sim_ms.map(|ms| ms.saturating_mul(1_000_000_000)),
         }
     }
 }
 
-/// Runs a sweep with this binary's options — applying any deterministic
-/// engine budget from `--max-events`/`--max-sim-ms` — exiting with a
-/// labeled error message if a point fails (completed points are journaled
-/// first, so a rerun with `--resume` picks up where this one stopped).
+/// Converts a `--max-sim-ms` value to a simulated-time cap (saturating, so
+/// a huge value means "effectively unlimited" rather than a wrapped cap).
+pub fn sim_cap_of_ms(ms: u64) -> Ps {
+    Ps::from_ps(ms.saturating_mul(1_000_000_000))
+}
+
+/// Runs a sweep with this binary's options — capping every simulated run
+/// at `--max-sim-ms` when given — exiting with a labeled error message if
+/// a point fails (completed points are journaled first, so a rerun with
+/// `--resume` picks up where this one stopped).
 pub fn run_sweep(mut s: sweep::Sweep, args: &Args) -> sweep::SweepOutcome {
-    s.apply_budget(args.run_budget());
+    if let Some(ms) = args.max_sim_ms {
+        s.cap_sim_time(sim_cap_of_ms(ms));
+    }
     match s.run_with(&args.sweep_options()) {
         Ok(out) => out,
         Err(e) => {
@@ -255,28 +237,23 @@ mod tests {
 
     #[test]
     fn numeric_flags_reject_non_numbers() {
-        for flag in [
-            "--scale",
-            "--seed",
-            "--threads",
-            "--point-budget",
-            "--max-events",
-            "--max-sim-ms",
-        ] {
+        for flag in ["--scale", "--seed", "--threads", "--max-sim-ms"] {
             let err = parse(&[flag, "7x"]).expect_err(flag);
             assert!(err.contains(flag) && err.contains("7x"), "{err}");
             assert!(parse(&[flag]).is_err(), "{flag} without a value");
         }
-        // Integer budgets do not accept float notation.
-        assert!(parse(&["--max-events", "1e6"]).is_err());
+        // The integer cap does not accept float notation.
+        assert!(parse(&["--max-sim-ms", "1e3"]).is_err());
     }
 
     #[test]
-    fn zero_threads_and_non_positive_point_budgets_are_rejected() {
+    fn zero_threads_and_unknown_arguments_are_rejected() {
         assert!(parse(&["--threads", "0"]).is_err());
-        assert!(parse(&["--point-budget", "0"]).is_err());
-        assert!(parse(&["--point-budget", "-1"]).is_err());
-        assert!(parse(&["--point-budget", "inf"]).is_err());
+        // An unknown flag is an error, not a warning: `--bogus 1000` must
+        // not run an experiment other than the one asked for.
+        let err = parse(&["--quick", "--bogus", "1000"]).unwrap_err();
+        assert!(err.contains("--bogus"), "{err}");
+        assert!(parse(&["1000"]).is_err());
     }
 
     #[test]
@@ -291,13 +268,8 @@ mod tests {
             "--out",
             "dir",
             "--resume",
-            "--point-budget",
-            "2.5",
-            "--max-events",
-            "1000000",
             "--max-sim-ms",
             "4",
-            "--bogus",
         ])
         .unwrap();
         assert_eq!(a.scale, 11);
@@ -306,9 +278,8 @@ mod tests {
         assert_eq!(a.threads, Some(3));
         assert_eq!(a.out, Some(std::path::PathBuf::from("dir")));
         assert!(a.resume);
-        assert_eq!(a.point_budget, Some(std::time::Duration::from_millis(2500)));
-        assert_eq!(a.max_events, Some(1_000_000));
         assert_eq!(a.max_sim_ms, Some(4));
+        assert_eq!(sim_cap_of_ms(4), Ps::from_ms(4));
 
         let d = parse(&["--quick"]).unwrap();
         assert_eq!((d.scale, d.seed, d.threads), (10, 42, None));

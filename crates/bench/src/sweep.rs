@@ -2,8 +2,9 @@
 //!
 //! Each paper figure is a sweep over independent `(workload, SystemConfig)`
 //! points. This module runs those points across `min(points, threads)`
-//! workers (plain `std::thread` + channels; the workspace builds offline
-//! with no extra dependencies) while keeping the output **bit-identical
+//! scoped workers (plain `std::thread::scope` + a channel; the workspace
+//! builds offline with no extra dependencies), all joined before
+//! [`Sweep::run_with`] returns, while keeping the output **bit-identical
 //! regardless of thread count**:
 //!
 //! * every point is fully described by its [`Job`] — seeds come from the
@@ -29,14 +30,15 @@
 //!   renamed, so a killed process never leaves a truncated artifact;
 //! * a panicking point is journaled as `failed`, the remaining points run
 //!   to completion, and the artifact of successful points is still
-//!   written; the sweep then reports the first failure;
-//! * an optional wall-clock watchdog ([`SweepOptions::point_budget`])
-//!   journals a hung point as `timed_out` and moves on. Wall-clock time is
-//!   inherently nondeterministic, which is why this budget lives here, in
-//!   the one module exempt from the workspace's `Instant` ban (see the
-//!   `allow` below); *deterministic* per-point budgets are the engine's
-//!   event/sim-time [`dl_engine::RunBudget`], applied with
-//!   [`Sweep::apply_budget`].
+//!   written; the sweep then reports the first failure.
+//!
+//! A run is bounded only by simulated time: [`Sweep::cap_sim_time`] sets
+//! `SystemConfig::max_sim` on every simulated point, and a cut run is
+//! recorded with `"status":{"BudgetExceeded":"SimTime"}` — a property of
+//! the simulated system, identical at every thread count. Host wall time is
+//! read here (the one module exempt from the workspace's `Instant` ban, see
+//! the `allow` below) only for telemetry: each point's `wall_clock_ms` and
+//! the summary line.
 //!
 //! Thread count resolution: explicit option > `DL_THREADS` env var >
 //! `std::thread::available_parallelism()`.
@@ -56,24 +58,24 @@
 
 #![allow(
     clippy::disallowed_types,
-    reason = "host wall time for the watchdog and per-point telemetry; never serialized into a record"
+    reason = "host wall time for per-point telemetry and the summary line; never serialized into a record"
 )]
 
 use dimm_link::config::SystemConfig;
 use dimm_link::runner::{self, host_baseline, simulate, simulate_optimized, RunResult};
 use dimm_link::EnergyBreakdown;
 use dl_engine::stats::StatSet;
-use dl_engine::{Ps, RunBudget, RunStatus};
+use dl_engine::{Ps, RunStatus};
 use dl_workloads::{WorkloadKind, WorkloadParams};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::sync::mpsc;
+use std::time::Instant;
 
 /// What one sweep point executes. Everything a job needs (notably the
 /// seed) lives in the job itself so any worker produces the same result.
@@ -135,8 +137,7 @@ pub struct RunRecord {
     pub stats: StatSet,
     /// Energy split by component.
     pub energy: EnergyBreakdown,
-    /// Whether the run completed or a deterministic [`RunBudget`] cut it
-    /// short.
+    /// Whether the run completed or its simulated-time cap cut it short.
     pub status: RunStatus,
     /// Host wall-clock time spent simulating this point.
     #[serde(skip)]
@@ -176,7 +177,7 @@ impl RunRecord {
 }
 
 /// How one sweep point ended, as journaled. `Done` entries are reused by
-/// `--resume`; `Failed` and `TimedOut` entries are re-run.
+/// `--resume`; `Failed` entries are re-run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum PointOutcome {
     /// The point finished and produced a record.
@@ -185,11 +186,6 @@ pub enum PointOutcome {
     Failed {
         /// Panic payload text.
         message: String,
-    },
-    /// The wall-clock watchdog gave up on the point.
-    TimedOut {
-        /// The watchdog budget that expired, in milliseconds.
-        budget_ms: u64,
     },
 }
 
@@ -202,7 +198,7 @@ struct JournalLine {
     outcome: PointOutcome,
 }
 
-/// A sweep point failed (its job panicked, timed out, or never ran).
+/// A sweep point failed (its job panicked or never ran).
 #[derive(Debug, Clone)]
 pub struct SweepError {
     /// Label of the first failing point in submission order.
@@ -211,7 +207,7 @@ pub struct SweepError {
     pub message: String,
     /// Points that completed and were journaled despite the failure.
     pub completed: usize,
-    /// Points that failed, timed out, or never ran.
+    /// Points that failed or never ran.
     pub failed: usize,
 }
 
@@ -244,12 +240,6 @@ pub struct SweepOptions {
     pub quiet: bool,
     /// Load previously journaled points instead of re-simulating them.
     pub resume: bool,
-    /// Wall-clock watchdog per point: a point still running after this
-    /// long is journaled as `timed_out` and the sweep moves on (its worker
-    /// thread is left behind — safe Rust cannot kill it). `None` disables
-    /// the watchdog. Nondeterministic by nature; prefer
-    /// [`Sweep::apply_budget`] for reproducible cut-offs.
-    pub point_budget: Option<Duration>,
     /// Test hook simulating a killed process: dispatch only this many
     /// not-yet-journaled points, journal them, then bail out with an error
     /// before writing the artifact.
@@ -417,20 +407,17 @@ impl Sweep {
         })
     }
 
-    /// Applies a deterministic engine budget to every `Simulate` point.
+    /// Caps the simulated time of every `Simulate` point at `cap`
+    /// (`SystemConfig::max_sim`).
     ///
     /// Host baselines and custom closures are not engine event loops, so
-    /// they are unaffected; the wall-clock watchdog
-    /// ([`SweepOptions::point_budget`]) still covers them. The budget is
-    /// part of each point's journal key: budgeted and unbudgeted runs of
-    /// the same sweep never reuse each other's journal entries.
-    pub fn apply_budget(&mut self, budget: RunBudget) {
-        if budget.is_unlimited() {
-            return;
-        }
+    /// they are unaffected. The cap is part of each point's journal key:
+    /// capped and uncapped runs of the same sweep never reuse each other's
+    /// journal entries.
+    pub fn cap_sim_time(&mut self, cap: Ps) {
         for p in &mut self.points {
             if let Job::Simulate { cfg, .. } = &mut p.job {
-                cfg.budget = budget;
+                cfg.max_sim = Some(cap);
             }
         }
     }
@@ -443,19 +430,19 @@ impl Sweep {
         self.run_with(&SweepOptions::default())
     }
 
-    /// Runs every point across `min(points, threads)` workers, collecting
-    /// records in submission order, journaling each finished point,
-    /// writing the JSON-lines artifact atomically, and printing the
-    /// per-sweep summary.
+    /// Runs every point across `min(points, threads)` scoped workers
+    /// (joined before this returns), collecting records in submission
+    /// order, journaling each finished point, writing the JSON-lines
+    /// artifact atomically, and printing the per-sweep summary.
     ///
     /// Every point runs even if some fail: failures are journaled, the
     /// artifact of successful records is still written, and only then is
     /// the first failure (in submission order) reported.
     ///
     /// # Errors
-    /// Returns the first (in submission order) point that panicked or
-    /// timed out; `SweepError::completed` counts the work that was
-    /// preserved. On `Ok`, `records` holds every point.
+    /// Returns the first (in submission order) point that panicked;
+    /// `SweepError::completed` counts the work that was preserved. On
+    /// `Ok`, `records` holds every point.
     pub fn run_with(self, opts: &SweepOptions) -> Result<SweepOutcome, SweepError> {
         let Sweep { name, points } = self;
         let total = points.len();
@@ -466,14 +453,12 @@ impl Sweep {
             .clone()
             .unwrap_or_else(|| PathBuf::from("target/sweeps"));
 
-        // Content keys double as journal keys. Labels are kept aside for
-        // error reporting (the points themselves move into the workers).
+        // Content keys double as journal keys.
         let keys: Vec<String> = points.iter().map(point_key).collect();
-        let labels: Vec<String> = points.iter().map(|p| p.label.clone()).collect();
         let mut slots: Vec<Option<PointOutcome>> = (0..total).map(|_| None).collect();
 
         // Resume: prefill slots from the journal; only `Done` outcomes are
-        // reused (failed/timed-out points get another chance).
+        // reused (failed points get another chance).
         let journal_path = out_dir.join(format!("{name}.journal.jsonl"));
         let mut resumed = 0usize;
         if artifacts && opts.resume {
@@ -508,108 +493,33 @@ impl Sweep {
             .min(pending.len())
             .max(1);
 
-        let (tx, rx) = mpsc::channel::<Msg>();
-        let ctx = WorkerCtx {
-            points: Arc::new(points),
-            pending: Arc::new(pending.clone()),
-            next: Arc::new(AtomicUsize::new(0)),
-            tx,
-        };
-        for _ in 0..threads {
-            spawn_worker(ctx.clone());
-        }
-        // Keep a sender only if the watchdog may need replacement workers;
-        // otherwise let the channel disconnect when the workers finish.
-        let replacer = opts.point_budget.map(|_| ctx.clone());
-        drop(ctx);
-
         let mut wall: Vec<f64> = vec![0.0; total];
-        let mut inflight: BTreeMap<usize, Instant> = BTreeMap::new();
-        let mut abandoned: BTreeSet<usize> = BTreeSet::new();
-        let mut unresolved = pending.len();
-        while unresolved > 0 {
-            let earliest = opts
-                .point_budget
-                .and_then(|b| inflight.values().map(|&t0| t0 + b).min());
-            let msg = match earliest {
-                Some(deadline) => {
-                    let wait = deadline.saturating_duration_since(Instant::now());
-                    match rx.recv_timeout(wait) {
-                        Ok(m) => Some(m),
-                        Err(mpsc::RecvTimeoutError::Timeout) => None,
-                        Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-                None => match rx.recv() {
-                    Ok(m) => Some(m),
-                    Err(_) => break,
-                },
-            };
-            match msg {
-                Some(Msg::Started { slot }) => {
-                    inflight.insert(slot, Instant::now());
-                }
-                Some(Msg::Finished {
-                    slot,
-                    result,
-                    wall_ms,
-                }) => {
-                    if abandoned.contains(&slot) {
-                        continue; // late finisher of a timed-out point
-                    }
-                    inflight.remove(&slot);
-                    wall[slot] = wall_ms;
-                    let outcome = match *result {
-                        Ok(record) => PointOutcome::Done(record),
-                        Err(message) => PointOutcome::Failed { message },
-                    };
-                    if let Some(j) = journal.as_mut() {
-                        j.append(&keys[slot], &outcome);
-                    }
-                    slots[slot] = Some(outcome);
-                    unresolved -= 1;
-                }
-                None => {
-                    // Watchdog tick: give up on every point over budget.
-                    let Some(budget) = opts.point_budget else {
-                        continue;
-                    };
-                    let now = Instant::now();
-                    let expired: Vec<usize> = inflight
-                        .iter()
-                        .filter(|&(_, &t0)| now.duration_since(t0) >= budget)
-                        .map(|(&s, _)| s)
-                        .collect();
-                    for slot in expired {
-                        inflight.remove(&slot);
-                        abandoned.insert(slot);
-                        let outcome = PointOutcome::TimedOut {
-                            budget_ms: budget.as_millis() as u64,
-                        };
-                        if let Some(j) = journal.as_mut() {
-                            j.append(&keys[slot], &outcome);
-                        }
-                        slots[slot] = Some(outcome);
-                        unresolved -= 1;
-                        // The stuck worker cannot be killed in safe Rust;
-                        // restore parallelism with a fresh one.
-                        if let Some(ctx) = &replacer {
-                            spawn_worker(ctx.clone());
-                        }
-                    }
-                }
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            let (tx, rx) = mpsc::channel::<Finished>();
+            for _ in 0..threads {
+                let (points, pending, next, tx) = (&points, &pending, &next, tx.clone());
+                scope.spawn(move || work(points, pending, next, tx));
             }
-        }
-        drop(rx);
-
-        // Workers only exit without reporting on an abnormal break above.
-        for &slot in &pending {
-            if slots[slot].is_none() {
-                slots[slot] = Some(PointOutcome::Failed {
-                    message: "worker thread exited without reporting a result".into(),
-                });
+            // The channel disconnects once every worker has run out of points.
+            drop(tx);
+            for Finished {
+                slot,
+                result,
+                wall_ms,
+            } in rx
+            {
+                wall[slot] = wall_ms;
+                let outcome = match result {
+                    Ok(record) => PointOutcome::Done(record),
+                    Err(message) => PointOutcome::Failed { message },
+                };
+                if let Some(j) = journal.as_mut() {
+                    j.append(&keys[slot], &outcome);
+                }
+                slots[slot] = Some(outcome);
             }
-        }
+        });
 
         if opts.halt_after.is_some() {
             // Simulated kill: journaled work stays, no artifact is written.
@@ -635,9 +545,6 @@ impl Sweep {
                     continue;
                 }
                 Some(PointOutcome::Failed { message }) => message.clone(),
-                Some(PointOutcome::TimedOut { budget_ms }) => {
-                    format!("timed out after {budget_ms} ms (wall-clock point budget)")
-                }
                 None => "never ran".into(),
             };
             failed += 1;
@@ -683,7 +590,7 @@ impl Sweep {
         }
         match first_failure {
             Some((i, message)) => Err(SweepError {
-                label: labels[i].clone(),
+                label: points[i].label.clone(),
                 message,
                 completed,
                 failed,
@@ -723,42 +630,18 @@ impl SweepOutcome {
     }
 }
 
-/// Message from a worker to the collector.
-enum Msg {
-    /// A worker began executing the point at this submission index.
-    Started { slot: usize },
-    /// A worker finished the point (boxed: records dwarf the other arm).
-    Finished {
-        slot: usize,
-        result: Box<Result<RunRecord, String>>,
-        wall_ms: f64,
-    },
+/// A worker's report of one finished point.
+struct Finished {
+    slot: usize,
+    result: Result<RunRecord, String>,
+    wall_ms: f64,
 }
 
-/// Everything a worker needs; cloned per worker (and per watchdog
-/// replacement).
-#[derive(Clone)]
-struct WorkerCtx {
-    points: Arc<Vec<SweepPoint>>,
-    /// Submission indices still to run, claimed in order via `next`.
-    pending: Arc<Vec<usize>>,
-    next: Arc<AtomicUsize>,
-    tx: mpsc::Sender<Msg>,
-}
-
-/// Spawns a detached worker. Detached on purpose: a worker stuck inside a
-/// hung point cannot be joined; the collector times the point out and the
-/// thread dies with the process.
-fn spawn_worker(ctx: WorkerCtx) {
-    std::thread::spawn(move || loop {
-        let i = ctx.next.fetch_add(1, Ordering::Relaxed);
-        let Some(&slot) = ctx.pending.get(i) else {
-            break;
-        };
-        let point = &ctx.points[slot];
-        if ctx.tx.send(Msg::Started { slot }).is_err() {
-            break; // collector is gone
-        }
+/// One worker: claims the next pending point (in submission order) until
+/// none is left, reporting each result to the collector.
+fn work(points: &[SweepPoint], pending: &[usize], next: &AtomicUsize, tx: mpsc::Sender<Finished>) {
+    while let Some(&slot) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
+        let point = &points[slot];
         let t0 = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| execute(&point.job)));
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -775,18 +658,15 @@ fn spawn_worker(ctx: WorkerCtx) {
             }),
             Err(payload) => Err(panic_text(payload.as_ref())),
         };
-        if ctx
-            .tx
-            .send(Msg::Finished {
-                slot,
-                result: Box::new(result),
-                wall_ms,
-            })
-            .is_err()
-        {
-            break;
+        let finished = Finished {
+            slot,
+            result,
+            wall_ms,
+        };
+        if tx.send(finished).is_err() {
+            break; // collector is gone
         }
-    });
+    }
 }
 
 fn execute(job: &Job) -> RunResult {
@@ -1190,43 +1070,11 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_times_out_a_hung_point_and_moves_on() {
-        let dir = temp_dir("watchdog");
-        let mut sweep = Sweep::new("watchdog");
-        sweep.custom("fast", "test", || custom_result(1));
-        sweep.custom("hang", "test", || {
-            std::thread::sleep(Duration::from_millis(2000));
-            custom_result(2)
-        });
-        sweep.custom("after", "test", move || custom_result(3));
-        let err = sweep
-            .run_with(&SweepOptions {
-                threads: Some(2),
-                out_dir: Some(dir.clone()),
-                point_budget: Some(Duration::from_millis(100)),
-                ..SweepOptions::default()
-            })
-            .unwrap_err();
-        assert_eq!(err.label, "hang");
-        assert!(err.message.contains("timed out"), "{err}");
-        assert_eq!((err.completed, err.failed), (2, 1));
-        let journal = std::fs::read_to_string(dir.join("watchdog.journal.jsonl")).unwrap();
-        assert!(journal.contains("TimedOut"), "{journal}");
-        // The artifact still holds the points that finished.
-        let artifact = std::fs::read_to_string(dir.join("watchdog.jsonl")).unwrap();
-        assert_eq!(artifact.lines().count(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn budget_exceeded_records_are_deterministic_across_threads() {
         let dir = temp_dir("budget");
         let run = |threads: usize, sub: &str| {
             let mut sweep = small_sweep("budget");
-            sweep.apply_budget(RunBudget {
-                max_events: Some(500),
-                max_sim_ps: None,
-            });
+            sweep.cap_sim_time(Ps::from_us(2));
             let out = sweep
                 .run_with(&SweepOptions {
                     threads: Some(threads),
@@ -1237,7 +1085,7 @@ mod tests {
                 .unwrap();
             assert!(
                 out.records.iter().any(|r| !r.status.is_complete()),
-                "budget of 500 events must cut at least one run short"
+                "a 2 us cap must cut at least one run short"
             );
             std::fs::read(out.path.expect("artifact")).unwrap()
         };
@@ -1281,14 +1129,11 @@ mod tests {
         let params2 = WorkloadParams { seed: 43, ..params };
         b.simulate("p", WorkloadKind::Bfs, params2, cfg.clone());
         assert_ne!(point_key(&a.points[0]), point_key(&b.points[0]));
-        // Applying an engine budget also changes the key: budgeted results
-        // must never be mistaken for unbudgeted ones on resume.
+        // A simulated-time cap also changes the key: capped results must
+        // never be mistaken for uncapped ones on resume.
         let mut c = Sweep::new("keys");
         c.simulate("p", WorkloadKind::Bfs, params, cfg);
-        c.apply_budget(RunBudget {
-            max_events: Some(10),
-            max_sim_ps: None,
-        });
+        c.cap_sim_time(Ps::from_us(10));
         assert_ne!(point_key(&a.points[0]), point_key(&c.points[0]));
     }
 

@@ -10,14 +10,16 @@
 //! dlsim list
 //! ```
 //!
-//! All subcommands accept `--scale N`, `--seed N`, `--json` (machine-readable
-//! output on stdout) and the workload/system flags shown above. The binary
-//! is a thin shell over [`dimm_link::runner`]; this library holds the
-//! parsing and dispatch logic so it can be unit-tested.
+//! All subcommands accept `--scale N`, `--seed N`, `--max-sim-ms N`,
+//! `--json` (machine-readable output on stdout) and the workload/system
+//! flags shown above; `--threads`, `--out` and `--resume` belong to `sweep`
+//! alone. The binary is a thin shell over [`dimm_link::runner`]; this
+//! library holds the parsing and dispatch logic so it can be unit-tested.
 
 use dimm_link::config::{IdcKind, PollingStrategy, SyncScheme, SystemConfig};
 use dimm_link::runner::{host_baseline, simulate, simulate_optimized, RunResult};
 use dl_bench::sweep::{Sweep, SweepOptions};
+use dl_engine::RunStatus;
 use dl_noc::TopologyKind;
 use dl_workloads::{WorkloadKind, WorkloadParams};
 use std::fmt;
@@ -85,11 +87,7 @@ pub struct RunSpec {
     /// Reuse journaled points from an interrupted sweep (sweep only,
     /// requires `--out`).
     pub resume: bool,
-    /// Wall-clock watchdog per sweep point, seconds (sweep only).
-    pub point_budget_secs: Option<f64>,
-    /// Deterministic engine event budget per run.
-    pub max_events: Option<u64>,
-    /// Deterministic simulated-time budget per run, milliseconds.
+    /// Simulated-time cap per NMP run, milliseconds.
     pub max_sim_ms: Option<u64>,
 }
 
@@ -113,8 +111,6 @@ impl Default for RunSpec {
             threads: None,
             out_dir: None,
             resume: false,
-            point_budget_secs: None,
-            max_events: None,
             max_sim_ms: None,
         }
     }
@@ -194,6 +190,9 @@ fn parse_polling(s: &str) -> Result<PollingStrategy, CliError> {
     })
 }
 
+/// Flags that configure the sweep harness and mean nothing to one run.
+const SWEEP_ONLY: [&str; 5] = ["--threads", "--out", "--resume", "--param", "--values"];
+
 /// Parses the full argument vector (excluding the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let Some(sub) = args.first() else {
@@ -211,6 +210,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut values: Vec<u64> = Vec::new();
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
+        if SWEEP_ONLY.contains(&a.as_str()) && sub != "sweep" {
+            return Err(err(format!("{a} only applies to sweep, not {sub}")));
+        }
         let mut next = |flag: &str| -> Result<&String, CliError> {
             it.next()
                 .ok_or_else(|| err(format!("{flag} needs a value")))
@@ -266,22 +268,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             }
             "--out" => spec.out_dir = Some(PathBuf::from(next(a)?)),
             "--resume" => spec.resume = true,
-            "--point-budget" => {
-                let s: f64 = next(a)?
-                    .parse()
-                    .map_err(|_| err("--point-budget: not a number of seconds"))?;
-                if s.is_nan() || s <= 0.0 {
-                    return Err(err("--point-budget must be positive"));
-                }
-                spec.point_budget_secs = Some(s);
-            }
-            "--max-events" => {
-                spec.max_events = Some(
-                    next(a)?
-                        .parse()
-                        .map_err(|_| err("--max-events: not a number"))?,
-                )
-            }
             "--max-sim-ms" => {
                 spec.max_sim_ms = Some(
                     next(a)?
@@ -345,6 +331,7 @@ pub fn system_of(spec: &RunSpec) -> Result<SystemConfig, CliError> {
     if let Some(gb) = spec.link_gbps {
         cfg.link = cfg.link.with_bandwidth(gb * 1_000_000_000);
     }
+    cfg.max_sim = spec.max_sim_ms.map(dl_bench::sim_cap_of_ms);
     cfg.validate().map_err(CliError)?;
     Ok(cfg)
 }
@@ -388,6 +375,8 @@ pub struct CompareRow {
     pub speedup_vs_host: f64,
     /// Non-overlapped IDC stall fraction.
     pub idc_stall_frac: f64,
+    /// Whether the run completed or `--max-sim-ms` cut it short.
+    pub status: RunStatus,
 }
 
 /// Runs the `compare` subcommand: host + all mechanisms + DL-opt.
@@ -399,6 +388,7 @@ pub fn execute_compare(spec: &RunSpec) -> Result<Vec<CompareRow>, CliError> {
         elapsed_ns: host_ns,
         speedup_vs_host: 1.0,
         idc_stall_frac: 0.0,
+        status: RunStatus::Completed,
     }];
     for idc in [
         IdcKind::CpuForwarding,
@@ -417,6 +407,7 @@ pub fn execute_compare(spec: &RunSpec) -> Result<Vec<CompareRow>, CliError> {
             elapsed_ns: r.elapsed.as_ns_f64(),
             speedup_vs_host: host_ns / r.elapsed.as_ns_f64(),
             idc_stall_frac: r.idc_stall_frac(),
+            status: r.status,
         });
     }
     let mut s = spec.clone();
@@ -430,6 +421,7 @@ pub fn execute_compare(spec: &RunSpec) -> Result<Vec<CompareRow>, CliError> {
         elapsed_ns: r.elapsed.as_ns_f64(),
         speedup_vs_host: host_ns / r.elapsed.as_ns_f64(),
         idc_stall_frac: r.idc_stall_frac(),
+        status: r.status,
     });
     Ok(rows)
 }
@@ -468,10 +460,6 @@ pub fn execute_sweep(
             sweep.simulate(label, s.workload, params_of(&s), cfg);
         }
     }
-    sweep.apply_budget(dl_engine::RunBudget {
-        max_events: spec.max_events,
-        max_sim_ps: spec.max_sim_ms.map(|ms| ms.saturating_mul(1_000_000_000)),
-    });
     if spec.resume && spec.out_dir.is_none() {
         return Err(err("--resume needs --out DIR (the journal lives there)"));
     }
@@ -481,9 +469,6 @@ pub fn execute_sweep(
         // Without --out there is no artifact to announce; keep stderr clean.
         quiet: spec.out_dir.is_none(),
         resume: spec.resume,
-        point_budget: spec
-            .point_budget_secs
-            .map(std::time::Duration::from_secs_f64),
         halt_after: None,
     };
     let out = sweep.run_with(&opts).map_err(|e| CliError(e.to_string()))?;
@@ -513,20 +498,20 @@ pub fn usage() -> String {
      USAGE:\n\
      \x20 dlsim run     --workload <w> [--dimms N --channels N --idc <m> --opt] [flags]\n\
      \x20 dlsim compare --workload <w> [--dimms N --channels N] [flags]\n\
-     \x20 dlsim sweep   --workload <w> --param <p> --values a,b,c [--threads N --out DIR] [flags]\n\
+     \x20 dlsim sweep   --workload <w> --param <p> --values a,b,c [--threads N --out DIR --resume] [flags]\n\
      \x20 dlsim list\n\n\
      FLAGS: --scale N  --seed N  --broadcast  --locality F  --topology <t>\n\
      \x20      --polling <s>  --sync <s>  --link-gbps N  --json\n\
-     \x20      --resume  --point-budget SECS  --max-events N  --max-sim-ms N\n\n\
+     \x20      --max-sim-ms N\n\n\
      Sweeps fan out over --threads workers (default: DL_THREADS, else all\n\
      cores); results are deterministic regardless of thread count. Each\n\
      run is itself sequential. With --out DIR the sweep also writes\n\
      DIR/dlsim_<param>.jsonl, journaling each finished point to\n\
      DIR/dlsim_<param>.journal.jsonl so an interrupted sweep restarts\n\
-     where it stopped with --resume.\n\
-     --max-events/--max-sim-ms cap each run deterministically inside the\n\
-     engine (the record is marked BudgetExceeded); --point-budget is a\n\
-     wall-clock watchdog that abandons hung points.\n\n\
+     where it stopped with --resume (--threads, --out and --resume apply\n\
+     to sweep only).\n\
+     --max-sim-ms N stops each NMP run once its simulated clock passes N ms;\n\
+     the cut is deterministic and the run reports BudgetExceeded.\n\n\
      Run `dlsim list` for accepted names."
         .to_string()
 }
@@ -623,10 +608,6 @@ mod tests {
             "--out",
             "/tmp/dlsim-artifacts",
             "--resume",
-            "--point-budget",
-            "2.5",
-            "--max-events",
-            "100000",
             "--max-sim-ms",
             "50",
         ]))
@@ -635,12 +616,52 @@ mod tests {
             panic!("expected Sweep")
         };
         assert!(spec.resume);
-        assert_eq!(spec.point_budget_secs, Some(2.5));
-        assert_eq!(spec.max_events, Some(100_000));
         assert_eq!(spec.max_sim_ms, Some(50));
-        assert!(parse_args(&sv(&["sweep", "--point-budget", "0"])).is_err());
-        assert!(parse_args(&sv(&["sweep", "--point-budget", "nope"])).is_err());
-        assert!(parse_args(&sv(&["sweep", "--max-events", "nope"])).is_err());
+        assert!(parse_args(&sv(&["sweep", "--max-sim-ms", "nope"])).is_err());
+    }
+
+    #[test]
+    fn sweep_only_flags_are_rejected_outside_sweep() {
+        for sub in ["run", "compare"] {
+            for flags in [
+                &["--threads", "2"][..],
+                &["--out", "dir"],
+                &["--resume"],
+                &["--param", "dimms"],
+                &["--values", "4,8"],
+            ] {
+                let mut line = vec![sub];
+                line.extend_from_slice(flags);
+                let e = parse_args(&sv(&line)).unwrap_err();
+                assert!(e.to_string().contains("only applies to sweep"), "{e}");
+            }
+            // The simulated-time cap applies to single runs too.
+            assert!(parse_args(&sv(&[sub, "--max-sim-ms", "1"])).is_ok());
+        }
+    }
+
+    #[test]
+    fn max_sim_ms_caps_run_and_compare() {
+        let spec = RunSpec {
+            workload: WorkloadKind::KMeans,
+            dimms: 4,
+            channels: 2,
+            scale: 7,
+            max_sim_ms: Some(0),
+            ..RunSpec::default()
+        };
+        assert_eq!(system_of(&spec).unwrap().max_sim, Some(dl_engine::Ps::ZERO));
+        let cut = RunStatus::BudgetExceeded(dl_engine::BudgetKind::SimTime);
+        assert_eq!(execute_run(&spec).unwrap().status, cut);
+        let rows = execute_compare(&spec).unwrap();
+        assert_eq!(rows[0].status, RunStatus::Completed, "host baseline");
+        assert!(rows[1..].iter().all(|r| r.status == cut));
+        let uncapped = RunSpec {
+            max_sim_ms: None,
+            ..spec
+        };
+        assert_eq!(system_of(&uncapped).unwrap().max_sim, None);
+        assert!(execute_run(&uncapped).unwrap().status.is_complete());
     }
 
     #[test]

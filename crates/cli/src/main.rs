@@ -35,6 +35,7 @@ fn dispatch(cmd: Command) -> Result<(), dl_cli::CliError> {
                     idc_stall_frac: f64,
                     bus_occupancy: f64,
                     energy_j: f64,
+                    status: dl_engine::RunStatus,
                     stats: &'a dl_engine::stats::StatSet,
                 }
                 let out = Out {
@@ -43,6 +44,7 @@ fn dispatch(cmd: Command) -> Result<(), dl_cli::CliError> {
                     idc_stall_frac: r.idc_stall_frac(),
                     bus_occupancy: r.bus_occupancy(),
                     energy_j: r.energy.total(),
+                    status: r.status,
                     stats: &r.stats,
                 };
                 println!(
@@ -51,6 +53,9 @@ fn dispatch(cmd: Command) -> Result<(), dl_cli::CliError> {
                 );
             } else {
                 println!("elapsed          : {}", r.elapsed);
+                if !r.status.is_complete() {
+                    println!("status           : {}", r.status);
+                }
                 if r.profiling > dl_engine::Ps::ZERO {
                     println!("  profiling phase: {}", r.profiling);
                 }
@@ -80,8 +85,13 @@ fn dispatch(cmd: Command) -> Result<(), dl_cli::CliError> {
                     "system", "elapsed", "speedup", "idc-stall"
                 );
                 for r in rows {
+                    let cut = if r.status.is_complete() {
+                        String::new()
+                    } else {
+                        format!("  ({})", r.status)
+                    };
                     println!(
-                        "{:<16} {:>12.1}us {:>9.2}x {:>9.1}%",
+                        "{:<16} {:>12.1}us {:>9.2}x {:>9.1}%{cut}",
                         r.system,
                         r.elapsed_ns / 1e3,
                         r.speedup_vs_host,

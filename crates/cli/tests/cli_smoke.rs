@@ -56,6 +56,43 @@ fn run_emits_valid_json() {
 }
 
 #[test]
+fn run_reports_a_simulated_time_cut() {
+    let line = [
+        "run",
+        "--workload",
+        "km",
+        "--dimms",
+        "4",
+        "--channels",
+        "2",
+        "--scale",
+        "7",
+        "--max-sim-ms",
+        "0",
+    ];
+    let out = dlsim().args(line).output().unwrap();
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("status           : exceeded the simulated-time budget"),
+        "{text}"
+    );
+
+    let out = dlsim().args(line).arg("--json").output().unwrap();
+    assert!(out.status.success());
+    let v: serde_json::Value = serde_json::from_slice(&out.stdout).unwrap();
+    assert_eq!(v["status"]["BudgetExceeded"].as_str(), Some("SimTime"));
+
+    // A completed run prints no status line and reports "Completed".
+    let full = &line[..line.len() - 2];
+    let out = dlsim().args(full).output().unwrap();
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("status"));
+    let out = dlsim().args(full).arg("--json").output().unwrap();
+    let v: serde_json::Value = serde_json::from_slice(&out.stdout).unwrap();
+    assert_eq!(v["status"].as_str(), Some("Completed"));
+}
+
+#[test]
 fn sweep_prints_every_value() {
     let out = dlsim()
         .args([

@@ -1,6 +1,6 @@
 //! System configuration (paper Table V plus the knobs of Sections IV–VI).
 
-use dl_engine::{Freq, Ps, RunBudget};
+use dl_engine::{Freq, Ps};
 use dl_mem::{CacheConfig, DramConfig};
 use dl_noc::{LinkParams, TopologyKind};
 use dl_protocol::MAX_DIMMS;
@@ -167,10 +167,10 @@ pub struct SystemConfig {
     pub cxl_bandwidth: u64,
     /// One-way CXL fabric latency (port + switch + wire).
     pub cxl_latency: Ps,
-    /// Deterministic run budget (scheduled events / simulated time); the
-    /// default is unlimited. Exceeding it ends the run with
-    /// [`dl_engine::RunStatus::BudgetExceeded`] instead of panicking.
-    pub budget: RunBudget,
+    /// Simulated-time cap on a run; `None` (the default) is unlimited. A
+    /// run whose clock passes it ends with
+    /// [`dl_engine::RunStatus::BudgetExceeded`] and reports the prefix.
+    pub max_sim: Option<Ps>,
 }
 
 impl SystemConfig {
@@ -218,7 +218,7 @@ impl SystemConfig {
             seed: 42,
             cxl_bandwidth: 32_000_000_000,
             cxl_latency: Ps::from_ns(250),
-            budget: RunBudget::UNLIMITED,
+            max_sim: None,
         }
     }
 

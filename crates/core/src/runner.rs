@@ -19,8 +19,8 @@ pub struct RunResult {
     pub stats: StatSet,
     /// Energy of the measured run.
     pub energy: EnergyBreakdown,
-    /// Whether every phase of the experiment ran to completion, or a
-    /// configured [`dl_engine::RunBudget`] cut one short. For optimized
+    /// Whether every phase of the experiment ran to completion, or the
+    /// configured [`SystemConfig::max_sim`] cap cut one short. For optimized
     /// runs this merges the profiling and measured phases.
     pub status: RunStatus,
 }
@@ -197,24 +197,17 @@ mod tests {
         let full = simulate(&wl, &cfg);
         assert!(full.status.is_complete());
 
-        cfg.budget.max_events = Some(5_000);
+        let cap = Ps::from_ps(full.elapsed.as_ps() / 4);
+        cfg.max_sim = Some(cap);
         let cut = simulate(&wl, &cfg);
-        assert_eq!(cut.status, RunStatus::BudgetExceeded(BudgetKind::Events));
-        assert!(cut.elapsed < full.elapsed);
+        assert_eq!(cut.status, RunStatus::BudgetExceeded(BudgetKind::SimTime));
+        assert!(cut.elapsed > cap && cut.elapsed < full.elapsed);
         assert_eq!(cut.stats.get("run.completed"), Some(0.0));
         // The cut-off is a property of the simulation, not the machine:
         // repeating the run reproduces it exactly.
         let again = simulate(&wl, &cfg);
         assert_eq!(again.elapsed, cut.elapsed);
         assert_eq!(again.stats, cut.stats);
-
-        cfg.budget = dl_engine::RunBudget {
-            max_events: None,
-            max_sim_ps: Some(full.elapsed.as_ps() / 4),
-        };
-        let timed = simulate(&wl, &cfg);
-        assert_eq!(timed.status, RunStatus::BudgetExceeded(BudgetKind::SimTime));
-        assert!(timed.elapsed < full.elapsed);
     }
 
     #[test]

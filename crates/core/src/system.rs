@@ -85,7 +85,7 @@ const SYNC_PROC: Ps = Ps::from_ns(5);
 /// Sync message payload (a flag/sequence number): one flit on the wire.
 const SYNC_BYTES: u64 = NOTIFY_BYTES;
 /// Hard backstop on total scheduled events: catches runaway simulations
-/// even when the run's own [`dl_engine::RunBudget`] is unlimited.
+/// even when the run has no simulated-time cap.
 const EVENT_BUDGET: u64 = 2_000_000_000;
 
 #[derive(Debug, Clone, Copy)]
@@ -232,7 +232,7 @@ pub struct RawRun {
     /// Per-thread × per-DIMM traffic counts (Algorithm 1's `M` table).
     pub profile: AccessProfile,
     /// Whether the run finished or was cut off by the configured
-    /// [`dl_engine::RunBudget`].
+    /// simulated-time cap (or the event backstop).
     pub status: RunStatus,
 }
 
@@ -492,13 +492,11 @@ impl<'w> NmpSystem<'w> {
         self.lookahead
     }
 
-    /// Runs to completion (or until the configured [`dl_engine::RunBudget`]
-    /// is exceeded) and collects results.
+    /// Runs to completion (or until the furthest partition clock passes the
+    /// configured [`SystemConfig::max_sim`]) and collects results.
     ///
-    /// Budgets are observed deterministically at the top of each epoch (the
-    /// sum of per-partition scheduled-event counters and the maximum
-    /// partition clock); see [`dl_engine::BudgetKind`] for the overshoot
-    /// contract. A runaway run with an unlimited budget stops with
+    /// The cap is checked at the top of each epoch, so a cut run stops at
+    /// the first epoch boundary past it. A runaway run stops with
     /// [`BudgetKind::Backstop`] instead of panicking.
     ///
     /// # Panics
@@ -686,7 +684,7 @@ impl<'w> NmpSystem<'w> {
 
 /// Decides what the next epoch is: inspects every partition's clock, queue,
 /// and progress counters and applies the run-level checks in a fixed order
-/// — done, backstop, configured budget, deadlock (which panics).
+/// — done, backstop, simulated-time cap, deadlock (which panics).
 fn epoch_plan(parts: &[DimmPart], cfg: &SystemConfig, lookahead: Ps) -> Plan {
     let mut done = 0;
     let mut total = 0;
@@ -706,8 +704,8 @@ fn epoch_plan(parts: &[DimmPart], cfg: &SystemConfig, lookahead: Ps) -> Plan {
     if scheduled >= EVENT_BUDGET {
         return Plan::Stop(RunStatus::BudgetExceeded(BudgetKind::Backstop));
     }
-    if let Some(kind) = cfg.budget.check(scheduled, high) {
-        return Plan::Stop(RunStatus::BudgetExceeded(kind));
+    if cfg.max_sim.is_some_and(|cap| high > cap) {
+        return Plan::Stop(RunStatus::BudgetExceeded(BudgetKind::SimTime));
     }
     assert!(
         next != Ps::MAX,
@@ -1646,29 +1644,6 @@ mod tests {
             assert_eq!(poked.stats.get("atomics"), Some(4.0));
             assert_eq!(poked.stats.get("barriers"), base.stats.get("barriers"));
         }
-    }
-
-    /// Satellite: the budget is observed at the top of the epoch loop, so a
-    /// fan-out-heavy run overshoots `max_events` by a bounded, deterministic
-    /// amount and stops with the documented status instead of panicking.
-    #[test]
-    fn budget_overshoot_is_bounded_and_deterministic() {
-        let params = quick_params(4);
-        let wl = synth::uniform_random(&params, 200, 0.8);
-        let mut cfg = SystemConfig::nmp(4, 2).with_idc(IdcKind::DimmLink);
-        cfg.budget.max_events = Some(50);
-        let r1 = run(&cfg, &wl);
-        assert_eq!(r1.status, RunStatus::BudgetExceeded(BudgetKind::Events));
-        assert_eq!(r1.stats.get("run.completed"), Some(0.0));
-        let scheduled = r1.stats.get("events_scheduled").unwrap();
-        // Remote-heavy traffic fans out (net hops, mem ticks, wakes), so
-        // the counter legitimately passes the cap before the check runs.
-        assert!(scheduled > 50.0, "overshoot expected, got {scheduled}");
-        // The overshoot is a pure function of config + workload.
-        let r2 = run(&cfg, &wl);
-        assert_eq!(r2.stats.get("events_scheduled"), Some(scheduled));
-        assert_eq!(r1.elapsed, r2.elapsed);
-        assert_eq!(r1.status, r2.status);
     }
 
     /// Merges `outboxes` (in partition order) into a fresh buffer and

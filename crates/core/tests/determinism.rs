@@ -12,6 +12,7 @@ use dimm_link::config::{IdcKind, PlacementPolicy, SyncScheme, SystemConfig};
 use dimm_link::host_sim::HostRun;
 use dimm_link::runner::{host_baseline, simulate, simulate_optimized, RunResult};
 use dl_engine::stats::StatSet;
+use dl_engine::{BudgetKind, Ps, RunStatus};
 use dl_workloads::{WorkloadKind, WorkloadParams};
 
 /// Serializes everything observable about a run into one comparable blob.
@@ -114,8 +115,10 @@ fn result_fingerprint(r: &RunResult) -> String {
 
 /// Pins *what* a run produces, not just that repeated runs agree. Covers
 /// the host baseline on every P2P workload, atomics (K-Means), the central
-/// barrier (TS.Pow on MCN), the NMP broadcast path, and truncated profiling
-/// traces with no-op barriers (the optimized pipeline).
+/// barrier (TS.Pow on MCN), the NMP broadcast path, truncated profiling
+/// traces with no-op barriers (the optimized pipeline), and a run cut short
+/// by a simulated-time cap (SSSP on MCN, stopped at about a third of its
+/// 29.85 us run).
 ///
 /// Each NMP run has two pins. Its *result pin* hashes everything but the
 /// event counts (`events_scheduled`, `events.*`): any change to simulated
@@ -124,6 +127,9 @@ fn result_fingerprint(r: &RunResult) -> String {
 /// fewer or more events (a core that runs further between wakes, a memory
 /// tick that would have made no progress) moves it and keeps the result
 /// pin. The host baseline exports no event counts, so one pin covers it.
+/// The cut run has only a result pin: where a simulated-time cap stops a
+/// run depends on simulated time alone, so it must not move when only the
+/// engine's schedule changes.
 #[test]
 fn golden_fingerprints_are_pinned() {
     let mut hosts: Vec<(String, String)> = WorkloadKind::P2P_SET
@@ -154,6 +160,10 @@ fn golden_fingerprints_are_pinned() {
     runs.push(("PR-BC/DL", pr_bc));
     let bfs = WorkloadKind::Bfs.build(&params);
     runs.push(("BFS/DL-opt", simulate_optimized(&bfs, &dl)));
+    let mut mcn_capped = SystemConfig::nmp(8, 4).with_idc(IdcKind::CpuForwarding);
+    mcn_capped.max_sim = Some(Ps::from_us(10));
+    let cut = simulate(&WorkloadKind::Sssp.build(&params), &mcn_capped);
+    assert_eq!(cut.status, RunStatus::BudgetExceeded(BudgetKind::SimTime));
 
     let pins = |runs: &[(String, String)]| -> Vec<String> {
         runs.iter()
@@ -164,6 +174,10 @@ fn golden_fingerprints_are_pinned() {
         runs.iter()
             .map(|(name, r)| (format!("{name} result"), result_fingerprint(r))),
     );
+    hosts.push((
+        "SSSP/MCN cut at 10us result".into(),
+        result_fingerprint(&cut),
+    ));
     let results = [
         "host BFS f6cea4d6f665d604",
         "host HS 1b459df513de8ded",
@@ -175,6 +189,7 @@ fn golden_fingerprints_are_pinned() {
         "TS.Pow/MCN-central result 4bc1c9cd5a75156d",
         "PR-BC/DL result b694854d9c066e4a",
         "BFS/DL-opt result 8b40c907c1fa9511",
+        "SSSP/MCN cut at 10us result 02a4e0e681d95a63",
     ];
     assert_eq!(pins(&hosts), results, "a pinned simulation result changed");
     let schedules: Vec<(String, String)> = runs

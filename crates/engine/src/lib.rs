@@ -35,7 +35,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use budget::{BudgetKind, RunBudget, RunStatus};
+pub use budget::{BudgetKind, RunStatus};
 pub use event::{EventKey, EventQueue};
 pub use resource::{BandwidthResource, Resource};
 pub use rng::DetRng;

@@ -222,11 +222,6 @@ impl Freq {
         Freq(hz)
     }
 
-    /// Creates a frequency from megahertz.
-    pub fn from_mhz(mhz: u64) -> Self {
-        Self::from_hz(mhz * 1_000_000)
-    }
-
     /// Creates a frequency from (fractional) gigahertz.
     ///
     /// # Panics
@@ -296,7 +291,7 @@ mod tests {
         assert_eq!(Freq::from_ghz(1.0).period(), Ps::from_ps(1_000));
         assert_eq!(Freq::from_ghz(3.0).period(), Ps::from_ps(333));
         // DDR4-2400 I/O clock is 1200 MHz.
-        assert_eq!(Freq::from_mhz(1200).period(), Ps::from_ps(833));
+        assert_eq!(Freq::from_hz(1_200_000_000).period(), Ps::from_ps(833));
     }
 
     #[test]

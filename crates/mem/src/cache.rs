@@ -43,16 +43,6 @@ impl CacheConfig {
         }
     }
 
-    /// A 2 MB host last-level cache slice (16-way, 35-cycle hits).
-    pub fn llc_2m() -> Self {
-        CacheConfig {
-            capacity_bytes: 2 * 1024 * 1024,
-            ways: 16,
-            line_bytes: 64,
-            hit_latency_cycles: 35,
-        }
-    }
-
     /// Number of sets.
     pub fn sets(&self) -> u32 {
         self.capacity_bytes / (self.ways * self.line_bytes)
@@ -247,11 +237,7 @@ mod tests {
 
     #[test]
     fn geometry_presets_are_valid() {
-        for cfg in [
-            CacheConfig::l1_32k(),
-            CacheConfig::l2_128k(),
-            CacheConfig::llc_2m(),
-        ] {
+        for cfg in [CacheConfig::l1_32k(), CacheConfig::l2_128k()] {
             cfg.validate().unwrap();
             assert!(cfg.sets().is_power_of_two());
         }

@@ -17,7 +17,6 @@ use serde::{Deserialize, Serialize};
 /// m.record(0, 3, 10);
 /// m.record(0, 3, 5);
 /// assert_eq!(m.get(0, 3), 15);
-/// assert_eq!(m.total_for_thread(0), 15);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AccessProfile {
@@ -68,11 +67,6 @@ impl AccessProfile {
     /// The count `M[thread][dimm]`.
     pub fn get(&self, thread: usize, dimm: usize) -> u64 {
         self.counts[thread * self.dimms + dimm]
-    }
-
-    /// Total accesses recorded for one thread.
-    pub fn total_for_thread(&self, thread: usize) -> u64 {
-        (0..self.dimms).map(|d| self.get(thread, d)).sum()
     }
 
     /// Total accesses recorded overall.
@@ -129,8 +123,6 @@ mod tests {
         m.record(1, 1, 6);
         m.record(2, 1, 1);
         assert_eq!(m.get(1, 0), 4);
-        assert_eq!(m.total_for_thread(1), 10);
-        assert_eq!(m.total_for_thread(0), 0);
         assert_eq!(m.total(), 11);
     }
 

@@ -99,11 +99,6 @@ impl DlCommand {
             other => return Err(ProtocolError::BadCommand(other)),
         })
     }
-
-    /// Whether packets with this command expect a response packet.
-    pub fn expects_response(self) -> bool {
-        matches!(self, DlCommand::ReadReq | DlCommand::Atomic)
-    }
 }
 
 /// Errors produced by packet construction and decoding.
@@ -470,14 +465,6 @@ mod tests {
             Packet::decode(&bad),
             Err(ProtocolError::CrcMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn expects_response_classification() {
-        assert!(DlCommand::ReadReq.expects_response());
-        assert!(DlCommand::Atomic.expects_response());
-        assert!(!DlCommand::WriteReq.expects_response());
-        assert!(!DlCommand::Broadcast.expects_response());
     }
 
     #[test]
