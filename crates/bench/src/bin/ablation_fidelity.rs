@@ -20,8 +20,7 @@ use dl_bench::sweep::Sweep;
 use dl_bench::{print_table, run_sweep, save_json, Args};
 use dl_engine::stats::StatSet;
 use dl_engine::Ps;
-use dl_noc::{FlitNet, FlitNetConfig, LinkParams, PacketNet, Topology, TopologyKind};
-use dl_protocol::FLIT_BYTES;
+use dl_noc::{wire_bytes, FlitNet, FlitNetConfig, LinkParams, PacketNet, Topology, TopologyKind};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -38,8 +37,6 @@ struct Summary {
     differential: FidelityReport,
 }
 
-const PACKET_FLITS: u32 = 17; // max-size packets
-
 fn wrap(makespan: Ps) -> RunResult {
     RunResult {
         elapsed: makespan,
@@ -55,7 +52,7 @@ fn packet_makespan(pairs: &[(usize, usize)]) -> Ps {
     let mut pnet = PacketNet::new(&topo, LinkParams::grs_25gbps());
     let mut last = Ps::ZERO;
     for &(s, d) in pairs {
-        last = last.max(pnet.send(Ps::ZERO, s, d, PACKET_FLITS as u64 * FLIT_BYTES as u64));
+        last = last.max(pnet.send(Ps::ZERO, s, d, wire_bytes(256)));
     }
     last
 }
@@ -64,7 +61,7 @@ fn flit_makespan(pairs: &[(usize, usize)]) -> Ps {
     let topo = Topology::new(TopologyKind::Chain, 8);
     let mut fnet = FlitNet::new(&topo, FlitNetConfig::grs_25gbps());
     for (i, &(s, d)) in pairs.iter().enumerate() {
-        fnet.inject(i as u64, s, d, PACKET_FLITS);
+        fnet.inject(i as u64, s, d, fidelity::MAX_FLITS);
     }
     let deliveries = fnet.run_until_idle(10_000_000);
     let cycles = deliveries.iter().map(|d| d.cycle).max().unwrap_or(0);

@@ -43,8 +43,9 @@ use dimm_link::runner::RunResult;
 use dimm_link::EnergyBreakdown;
 use dl_engine::stats::StatSet;
 use dl_engine::{DetRng, Ps};
-use dl_noc::{FlitNet, FlitNetConfig, LinkParams, PacketNet, Topology, TopologyKind};
-use dl_protocol::FLIT_BYTES;
+use dl_noc::{
+    wire_bytes, FlitNet, FlitNetConfig, LinkParams, PacketNet, Topology, TopologyKind, FLIT_BYTES,
+};
 use serde::Serialize;
 
 /// Per-case relative-error bound on latency (see module docs).
@@ -62,8 +63,8 @@ pub const ABS_ERR_FLOOR: Ps = Ps::from_ns(15);
 /// Suite-wide mean relative-error bound (systematic-drift detector).
 pub const MEAN_REL_ERR_BOUND: f64 = 0.10;
 
-/// Maximum packet size in flits (8 B header + 256 B payload + 8 B tail).
-pub const MAX_FLITS: u32 = 17;
+/// Maximum packet size in flits: a full 256-byte payload (17).
+pub const MAX_FLITS: u32 = (wire_bytes(256) / FLIT_BYTES as u64) as u32;
 
 /// Traffic shapes the generator produces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]

@@ -71,9 +71,9 @@ impl Args {
     /// `--help` prints the usage and exits.
     ///
     /// # Errors
-    /// A numeric flag with a missing or unparsable value, `--threads 0`,
-    /// and an unknown argument — each would otherwise silently run a
-    /// different experiment.
+    /// A valued flag with a missing value, a numeric flag with an
+    /// unparsable value, `--threads 0`, and an unknown argument — each would
+    /// otherwise silently run a different experiment or write elsewhere.
     pub fn parse_from(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         let mut args = Args {
             scale: 0,
@@ -98,7 +98,7 @@ impl Args {
                     }
                     args.threads = Some(n);
                 }
-                "--out" => args.out = it.next().map(std::path::PathBuf::from),
+                "--out" => args.out = Some(flag_value(&mut it, "--out")?),
                 "--resume" => args.resume = true,
                 "--max-sim-ms" => args.max_sim_ms = Some(flag_value(&mut it, "--max-sim-ms")?),
                 "--help" | "-h" => {
@@ -254,6 +254,9 @@ mod tests {
         let err = parse(&["--quick", "--bogus", "1000"]).unwrap_err();
         assert!(err.contains("--bogus"), "{err}");
         assert!(parse(&["1000"]).is_err());
+        // A trailing `--out` must not fall back to the default directory.
+        let err = parse(&["--quick", "--out"]).unwrap_err();
+        assert!(err.contains("--out"), "{err}");
     }
 
     #[test]

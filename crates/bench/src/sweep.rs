@@ -198,7 +198,8 @@ struct JournalLine {
     outcome: PointOutcome,
 }
 
-/// A sweep point failed (its job panicked or never ran).
+/// A sweep point failed (its job panicked or never ran), or the artifact
+/// could not be written (label `<artifact>`).
 #[derive(Debug, Clone)]
 pub struct SweepError {
     /// Label of the first failing point in submission order.
@@ -440,7 +441,8 @@ impl Sweep {
     /// the first failure (in submission order) reported.
     ///
     /// # Errors
-    /// Returns the first (in submission order) point that panicked;
+    /// Returns the first (in submission order) point that panicked, else an
+    /// artifact that could not be written (the journal is then kept);
     /// `SweepError::completed` counts the work that was preserved. On
     /// `Ok`, `records` holds every point.
     pub fn run_with(self, opts: &SweepOptions) -> Result<SweepOutcome, SweepError> {
@@ -563,18 +565,19 @@ impl Sweep {
 
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         let serial_estimate_ms: f64 = wall.iter().sum();
-        let path = if artifacts {
-            write_jsonl(&out_dir, &name, &records)
-        } else {
-            None
+        let (path, write_error) = match artifacts.then(|| write_jsonl(&out_dir, &name, &records)) {
+            Some(Ok(path)) => (Some(path), None),
+            Some(Err(e)) => {
+                let path = out_dir.join(format!("{name}.jsonl"));
+                (None, Some(format!("cannot write {}: {e}", path.display())))
+            }
+            None => (None, None),
         };
-        if failed == 0 {
+        if failed == 0 && path.is_some() {
             // The journal is a checkpoint, not an archive: once the full
             // artifact exists it has nothing left to protect.
             drop(journal.take());
-            if artifacts {
-                let _ = std::fs::remove_file(&journal_path);
-            }
+            let _ = std::fs::remove_file(&journal_path);
         }
 
         let outcome = SweepOutcome {
@@ -588,14 +591,21 @@ impl Sweep {
         if !opts.quiet {
             eprintln!("{}", outcome.summary_line(&name));
         }
-        match first_failure {
-            Some((i, message)) => Err(SweepError {
+        match (first_failure, write_error) {
+            (Some((i, message)), _) => Err(SweepError {
                 label: points[i].label.clone(),
                 message,
                 completed,
                 failed,
             }),
-            None => Ok(outcome),
+            (None, Some(message)) => Err(SweepError {
+                label: "<artifact>".into(),
+                message,
+                // An unwritable directory usually lost the journal too.
+                completed: if journal.is_some() { completed } else { 0 },
+                failed,
+            }),
+            (None, None) => Ok(outcome),
         }
     }
 }
@@ -817,20 +827,20 @@ fn load_journal(path: &Path) -> BTreeMap<String, PointOutcome> {
 
 /// Writes the artifact to `<name>.jsonl.tmp`, fsyncs, then atomically
 /// renames to `<name>.jsonl`: readers only ever see a complete file.
-fn write_jsonl(dir: &Path, name: &str, records: &[RunRecord]) -> Option<PathBuf> {
-    std::fs::create_dir_all(dir).ok()?;
+fn write_jsonl(dir: &Path, name: &str, records: &[RunRecord]) -> std::io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.jsonl"));
     let tmp = dir.join(format!("{name}.jsonl.tmp"));
     {
-        let mut f = std::fs::File::create(&tmp).ok()?;
+        let mut f = std::fs::File::create(&tmp)?;
         for record in records {
-            let line = serde_json::to_string(record).ok()?;
-            writeln!(f, "{line}").ok()?;
+            let line = serde_json::to_string(record).map_err(std::io::Error::other)?;
+            writeln!(f, "{line}")?;
         }
-        f.sync_data().ok()?;
+        f.sync_data()?;
     }
-    std::fs::rename(&tmp, &path).ok()?;
-    Some(path)
+    std::fs::rename(&tmp, &path)?;
+    Ok(path)
 }
 
 #[cfg(test)]
@@ -926,6 +936,26 @@ mod tests {
         assert!(!serial.is_empty());
         assert_eq!(serial, parallel, "artifact must not depend on thread count");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_artifact_that_cannot_be_written_is_an_error() {
+        // A regular file where the artifact directory should be.
+        let file = temp_dir("unwritable");
+        std::fs::write(&file, "").unwrap();
+        let mut sweep = Sweep::new("unwritable");
+        sweep.custom("ok", "test", || custom_result(1));
+        let err = sweep
+            .run_with(&SweepOptions {
+                out_dir: Some(file.join("sub")),
+                ..SweepOptions::default()
+            })
+            .unwrap_err();
+        assert_eq!(err.label, "<artifact>");
+        assert!(err.message.contains("unwritable.jsonl"), "{err}");
+        // Nothing was journaled either, and the error must not claim it.
+        assert_eq!((err.completed, err.failed), (0, 0));
+        let _ = std::fs::remove_file(&file);
     }
 
     #[test]

@@ -3,8 +3,11 @@
 use dl_engine::{Freq, Ps};
 use dl_mem::{CacheConfig, DramConfig};
 use dl_noc::{LinkParams, TopologyKind};
-use dl_protocol::MAX_DIMMS;
 use serde::{Deserialize, Serialize};
+
+/// The system size limit: DIMM ids travel in the 5-bit SRC/DST fields of
+/// the DIMM-Link packet header (paper Figure 3-b).
+const MAX_DIMMS: usize = 1 << 5;
 
 /// Which inter-DIMM communication mechanism the system uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -292,7 +295,6 @@ impl SystemConfig {
     /// # Errors
     /// Returns a description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        // DIMM ids travel in the packet header's 5-bit SRC/DST fields.
         if !(1..=MAX_DIMMS).contains(&self.dimms) {
             return Err(format!(
                 "dimms must be in 1..={MAX_DIMMS}, got {}",

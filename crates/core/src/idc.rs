@@ -22,11 +22,11 @@ use dl_engine::{BandwidthResource, Ps};
 
 use dl_noc::{PacketNet, Topology};
 
-/// Size of a forwarding-request notification packet (one flit).
-pub const NOTIFY_BYTES: u64 = 16;
-
 /// Wire size of a packet carrying `payload` bytes.
-pub use dl_protocol::wire_bytes;
+pub use dl_noc::wire_bytes;
+
+/// Size of a forwarding-request notification packet (no payload: one flit).
+pub const NOTIFY_BYTES: u64 = wire_bytes(0);
 
 /// Which path a delivery took (drives the Fig. 11 traffic breakdown).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -17,9 +17,9 @@
 //! # Partitioned engine
 //!
 //! The simulator is a conservative partitioned DES, advanced sequentially.
-//! System state is split into one [`DimmPart`] per DIMM — cores, caches,
+//! System state is split into one `DimmPart` per DIMM — cores, caches,
 //! memory controller, atomic unit, and a local event queue — plus one
-//! [`Coordinator`] owning every genuinely shared model (the interconnect,
+//! `Coordinator` owning every genuinely shared model (the interconnect,
 //! the host path, the sync masters, the barrier). Partitions advance in
 //! bounded time *epochs*, the cells of a fixed grid of width `W`, the
 //! lookahead ([`crate::idc::min_cross_latency`], the cheapest possible
@@ -28,10 +28,10 @@
 //! message sent at `t` in the cell arrives no earlier than `t + W`, past
 //! its end. Within an epoch each partition, in partition
 //! order, processes only its own events and stages anything
-//! cross-partition as a timestamped [`Intent`] in its [`Uncore`]'s outbox.
+//! cross-partition as a timestamped `Intent` in its `Uncore`'s outbox.
 //! At the epoch barrier the coordinator appends the outboxes, in partition
 //! order, to one buffer it reuses across epochs and stably sorts it by
-//! timestamp ([`merge_outboxes`]). Each outbox is in emission order, so the
+//! timestamp (`merge_outboxes`). Each outbox is in emission order, so the
 //! result is the total order `(timestamp, source partition, emission
 //! order)`. The coordinator performs the interconnect and host-path
 //! reservations in that order and pushes the resulting deliveries into the

@@ -275,7 +275,7 @@ impl Resource {
     }
 
     /// Reservations requested before the pruned schedule horizon (intervals
-    /// older than [`RETENTION`] relative to the high-water mark are
+    /// more than 50 µs older than the high-water mark are
     /// discarded together with the idle gaps around them). Non-zero means
     /// some reservations may have been scheduled later than a perfect
     /// gap-filling schedule would allow; debug builds additionally

@@ -17,8 +17,8 @@
 //! rather than a hang.
 
 use crate::topology::{LinkId, Topology, TopologyKind};
+use crate::FLIT_BYTES;
 use dl_engine::Ps;
-use dl_protocol::FLIT_BYTES;
 use std::collections::VecDeque;
 
 /// Configuration for the flit-level model.

@@ -2,13 +2,13 @@
 //! store-and-forward hop timing.
 
 use crate::topology::Topology;
+use crate::FLIT_BYTES;
 use dl_engine::stats::StatSet;
 use dl_engine::{BandwidthResource, Ps};
-use dl_protocol::FLIT_BYTES;
 use serde::{Deserialize, Serialize};
 
 /// Head-flit size on the wire: the smaller of one protocol flit
-/// ([`dl_protocol::FLIT_BYTES`]) and the whole message.
+/// ([`FLIT_BYTES`]) and the whole message.
 fn head_flit_bytes(bytes: u64) -> u64 {
     (FLIT_BYTES as u64).min(bytes)
 }

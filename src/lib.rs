@@ -6,8 +6,8 @@
 //!
 //! Start with [`dimm_link`] (the system model and experiment runner) and
 //! [`dl_workloads`] (the benchmark workloads); the substrates
-//! ([`dl_engine`], [`dl_mem`], [`dl_noc`], [`dl_protocol`],
-//! [`dl_placement`]) are usable standalone.
+//! ([`dl_engine`], [`dl_mem`], [`dl_noc`], [`dl_placement`]) are usable
+//! standalone.
 //!
 //! ```
 //! use dimm_link_repro::dimm_link::config::{IdcKind, SystemConfig};
@@ -25,5 +25,4 @@ pub use dl_engine;
 pub use dl_mem;
 pub use dl_noc;
 pub use dl_placement;
-pub use dl_protocol;
 pub use dl_workloads;
