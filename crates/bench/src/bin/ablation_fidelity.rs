@@ -17,7 +17,7 @@ use dimm_link::runner::RunResult;
 use dimm_link::EnergyBreakdown;
 use dl_bench::fidelity::{self, FidelityReport};
 use dl_bench::sweep::Sweep;
-use dl_bench::{print_table, run_sweep, save_json, Args};
+use dl_bench::{print_table, run_sweep, save_results, Args};
 use dl_engine::stats::StatSet;
 use dl_engine::Ps;
 use dl_noc::{wire_bytes, FlitNet, FlitNetConfig, LinkParams, PacketNet, Topology, TopologyKind};
@@ -158,7 +158,7 @@ fn main() {
     }
 
     let pass = report.pass;
-    save_json(
+    save_results(
         "fidelity_summary",
         &Summary {
             curated,

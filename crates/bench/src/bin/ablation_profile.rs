@@ -7,7 +7,7 @@
 
 use dimm_link::config::{IdcKind, SystemConfig};
 use dl_bench::sweep::Sweep;
-use dl_bench::{fmt_pct, fmt_x, print_table, run_sweep, save_json, Args};
+use dl_bench::{fmt_pct, fmt_x, print_table, run_sweep, save_results, Args};
 use dl_workloads::{WorkloadKind, WorkloadParams};
 use serde::Serialize;
 
@@ -80,5 +80,5 @@ fn main() {
          placement from a random start at small profiling cost (the paper's \
          baseline mapping is less affine, giving it the extra 1.12x headroom)."
     );
-    save_json("ablation_profile", &json);
+    save_results("ablation_profile", &json);
 }

@@ -8,7 +8,7 @@
 
 use dimm_link::config::{IdcKind, SystemConfig};
 use dl_bench::sweep::Sweep;
-use dl_bench::{fmt_x, print_table, run_sweep, save_json, Args};
+use dl_bench::{fmt_x, print_table, run_sweep, save_results, Args};
 use dl_mem::{MappingScheme, RowPolicy};
 use dl_workloads::{WorkloadKind, WorkloadParams};
 use serde::Serialize;
@@ -91,5 +91,5 @@ fn main() {
         &["workload", "closed-page", "XOR bank mapping"],
         &rows2,
     );
-    save_json("ablation_sched", &json);
+    save_results("ablation_sched", &json);
 }

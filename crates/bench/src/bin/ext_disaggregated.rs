@@ -9,7 +9,7 @@
 
 use dimm_link::config::{IdcKind, SystemConfig};
 use dl_bench::sweep::Sweep;
-use dl_bench::{fmt_time, fmt_x, geo, print_table, run_sweep, save_json, Args};
+use dl_bench::{fmt_time, fmt_x, geo, print_table, run_sweep, save_results, Args};
 use dl_engine::Ps;
 use dl_workloads::{WorkloadKind, WorkloadParams};
 use serde::Serialize;
@@ -147,5 +147,5 @@ fn main() {
         &["one-way fabric latency", "speedup"],
         &rows,
     );
-    save_json("ext_disaggregated", &out);
+    save_results("ext_disaggregated", &out);
 }

@@ -11,7 +11,7 @@ use dimm_link::runner::RunResult;
 use dimm_link::system::{natural_placement, NmpSystem};
 use dimm_link::EnergyBreakdown;
 use dl_bench::sweep::Sweep;
-use dl_bench::{gbps, print_table, run_sweep, save_json, Args};
+use dl_bench::{gbps, print_table, run_sweep, save_results, Args};
 use dl_engine::Ps;
 use dl_workloads::{synth, WorkloadParams};
 use serde::Serialize;
@@ -121,5 +121,5 @@ fn main() {
             vec!["gap".into(), format!("{:.0}x", nmp_bw / idc_bw.max(1e-9))],
         ],
     );
-    save_json("fig01_motivation", &points);
+    save_results("fig01_motivation", &points);
 }

@@ -11,7 +11,7 @@
 
 use dimm_link::config::{IdcKind, PlacementPolicy, SystemConfig};
 use dl_bench::sweep::Sweep;
-use dl_bench::{fmt_pct, fmt_x, geo, print_table, run_sweep, save_json, Args};
+use dl_bench::{fmt_pct, fmt_x, geo, print_table, run_sweep, save_results, Args};
 use dl_workloads::{WorkloadKind, WorkloadParams};
 use serde::Serialize;
 
@@ -170,5 +170,5 @@ fn main() {
             ],
         ],
     );
-    save_json("fig10_p2p", &cells);
+    save_results("fig10_p2p", &cells);
 }

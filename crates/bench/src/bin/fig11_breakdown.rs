@@ -6,7 +6,7 @@
 
 use dimm_link::config::{IdcKind, SystemConfig};
 use dl_bench::sweep::Sweep;
-use dl_bench::{fmt_pct, print_table, run_sweep, save_json, Args};
+use dl_bench::{fmt_pct, print_table, run_sweep, save_results, Args};
 use dl_workloads::{WorkloadKind, WorkloadParams};
 use serde::Serialize;
 
@@ -67,5 +67,5 @@ fn main() {
         &["workload", "local DRAM", "DIMM-Link", "CPU-forwarded"],
         &rows,
     );
-    save_json("fig11_breakdown", &out);
+    save_results("fig11_breakdown", &out);
 }

@@ -8,7 +8,7 @@
 
 use dimm_link::config::{IdcKind, SystemConfig};
 use dl_bench::sweep::Sweep;
-use dl_bench::{fmt_x, geo, print_table, run_sweep, save_json, Args};
+use dl_bench::{fmt_x, geo, print_table, run_sweep, save_results, Args};
 use dl_workloads::{WorkloadKind, WorkloadParams};
 use serde::Serialize;
 
@@ -134,5 +134,5 @@ fn main() {
         &["workload", "ABC-3DPC", "DIMM-Link"],
         &rows3,
     );
-    save_json("fig12_broadcast", &cells);
+    save_results("fig12_broadcast", &cells);
 }

@@ -6,7 +6,7 @@
 
 use dimm_link::config::{IdcKind, SystemConfig};
 use dl_bench::sweep::Sweep;
-use dl_bench::{fmt_x, geo, print_table, run_sweep, save_json, Args};
+use dl_bench::{fmt_x, geo, print_table, run_sweep, save_results, Args};
 use dl_workloads::{WorkloadKind, WorkloadParams};
 use serde::Serialize;
 
@@ -118,5 +118,5 @@ fn main() {
             ],
         ],
     );
-    save_json("fig13_energy", &out);
+    save_results("fig13_energy", &out);
 }

@@ -9,7 +9,7 @@
 use dimm_link::config::{IdcKind, SyncScheme, SystemConfig};
 use dimm_link::runner::simulate;
 use dl_bench::sweep::Sweep;
-use dl_bench::{fmt_x, print_table, run_sweep, save_json, Args};
+use dl_bench::{fmt_x, print_table, run_sweep, save_results, Args};
 use dl_workloads::{synth, WorkloadKind, WorkloadParams};
 use serde::Serialize;
 
@@ -119,5 +119,5 @@ fn main() {
             vec!["vs DL-Central".into(), fmt_x(elapsed(ts_base + 1) / t_hier)],
         ],
     );
-    save_json("fig14_sync", &points);
+    save_results("fig14_sync", &points);
 }

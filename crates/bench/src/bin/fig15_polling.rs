@@ -7,7 +7,7 @@
 
 use dimm_link::config::{IdcKind, PollingStrategy, SystemConfig};
 use dl_bench::sweep::Sweep;
-use dl_bench::{fmt_pct, fmt_x, geo, print_table, run_sweep, save_json, Args};
+use dl_bench::{fmt_pct, fmt_x, geo, print_table, run_sweep, save_results, Args};
 use dl_workloads::{WorkloadKind, WorkloadParams};
 use serde::Serialize;
 
@@ -75,5 +75,5 @@ fn main() {
         &["strategy", "speedup vs Base", "bus occupation"],
         &rows,
     );
-    save_json("fig15_polling", &out);
+    save_results("fig15_polling", &out);
 }

@@ -6,7 +6,7 @@
 
 use dimm_link::config::{IdcKind, SystemConfig};
 use dl_bench::sweep::Sweep;
-use dl_bench::{fmt_x, print_table, run_sweep, save_json, Args};
+use dl_bench::{fmt_x, print_table, run_sweep, save_results, Args};
 use dl_workloads::{WorkloadKind, WorkloadParams};
 use serde::Serialize;
 
@@ -78,5 +78,5 @@ fn main() {
         );
     }
     println!("\nExpected shape: gains grow with system size (16D-8C > 4D-2C).");
-    save_json("fig16_bandwidth", &out);
+    save_results("fig16_bandwidth", &out);
 }

@@ -6,7 +6,7 @@
 use dimm_link::config::{IdcKind, SystemConfig};
 use dimm_link::runner::simulate;
 use dl_bench::sweep::Sweep;
-use dl_bench::{fmt_x, geo, print_table, run_sweep, save_json, Args};
+use dl_bench::{fmt_x, geo, print_table, run_sweep, save_results, Args};
 use dl_noc::TopologyKind;
 use dl_workloads::{WorkloadKind, WorkloadParams};
 use serde::Serialize;
@@ -126,5 +126,5 @@ fn main() {
         &["workload", "Ring", "Mesh", "Torus"],
         &[srow],
     );
-    save_json("fig17_topology", &json);
+    save_results("fig17_topology", &json);
 }

@@ -10,7 +10,7 @@ use dimm_link::idc::Interconnect;
 use dimm_link::runner::RunResult;
 use dimm_link::EnergyBreakdown;
 use dl_bench::sweep::Sweep;
-use dl_bench::{gbps, print_table, run_sweep, save_json, Args};
+use dl_bench::{gbps, print_table, run_sweep, save_results, Args};
 use dl_engine::stats::StatSet;
 use dl_engine::Ps;
 use serde::Serialize;
@@ -106,5 +106,5 @@ fn main() {
          round trip, so it sits below the channel-count bound; DIMM-Link's \
          adjacent-pair stream exercises 8 of the 14 links."
     );
-    save_json("table1_idc_methods", &out);
+    save_results("table1_idc_methods", &out);
 }

@@ -19,7 +19,8 @@ pub mod sweep;
 use dl_engine::stats::geomean;
 use dl_engine::Ps;
 use serde::Serialize;
-use std::io::Write as _;
+use std::io;
+use std::path::Path;
 use sweep::SweepOptions;
 
 /// Common command-line arguments of every experiment binary.
@@ -175,19 +176,27 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 }
 
 /// Writes `value` as JSON under `target/results/<name>.json`.
-pub fn save_json<T: Serialize>(name: &str, value: &T) {
-    let dir = std::path::Path::new("target/results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
+///
+/// # Errors
+/// The directory or the file cannot be created or written; the error
+/// names the file.
+pub fn save_json<T: Serialize>(name: &str, value: &T) -> io::Result<()> {
+    let dir = Path::new("target/results");
     let path = dir.join(format!("{name}.json"));
-    if let Ok(mut f) = std::fs::File::create(&path) {
-        let _ = writeln!(
-            f,
-            "{}",
-            serde_json::to_string_pretty(value).unwrap_or_default()
-        );
-        println!("[saved {}]", path.display());
+    let json = serde_json::to_string_pretty(value).unwrap_or_default();
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&path, json + "\n"))
+        .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+    println!("[saved {}]", path.display());
+    Ok(())
+}
+
+/// [`save_json`], exiting with status 1 and the error, which names the
+/// file, if the summary cannot be written.
+pub fn save_results<T: Serialize>(name: &str, value: &T) {
+    if let Err(e) = save_json(name, value) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
     }
 }
 

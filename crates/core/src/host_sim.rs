@@ -315,8 +315,9 @@ impl CorePort for HostPort<'_> {
             .map_or(tick, |head| head.min(tick))
     }
 
-    fn probe(&self, addr: u64) -> bool {
-        self.uncore.l1[self.c].probe(addr)
+    fn private_hit(&mut self, addr: u64, is_write: bool) -> Option<Ps> {
+        let u = &mut *self.uncore;
+        u.l1[self.c].hit(addr, is_write).then_some(u.l1_hit)
     }
 
     fn wake(&mut self, at: Ps) {

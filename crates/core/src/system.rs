@@ -994,8 +994,13 @@ impl CorePort for DimmPort<'_, '_> {
         next.min(EventKey::new(self.uncore.epoch_end, 0))
     }
 
-    fn probe(&self, addr: u64) -> bool {
-        self.uncore.l1[self.l].probe(addr)
+    fn private_hit(&mut self, addr: u64, is_write: bool) -> Option<Ps> {
+        if !self.uncore.l1[self.l].hit(addr, is_write) {
+            return None;
+        }
+        let sh = self.sh;
+        self.uncore.record_profile(sh, self.g, addr);
+        Some(sh.l1_hit)
     }
 
     fn wake(&mut self, at: Ps) {

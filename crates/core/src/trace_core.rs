@@ -65,8 +65,10 @@ pub(crate) trait CorePort {
     /// on shared state at `t` while `(t, rank)` is not above it; past it,
     /// the core yields. (An equal key can only be this core's own wake.)
     fn horizon(&self) -> EventKey;
-    /// Whether `addr` hits the core's private L1. Changes nothing.
-    fn probe(&self, addr: u64) -> bool;
+    /// A cacheable load or store that hits the core's private L1: does
+    /// what [`lookup`](CorePort::lookup) does on that hit and returns its
+    /// latency. On a miss it changes nothing and returns `None`.
+    fn private_hit(&mut self, addr: u64, is_write: bool) -> Option<Ps>;
     /// Schedules this core's next [`TraceCore::advance`] at `at`.
     fn wake(&mut self, at: Ps);
     /// Looks up a load or store issued at `t` (called once per attempt,
@@ -162,14 +164,53 @@ impl TraceCore {
         }
         let mut t = now.max(self.ready_at);
         let (period, mlp, rank) = (port.clock().period(), port.mlp(), port.rank());
+        // Only this core's own `issue` and `broadcast` can lower the horizon
+        // while it keeps running: a hit schedules nothing, and a miss that
+        // blocks, an atomic and a barrier all return. So it is read again
+        // only after those two.
+        let mut horizon = port.horizon();
         loop {
-            let op = (self.pc < self.limit).then(|| ops[self.pc]);
-            if EventKey::new(t, rank) > port.horizon() && !is_private(op, port) {
-                self.ready_at = t;
-                port.wake(t);
-                return false;
+            if dl_engine::AUDIT {
+                assert_eq!(horizon, port.horizon(), "the core's horizon went stale");
             }
-            let Some(op) = op else {
+            let op = ops[..self.limit].get(self.pc);
+            if EventKey::new(t, rank) > horizon {
+                // Past the horizon the core runs only through what touches
+                // just its own state: compute, an L1 hit, a skipped barrier.
+                // Those change only its L1 and the commutative profile
+                // counts. A completion that arrives meanwhile for a `Ready`
+                // core only frees a window slot, which the next shared
+                // access sees: this check runs before it.
+                let private = match op {
+                    Some(Op::Comp(_)) => true,
+                    Some(Op::Barrier) => port.skips_barriers(),
+                    Some(
+                        &(Op::Load {
+                            addr,
+                            cacheable: true,
+                        }
+                        | Op::Store {
+                            addr,
+                            cacheable: true,
+                        }),
+                    ) => {
+                        let is_write = matches!(op, Some(Op::Store { .. }));
+                        if let Some(latency) = port.private_hit(addr.get(), is_write) {
+                            self.pc += 1;
+                            t += latency;
+                            continue;
+                        }
+                        false
+                    }
+                    _ => false,
+                };
+                if !private {
+                    self.ready_at = t;
+                    port.wake(t);
+                    return false;
+                }
+            }
+            let Some(&op) = op else {
                 if self.outstanding.is_empty() {
                     self.status = Status::Done;
                     self.finish = Some(t);
@@ -198,6 +239,7 @@ impl TraceCore {
                     self.pc += 1;
                     let slot = port.issue(addr, is_write, t);
                     self.outstanding.push(slot);
+                    horizon = port.horizon();
                     t += period;
                 }
                 Op::Atomic { addr } => {
@@ -218,6 +260,7 @@ impl TraceCore {
                     self.pc += 1;
                     let id = port.broadcast(addr.get(), bytes, t);
                     self.outstanding.push((id, true));
+                    horizon = port.horizon();
                     t += period * 2;
                 }
                 Op::Barrier if port.skips_barriers() => {
@@ -279,24 +322,6 @@ impl TraceCore {
             Status::WaitDrain if self.outstanding.is_empty() => self.unblock(at, remote, port),
             _ => {}
         }
-    }
-}
-
-/// Whether the next action — `op`, or finishing the trace at `None` —
-/// touches only the core's own state: compute, an L1 hit, or a barrier the
-/// port skips. Those change just the core's L1 and the commutative profile
-/// counts, so the core runs through them past the horizon. Everything else
-/// is ordered against it. A completion that arrives meanwhile for a
-/// `Ready` core only frees a window slot, which the next shared access
-/// sees: the key check runs before it.
-fn is_private<P: CorePort>(op: Option<Op>, port: &P) -> bool {
-    match op {
-        Some(Op::Comp(_)) => true,
-        Some(Op::Load { addr, cacheable } | Op::Store { addr, cacheable }) => {
-            cacheable && port.probe(addr.get())
-        }
-        Some(Op::Barrier) => port.skips_barriers(),
-        Some(Op::Atomic { .. } | Op::Broadcast { .. }) | None => false,
     }
 }
 
@@ -461,8 +486,8 @@ mod tests {
         fn horizon(&self) -> EventKey {
             self.horizon.unwrap_or(EventKey::MAX)
         }
-        fn probe(&self, addr: u64) -> bool {
-            addr < self.hit_below
+        fn private_hit(&mut self, addr: u64, _: bool) -> Option<Ps> {
+            (addr < self.hit_below).then_some(Ps::from_ns(1))
         }
         fn wake(&mut self, at: Ps) {
             self.wakes.push(at);

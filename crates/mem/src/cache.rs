@@ -114,6 +114,8 @@ pub struct Cache {
     lines: Vec<Line>,
     set_mask: u64,
     line_shift: u32,
+    /// log2 of the set count: the line-address bits below the tag.
+    set_shift: u32,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -131,6 +133,7 @@ impl Cache {
             lines: vec![Line::default(); (cfg.sets() * cfg.ways) as usize],
             set_mask: (cfg.sets() - 1) as u64,
             line_shift: cfg.line_bytes.trailing_zeros(),
+            set_shift: cfg.sets().trailing_zeros(),
             tick: 0,
             hits: 0,
             misses: 0,
@@ -143,40 +146,46 @@ impl Cache {
     fn set_and_tag(&self, addr: u64) -> (usize, u64) {
         let line_addr = addr >> self.line_shift;
         let set = (line_addr & self.set_mask) as usize;
-        (set, line_addr >> self.set_mask.count_ones())
+        (set, line_addr >> self.set_shift)
     }
 
-    /// Whether `addr` would hit, without touching the cache: no LRU, dirty
-    /// or hit/miss state changes.
-    pub fn probe(&self, addr: u64) -> bool {
+    /// Accesses `addr` if its line is present: touches the line, marks it
+    /// dirty on a write, counts the hit and returns `true`. A miss changes
+    /// nothing: no LRU, dirty, hit/miss or allocation state.
+    pub fn hit(&mut self, addr: u64, is_write: bool) -> bool {
         let (set, tag) = self.set_and_tag(addr);
         let ways = self.cfg.ways as usize;
-        self.lines[set * ways..(set + 1) * ways]
-            .iter()
-            .any(|line| line.valid && line.tag == tag)
+        let Some(line) = self.lines[set * ways..(set + 1) * ways]
+            .iter_mut()
+            .find(|line| line.valid && line.tag == tag)
+        else {
+            return false;
+        };
+        self.tick += 1;
+        line.lru = self.tick;
+        line.dirty |= is_write;
+        self.hits += 1;
+        true
     }
 
     /// Accesses `addr`; on a miss, allocates the line (write-allocate).
     pub fn access(&mut self, addr: u64, is_write: bool) -> CacheOutcome {
+        if self.hit(addr, is_write) {
+            return CacheOutcome::Hit;
+        }
+        CacheOutcome::Miss {
+            writeback: self.fill(addr, is_write),
+        }
+    }
+
+    /// Allocates the absent line of `addr`, evicting an invalid way first,
+    /// else the least recent; returns the dirty victim's address, if any.
+    fn fill(&mut self, addr: u64, is_write: bool) -> Option<u64> {
         self.tick += 1;
-        let tick = self.tick;
+        self.misses += 1;
         let (set, tag) = self.set_and_tag(addr);
         let ways = self.cfg.ways as usize;
         let base = set * ways;
-
-        // Probe.
-        for i in base..base + ways {
-            let line = &mut self.lines[i];
-            if line.valid && line.tag == tag {
-                line.lru = tick;
-                line.dirty |= is_write;
-                self.hits += 1;
-                return CacheOutcome::Hit;
-            }
-        }
-
-        // Miss: pick victim (invalid first, else LRU).
-        self.misses += 1;
         let victim = (base..base + ways)
             .min_by_key(|&i| {
                 let l = &self.lines[i];
@@ -191,7 +200,7 @@ impl Cache {
         let writeback = if line.valid && line.dirty {
             self.writebacks += 1;
             // Reconstruct victim line address.
-            let victim_line = (line.tag << self.set_mask.count_ones()) | set as u64;
+            let victim_line = (line.tag << self.set_shift) | set as u64;
             Some(victim_line << self.line_shift)
         } else {
             None
@@ -200,9 +209,9 @@ impl Cache {
             tag,
             valid: true,
             dirty: is_write,
-            lru: tick,
+            lru: self.tick,
         };
-        CacheOutcome::Miss { writeback }
+        writeback
     }
 
     /// The configuration.
@@ -292,7 +301,7 @@ mod tests {
     }
 
     #[test]
-    fn probe_changes_no_lru_dirty_or_hit_state() {
+    fn a_failed_hit_changes_no_lru_dirty_or_hit_state() {
         // 2 sets of 2 ways, 64 B lines: 0, 128 and 256 share set 0.
         let cfg = CacheConfig {
             capacity_bytes: 256,
@@ -305,17 +314,13 @@ mod tests {
         c.access(128, true); // dirty B, now most recent
         let before = format!("{:?}", c.stats());
         for _ in 0..3 {
-            assert!(c.probe(0));
-            assert!(c.probe(0x30), "same line as A");
-            assert!(c.probe(128));
-            assert!(!c.probe(256), "absent");
+            assert!(!c.hit(256, true), "absent");
         }
         assert_eq!(format!("{:?}", c.stats()), before, "no hit/miss counted");
-        assert!(!c.probe(256), "a probe allocates nothing");
-        // A stays least recent despite the probes, and stays clean: it is
-        // evicted without a writeback.
+        assert!(!c.hit(256, false), "a failed hit allocates nothing");
+        // A stays least recent and clean: it is evicted without a writeback.
         assert_eq!(c.access(256, false), CacheOutcome::Miss { writeback: None });
-        assert!(!c.probe(0));
+        assert!(!c.hit(0, false));
         // B is still dirty: evicting it writes it back.
         assert_eq!(
             c.access(0, false),
@@ -323,6 +328,80 @@ mod tests {
                 writeback: Some(128)
             }
         );
+    }
+
+    /// `access` before the one-search hit path, kept as the oracle of
+    /// `hit` followed by the miss fill.
+    fn access_reference(c: &mut Cache, addr: u64, is_write: bool) -> CacheOutcome {
+        c.tick += 1;
+        let tick = c.tick;
+        let line_addr = addr >> c.line_shift;
+        let set = (line_addr & c.set_mask) as usize;
+        let tag = line_addr >> c.set_mask.count_ones();
+        let ways = c.cfg.ways as usize;
+        let base = set * ways;
+        for i in base..base + ways {
+            let line = &mut c.lines[i];
+            if line.valid && line.tag == tag {
+                line.lru = tick;
+                line.dirty |= is_write;
+                c.hits += 1;
+                return CacheOutcome::Hit;
+            }
+        }
+        c.misses += 1;
+        let victim = (base..base + ways)
+            .min_by_key(|&i| {
+                let l = &c.lines[i];
+                if l.valid {
+                    (1, l.lru)
+                } else {
+                    (0, 0)
+                }
+            })
+            .expect("ways >= 1");
+        let line = &mut c.lines[victim];
+        let writeback = if line.valid && line.dirty {
+            c.writebacks += 1;
+            let victim_line = (line.tag << c.set_mask.count_ones()) | set as u64;
+            Some(victim_line << c.line_shift)
+        } else {
+            None
+        };
+        *line = Line {
+            tag,
+            valid: true,
+            dirty: is_write,
+            lru: tick,
+        };
+        CacheOutcome::Miss { writeback }
+    }
+
+    /// Property: on seeded streams over a few times each geometry's
+    /// capacity, `hit` then the miss fill gives the reference `access`'s
+    /// outcome, writeback and hit/miss/writeback counts on every access,
+    /// whether the caller asks `hit` first or goes straight to `access`.
+    #[test]
+    fn hit_then_fill_matches_the_reference_access() {
+        for cfg in [CacheConfig::l1_32k(), CacheConfig::l2_128k()] {
+            for seed in 0..8 {
+                let mut rng = dl_engine::DetRng::seed(seed);
+                let (mut new, mut old) = (Cache::new(cfg), Cache::new(cfg));
+                let span = u64::from(cfg.capacity_bytes) * 3;
+                for _ in 0..20_000 {
+                    let addr = rng.below(span) + (rng.below(4) << 40);
+                    let is_write = rng.chance(0.3);
+                    let got = if rng.chance(0.5) && new.hit(addr, is_write) {
+                        CacheOutcome::Hit
+                    } else {
+                        new.access(addr, is_write)
+                    };
+                    assert_eq!(got, access_reference(&mut old, addr, is_write));
+                }
+                assert_eq!(format!("{:?}", new.stats()), format!("{:?}", old.stats()));
+                assert!(new.hits > 0 && new.writebacks > 0, "seed {seed}");
+            }
+        }
     }
 
     #[test]

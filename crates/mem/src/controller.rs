@@ -2,9 +2,10 @@
 //!
 //! The controller is event-driven. Callers [`enqueue`](MemController::enqueue)
 //! requests, then repeatedly call [`service`](MemController::service) with the
-//! current time; `service` issues every command sequence that is legal at that
-//! time, returns the requests whose data bursts have finished, and caches the
-//! next time the controller needs attention ([`next_wake`](MemController::next_wake)).
+//! current time, which never goes backwards; `service` issues every command
+//! sequence that is legal at that time, returns the requests whose data
+//! bursts have finished, and caches the next time the controller needs
+//! attention ([`next_wake`](MemController::next_wake)).
 //!
 //! Modelled constraints: open-page row-buffer policy with row hit / empty /
 //! conflict timing (tRCD/tRP/tRAS/tCL/tCWL/tCCD/tRTP/tWR), activation
@@ -139,6 +140,11 @@ pub struct MemController {
     /// The flat banks `pick` filled in `candidates`, so it sweeps only those.
     touched: Vec<usize>,
     finishes: BinaryHeap<Reverse<Finish>>,
+    /// The earliest planned first command of any queued request, as of the
+    /// last FR-FCFS pass, lowered by each `enqueue` to the new request's
+    /// (`Ps::MAX`: none). Requests blocked behind their bank's candidate,
+    /// legal at the pass, do not count: the candidate covers their bank.
+    queue_wake: Ps,
     next_wake: Option<Ps>,
     // statistics
     reads: u64,
@@ -174,6 +180,7 @@ impl MemController {
             candidates: vec![None; cfg.total_banks() as usize],
             touched: Vec::with_capacity(cfg.total_banks() as usize),
             finishes: BinaryHeap::new(),
+            queue_wake: Ps::MAX,
             next_wake: None,
             reads: 0,
             writes: 0,
@@ -200,9 +207,9 @@ impl MemController {
     /// call at the arrival itself, while the bank is still busy, would
     /// make no progress.
     pub fn enqueue(&mut self, arrival: Ps, req: MemRequest) {
-        let refresh = self.ranks.iter().map(|r| r.next_refresh).min();
         let first = self.plan_for(&req, arrival).first_cmd_at;
-        let wake = first.min(refresh.unwrap_or(Ps::MAX));
+        let wake = first.min(self.next_refresh());
+        self.queue_wake = self.queue_wake.min(first);
         self.queue.push_back(Pending { req, arrival });
         self.next_wake = Some(self.next_wake.map_or(wake, |w| w.min(wake)));
     }
@@ -222,13 +229,31 @@ impl MemController {
 
     /// [`service`](MemController::service), appending the completions to
     /// `done` so a caller can reuse one buffer across calls.
+    ///
+    /// A call before both the queue's wake and the next refresh only
+    /// completes: no request can issue yet. A request's plan from `t` is
+    /// `max(t, K)`, where `K` comes from bank and rank state that changes
+    /// only at an issue or a refresh, and a bank's FR-FCFS candidate
+    /// changes only when a request arrives, which `enqueue` has planned
+    /// already. So the last pass's plans, and the wake they give, still
+    /// hold, and the scheduling pass is skipped.
     pub fn service_into(&mut self, now: Ps, done: &mut Vec<Completion>) {
-        self.apply_refreshes(now);
+        let replan = now >= self.queue_wake || now >= self.next_refresh();
+        self.serve(now, replan, done);
+    }
 
-        // Issue as long as something can start now.
-        while let Some((idx, plan)) = self.pick(now) {
-            let pending = self.queue.remove(idx).expect("picked index in range");
-            self.issue(pending, plan);
+    /// Serves the controller at `now`, running the FR-FCFS pass only if
+    /// `replan`; see [`service_into`](MemController::service_into) for
+    /// when skipping it is exact.
+    fn serve(&mut self, now: Ps, replan: bool, done: &mut Vec<Completion>) {
+        if replan {
+            self.schedule(now);
+        } else if dl_engine::AUDIT {
+            assert!(
+                self.pick(now).is_none(),
+                "controller '{}': a completion-only tick at {now} skipped an issue",
+                self.name
+            );
         }
 
         // Pop completions.
@@ -244,31 +269,40 @@ impl MemController {
             });
         }
 
-        // Cache the next interesting time. Times at or before `now` are
-        // ignored (they belong to requests that are blocked behind their
-        // bank's chosen candidate; the candidate's own future time, or a
-        // pending completion, covers the bank's progress). A request that
-        // has not arrived yet is planned from its arrival.
-        let mut wake: Option<Ps> = None;
-        let consider = |t: Ps, wake: &mut Option<Ps>| {
-            if t > now {
-                *wake = Some(wake.map_or(t, |w| w.min(t)));
-            }
-        };
+        // Cache the next interesting time: each is after `now`.
+        let mut wake = self.queue_wake;
         if let Some(Reverse(f)) = self.finishes.peek() {
-            consider(f.at, &mut wake);
-        }
-        for p in &self.queue {
-            let plan = self.plan_for(&p.req, now.max(p.arrival));
-            consider(plan.first_cmd_at, &mut wake);
+            wake = wake.min(f.at);
         }
         if !self.queue.is_empty() || !self.finishes.is_empty() {
             // Refresh only matters while work is pending.
-            if let Some(refr) = self.ranks.iter().map(|r| r.next_refresh).min() {
-                consider(refr, &mut wake);
-            }
+            wake = wake.min(self.next_refresh());
         }
-        self.next_wake = wake;
+        self.next_wake = (wake < Ps::MAX).then_some(wake);
+    }
+
+    /// The FR-FCFS pass at `now`: applies due refreshes, issues as long as
+    /// something can start, and re-plans the queue's wake.
+    fn schedule(&mut self, now: Ps) {
+        self.apply_refreshes(now);
+
+        // Issue as long as something can start now.
+        while let Some((idx, plan)) = self.pick(now) {
+            let pending = self.queue.remove(idx).expect("picked index in range");
+            self.issue(pending, plan);
+        }
+
+        // Times at or before `now` are ignored: they belong to requests
+        // blocked behind their bank's chosen candidate, whose own future
+        // time, or a pending completion, covers the bank's progress. A
+        // request that has not arrived yet is planned from its arrival.
+        self.queue_wake = self
+            .queue
+            .iter()
+            .map(|p| self.plan_for(&p.req, now.max(p.arrival)).first_cmd_at)
+            .filter(|&t| t > now)
+            .min()
+            .unwrap_or(Ps::MAX);
     }
 
     /// The next time a `service` call could make progress: issue a
@@ -281,6 +315,15 @@ impl MemController {
     /// when idle.
     pub fn next_wake(&self) -> Option<Ps> {
         self.next_wake
+    }
+
+    /// The earliest refresh not yet applied.
+    fn next_refresh(&self) -> Ps {
+        self.ranks
+            .iter()
+            .map(|r| r.next_refresh)
+            .min()
+            .expect("a controller has ranks")
     }
 
     fn apply_refreshes(&mut self, now: Ps) {
@@ -1002,10 +1045,19 @@ mod wake_tests {
 
     /// The wake rule before `enqueue` planned the request: it lowered the
     /// wake to the arrival, so a busy bank cost a tick that issued nothing.
-    /// Kept only as the oracle of the differential test below.
+    /// Kept only as the oracle of the differential test below. The queue's
+    /// wake drops to the arrival too, a lower bound of the plan, so the
+    /// tick there runs the FR-FCFS pass.
     fn enqueue_at_arrival(mc: &mut MemController, arrival: Ps, req: MemRequest) {
         mc.queue.push_back(Pending { req, arrival });
         mc.next_wake = Some(mc.next_wake.map_or(arrival, |w| w.min(arrival)));
+        mc.queue_wake = mc.queue_wake.min(arrival);
+    }
+
+    /// A controller that runs the FR-FCFS pass on every tick: the oracle of
+    /// the completion-only ticks.
+    fn service_full(mc: &mut MemController, now: Ps, done: &mut Vec<Completion>) {
+        mc.serve(now, true, done);
     }
 
     /// A request handed to the controller at `at`, before a tick at `at`
@@ -1020,7 +1072,11 @@ mod wake_tests {
     struct Drive {
         /// Each completion with the time of the tick that returned it.
         completions: Vec<(Ps, Completion)>,
+        /// The controller's wake after every call, enqueue or tick.
+        wakes: Vec<Option<Ps>>,
         ticks: u64,
+        /// Ticks that skipped the FR-FCFS pass.
+        completion_only: u64,
         refreshes: u64,
         row_hits: u64,
         row_misses: u64,
@@ -1033,10 +1089,11 @@ mod wake_tests {
         cfg: &DramConfig,
         sends: &[Send],
         enqueue: fn(&mut MemController, Ps, MemRequest),
+        service: fn(&mut MemController, Ps, &mut Vec<Completion>),
     ) -> Drive {
         let mut mc = MemController::new("w", cfg);
-        let (mut tick, mut next, mut ticks) = (Ps::MAX, 0, 0);
-        let mut completions = Vec::new();
+        let (mut tick, mut next, mut ticks, mut completion_only) = (Ps::MAX, 0, 0, 0);
+        let (mut completions, mut wakes, mut done) = (Vec::new(), Vec::new(), Vec::new());
         loop {
             match sends.get(next) {
                 Some(s) if (s.at, 2 * u8::from(s.late)) < (tick, 1) => {
@@ -1047,20 +1104,61 @@ mod wake_tests {
                 }
                 _ if tick < Ps::MAX => {
                     ticks += 1;
-                    completions.extend(mc.service(tick).into_iter().map(|c| (tick, c)));
+                    completion_only += u64::from(tick < mc.queue_wake && tick < mc.next_refresh());
+                    service(&mut mc, tick, &mut done);
+                    completions.extend(done.drain(..).map(|c| (tick, c)));
                     tick = mc.next_wake().unwrap_or(Ps::MAX);
                 }
                 _ => break,
             }
+            wakes.push(mc.next_wake());
         }
         assert_eq!(completions.len(), sends.len(), "every request completes");
         Drive {
             completions,
+            wakes,
             ticks,
+            completion_only,
             refreshes: mc.refreshes,
             row_hits: mc.row_hits,
             row_misses: mc.row_misses,
         }
+    }
+
+    /// The configurations the differential tests cover.
+    fn configs() -> [(&'static str, DramConfig); 5] {
+        let open = DramConfig::ddr4_2400_lrdimm();
+        [
+            ("open", open),
+            (
+                "closed",
+                DramConfig {
+                    row_policy: RowPolicy::Closed,
+                    ..open
+                },
+            ),
+            (
+                "xor",
+                DramConfig {
+                    mapping: MappingScheme::BankXor,
+                    ..open
+                },
+            ),
+            (
+                "streak cap 1",
+                DramConfig {
+                    hit_streak_cap: 1,
+                    ..open
+                },
+            ),
+            (
+                "shared bus",
+                DramConfig {
+                    bus_per_rank: false,
+                    ..open
+                },
+            ),
+        ]
     }
 
     /// A seeded request stream over a few rows of five banks in both
@@ -1114,35 +1212,22 @@ mod wake_tests {
     /// configuration needs more ticks.
     #[test]
     fn planned_wakes_match_arrival_wakes_with_fewer_ticks() {
-        let open = DramConfig::ddr4_2400_lrdimm();
-        let closed = DramConfig {
-            row_policy: RowPolicy::Closed,
-            ..open
-        };
-        let xor = DramConfig {
-            mapping: MappingScheme::BankXor,
-            ..open
-        };
-        let capped = DramConfig {
-            hit_streak_cap: 1,
-            ..open
-        };
-        let shared_bus = DramConfig {
-            bus_per_rank: false,
-            ..open
-        };
         let (mut old_ticks, mut new_ticks) = (0, 0);
-        for (name, cfg) in [
-            ("open", open),
-            ("closed", closed),
-            ("xor", xor),
-            ("streak cap 1", capped),
-            ("shared bus", shared_bus),
-        ] {
+        for (name, cfg) in configs() {
             for seed in 0..3 {
                 let sends = stream(&cfg, seed, 2_000);
-                let old = drive(&cfg, &sends, enqueue_at_arrival);
-                let new = drive(&cfg, &sends, MemController::enqueue);
+                let old = drive(
+                    &cfg,
+                    &sends,
+                    enqueue_at_arrival,
+                    MemController::service_into,
+                );
+                let new = drive(
+                    &cfg,
+                    &sends,
+                    MemController::enqueue,
+                    MemController::service_into,
+                );
                 assert_eq!(new.completions, old.completions, "{name}, seed {seed}");
                 assert!(
                     new.ticks <= old.ticks,
@@ -1160,6 +1245,33 @@ mod wake_tests {
             }
         }
         assert!(new_ticks < old_ticks, "no tick was saved");
+    }
+
+    /// A tick that skips the FR-FCFS pass changes nothing a full pass
+    /// would not: the completions, the ticks that return them and the
+    /// wake after every call are the same as with a pass on every tick.
+    #[test]
+    fn completion_only_ticks_match_full_passes() {
+        for (name, cfg) in configs() {
+            for seed in 0..3 {
+                let sends = stream(&cfg, seed, 2_000);
+                let full = drive(&cfg, &sends, MemController::enqueue, service_full);
+                let fast = drive(
+                    &cfg,
+                    &sends,
+                    MemController::enqueue,
+                    MemController::service_into,
+                );
+                assert_eq!(fast.completions, full.completions, "{name}, seed {seed}");
+                assert_eq!(fast.wakes, full.wakes, "{name}, seed {seed}");
+                assert!(
+                    fast.completion_only > 0 && fast.completion_only < fast.ticks,
+                    "{name}, seed {seed}: {} of {} ticks skipped the pass",
+                    fast.completion_only,
+                    fast.ticks
+                );
+            }
+        }
     }
 
     /// A refresh can bring a request's first command forward: here a read
@@ -1186,8 +1298,18 @@ mod wake_tests {
             send(0, Ps::ZERO, AccessKind::Write, 0),
             send(1, cfg.timing.t(40), AccessKind::Read, 64),
         ];
-        let old = drive(&cfg, &sends, enqueue_at_arrival);
-        let new = drive(&cfg, &sends, MemController::enqueue);
+        let old = drive(
+            &cfg,
+            &sends,
+            enqueue_at_arrival,
+            MemController::service_into,
+        );
+        let new = drive(
+            &cfg,
+            &sends,
+            MemController::enqueue,
+            MemController::service_into,
+        );
         assert_eq!(new.completions, old.completions);
         let (_, read) = new.completions[1];
         let t = cfg.timing;

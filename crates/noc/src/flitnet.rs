@@ -306,7 +306,7 @@ impl FlitNet {
         let mut vc_on_link = vec![0u8; self.topo.link_count()];
         let mut cur = src;
         let mut vc = 0u8;
-        for l in self.topo.route(src, dst) {
+        for &l in self.topo.route(src, dst) {
             next_link[cur] = Some(l);
             vc_on_link[l.0] = vc;
             // Dateline rule: crossing any wrap link bumps the VC, breaking

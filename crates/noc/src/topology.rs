@@ -46,8 +46,10 @@ pub struct Topology {
     n: usize,
     links: Vec<(usize, usize)>,
     link_of: BTreeMap<(usize, usize), LinkId>,
-    /// `next_hop[dst][node]` = neighbour to take from `node` towards `dst`.
-    next_hop: Vec<Vec<usize>>,
+    /// Every route's links, back to back: `src -> dst` is
+    /// `routes[route_at[src * n + dst]..route_at[src * n + dst + 1]]`.
+    routes: Vec<LinkId>,
+    route_at: Vec<usize>,
     /// `dist[a][b]` = hops on a shortest path.
     dist: Vec<Vec<u32>>,
 }
@@ -150,12 +152,32 @@ impl Topology {
             }
         }
 
+        // Flatten every route, walking the next hops towards each
+        // destination. A disconnected pair gets no route; `route` rejects it.
+        let mut routes = Vec::new();
+        let mut route_at = Vec::with_capacity(n * n + 1);
+        route_at.push(0);
+        for src in 0..n {
+            for (dst, hops) in next_hop.iter().enumerate() {
+                if hops[src] != usize::MAX {
+                    let mut cur = src;
+                    while cur != dst {
+                        let nxt = hops[cur];
+                        routes.push(link_of[&(cur, nxt)]);
+                        cur = nxt;
+                    }
+                }
+                route_at.push(routes.len());
+            }
+        }
+
         Topology {
             kind,
             n,
             links: edges,
             link_of,
-            next_hop,
+            routes,
+            route_at,
             dist: dist_ab,
         }
     }
@@ -212,17 +234,15 @@ impl Topology {
     ///
     /// # Panics
     /// Panics if the nodes are out of range or disconnected.
-    pub fn route(&self, src: usize, dst: usize) -> Vec<LinkId> {
+    pub fn route(&self, src: usize, dst: usize) -> &[LinkId] {
         assert!(src < self.n && dst < self.n, "node out of range");
-        let mut path = Vec::with_capacity(self.dist[src][dst] as usize);
-        let mut cur = src;
-        while cur != dst {
-            let nxt = self.next_hop[dst][cur];
-            assert_ne!(nxt, usize::MAX, "nodes {src} and {dst} are disconnected");
-            path.push(self.link_of[&(cur, nxt)]);
-            cur = nxt;
-        }
-        path
+        assert_ne!(
+            self.dist[src][dst],
+            u32::MAX,
+            "nodes {src} and {dst} are disconnected"
+        );
+        let at = src * self.n + dst;
+        &self.routes[self.route_at[at]..self.route_at[at + 1]]
     }
 
     /// A broadcast tree rooted at `src`: `(parent, child, link)` triples in
@@ -352,7 +372,7 @@ mod tests {
                     assert_eq!(route.len() as u32, t.distance(a, b), "{kind} {a}->{b}");
                     // Route is connected and ends at b.
                     let mut cur = a;
-                    for l in &route {
+                    for l in route {
                         let (from, to) = t.endpoints(*l);
                         assert_eq!(from, cur);
                         cur = to;

@@ -127,7 +127,13 @@ impl DataLayout {
     /// The DIMM owning a global address.
     #[inline]
     pub fn dimm_of(&self, addr: u64) -> usize {
-        ((addr / BYTES_PER_DIMM) as usize) % self.dimms
+        let d = (addr / BYTES_PER_DIMM) as usize;
+        // Allocated addresses are always in range: skip the division.
+        if d < self.dimms {
+            d
+        } else {
+            d % self.dimms
+        }
     }
 
     /// The per-DIMM byte offset of a global address.
@@ -166,6 +172,8 @@ mod tests {
             assert_eq!(l.dimm_of(r.at(63, 64)), d);
             assert_eq!(l.offset_of(r.base()), 0);
         }
+        // An address past the last DIMM wraps around.
+        assert_eq!(l.dimm_of(9 * BYTES_PER_DIMM + 64), 1);
     }
 
     #[test]
