@@ -3,14 +3,14 @@
 use dl_engine::{Freq, Ps};
 use dl_mem::{CacheConfig, DramConfig};
 use dl_noc::{LinkParams, TopologyKind};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The system size limit: DIMM ids travel in the 5-bit SRC/DST fields of
 /// the DIMM-Link packet header (paper Figure 3-b).
 const MAX_DIMMS: usize = 1 << 5;
 
 /// Which inter-DIMM communication mechanism the system uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum IdcKind {
     /// Host-CPU forwarding over the memory channels (MCN / UPMEM style).
     CpuForwarding,
@@ -42,7 +42,7 @@ impl std::fmt::Display for IdcKind {
 }
 
 /// Host polling strategies (paper Table III).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum PollingStrategy {
     /// Periodically scan every DIMM of every channel.
     Base,
@@ -69,7 +69,7 @@ impl std::fmt::Display for PollingStrategy {
 }
 
 /// Barrier/lock coordination scheme (paper Section III-D, Fig. 14).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum SyncScheme {
     /// Every thread synchronizes against one global master core.
     Central,
@@ -78,7 +78,7 @@ pub enum SyncScheme {
 }
 
 /// How threads are initially placed on DIMMs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum PlacementPolicy {
     /// Thread `t` runs on its data's home DIMM (the static OpenMP-style
     /// mapping; what DIMM-Link-base uses).
@@ -89,7 +89,7 @@ pub enum PlacementPolicy {
 }
 
 /// Full system configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SystemConfig {
     /// Number of NMP DIMMs.
     pub dimms: usize,
@@ -325,7 +325,7 @@ impl SystemConfig {
 }
 
 /// Host-CPU baseline configuration (the fixed 16-core comparator of Fig. 10).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HostConfig {
     /// Out-of-order cores.
     pub cores: usize,

@@ -12,7 +12,7 @@ use dl_engine::Ps;
 use serde::{Deserialize, Serialize};
 
 /// Energy-model constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyParams {
     /// DIMM-Link SerDes energy (GRS), pJ per bit.
     pub link_pj_per_bit: f64,

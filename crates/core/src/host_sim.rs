@@ -332,7 +332,6 @@ impl CorePort for HostPort<'_> {
             return Some(self.uncore.l1_hit);
         };
         // Past the private L1: the shared LLC, then memory.
-        self.audit_in_order(t);
         let u = &mut *self.uncore;
         if let Some(v) = writeback {
             u.llc.access(v, true);
@@ -349,7 +348,6 @@ impl CorePort for HostPort<'_> {
     }
 
     fn issue(&mut self, addr: u64, is_write: bool, t: Ps) -> (u64, bool) {
-        self.audit_in_order(t);
         let kind = if is_write {
             AccessKind::Write
         } else {
@@ -361,7 +359,6 @@ impl CorePort for HostPort<'_> {
     }
 
     fn atomic(&mut self, _addr: u64, t: Ps) -> (u64, bool) {
-        self.audit_in_order(t);
         // LLC-resident atomic: fast but serialized globally.
         let u = &mut *self.uncore;
         let done = u.atomic_unit.reserve(t, Ps::from_ns(25));
@@ -380,7 +377,6 @@ impl CorePort for HostPort<'_> {
     }
 
     fn barrier(&mut self, t: Ps) {
-        self.audit_in_order(t);
         let u = &mut *self.uncore;
         u.waiting.push(self.c);
         u.barrier_ready = u.barrier_ready.max(t);

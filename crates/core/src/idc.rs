@@ -31,8 +31,6 @@ pub const NOTIFY_BYTES: u64 = wire_bytes(0);
 /// Which path a delivery took (drives the Fig. 11 traffic breakdown).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Route {
-    /// Stayed within one DIMM (no IDC).
-    Local,
     /// DIMM-Link SerDes links within a group.
     Link,
     /// Host-CPU forwarding over the memory channels.
@@ -41,8 +39,6 @@ pub enum Route {
     Bus,
     /// The inter-blade CXL fabric (disaggregated organization).
     Cxl,
-    /// ABC-DIMM's multi-drop channel broadcast.
-    ChannelBroadcast,
 }
 
 /// A CXL-class blade fabric: one full-duplex port per blade plus a switch.

@@ -58,15 +58,18 @@
 //!    (`McPort`), so a tick moved earlier leaves no stale event behind.
 //! 3. `Wake(g)` (rank `2 + g`): the cores act last, by global thread id.
 //!
-//! A core's shared accesses carry its wake's key, and a core acts only
-//! while that key is not above the next queued key and its time is
+//! A core's shared accesses carry its wake's key, and a core starts one
+//! only while that key is not above the next queued key and its time is
 //! strictly before `epoch_end` (see `trace_core`). So every action on
-//! shared state happens in key order. Where a core yields decides only
-//! when its wakes are pushed, never where they pop. Nor does it move the
-//! epochs: a pending wake can only start an epoch in the grid cell of its
-//! own time. So no simulated result depends on where a core yields, and
-//! a core runs ahead through compute ops and L1 hits without comparing
-//! keys: it yields only in front of a shared action past the horizon.
+//! shared state starts in key order. An L2 miss is one action with the
+//! victim it evicts: the victim's write arms the memory tick at `(t, 1)`,
+//! below the core's key, and the miss's own access still issues at `t`.
+//! Where a core yields decides only when its wakes are pushed, never
+//! where they pop. Nor does it move the epochs: a pending wake can only
+//! start an epoch in the grid cell of its own time. So no simulated result
+//! depends on where a core yields, and a core runs ahead through compute
+//! ops and L1 hits without comparing keys: it yields only in front of a
+//! shared action past the horizon.
 
 use crate::config::{SyncScheme, SystemConfig};
 use crate::host::HostPath;
@@ -1017,7 +1020,6 @@ impl CorePort for DimmPort<'_, '_> {
             return Some(sh.l1_hit);
         };
         // Past the private L1: the shared L2, then memory.
-        self.audit_in_order(t);
         let u = &mut *self.uncore;
         // L1 victims land in the shared L2.
         let mut victim_to_mem = None;
@@ -1044,7 +1046,6 @@ impl CorePort for DimmPort<'_, '_> {
     }
 
     fn issue(&mut self, addr: u64, is_write: bool, t: Ps) -> (u64, bool) {
-        self.audit_in_order(t);
         let (sh, u, g) = (self.sh, &mut *self.uncore, self.g);
         let target = sh.workload.layout().dimm_of(addr);
         let id = u.alloc_txn();
@@ -1081,7 +1082,6 @@ impl CorePort for DimmPort<'_, '_> {
     }
 
     fn atomic(&mut self, addr: u64, t: Ps) -> (u64, bool) {
-        self.audit_in_order(t);
         let (sh, u, g) = (self.sh, &mut *self.uncore, self.g);
         u.record_profile(sh, g, addr);
         u.atomic_ops += 1;
@@ -1109,7 +1109,6 @@ impl CorePort for DimmPort<'_, '_> {
     }
 
     fn broadcast(&mut self, addr: u64, payload: u16, t: Ps) -> u64 {
-        self.audit_in_order(t);
         let (sh, u, g) = (self.sh, &mut *self.uncore, self.g);
         u.record_profile(sh, g, addr);
         let src = sh.workload.layout().dimm_of(addr);
@@ -1133,7 +1132,6 @@ impl CorePort for DimmPort<'_, '_> {
     }
 
     fn barrier(&mut self, t: Ps) {
-        self.audit_in_order(t);
         self.uncore
             .outbox
             .push((t, Intent::BarrierArrive { thread: self.g }));
@@ -1194,7 +1192,6 @@ impl Coordinator {
             Route::HostForward => self.fwd_unicast_bytes += bytes,
             Route::Bus => self.bus_unicast_bytes += bytes,
             Route::Cxl => self.cxl_unicast_bytes += bytes,
-            Route::Local | Route::ChannelBroadcast => {}
         }
     }
 
@@ -1378,7 +1375,7 @@ pub fn optimized_placement(cfg: &SystemConfig, profile_run: &RawRun) -> Vec<usiz
 mod tests {
     use super::*;
     use crate::config::IdcKind;
-    use dl_workloads::{synth, Addr, DataLayout, Op, ThreadTrace, WorkloadParams};
+    use dl_workloads::{synth, Addr, DataLayout, Op, ThreadTrace, WorkloadKind, WorkloadParams};
 
     fn quick_params(dimms: usize) -> WorkloadParams {
         WorkloadParams {
@@ -1404,6 +1401,23 @@ mod tests {
         // Only the final barrier's sync messages ride the links.
         assert!(r.stats.get("traffic.link_bytes").unwrap() < 200.0);
         assert_eq!(r.stats.get("idc_stall_frac"), Some(0.0));
+    }
+
+    /// At scale 13 K-Means's L2 misses evict dirty victims: each victim's
+    /// write arms the memory tick below the missing core's own key just
+    /// before that core issues its access. The auditor must accept the
+    /// miss and its victim as one action.
+    #[test]
+    fn k_means_misses_with_victim_writes_pass_the_auditor() {
+        let params = WorkloadParams {
+            scale: 13,
+            ..WorkloadParams::small(4)
+        };
+        let wl = WorkloadKind::KMeans.build(&params);
+        let mut cfg = SystemConfig::nmp(4, 2).with_idc(IdcKind::DimmLink);
+        cfg.max_sim = Some(Ps::from_us(60));
+        let r = run(&cfg, &wl);
+        assert!(r.elapsed > Ps::ZERO);
     }
 
     #[test]

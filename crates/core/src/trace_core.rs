@@ -16,15 +16,22 @@
 //! # Order
 //!
 //! Each system orders its events by [`EventKey`], and a core's actions
-//! carry the key of its own wake, `(t, rank)`. A core acts on shared state
-//! — the caches past its L1, memory, the interconnect, the barrier — or
-//! finishes only while that key is not above the port's
+//! carry the key of its own wake, `(t, rank)`. A core starts an action on
+//! shared state — the caches past its L1, memory, the interconnect, the
+//! barrier — or finishes only while that key is not above the port's
 //! [`horizon`](CorePort::horizon), the lowest key of anything else still
-//! to happen. So every such action happens in key order, whatever the
+//! to happen. So every such action starts in key order, whatever the
 //! host-side schedule of wakes: no result depends on where a core last
 //! yielded. Compute ops and L1 hits touch only the core's own state, so
 //! the core runs ahead through them without comparing keys; it yields only
 //! in front of a shared action past the horizon.
+//!
+//! One action may lower the horizon below the core's own key and still
+//! finish: a miss that evicts a dirty line writes the victim back at `t`,
+//! which arms the memory tick at `(t, 1)`, and then issues its own access
+//! at `t`. The miss and its victim are one action, checked once against
+//! the horizon read before the lookup. The core reads the horizon again
+//! after it issues, so its next shared action waits for that tick.
 
 use dl_engine::{EventKey, Freq, Ps};
 use dl_mem::{Completion, MemController, MemRequest};
@@ -90,18 +97,6 @@ pub(crate) trait CorePort {
     /// The core arrived at a barrier at `t` (the window is empty); it is
     /// released via [`TraceCore::unblock`].
     fn barrier(&mut self, t: Ps);
-
-    /// Under the auditor, panics if an access to shared state at `t`
-    /// overtakes the horizon: the port calls this before each one.
-    fn audit_in_order(&self, t: Ps) {
-        if dl_engine::AUDIT {
-            let (key, horizon) = (EventKey::new(t, self.rank()), self.horizon());
-            assert!(
-                key <= horizon,
-                "core acted at {key:?}, past the next event or epoch end {horizon:?}"
-            );
-        }
-    }
 }
 
 /// One trace-driven core: the position in its trace, the MLP window, what
@@ -164,10 +159,11 @@ impl TraceCore {
         }
         let mut t = now.max(self.ready_at);
         let (period, mlp, rank) = (port.clock().period(), port.mlp(), port.rank());
-        // Only this core's own `issue` and `broadcast` can lower the horizon
-        // while it keeps running: a hit schedules nothing, and a miss that
-        // blocks, an atomic and a barrier all return. So it is read again
-        // only after those two.
+        // Only this core's own actions can lower the horizon while it keeps
+        // running: a hit schedules nothing; a miss (with the victim write it
+        // may start) is followed by its `issue`, or it blocks; an atomic and
+        // a barrier return. So it is read again only after `issue` and
+        // `broadcast`, and under the auditor checked fresh at every step.
         let mut horizon = port.horizon();
         loop {
             if dl_engine::AUDIT {
@@ -452,11 +448,13 @@ mod tests {
 
     /// A port that records what the core asks of it. Loads hit when the
     /// address is below `hit_below`; every miss is a new transaction whose
-    /// remoteness is the address's low bit.
+    /// remoteness is the address's low bit. A `lookup` hit moves the
+    /// horizon to `horizon_after_hit`, if set.
     #[derive(Default)]
     struct FakePort {
         mlp: usize,
         horizon: Option<EventKey>,
+        horizon_after_hit: Option<EventKey>,
         hit_below: u64,
         next_id: u64,
         wakes: Vec<Ps>,
@@ -493,7 +491,11 @@ mod tests {
             self.wakes.push(at);
         }
         fn lookup(&mut self, addr: u64, _: bool, cacheable: bool, _: Ps) -> Option<Ps> {
-            (cacheable && addr < self.hit_below).then_some(Ps::from_ns(1))
+            let hit = cacheable && addr < self.hit_below;
+            if hit && self.horizon_after_hit.is_some() {
+                self.horizon = self.horizon_after_hit;
+            }
+            hit.then_some(Ps::from_ns(1))
         }
         fn issue(&mut self, addr: u64, _: bool, _: Ps) -> (u64, bool) {
             self.next_id += 1;
@@ -677,6 +679,36 @@ mod tests {
             // before finishing after it.
             let stop = if yields { ns(5) } else { ns(6) };
             assert_eq!(port.wakes, [stop], "rank {rank}");
+        }
+    }
+
+    #[test]
+    fn the_auditor_catches_a_hit_that_moves_the_horizon() {
+        // A hit schedules nothing, so the core keeps the horizon it read;
+        // a port whose hit moves it breaks that, and only the auditor's
+        // freshness check notices.
+        let ops = [
+            Op::Load {
+                addr: Addr::new(0),
+                cacheable: true,
+            },
+            Op::Comp(1),
+        ];
+        let run = std::panic::catch_unwind(|| {
+            let mut port = FakePort {
+                hit_below: 64,
+                horizon_after_hit: Some(EventKey::new(Ps::ZERO, 0)),
+                ..FakePort::new(1)
+            };
+            TraceCore::new(ops.len(), 1).advance(&ops, Ps::ZERO, &mut port)
+        });
+        match (run, dl_engine::AUDIT) {
+            (Ok(finished), false) => assert!(finished),
+            (Err(panic), true) => {
+                let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
+                assert!(msg.contains("the core's horizon went stale"), "{msg}");
+            }
+            (run, audit) => panic!("audit {audit}, but the run panicked: {}", run.is_err()),
         }
     }
 

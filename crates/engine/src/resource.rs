@@ -295,11 +295,6 @@ impl Resource {
         }
     }
 
-    /// Diagnostic name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Counts `dur` of occupancy without scheduling it: used for work that
     /// provably happened during past idle time (e.g. backlogged polling
     /// periods) and therefore must contribute to utilization statistics but
@@ -425,11 +420,6 @@ impl BandwidthResource {
         self.bytes_moved
     }
 
-    /// Configured bandwidth in bytes per second.
-    pub fn bytes_per_sec(&self) -> u64 {
-        self.bytes_per_sec
-    }
-
     /// The earliest time a new reservation could start.
     pub fn free_at(&self) -> Ps {
         self.inner.free_at()
@@ -453,11 +443,6 @@ impl BandwidthResource {
     /// See [`Resource::out_of_window`].
     pub fn out_of_window(&self) -> u64 {
         self.inner.out_of_window()
-    }
-
-    /// Diagnostic name.
-    pub fn name(&self) -> &str {
-        self.inner.name()
     }
 
     /// Resets occupancy accounting (used between profiling and measured runs).

@@ -3,9 +3,20 @@
 //! Every stochastic choice in the workspace (graph generation, initial data
 //! values, randomized initial thread placement) flows through [`DetRng`] so
 //! that experiments are bit-reproducible from a single seed.
+//!
+//! The generator is ChaCha8: the ChaCha block function with 8 rounds, a
+//! 256-bit key, a 64-bit block counter in words 12–13 and a zero nonce,
+//! emitting each 16-word block in order. A 64-bit seed expands into the
+//! key with SplitMix64, one output per pair of key words, low word first
+//! (the `seed_from_u64` expansion of rand 0.8). [`DetRng::below`] samples
+//! by a widening multiply with rejection (Lemire) and [`DetRng::unit`]
+//! keeps the top 53 bits of a draw. The module's known-answer tests pin the
+//! resulting streams: every generated input and figure depends on them.
 
-use rand::{Rng, RngCore, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+/// Words in one ChaCha block.
+const BLOCK_WORDS: usize = 16;
+/// "expand 32-byte k".
+const CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 
 /// A seeded, splittable deterministic RNG.
 ///
@@ -13,7 +24,6 @@ use rand_chacha::ChaCha8Rng;
 ///
 /// ```
 /// use dl_engine::DetRng;
-/// use rand::RngCore;
 ///
 /// let mut a = DetRng::seed(42);
 /// let mut b = DetRng::seed(42);
@@ -26,15 +36,34 @@ use rand_chacha::ChaCha8Rng;
 /// ```
 #[derive(Debug, Clone)]
 pub struct DetRng {
-    inner: ChaCha8Rng,
+    key: [u32; 8],
+    /// The next block to generate.
+    counter: u64,
+    block: [u32; BLOCK_WORDS],
+    /// Next unread word of `block`; `BLOCK_WORDS` means it is used up.
+    index: usize,
     seed: u64,
 }
 
 impl DetRng {
     /// Creates an RNG from a 64-bit seed.
     pub fn seed(seed: u64) -> Self {
+        let mut key = [0u32; 8];
+        let mut state = seed;
+        for pair in key.chunks_exact_mut(2) {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            pair[0] = z as u32;
+            pair[1] = (z >> 32) as u32;
+        }
         DetRng {
-            inner: ChaCha8Rng::seed_from_u64(seed),
+            key,
+            counter: 0,
+            block: [0; BLOCK_WORDS],
+            index: BLOCK_WORDS,
             seed,
         }
     }
@@ -61,18 +90,31 @@ impl DetRng {
         DetRng::seed(h)
     }
 
+    /// The next 64 bits of the stream: two words, low word first.
+    pub fn next_u64(&mut self) -> u64 {
+        let lo = u64::from(self.next_word());
+        let hi = u64::from(self.next_word());
+        (hi << 32) | lo
+    }
+
     /// Uniform value in `[0, bound)`.
     ///
     /// # Panics
     /// Panics if `bound` is zero.
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be non-zero");
-        self.inner.gen_range(0..bound)
+        loop {
+            let m = u128::from(self.next_u64()) * u128::from(bound);
+            let low = m as u64;
+            if low >= bound || low >= bound.wrapping_neg() % bound {
+                return (m >> 64) as u64;
+            }
+        }
     }
 
     /// Uniform `f64` in `[0, 1)`.
     pub fn unit(&mut self) -> f64 {
-        self.inner.gen_range(0.0..1.0)
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Bernoulli trial with probability `p`.
@@ -87,6 +129,54 @@ impl DetRng {
             items.swap(i, j);
         }
     }
+
+    fn next_word(&mut self) -> u32 {
+        if self.index == BLOCK_WORDS {
+            self.refill();
+        }
+        let w = self.block[self.index];
+        self.index += 1;
+        w
+    }
+
+    /// Generates block `counter` into `block` and advances the counter.
+    fn refill(&mut self) {
+        let mut input = [0u32; BLOCK_WORDS];
+        input[..4].copy_from_slice(&CONSTANTS);
+        input[4..12].copy_from_slice(&self.key);
+        input[12] = self.counter as u32;
+        input[13] = (self.counter >> 32) as u32;
+        let mut x = input;
+        for _ in 0..4 {
+            // A double round: the columns, then the diagonals.
+            quarter(&mut x, 0, 4, 8, 12);
+            quarter(&mut x, 1, 5, 9, 13);
+            quarter(&mut x, 2, 6, 10, 14);
+            quarter(&mut x, 3, 7, 11, 15);
+            quarter(&mut x, 0, 5, 10, 15);
+            quarter(&mut x, 1, 6, 11, 12);
+            quarter(&mut x, 2, 7, 8, 13);
+            quarter(&mut x, 3, 4, 9, 14);
+        }
+        for (out, (w, i)) in self.block.iter_mut().zip(x.iter().zip(&input)) {
+            *out = w.wrapping_add(*i);
+        }
+        self.counter = self.counter.wrapping_add(1);
+        self.index = 0;
+    }
+}
+
+/// The ChaCha quarter round on words `a`, `b`, `c`, `d` of `s`.
+#[inline(always)]
+fn quarter(s: &mut [u32; BLOCK_WORDS], a: usize, b: usize, c: usize, d: usize) {
+    s[a] = s[a].wrapping_add(s[b]);
+    s[d] = (s[d] ^ s[a]).rotate_left(16);
+    s[c] = s[c].wrapping_add(s[d]);
+    s[b] = (s[b] ^ s[c]).rotate_left(12);
+    s[a] = s[a].wrapping_add(s[b]);
+    s[d] = (s[d] ^ s[a]).rotate_left(8);
+    s[c] = s[c].wrapping_add(s[d]);
+    s[b] = (s[b] ^ s[c]).rotate_left(7);
 }
 
 /// Stream-collision registry for the audit build.
@@ -101,7 +191,8 @@ mod audit {
 
     thread_local! {
         /// derived seed → (parent seed, label) that first claimed it.
-        static STREAMS: RefCell<BTreeMap<u64, (u64, String)>> = RefCell::new(BTreeMap::new());
+        static STREAMS: RefCell<BTreeMap<u64, (u64, String)>> =
+            const { RefCell::new(BTreeMap::new()) };
     }
 
     pub(super) fn record_stream(derived: u64, parent: u64, label: &str) {
@@ -135,24 +226,58 @@ pub fn audit_reset_stream_registry() {
     audit::reset_stream_registry();
 }
 
-impl RngCore for DetRng {
-    fn next_u32(&mut self) -> u32 {
-        self.inner.next_u32()
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.inner.fill_bytes(dest)
-    }
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.inner.try_fill_bytes(dest)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Values recorded from the generator the workspace has always used;
+    /// a change here moves every generated input and figure.
+    #[test]
+    fn known_answers() {
+        let mut r = DetRng::seed(42);
+        let words = [r.next_u64(), r.next_u64(), r.next_u64()];
+        assert_eq!(
+            words,
+            [
+                0x3115_9ef9_87c9_1afc,
+                0x1755_9844_b416_9001,
+                0xf7d0_afbf_9ad9_a69f
+            ]
+        );
+        let mut g = DetRng::seed(42).stream("graph");
+        let draws: Vec<u64> = (0..5).map(|_| g.below(1000)).collect();
+        assert_eq!(draws, [798, 475, 597, 877, 15]);
+        let mut u = DetRng::seed(7);
+        assert_eq!(u.unit(), 0.40049503005912723);
+        assert_eq!(u.unit(), 0.7743282063435831);
+        let mut v: Vec<u32> = (0..10).collect();
+        DetRng::seed(5).shuffle(&mut v);
+        assert_eq!(v, [1, 3, 0, 4, 6, 7, 2, 8, 5, 9]);
+    }
+
+    #[test]
+    fn clone_preserves_stream_position() {
+        let mut a = DetRng::seed(7);
+        // An odd number of words, so the clone starts mid-block and
+        // mid-draw.
+        for _ in 0..37 {
+            a.next_word();
+        }
+        let mut b = a.clone();
+        for _ in 0..50 {
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn all_residues_reachable() {
+        let mut r = DetRng::seed(7);
+        let mut seen = [false; 10];
+        for _ in 0..1000 {
+            seen[r.below(10) as usize] = true;
+        }
+        assert!(seen.iter().all(|&s| s));
+    }
 
     #[test]
     fn same_seed_same_sequence() {

@@ -103,7 +103,7 @@ impl<'a> IntoIterator for &'a StatSet {
 /// assert_eq!(h.mean(), 26.5);
 /// assert!(h.percentile(0.5) <= 4);
 /// ```
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,

@@ -6,7 +6,7 @@
 //! ~200 days of simulated time before overflow — many orders of magnitude
 //! beyond any experiment in this repository.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -44,9 +44,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// # use dl_engine::Ps;
 /// let _: Ps = Ps::from_ps(1_500).into();
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 #[serde(transparent)]
 pub struct Ps(u64);
 
@@ -208,7 +206,7 @@ impl Sum for Ps {
 /// assert_eq!(core.period(), Ps::from_ps(500));
 /// assert_eq!(core.cycles(5), Ps::from_ps(2_500));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 #[serde(transparent)]
 pub struct Freq(u64);
 

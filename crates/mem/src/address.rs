@@ -12,10 +12,9 @@
 //! streams across banks.
 
 use crate::timing::{DramConfig, MappingScheme};
-use serde::{Deserialize, Serialize};
 
 /// Decoded coordinates of one access within a DIMM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DimmAddr {
     /// Rank index.
     pub rank: u32,
@@ -49,7 +48,7 @@ impl DimmAddr {
 /// assert_eq!((a.rank, a.bank, a.row), (b.rank, b.bank, b.row));
 /// assert_eq!(b.col, a.col + 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DimmAddressMap {
     line_shift: u32,
     col_bits: u32,

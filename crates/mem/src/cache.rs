@@ -7,10 +7,10 @@
 //! model never needs invalidation traffic.
 
 use dl_engine::stats::StatSet;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Cache geometry and latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: u32,

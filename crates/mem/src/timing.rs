@@ -1,10 +1,10 @@
 //! DDR4 timing parameters and DIMM geometry.
 
 use dl_engine::{Freq, Ps};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Row-buffer management policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum RowPolicy {
     /// Keep rows open after access (FR-FCFS exploits row hits; the paper's
     /// configuration).
@@ -15,7 +15,7 @@ pub enum RowPolicy {
 }
 
 /// Physical-to-DRAM address mapping scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum MappingScheme {
     /// `row | rank | bank | column | line`: sequential lines walk a row,
     /// row-sized strides walk banks (the default).
@@ -30,7 +30,7 @@ pub enum MappingScheme {
 ///
 /// The defaults follow the DDR4-2400 (CL17) speed grade of the Micron
 /// 32 GB LR-DIMM datasheet the paper cites for its simulation configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct DramTiming {
     /// Memory clock period in picoseconds (DDR4-2400: 833 ps).
     pub tck_ps: u64,
@@ -111,7 +111,7 @@ impl Default for DramTiming {
 }
 
 /// Full configuration of one DIMM's memory system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct DramConfig {
     /// Device timing.
     pub timing: DramTiming,

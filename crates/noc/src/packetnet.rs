@@ -5,7 +5,7 @@ use crate::topology::Topology;
 use crate::FLIT_BYTES;
 use dl_engine::stats::StatSet;
 use dl_engine::{BandwidthResource, Ps};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Head-flit size on the wire: the smaller of one protocol flit
 /// ([`FLIT_BYTES`]) and the whole message.
@@ -14,7 +14,7 @@ fn head_flit_bytes(bytes: u64) -> u64 {
 }
 
 /// Physical parameters of one unidirectional SerDes link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct LinkParams {
     /// Usable bandwidth per direction, bytes per second.
     pub bytes_per_sec: u64,

@@ -6,16 +6,16 @@
 //! All four are generated here, with per-destination BFS routing tables
 //! (lowest-index tie-break, so routes are deterministic).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of one unidirectional link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LinkId(pub usize);
 
 /// The connectivity patterns explored by the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum TopologyKind {
     /// Adjacent DIMMs connected in a line (the practical baseline).
     Chain,

@@ -2,11 +2,10 @@
 
 use crate::mcmf::MinCostFlow;
 use crate::profile::AccessProfile;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A thread → DIMM assignment with its distance-weighted cost.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     assignment: Vec<usize>,
     total_cost: u64,

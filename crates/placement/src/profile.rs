@@ -4,8 +4,6 @@
 //! much traffic that thread sends to every DIMM. The host then aggregates
 //! the counters into this table.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-thread, per-DIMM access counts.
 ///
 /// # Examples
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// m.record(0, 3, 5);
 /// assert_eq!(m.get(0, 3), 15);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessProfile {
     threads: usize,
     dimms: usize,

@@ -1,10 +1,9 @@
 //! CSR graphs and the R-MAT generator used as the LiveJournal substitute.
 
 use dl_engine::DetRng;
-use serde::{Deserialize, Serialize};
 
 /// A directed graph in compressed-sparse-row form with edge weights.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrGraph {
     offsets: Vec<u64>,
     targets: Vec<u32>,

@@ -7,7 +7,6 @@
 //! actually lays out data for the coarse-grained execution flow.
 
 use crate::trace::Addr;
-use serde::{Deserialize, Serialize};
 
 /// Address-space bytes reserved per DIMM (16 GiB, matching the modelled
 /// LR-DIMM capacity; 34 offset bits + up to 6 DIMM bits < the paper's
@@ -19,7 +18,7 @@ pub const BYTES_PER_DIMM: u64 = 1 << 34;
 pub const MAX_DIMMS: usize = (Addr::LIMIT / BYTES_PER_DIMM) as usize;
 
 /// A contiguous allocation on one DIMM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Region {
     base: u64,
     bytes: u64,
@@ -77,7 +76,7 @@ impl Region {
 /// assert_eq!(layout.dimm_of(b.base()), 2);
 /// assert_eq!(b.base(), 2 * BYTES_PER_DIMM);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataLayout {
     dimms: usize,
     next_free: Vec<u64>,

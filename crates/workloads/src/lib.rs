@@ -47,10 +47,10 @@ pub use graph::CsrGraph;
 pub use layout::{DataLayout, Region, BYTES_PER_DIMM};
 pub use trace::{Addr, Op, ThreadTrace, Workload};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Parameters shared by every workload builder.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct WorkloadParams {
     /// Number of DIMMs data is partitioned over.
     pub dimms: usize,
@@ -101,7 +101,7 @@ impl WorkloadParams {
 }
 
 /// The workload taxonomy used throughout the benches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadKind {
     /// Breadth-first search.
     Bfs,
