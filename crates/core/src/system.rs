@@ -210,8 +210,6 @@ struct BarrierState {
     /// placement. A zero entry takes no part in the barrier.
     threads_on_dimm: Vec<usize>,
     dimms_in_group: Vec<usize>,
-    /// Completed-group arrivals at the global master.
-    global_arrived: usize,
     global_ready: Ps,
     /// Threads waiting for release.
     waiting: Vec<usize>,
@@ -473,7 +471,6 @@ impl<'w> NmpSystem<'w> {
                     group_agg: vec![BarrierGroupAgg::default(); cfg.groups],
                     threads_on_dimm: load,
                     dimms_in_group,
-                    global_arrived: 0,
                     global_ready: Ps::ZERO,
                     waiting: Vec::new(),
                 },
@@ -1242,7 +1239,6 @@ impl Coordinator {
                         let at_global =
                             self.sync_hop(sh, group_done, gmaster, self.global_master());
                         let at_global = self.master_absorb(sh, self.global_master(), at_global);
-                        self.barrier.global_arrived += 1;
                         self.barrier.global_ready = self.barrier.global_ready.max(at_global);
                     }
                 }
@@ -1258,7 +1254,6 @@ impl Coordinator {
         let release_from = self.barrier.global_ready + SYNC_PROC;
         let waiting = std::mem::take(&mut self.barrier.waiting);
         self.barrier.arrived = 0;
-        self.barrier.global_arrived = 0;
         self.barrier.global_ready = Ps::ZERO;
         let master = self.global_master();
         match sh.cfg.sync {

@@ -303,12 +303,6 @@ impl Resource {
         self.busy += dur;
         self.reservations += 1;
     }
-
-    /// Resets occupancy accounting (used between profiling and measured runs).
-    pub fn reset_accounting(&mut self) {
-        self.busy = Ps::ZERO;
-        self.reservations = 0;
-    }
 }
 
 /// [`VecDeque::partition_point`], searched from the back: `pred` holds on a
@@ -444,12 +438,6 @@ impl BandwidthResource {
     pub fn out_of_window(&self) -> u64 {
         self.inner.out_of_window()
     }
-
-    /// Resets occupancy accounting (used between profiling and measured runs).
-    pub fn reset_accounting(&mut self) {
-        self.inner.reset_accounting();
-        self.bytes_moved = 0;
-    }
 }
 
 #[cfg(test)]
@@ -505,17 +493,6 @@ mod tests {
         assert_eq!(a, Ps::from_ps(100));
         assert_eq!(b, Ps::from_ps(200));
         assert_eq!(link.bytes_moved(), 200);
-    }
-
-    #[test]
-    fn reset_accounting_clears_counters_not_schedule() {
-        let mut r = Resource::new("r");
-        r.reserve(Ps::ZERO, Ps::from_ns(10));
-        r.reset_accounting();
-        assert_eq!(r.busy_time(), Ps::ZERO);
-        assert_eq!(r.reservations(), 0);
-        // The schedule (free_at) is preserved: the bus is still busy.
-        assert_eq!(r.free_at(), Ps::from_ns(10));
     }
 
     #[test]

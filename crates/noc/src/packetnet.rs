@@ -221,16 +221,6 @@ impl PacketNet {
     pub fn links_flit_time(&self, bytes: u64) -> Ps {
         self.links[0].duration_of(head_flit_bytes(bytes))
     }
-
-    /// Clears byte/occupancy accounting (schedule state is preserved).
-    pub fn reset_accounting(&mut self) {
-        for l in &mut self.links {
-            l.reset_accounting();
-        }
-        self.packets_sent = 0;
-        self.broadcasts_sent = 0;
-        self.total_hops = 0;
-    }
 }
 
 #[cfg(test)]
@@ -389,15 +379,13 @@ mod tests {
     }
 
     #[test]
-    fn stats_and_reset() {
+    fn stats_count_packets_and_link_bytes() {
         let mut n = net(TopologyKind::Chain, 4);
         n.send(Ps::ZERO, 0, 3, 100);
         let s = n.stats(Ps::from_us(1));
         assert_eq!(s.get("packets"), Some(1.0));
         assert_eq!(s.get("link_bytes"), Some(300.0)); // 3 hops x 100 B
         assert!(s.get("max_link_util").unwrap() > 0.0);
-        n.reset_accounting();
-        assert_eq!(n.link_bytes(), 0);
     }
 
     #[test]
