@@ -329,7 +329,10 @@ pub fn system_of(spec: &RunSpec) -> Result<SystemConfig, CliError> {
         cfg.sync = s;
     }
     if let Some(gb) = spec.link_gbps {
-        cfg.link = cfg.link.with_bandwidth(gb * 1_000_000_000);
+        let bytes_per_sec = gb
+            .checked_mul(1_000_000_000)
+            .ok_or_else(|| err(format!("--link-gbps {gb} overflows bytes per second")))?;
+        cfg.link = cfg.link.with_bandwidth(bytes_per_sec);
     }
     cfg.max_sim = spec.max_sim_ms.map(dl_bench::sim_cap_of_ms);
     cfg.validate().map_err(CliError)?;
@@ -702,6 +705,12 @@ mod tests {
         assert!(system_of(&spec).is_err());
         spec.dimms = 8;
         assert!(system_of(&spec).is_ok());
+        // A zero link bandwidth, and one whose bytes per second overflow.
+        for gb in [0, u64::MAX / 1_000_000_000 + 1] {
+            spec.link_gbps = Some(gb);
+            let msg = system_of(&spec).expect_err("bad --link-gbps").0;
+            assert!(msg.contains("link"), "{gb}: {msg}");
+        }
     }
 
     #[test]

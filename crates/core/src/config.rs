@@ -317,6 +317,9 @@ impl SystemConfig {
         if !(0.0..=1.0).contains(&self.profile_fraction) {
             return Err("profile_fraction must be in [0,1]".into());
         }
+        if self.link.bytes_per_sec == 0 {
+            return Err("link bandwidth must be non-zero".into());
+        }
         self.dram.validate()?;
         self.nmp_l1.validate()?;
         self.nmp_l2.validate()?;

@@ -8,44 +8,27 @@
 //! aggregate rank-level bandwidth, which is exactly the gap near-memory
 //! processing exploits.
 //!
-//! The cores are the shared `trace_core` model with the host's
-//! large MLP window, and each memory controller sits behind its
-//! `McPort`. What is the host's own is its `CorePort`, `HostPort`: the
-//! L1→LLC path with its victim handling, the line-interleaved channels,
-//! the global atomic unit, and the shared-memory barrier. Every slot is
-//! local, so all memory stall counts as memory stall.
+//! The cores are the shared `trace_core` model with the host's clock and
+//! large MLP window, and the events and channel ticks follow its
+//! `Schedule`, one tick slot per channel. What is the host's own is its
+//! `CorePort`, `HostPort`: the L1→LLC path with its victim handling, the
+//! line-interleaved channels, the global atomic unit, and the
+//! shared-memory barrier. Every slot is local, so all memory stall counts
+//! as memory stall.
 
 use crate::config::HostConfig;
-use crate::trace_core::{CorePort, McPort, TraceCore, TxnTable};
+use crate::trace_core::{stall_frac, CorePort, Next, Schedule, TraceCore, TxnTable};
 use dl_engine::stats::StatSet;
-use dl_engine::{EventKey, EventQueue, Freq, Ps, Resource};
+use dl_engine::{EventKey, Ps, Resource};
 use dl_mem::{AccessKind, Cache, CacheOutcome, DimmAddressMap, MemController, MemRequest};
 use dl_workloads::Workload;
 
+/// A queued event: a core's wake (ranked by core) or a completion (rank
+/// 0, ahead of the channel ticks).
 #[derive(Debug)]
 enum Ev {
     Wake(usize),
     Done(u64),
-}
-
-/// Ranks among events at the same time, the NMP system's order (see
-/// `crate::system`): completions, then memory ticks by channel, then wakes
-/// by core. The ticks are keyed slots beside the queue, one per channel.
-impl Ev {
-    fn rank(&self, channels: usize) -> u64 {
-        match self {
-            Ev::Done(_) => 0,
-            Ev::Wake(c) => wake_rank(*c, channels),
-        }
-    }
-}
-
-fn tick_rank(ch: usize) -> u64 {
-    1 + ch as u64
-}
-
-fn wake_rank(c: usize, channels: usize) -> u64 {
-    (1 + channels + c) as u64
 }
 
 /// Result of a host-baseline run.
@@ -83,24 +66,21 @@ struct HostSystem<'w> {
 }
 
 /// Everything but the cores: caches, channels, the atomic unit, the
-/// barrier, and the event queue.
+/// barrier, and the schedule.
 struct Uncore {
     cfg: HostConfig,
-    events: EventQueue<Ev>,
+    /// The events and the channels with their ticks.
+    sched: Schedule<Ev>,
     l1: Vec<Cache>,
     llc: Cache,
     /// L1 and LLC hit latencies at the core clock.
     l1_hit: Ps,
     llc_hit: Ps,
-    mcs: Vec<McPort>,
-    /// The earliest live memory tick over all channels, as a key.
-    tick: EventKey,
     map: DimmAddressMap,
     atomic_unit: Resource,
     /// Transaction -> the core waiting for it.
     txns: TxnTable<usize>,
     next_txn: u64,
-    now: Ps,
     /// Cores arrived at the current barrier, in arrival order.
     waiting: Vec<usize>,
     barrier_ready: Ps,
@@ -116,34 +96,32 @@ struct HostPort<'a> {
 impl<'w> HostSystem<'w> {
     fn new(workload: &'w Workload, cfg: &HostConfig) -> Self {
         let threads = workload.traces().len();
-        let mut events = EventQueue::new();
-        for c in 0..threads {
-            events.push_ranked(Ps::ZERO, wake_rank(c, cfg.channels), Ev::Wake(c));
+        let mut sched = Schedule::new(
+            (0..cfg.channels)
+                .map(|c| MemController::new(format!("host-ch{c}"), &cfg.dram))
+                .collect(),
+        );
+        let mut cores = Vec::with_capacity(threads);
+        for (c, tr) in workload.traces().iter().enumerate() {
+            let rank = sched.wake_rank(c);
+            sched.push(Ps::ZERO, rank, Ev::Wake(c));
+            cores.push(TraceCore::new(tr.len(), cfg.freq, cfg.mlp, rank, false));
         }
         HostSystem {
             workload,
-            cores: workload
-                .traces()
-                .iter()
-                .map(|tr| TraceCore::new(tr.len(), cfg.mlp))
-                .collect(),
+            cores,
             done: 0,
             uncore: Uncore {
                 cfg: cfg.clone(),
-                events,
+                sched,
                 l1: (0..threads).map(|_| Cache::new(cfg.l1)).collect(),
                 llc: Cache::new(cfg.llc),
                 l1_hit: cfg.freq.cycles(u64::from(cfg.l1.hit_latency_cycles)),
                 llc_hit: cfg.freq.cycles(u64::from(cfg.llc.hit_latency_cycles)),
-                mcs: (0..cfg.channels)
-                    .map(|c| McPort::new(MemController::new(format!("host-ch{c}"), &cfg.dram)))
-                    .collect(),
-                tick: EventKey::MAX,
                 map: DimmAddressMap::new(&cfg.dram),
                 atomic_unit: Resource::new("host-atomics"),
                 txns: TxnTable::new(),
                 next_txn: 0,
-                now: Ps::ZERO,
                 waiting: Vec::new(),
                 barrier_ready: Ps::ZERO,
                 barriers_passed: 0,
@@ -152,25 +130,11 @@ impl<'w> HostSystem<'w> {
     }
 
     fn run(mut self) -> HostRun {
-        loop {
-            // The earliest memory tick or the queue's head, whichever key
-            // is lower (no queued event shares a tick's rank).
-            let tick = self.uncore.tick;
-            let (t, ev) = match self.uncore.events.peek_key() {
-                Some(head) if head < tick => {
-                    self.uncore.events.pop().expect("peeked event vanished")
-                }
-                _ if tick.at < Ps::MAX => {
-                    self.uncore.now = tick.at;
-                    // The rank names the channel.
-                    self.mem_tick((tick.rank - tick_rank(0)) as usize);
-                    continue;
-                }
-                _ => break,
-            };
-            self.uncore.now = t;
-            match ev {
-                Ev::Wake(c) => {
+        while let Some(next) = self.uncore.sched.pop(Ps::MAX) {
+            let t = self.uncore.sched.now();
+            match next {
+                Next::Tick(ch) => self.mem_tick(ch),
+                Next::Event(Ev::Wake(c)) => {
                     let ops = self.workload.traces()[c].ops();
                     let (core, mut port) = self.core(c);
                     if core.advance(ops, t, &mut port) {
@@ -180,7 +144,7 @@ impl<'w> HostSystem<'w> {
                         self.release_barrier();
                     }
                 }
-                Ev::Done(id) => {
+                Next::Event(Ev::Done(id)) => {
                     if let Some(c) = self.uncore.txns.remove(id) {
                         let (core, mut port) = self.core(c);
                         core.complete(id, t, &mut port);
@@ -217,20 +181,16 @@ impl<'w> HostSystem<'w> {
 
     fn mem_tick(&mut self, ch: usize) {
         let u = &mut self.uncore;
-        let completions = u.mcs[ch].service(u.now);
+        let completions = u.sched.service(ch);
         // The data return crosses the channel too: deliver completions with
         // the return-path latency added.
-        let at = u.now + u.cfg.channel_latency;
+        let at = u.sched.now() + u.cfg.channel_latency;
         for comp in &completions {
             if u.txns.contains(comp.id) {
-                u.schedule(at, Ev::Done(comp.id));
+                u.sched.push(at, 0, Ev::Done(comp.id));
             }
         }
-        u.mcs[ch].rearm(completions);
-        u.tick = (0..u.mcs.len())
-            .map(|ch| EventKey::new(u.mcs[ch].tick(), tick_rank(ch)))
-            .min()
-            .unwrap_or(EventKey::MAX);
+        u.sched.rearm(ch, completions);
     }
 
     fn collect(self) -> HostRun {
@@ -246,33 +206,20 @@ impl<'w> HostSystem<'w> {
         s.set("barriers", self.uncore.barriers_passed as f64);
         let mut activates = 0.0;
         let mut bytes = 0.0;
-        for port in &self.uncore.mcs {
-            activates += port.mc.activates() as f64;
-            bytes += port.mc.bytes_moved() as f64;
+        for mc in self.uncore.sched.mcs() {
+            activates += mc.activates() as f64;
+            bytes += mc.bytes_moved() as f64;
         }
         s.set("dram.activates", activates);
         s.set("dram.bytes", bytes);
         let threads = self.cores.len() as f64;
         let mem_stall: Ps = self.cores.iter().map(|c| c.mem_stall).sum();
-        s.set(
-            "mem_stall_frac",
-            if elapsed == Ps::ZERO {
-                0.0
-            } else {
-                mem_stall.as_ps() as f64 / (elapsed.as_ps() as f64 * threads)
-            },
-        );
+        s.set("mem_stall_frac", stall_frac(mem_stall, elapsed, threads));
         HostRun { elapsed, stats: s }
     }
 }
 
 impl Uncore {
-    /// Queues `ev` at `at` under its canonical rank.
-    fn schedule(&mut self, at: Ps, ev: Ev) {
-        let rank = ev.rank(self.cfg.channels);
-        self.events.push_ranked(at, rank, ev);
-    }
-
     /// Sends a line access at `t` down its channel; returns the transaction.
     fn send_line(&mut self, addr: u64, kind: AccessKind, t: Ps) -> u64 {
         self.next_txn += 1;
@@ -283,10 +230,7 @@ impl Uncore {
         let req = MemRequest::new(self.next_txn, kind, self.map.decode(addr / channels));
         // Channel command/IO latency folded into the request arrival.
         let arrival = t + self.cfg.channel_latency;
-        self.mcs[ch].enqueue(self.now, arrival, req);
-        self.tick = self
-            .tick
-            .min(EventKey::new(self.mcs[ch].tick(), tick_rank(ch)));
+        self.sched.enqueue(ch, arrival, req);
         self.next_txn
     }
 }
@@ -295,45 +239,27 @@ impl Uncore {
 /// line-interleaved channels, a global atomic unit, and a shared-memory
 /// barrier released by [`HostSystem::release_barrier`].
 impl CorePort for HostPort<'_> {
-    fn clock(&self) -> Freq {
-        self.uncore.cfg.freq
-    }
-
-    fn mlp(&self) -> usize {
-        self.uncore.cfg.mlp
-    }
-
-    fn rank(&self) -> u64 {
-        wake_rank(self.c, self.uncore.cfg.channels)
-    }
-
     fn horizon(&self) -> EventKey {
-        let tick = self.uncore.tick;
-        self.uncore
-            .events
-            .peek_key()
-            .map_or(tick, |head| head.min(tick))
+        self.uncore.sched.horizon()
     }
 
-    fn private_hit(&mut self, addr: u64, is_write: bool) -> Option<Ps> {
+    fn l1_hit(&mut self, addr: u64, is_write: bool) -> Option<Ps> {
         let u = &mut *self.uncore;
         u.l1[self.c].hit(addr, is_write).then_some(u.l1_hit)
     }
 
     fn wake(&mut self, at: Ps) {
-        self.uncore.schedule(at, Ev::Wake(self.c));
+        let sched = &mut self.uncore.sched;
+        sched.push(at, sched.wake_rank(self.c), Ev::Wake(self.c));
     }
 
-    fn lookup(&mut self, addr: u64, is_write: bool, cacheable: bool, t: Ps) -> Option<Ps> {
+    fn past_l1(&mut self, addr: u64, is_write: bool, cacheable: bool, t: Ps) -> Option<Ps> {
         if !cacheable {
             return None;
         }
-        let CacheOutcome::Miss { writeback } = self.uncore.l1[self.c].access(addr, is_write) else {
-            return Some(self.uncore.l1_hit);
-        };
-        // Past the private L1: the shared LLC, then memory.
+        // Fill the private L1, then the shared LLC, then memory.
         let u = &mut *self.uncore;
-        if let Some(v) = writeback {
+        if let Some(v) = u.l1[self.c].fill(addr, is_write) {
             u.llc.access(v, true);
         }
         match u.llc.access(addr, is_write) {
@@ -364,16 +290,12 @@ impl CorePort for HostPort<'_> {
         let done = u.atomic_unit.reserve(t, Ps::from_ns(25));
         u.next_txn += 1;
         u.txns.insert(u.next_txn, self.c);
-        u.schedule(done, Ev::Done(u.next_txn));
+        u.sched.push(done, 0, Ev::Done(u.next_txn));
         (u.next_txn, false)
     }
 
     fn broadcast(&mut self, _addr: u64, _bytes: u16, _t: Ps) -> u64 {
         panic!("host baseline runs non-broadcast traces");
-    }
-
-    fn skips_barriers(&self) -> bool {
-        false
     }
 
     fn barrier(&mut self, t: Ps) {

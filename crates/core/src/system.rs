@@ -2,12 +2,12 @@
 //! memory-level parallelism, private L1s and a shared per-DIMM L2, per-DIMM
 //! DDR4 controllers, and one of the four IDC mechanisms for remote traffic.
 //!
-//! The cores are the shared `trace_core` model with the small
-//! in-order MLP window, and each DIMM's memory controller sits behind its
-//! `McPort`. What is the NMP system's own is its `CorePort`,
-//! `DimmPort`: the L1→L2 path, access profiling for Algorithm 1, local
-//! accesses versus remote ones staged for the coordinator, and barrier
-//! arrivals handed to it likewise.
+//! The cores are the shared `trace_core` model with the NMP clock and the
+//! small in-order MLP window, and each partition's events and its DIMM's
+//! memory tick follow its `Schedule`. What is the NMP system's own is its
+//! `CorePort`, `DimmPort`: the L1→L2 path, access profiling for
+//! Algorithm 1, local accesses versus remote ones staged for the
+//! coordinator, and barrier arrivals handed to it likewise.
 //!
 //! The paper's coarse-grained execution flow is assumed: the host has
 //! already loaded data and kernels, DIMMs are in NMP-Access mode, and the
@@ -43,8 +43,10 @@
 //!
 //! # Event order
 //!
-//! Each partition's queue pops events by [`EventKey`]: time, then a rank
-//! fixed by the event's class, then push order.
+//! Each partition pops its events in `trace_core`'s one order, the host
+//! baseline's too: by [`EventKey`], time, then a rank fixed by the event's
+//! class, then push order. With one controller per partition the ranks
+//! are:
 //!
 //! 1. `Deliver` (rank 0). What arrives at `t` — a response, a release, a
 //!    request at its home DIMM — is in place before anything else at `t`
@@ -54,31 +56,32 @@
 //!    push order among them is already canonical.
 //! 2. The memory tick (rank 1): the controller serves `t` once `t`'s
 //!    arrivals are queued, and its completions land before the cores act.
-//!    The partition's one live tick is a keyed slot beside the queue
-//!    (`McPort`), so a tick moved earlier leaves no stale event behind.
+//!    The one live tick is a keyed slot beside the queue, so a tick moved
+//!    earlier leaves no stale event behind.
 //! 3. `Wake(g)` (rank `2 + g`): the cores act last, by global thread id.
 //!
-//! A core's shared accesses carry its wake's key, and a core starts one
-//! only while that key is not above the next queued key and its time is
-//! strictly before `epoch_end` (see `trace_core`). So every action on
+//! A partition pops only events strictly before `epoch_end`, and its
+//! schedule's horizon stops there too, so a core starts a shared action
+//! only while its wake's key is not above the next queued key and its
+//! time is before the epoch's end (see `trace_core`). So every action on
 //! shared state starts in key order. An L2 miss is one action with the
 //! victim it evicts: the victim's write arms the memory tick at `(t, 1)`,
 //! below the core's key, and the miss's own access still issues at `t`.
 //! Where a core yields decides only when its wakes are pushed, never
 //! where they pop. Nor does it move the epochs: a pending wake can only
 //! start an epoch in the grid cell of its own time. So no simulated result
-//! depends on where a core yields, and a core runs ahead through compute
-//! ops and L1 hits without comparing keys: it yields only in front of a
-//! shared action past the horizon.
+//! depends on where a core yields, and a core runs through compute ops and
+//! L1 hits without comparing keys: it yields only in front of a shared
+//! action past the horizon.
 
 use crate::config::{SyncScheme, SystemConfig};
 use crate::host::HostPath;
 use crate::idc::{
     distance_matrix, min_cross_latency, wire_bytes, Interconnect, Route, NOTIFY_BYTES,
 };
-use crate::trace_core::{CorePort, McPort, TraceCore, TxnTable};
+use crate::trace_core::{stall_frac, CorePort, Next, Schedule, TraceCore, TxnTable};
 use dl_engine::stats::{Histogram, StatSet};
-use dl_engine::{BudgetKind, EventKey, EventQueue, Freq, Ps, Resource, RunStatus};
+use dl_engine::{BudgetKind, EventKey, Ps, Resource, RunStatus};
 use dl_mem::{AccessKind, Cache, CacheOutcome, DimmAddressMap, MemController, MemRequest};
 use dl_placement::AccessProfile;
 use dl_workloads::Workload;
@@ -125,8 +128,7 @@ enum XEvent {
         origin: u64,
     },
     /// A response, an acknowledgement, or a broadcast's last delivery
-    /// reached the issuing core: free its window slot or wake it from
-    /// `WaitTxn`.
+    /// reached the issuing core: free its window slot.
     Complete { thread: usize, origin: u64 },
     /// An atomic request arrived at its home DIMM: serialize and respond.
     AtomicAtHome {
@@ -160,33 +162,15 @@ enum Intent {
     },
 }
 
-/// A partition-local event.
+/// A partition-local event (see "Event order" in the module docs).
 #[derive(Debug)]
 enum Ev {
-    /// Wake global thread `usize` (resident on this partition).
+    /// Wake global thread `usize` (resident on this partition), ranked by
+    /// thread.
     Wake(usize),
-    /// A cross-partition event (or a local completion modeled as one).
+    /// A cross-partition event (or a local completion modeled as one), at
+    /// rank 0.
     Deliver(XEvent),
-}
-
-impl Ev {
-    /// The event's rank among events at the same time (see "Event order"
-    /// in the module docs): deliveries, then the memory tick
-    /// ([`MEM_TICK_RANK`]), then wakes by global thread id.
-    fn rank(&self) -> u64 {
-        match self {
-            Ev::Deliver(_) => 0,
-            Ev::Wake(g) => wake_rank(*g),
-        }
-    }
-}
-
-/// The rank of a partition's memory tick, between deliveries and wakes.
-const MEM_TICK_RANK: u64 = 1;
-
-/// The rank of global thread `g`'s wakes.
-fn wake_rank(g: usize) -> u64 {
-    2 + g as u64
 }
 
 #[derive(Debug, Default, Clone)]
@@ -246,7 +230,6 @@ struct Shared<'w> {
     placement: Vec<usize>,
     /// `local_of[t]` = index of thread `t` within its partition's cores.
     local_of: Vec<usize>,
-    profiling: bool,
     map: DimmAddressMap,
     /// L1 and L2 hit latencies at the core clock.
     l1_hit: Ps,
@@ -271,15 +254,16 @@ struct DimmPart {
     uncore: Uncore,
 }
 
-/// Everything on a DIMM but its cores: caches, memory controller, atomic
-/// unit, local event queue, and outbox.
+/// Everything on a DIMM but its cores: caches, the schedule with the
+/// memory controller, atomic unit, and outbox.
 struct Uncore {
     dimm: usize,
     l1: Vec<Cache>,
     l2: Cache,
-    mc: McPort,
+    /// The local events and the DIMM's controller (channel 0) with its
+    /// tick.
+    sched: Schedule<Ev>,
     atomic_unit: Resource,
-    events: EventQueue<Ev>,
     /// Cross-partition intents staged this epoch, in emission order, each
     /// with the time it takes effect; drained at every barrier.
     outbox: Vec<(Ps, Intent)>,
@@ -288,10 +272,6 @@ struct Uncore {
     /// The last transaction id handed out: ids are partition-local and
     /// increasing, which the id-indexed tables rely on.
     next_txn: u64,
-    now: Ps,
-    /// Exclusive upper bound on this epoch (cores must not act at or past
-    /// it: cross-partition events may still arrive there).
-    epoch_end: Ps,
     local_bytes: u64,
     remote_reads: u64,
     remote_writes: u64,
@@ -381,6 +361,7 @@ impl<'w> NmpSystem<'w> {
 
         let idc = Interconnect::new(cfg);
         let host = HostPath::new(cfg, &idc.proxy_channels(cfg));
+        // Barriers are meaningless on truncated profiling traces.
         let profiling = limit_ops.is_some();
         let lookahead = min_cross_latency(cfg);
 
@@ -402,18 +383,19 @@ impl<'w> NmpSystem<'w> {
             .into_iter()
             .enumerate()
             .map(|(d, residents)| {
-                let mut events = EventQueue::new();
+                let mc = MemController::new(format!("dimm{d}"), &cfg.dram);
+                let mut sched = Schedule::new(vec![mc]);
+                let mut cores = Vec::with_capacity(residents.len());
                 for &g in &residents {
-                    events.push_ranked(Ps::ZERO, wake_rank(g), Ev::Wake(g));
+                    let rank = sched.wake_rank(g);
+                    sched.push(Ps::ZERO, rank, Ev::Wake(g));
+                    let len = workload.traces()[g].len();
+                    let limit = limit_ops.map_or(len, |l| l.min(len));
+                    let core = TraceCore::new(limit, cfg.nmp_freq, cfg.nmp_mlp, rank, profiling);
+                    cores.push(core);
                 }
                 DimmPart {
-                    cores: residents
-                        .iter()
-                        .map(|&g| {
-                            let len = workload.traces()[g].len();
-                            TraceCore::new(limit_ops.map_or(len, |l| l.min(len)), cfg.nmp_mlp)
-                        })
-                        .collect(),
+                    cores,
                     done: 0,
                     ev_wake: 0,
                     ev_mem: 0,
@@ -422,14 +404,11 @@ impl<'w> NmpSystem<'w> {
                         dimm: d,
                         l1: residents.iter().map(|_| Cache::new(cfg.nmp_l1)).collect(),
                         l2: Cache::new(cfg.nmp_l2),
-                        mc: McPort::new(MemController::new(format!("dimm{d}"), &cfg.dram)),
+                        sched,
                         atomic_unit: Resource::new(format!("dimm{d}.atomic")),
-                        events,
                         outbox: Vec::new(),
                         txn_mem: TxnTable::new(),
                         next_txn: 0,
-                        now: Ps::ZERO,
-                        epoch_end: Ps::ZERO,
                         local_bytes: 0,
                         remote_reads: 0,
                         remote_writes: 0,
@@ -448,7 +427,6 @@ impl<'w> NmpSystem<'w> {
                 workload,
                 placement: placement.to_vec(),
                 local_of,
-                profiling,
                 map: DimmAddressMap::new(&cfg.dram),
                 l1_hit: cfg
                     .nmp_freq
@@ -527,8 +505,8 @@ impl<'w> NmpSystem<'w> {
     /// (exercises the stale-wake path deterministically).
     #[cfg(test)]
     fn inject_wake(&mut self, thread: usize, at: Ps) {
-        let d = self.shared.placement[thread];
-        self.parts[d].uncore.schedule(at, Ev::Wake(thread));
+        let sched = &mut self.parts[self.shared.placement[thread]].uncore.sched;
+        sched.push(at, sched.wake_rank(thread), Ev::Wake(thread));
     }
 
     // ------------------------------------------------------------------
@@ -547,7 +525,11 @@ impl<'w> NmpSystem<'w> {
         // Cores still running when a budget cut the run short are charged
         // up to the cut-off time (the furthest partition clock); a
         // completed run always has every finish time.
-        let high = parts.iter().map(|p| p.uncore.now).max().unwrap_or(Ps::ZERO);
+        let high = parts
+            .iter()
+            .map(|p| p.uncore.sched.now())
+            .max()
+            .unwrap_or(Ps::ZERO);
         let mut elapsed = Ps::ZERO;
         for g in 0..threads_total {
             let core = &parts[sh.placement[g]].cores[sh.local_of[g]];
@@ -603,30 +585,9 @@ impl<'w> NmpSystem<'w> {
             s.set("dl.notify_wait_max_ns", dl.notify_wait.max() as f64 / 1e3);
         }
         s.set("threads", threads);
-        s.set(
-            "idc_stall_frac",
-            if elapsed == Ps::ZERO {
-                0.0
-            } else {
-                idc_stall.as_ps() as f64 / (elapsed.as_ps() as f64 * threads)
-            },
-        );
-        s.set(
-            "mem_stall_frac",
-            if elapsed == Ps::ZERO {
-                0.0
-            } else {
-                mem_stall.as_ps() as f64 / (elapsed.as_ps() as f64 * threads)
-            },
-        );
-        s.set(
-            "sync_stall_frac",
-            if elapsed == Ps::ZERO {
-                0.0
-            } else {
-                sync_stall.as_ps() as f64 / (elapsed.as_ps() as f64 * threads)
-            },
-        );
+        s.set("idc_stall_frac", stall_frac(idc_stall, elapsed, threads));
+        s.set("mem_stall_frac", stall_frac(mem_stall, elapsed, threads));
+        s.set("sync_stall_frac", stall_frac(sync_stall, elapsed, threads));
         s.set("traffic.local_bytes", local_bytes as f64);
         s.set("traffic.link_bytes", coord.link_unicast_bytes as f64);
         s.set("traffic.fwd_bytes", coord.fwd_unicast_bytes as f64);
@@ -649,14 +610,14 @@ impl<'w> NmpSystem<'w> {
         let mut dram_reads = 0u64;
         let mut dram_writes = 0u64;
         for p in &parts {
-            let mc = &p.uncore.mc.mc;
+            let mc = &p.uncore.sched.mcs()[0];
             activates += mc.activates();
             dram_reads += mc.reads();
             dram_writes += mc.writes();
         }
         s.set("dram.activates", activates as f64);
         for (d, p) in parts.iter().enumerate() {
-            let mc = &p.uncore.mc.mc;
+            let mc = &p.uncore.sched.mcs()[0];
             s.set(format!("dram.dimm{d}.reads"), mc.reads() as f64);
             s.set(
                 format!("dram.dimm{d}.lat_ns"),
@@ -695,8 +656,8 @@ fn epoch_plan(parts: &[DimmPart], cfg: &SystemConfig, lookahead: Ps) -> Plan {
         done += p.done;
         total += p.cores.len();
         scheduled += p.scheduled();
-        next = next.min(p.uncore.next_key().at);
-        high = high.max(p.uncore.now);
+        next = next.min(p.uncore.sched.next_key().at);
+        high = high.max(p.uncore.sched.now());
     }
     if done == total {
         return Plan::Stop(RunStatus::Completed);
@@ -738,9 +699,8 @@ fn run_barrier_phase(
         coord.apply(sh, at, intent, &mut deliveries);
     }
     for (dimm, at, x) in deliveries.drain(..) {
-        parts[dimm]
-            .uncore
-            .schedule(at.max(epoch_end), Ev::Deliver(x));
+        let sched = &mut parts[dimm].uncore.sched;
+        sched.push(at.max(epoch_end), 0, Ev::Deliver(x));
     }
     coord.merged = merged;
     coord.deliveries = deliveries;
@@ -763,43 +723,27 @@ fn merge_outboxes<'a, T: 'a>(
 impl DimmPart {
     /// Events scheduled so far: queued ones and memory ticks served.
     fn scheduled(&self) -> u64 {
-        self.uncore.events.total_scheduled() + self.ev_mem
+        self.uncore.sched.pushed() + self.ev_mem
     }
 
     /// Processes every local event strictly before `epoch_end`.
     fn run_epoch(&mut self, sh: &Shared<'_>, epoch_end: Ps) {
-        self.uncore.epoch_end = epoch_end;
-        loop {
-            let next = self.uncore.next_key();
-            let t = next.at;
-            if t >= epoch_end {
-                break;
-            }
-            // A real (not debug) assert: a causality violation here means
-            // cross-partition clamping failed and results are garbage.
-            assert!(
-                t >= self.uncore.now,
-                "time went backwards on dimm {}: event at {t} behind clock {}",
-                self.uncore.dimm,
-                self.uncore.now
-            );
-            self.uncore.now = t;
-            if next == self.uncore.tick_key() {
-                self.ev_mem += 1;
-                self.mem_tick(sh);
-                continue;
-            }
-            let (_, ev) = self.uncore.events.pop().expect("peeked event vanished");
-            match ev {
-                Ev::Wake(g) => {
+        while let Some(next) = self.uncore.sched.pop(epoch_end) {
+            match next {
+                Next::Tick(_) => {
+                    self.ev_mem += 1;
+                    self.mem_tick(sh);
+                }
+                Next::Event(Ev::Wake(g)) => {
                     self.ev_wake += 1;
                     let ops = sh.workload.traces()[g].ops();
+                    let now = self.uncore.sched.now();
                     let (core, mut port) = self.core(sh, g);
-                    if core.advance(ops, t, &mut port) {
+                    if core.advance(ops, now, &mut port) {
                         self.done += 1;
                     }
                 }
-                Ev::Deliver(x) => {
+                Next::Event(Ev::Deliver(x)) => {
                     self.ev_net += 1;
                     self.deliver(sh, x);
                 }
@@ -824,7 +768,7 @@ impl DimmPart {
     }
 
     fn mem_tick(&mut self, sh: &Shared<'_>) {
-        let completions = self.uncore.mc.service(self.uncore.now);
+        let completions = self.uncore.sched.service(0);
         for &comp in &completions {
             match self.uncore.txn_mem.remove(comp.id) {
                 None | Some(TxnClass::Background) => {}
@@ -844,12 +788,12 @@ impl DimmPart {
                 }
             }
         }
-        self.uncore.mc.rearm(completions);
+        self.uncore.sched.rearm(0, completions);
     }
 
     fn deliver(&mut self, sh: &Shared<'_>, x: XEvent) {
-        let now = self.uncore.now;
         let u = &mut self.uncore;
+        let now = u.sched.now();
         match x {
             XEvent::StartRemoteRead {
                 thread,
@@ -860,7 +804,8 @@ impl DimmPart {
                 let id = u.alloc_txn();
                 u.txn_mem
                     .insert(id, TxnClass::RemoteReadAtHome { thread, origin });
-                u.mc_enqueue(now, MemRequest::new(id, AccessKind::Read, sh.decode(addr)));
+                let req = MemRequest::new(id, AccessKind::Read, sh.decode(addr));
+                u.sched.enqueue(0, now, req);
             }
             XEvent::LandRemoteWrite { addr, .. } => {
                 u.local_bytes += 64;
@@ -897,22 +842,6 @@ impl DimmPart {
 }
 
 impl Uncore {
-    /// Queues `ev` at `at` under its canonical rank.
-    fn schedule(&mut self, at: Ps, ev: Ev) {
-        self.events.push_ranked(at, ev.rank(), ev);
-    }
-
-    /// The memory controller's live tick as a key (at `Ps::MAX`: none).
-    fn tick_key(&self) -> EventKey {
-        EventKey::new(self.mc.tick(), MEM_TICK_RANK)
-    }
-
-    /// The next thing to happen here: the queue's head or the memory tick.
-    fn next_key(&self) -> EventKey {
-        let tick = self.tick_key();
-        self.events.peek_key().map_or(tick, |head| head.min(tick))
-    }
-
     fn alloc_txn(&mut self) -> u64 {
         self.next_txn += 1;
         self.next_txn
@@ -962,11 +891,8 @@ impl Uncore {
     fn background_mem(&mut self, sh: &Shared<'_>, at: Ps, addr: u64, kind: AccessKind) {
         let id = self.alloc_txn();
         self.txn_mem.insert(id, TxnClass::Background);
-        self.mc_enqueue(at, MemRequest::new(id, kind, sh.decode(addr)));
-    }
-
-    fn mc_enqueue(&mut self, at: Ps, req: MemRequest) {
-        self.mc.enqueue(self.now, at, req);
+        let req = MemRequest::new(id, kind, sh.decode(addr));
+        self.sched.enqueue(0, at, req);
     }
 }
 
@@ -974,27 +900,14 @@ impl Uncore {
 /// profiling, local accesses to this DIMM's controller or remote ones
 /// through the outbox, and barrier arrivals staged for the coordinator.
 impl CorePort for DimmPort<'_, '_> {
-    fn clock(&self) -> Freq {
-        self.sh.cfg.nmp_freq
-    }
-
-    fn mlp(&self) -> usize {
-        self.sh.cfg.nmp_mlp
-    }
-
-    fn rank(&self) -> u64 {
-        wake_rank(self.g)
-    }
-
     /// The next local event or the epoch boundary (cross-partition events
     /// can arrive there): ranked below every wake, so a core acts strictly
     /// before it.
     fn horizon(&self) -> EventKey {
-        let next = self.uncore.next_key();
-        next.min(EventKey::new(self.uncore.epoch_end, 0))
+        self.uncore.sched.horizon()
     }
 
-    fn private_hit(&mut self, addr: u64, is_write: bool) -> Option<Ps> {
+    fn l1_hit(&mut self, addr: u64, is_write: bool) -> Option<Ps> {
         if !self.uncore.l1[self.l].hit(addr, is_write) {
             return None;
         }
@@ -1004,23 +917,20 @@ impl CorePort for DimmPort<'_, '_> {
     }
 
     fn wake(&mut self, at: Ps) {
-        self.uncore.schedule(at, Ev::Wake(self.g));
+        let sched = &mut self.uncore.sched;
+        sched.push(at, sched.wake_rank(self.g), Ev::Wake(self.g));
     }
 
-    fn lookup(&mut self, addr: u64, is_write: bool, cacheable: bool, t: Ps) -> Option<Ps> {
-        let sh = self.sh;
-        self.uncore.record_profile(sh, self.g, addr);
+    fn past_l1(&mut self, addr: u64, is_write: bool, cacheable: bool, t: Ps) -> Option<Ps> {
+        let (sh, u) = (self.sh, &mut *self.uncore);
+        u.record_profile(sh, self.g, addr);
         if !cacheable {
             return None;
         }
-        let CacheOutcome::Miss { writeback } = self.uncore.l1[self.l].access(addr, is_write) else {
-            return Some(sh.l1_hit);
-        };
-        // Past the private L1: the shared L2, then memory.
-        let u = &mut *self.uncore;
-        // L1 victims land in the shared L2.
+        // Fill the private L1, then the shared L2, then memory. L1 victims
+        // land in the shared L2.
         let mut victim_to_mem = None;
-        if let Some(v) = writeback {
+        if let Some(v) = u.l1[self.l].fill(addr, is_write) {
             if let CacheOutcome::Miss {
                 writeback: Some(v2),
             } = u.l2.access(v, true)
@@ -1054,7 +964,8 @@ impl CorePort for DimmPort<'_, '_> {
                 AccessKind::Read
             };
             u.txn_mem.insert(id, TxnClass::LocalMem { thread: g });
-            u.mc_enqueue(t, MemRequest::new(id, kind, sh.decode(addr)));
+            let req = MemRequest::new(id, kind, sh.decode(addr));
+            u.sched.enqueue(0, t, req);
             return (id, false);
         }
         if is_write {
@@ -1092,7 +1003,7 @@ impl CorePort for DimmPort<'_, '_> {
                 thread: g,
                 origin: id,
             };
-            u.schedule(done, Ev::Deliver(then));
+            u.sched.push(done, 0, Ev::Deliver(then));
             (id, false)
         } else {
             let then = XEvent::AtomicAtHome {
@@ -1121,11 +1032,6 @@ impl CorePort for DimmPort<'_, '_> {
             },
         ));
         id
-    }
-
-    /// Barriers are meaningless on truncated profiling traces.
-    fn skips_barriers(&self) -> bool {
-        self.sh.profiling
     }
 
     fn barrier(&mut self, t: Ps) {
@@ -1614,9 +1520,9 @@ mod tests {
         let mut traces = Vec::new();
         for region in &regions {
             let mut tr = ThreadTrace::new();
-            // The atomic parks the thread in WaitTxn from t=0 until the
-            // atomic unit finishes — any wake landing in that window is
-            // stale by construction.
+            // The atomic holds the window alone from t=0 until the atomic
+            // unit finishes — any wake landing in that window finds the
+            // thread blocked and is stale by construction.
             tr.push(Op::Atomic {
                 addr: Addr::new(region.line_of(0, 64)),
             });
@@ -1632,8 +1538,8 @@ mod tests {
         let base = NmpSystem::new(&wl, &cfg, &placement, None).run();
         let stat = |r: &RawRun, k: &str| r.stats.get(k).unwrap();
 
-        // Mid-service: thread 0 is still WaitTxn, so the stale path must
-        // swallow the wake.
+        // Mid-service: thread 0 still waits for its atomic, so the stale
+        // path must swallow the wake.
         // At the completion time: the delivery pops first and releases
         // the core; the injected wake, pushed earlier with an equal key,
         // runs it.

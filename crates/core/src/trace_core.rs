@@ -4,36 +4,46 @@
 //! A [`TraceCore`] replays a thread's [`Op`] trace with bounded
 //! memory-level parallelism: loads and stores that miss the caches occupy
 //! one slot of an MLP window and the core keeps going until the window is
-//! full; atomics and barriers first drain the window. Out-of-order host
-//! cores and in-order NMP cores are the same state machine with different
-//! window sizes. Everything the core does not own — the clock, the caches,
-//! memory, the interconnect, the barrier and the event queue — it reaches
-//! through a [`CorePort`], which each system implements for itself.
+//! full; atomics and barriers first drain the window, and an atomic then
+//! holds the window alone. Out-of-order host cores and in-order NMP cores
+//! are the same state machine with different clocks and window sizes.
+//! Everything the core does not own — the caches, memory, the
+//! interconnect, the barrier and the event queue — it reaches through a
+//! [`CorePort`], which each system implements for itself.
 //!
-//! [`McPort`] is the memory-controller plumbing both systems share: one
-//! live service tick per controller, kept outside the event queue.
+//! [`Schedule`] is the event order both systems share: one event queue,
+//! one live service tick per memory controller beside it, the clock, and
+//! the end of the current run of pops.
 //!
 //! # Order
 //!
-//! Each system orders its events by [`EventKey`], and a core's actions
-//! carry the key of its own wake, `(t, rank)`. A core starts an action on
-//! shared state — the caches past its L1, memory, the interconnect, the
-//! barrier — or finishes only while that key is not above the port's
-//! [`horizon`](CorePort::horizon), the lowest key of anything else still
-//! to happen. So every such action starts in key order, whatever the
-//! host-side schedule of wakes: no result depends on where a core last
-//! yielded. Compute ops and L1 hits touch only the core's own state, so
-//! the core runs ahead through them without comparing keys; it yields only
-//! in front of a shared action past the horizon.
+//! Events pop by [`EventKey`]: time, then a rank fixed by the event's
+//! class, then push order. At equal times deliveries and completions go
+//! first (rank 0), so what arrives at `t` is in place before anything else
+//! at `t` looks; then each memory controller's tick, by controller
+//! (`1 + ch`), so a controller serves `t` once `t`'s arrivals are queued
+//! and its completions land before the cores act; then the cores' wakes,
+//! by id (`1 + controllers + id`).
+//!
+//! A core's actions carry the key of its own wake, `(t, rank)`. A core
+//! starts an action on shared state — the caches past its L1, memory, the
+//! interconnect, the barrier — or finishes only while that key is not
+//! above the schedule's [`horizon`](Schedule::horizon), the lowest key of
+//! anything else still to happen. So every such action starts in key
+//! order, whatever the host-side schedule of wakes: no result depends on
+//! where a core last yielded. Compute ops, L1 hits and skipped barriers
+//! touch only the core's own state, so the core runs through them first,
+//! whatever the horizon; it yields only in front of a shared action past
+//! the horizon.
 //!
 //! One action may lower the horizon below the core's own key and still
 //! finish: a miss that evicts a dirty line writes the victim back at `t`,
-//! which arms the memory tick at `(t, 1)`, and then issues its own access
-//! at `t`. The miss and its victim are one action, checked once against
-//! the horizon read before the lookup. The core reads the horizon again
-//! after it issues, so its next shared action waits for that tick.
+//! which arms a memory tick at `(t, 1 + ch)`, and then issues its own
+//! access at `t`. The miss and its victim are one action, checked once
+//! against the horizon read before the lookup. The core reads the horizon
+//! again after it issues, so its next shared action waits for that tick.
 
-use dl_engine::{EventKey, Freq, Ps};
+use dl_engine::{EventKey, EventQueue, Freq, Ps};
 use dl_mem::{Completion, MemController, MemRequest};
 use dl_workloads::Op;
 use std::collections::VecDeque;
@@ -44,14 +54,9 @@ pub(crate) enum Status {
     Ready,
     /// Window full; resumes on the next completion.
     WaitWindow,
-    /// Needs an empty window before executing the op at `pc` (or finishing).
+    /// Needs an empty window before executing the op at `pc` (or finishing),
+    /// or waits for the atomic that holds the window alone.
     WaitDrain,
-    /// Blocked on one transaction (an atomic); `remote` says whether it is
-    /// served across the interconnect, for stall attribution.
-    WaitTxn {
-        id: u64,
-        remote: bool,
-    },
     /// Arrived at a barrier, waiting for release.
     WaitBarrier,
     Done,
@@ -61,51 +66,54 @@ pub(crate) enum Status {
 /// advances. Implemented by a short-lived view that knows which core it
 /// serves, so every hook acts on behalf of that core.
 pub(crate) trait CorePort {
-    /// The core clock.
-    fn clock(&self) -> Freq;
-    /// The MLP window: outstanding memory transactions allowed at once.
-    fn mlp(&self) -> usize;
-    /// The rank of this core's wakes among events at the same time. It is
-    /// unique to the core.
-    fn rank(&self) -> u64;
     /// The lowest key of anything else still to happen. The core may act
     /// on shared state at `t` while `(t, rank)` is not above it; past it,
     /// the core yields. (An equal key can only be this core's own wake.)
     fn horizon(&self) -> EventKey;
-    /// A cacheable load or store that hits the core's private L1: does
-    /// what [`lookup`](CorePort::lookup) does on that hit and returns its
-    /// latency. On a miss it changes nothing and returns `None`.
-    fn private_hit(&mut self, addr: u64, is_write: bool) -> Option<Ps>;
+    /// A cacheable load or store that hits the core's private L1: touches
+    /// the line and returns the hit latency. On a miss it changes nothing
+    /// and returns `None`.
+    fn l1_hit(&mut self, addr: u64, is_write: bool) -> Option<Ps>;
     /// Schedules this core's next [`TraceCore::advance`] at `at`.
     fn wake(&mut self, at: Ps);
-    /// Looks up a load or store issued at `t` (called once per attempt,
-    /// cacheable or not). `Some(latency)` is a hit; `None` sends it to
-    /// memory, after the port has issued any writeback the miss evicted.
-    fn lookup(&mut self, addr: u64, is_write: bool, cacheable: bool, t: Ps) -> Option<Ps>;
+    /// Looks up a load or store issued at `t` that did not hit the L1
+    /// (called once per attempt, cacheable or not): a cacheable access
+    /// fills its L1 line and goes on to the next level. `Some(latency)` is
+    /// a hit there; `None` sends it to memory, after the port has issued
+    /// any writeback the miss evicted.
+    fn past_l1(&mut self, addr: u64, is_write: bool, cacheable: bool, t: Ps) -> Option<Ps>;
     /// Issues a memory access at `t`; returns its transaction id and
     /// whether it is remote. Its completion comes back via
     /// [`TraceCore::complete`].
     fn issue(&mut self, addr: u64, is_write: bool, t: Ps) -> (u64, bool);
-    /// Issues an atomic at `t` (the window is empty); the core waits for
-    /// the returned transaction, remote or not.
+    /// Issues an atomic at `t` (the window is empty); it holds the window
+    /// alone under the returned transaction id, remote or not.
     fn atomic(&mut self, addr: u64, t: Ps) -> (u64, bool);
     /// Issues a broadcast of `bytes` at `t`; it occupies one remote slot
     /// under the returned transaction id.
     fn broadcast(&mut self, addr: u64, bytes: u16, t: Ps) -> u64;
-    /// Whether barriers are local no-ops (truncated, unbalanced traces).
-    fn skips_barriers(&self) -> bool;
     /// The core arrived at a barrier at `t` (the window is empty); it is
     /// released via [`TraceCore::unblock`].
     fn barrier(&mut self, t: Ps);
 }
 
-/// One trace-driven core: the position in its trace, the MLP window, what
-/// it is blocked on, and where its stall time went.
+/// One trace-driven core: its clock, window size and rank, the position in
+/// its trace, the MLP window, what it is blocked on, and where its stall
+/// time went.
 #[derive(Debug)]
 pub(crate) struct TraceCore {
     pc: usize,
     /// The trace ends here (a profiling run truncates it).
     limit: usize,
+    /// The core clock's period.
+    period: Ps,
+    /// The MLP window: outstanding memory transactions allowed at once.
+    mlp: usize,
+    /// The rank of this core's wakes among events at the same time
+    /// ([`Schedule::wake_rank`]); unique to the core.
+    rank: u64,
+    /// Barriers are local no-ops (truncated, unbalanced traces).
+    skips_barriers: bool,
     /// Window slots: `(transaction id, remote)`.
     outstanding: Vec<(u64, bool)>,
     status: Status,
@@ -123,12 +131,22 @@ pub(crate) struct TraceCore {
 }
 
 impl TraceCore {
-    /// A core that will run the first `limit` ops of its trace with a
-    /// window of `mlp` slots.
-    pub(crate) fn new(limit: usize, mlp: usize) -> Self {
+    /// A core clocked at `clock` that will run the first `limit` ops of its
+    /// trace with a window of `mlp` slots, waking under `rank`.
+    pub(crate) fn new(
+        limit: usize,
+        clock: Freq,
+        mlp: usize,
+        rank: u64,
+        skips_barriers: bool,
+    ) -> Self {
         TraceCore {
             pc: 0,
             limit,
+            period: clock.period(),
+            mlp,
+            rank,
+            skips_barriers,
             outstanding: Vec::with_capacity(mlp),
             status: Status::Ready,
             ready_at: Ps::ZERO,
@@ -158,7 +176,7 @@ impl TraceCore {
             return false;
         }
         let mut t = now.max(self.ready_at);
-        let (period, mlp, rank) = (port.clock().period(), port.mlp(), port.rank());
+        let period = self.period;
         // Only this core's own actions can lower the horizon while it keeps
         // running: a hit schedules nothing; a miss (with the victim write it
         // may start) is followed by its `issue`, or it blocks; an atomic and
@@ -170,41 +188,46 @@ impl TraceCore {
                 assert_eq!(horizon, port.horizon(), "the core's horizon went stale");
             }
             let op = ops[..self.limit].get(self.pc);
-            if EventKey::new(t, rank) > horizon {
-                // Past the horizon the core runs only through what touches
-                // just its own state: compute, an L1 hit, a skipped barrier.
-                // Those change only its L1 and the commutative profile
-                // counts. A completion that arrives meanwhile for a `Ready`
-                // core only frees a window slot, which the next shared
-                // access sees: this check runs before it.
-                let private = match op {
-                    Some(Op::Comp(_)) => true,
-                    Some(Op::Barrier) => port.skips_barriers(),
-                    Some(
-                        &(Op::Load {
-                            addr,
-                            cacheable: true,
-                        }
-                        | Op::Store {
-                            addr,
-                            cacheable: true,
-                        }),
-                    ) => {
-                        let is_write = matches!(op, Some(Op::Store { .. }));
-                        if let Some(latency) = port.private_hit(addr.get(), is_write) {
-                            self.pc += 1;
-                            t += latency;
-                            continue;
-                        }
-                        false
-                    }
-                    _ => false,
-                };
-                if !private {
-                    self.ready_at = t;
-                    port.wake(t);
-                    return false;
+            // What touches only the core's own state runs whatever the
+            // horizon: compute, an L1 hit, a skipped barrier. Those change
+            // only its L1 and the commutative profile counts. A completion
+            // that arrives meanwhile for a `Ready` core only frees a window
+            // slot, which the next shared access sees: the horizon check
+            // below runs before it.
+            match op {
+                Some(&Op::Comp(cycles)) => {
+                    self.pc += 1;
+                    t += period * u64::from(cycles);
+                    continue;
                 }
+                Some(Op::Barrier) if self.skips_barriers => {
+                    self.pc += 1;
+                    t += period * 10;
+                    continue;
+                }
+                Some(
+                    &(Op::Load {
+                        addr,
+                        cacheable: true,
+                    }
+                    | Op::Store {
+                        addr,
+                        cacheable: true,
+                    }),
+                ) => {
+                    let is_write = matches!(op, Some(Op::Store { .. }));
+                    if let Some(latency) = port.l1_hit(addr.get(), is_write) {
+                        self.pc += 1;
+                        t += latency;
+                        continue;
+                    }
+                }
+                _ => {}
+            }
+            if EventKey::new(t, self.rank) > horizon {
+                self.ready_at = t;
+                port.wake(t);
+                return false;
             }
             let Some(&op) = op else {
                 if self.outstanding.is_empty() {
@@ -216,19 +239,15 @@ impl TraceCore {
                 return false;
             };
             match op {
-                Op::Comp(cycles) => {
-                    self.pc += 1;
-                    t += period * u64::from(cycles);
-                }
                 Op::Load { addr, cacheable } | Op::Store { addr, cacheable } => {
                     let (addr, is_write) = (addr.get(), matches!(op, Op::Store { .. }));
                     // A blocked access repeats its lookup when it resumes.
-                    if let Some(latency) = port.lookup(addr, is_write, cacheable, t) {
+                    if let Some(latency) = port.past_l1(addr, is_write, cacheable, t) {
                         self.pc += 1;
                         t += latency;
                         continue;
                     }
-                    if self.outstanding.len() >= mlp {
+                    if self.outstanding.len() >= self.mlp {
                         self.block(Status::WaitWindow, t);
                         return false;
                     }
@@ -244,12 +263,13 @@ impl TraceCore {
                         return false;
                     }
                     self.pc += 1;
-                    let (id, remote) = port.atomic(addr.get(), t);
-                    self.block(Status::WaitTxn { id, remote }, t);
+                    let slot = port.atomic(addr.get(), t);
+                    self.outstanding.push(slot);
+                    self.block(Status::WaitDrain, t);
                     return false;
                 }
                 Op::Broadcast { addr, bytes } => {
-                    if self.outstanding.len() >= mlp {
+                    if self.outstanding.len() >= self.mlp {
                         self.block(Status::WaitWindow, t);
                         return false;
                     }
@@ -258,10 +278,6 @@ impl TraceCore {
                     self.outstanding.push((id, true));
                     horizon = port.horizon();
                     t += period * 2;
-                }
-                Op::Barrier if port.skips_barriers() => {
-                    self.pc += 1;
-                    t += period * 10;
                 }
                 Op::Barrier => {
                     if !self.outstanding.is_empty() {
@@ -273,6 +289,7 @@ impl TraceCore {
                     port.barrier(t);
                     return false;
                 }
+                Op::Comp(_) => unreachable!("compute runs before the horizon check"),
             }
         }
     }
@@ -283,7 +300,7 @@ impl TraceCore {
     pub(crate) fn unblock<P: CorePort>(&mut self, at: Ps, remote: bool, port: &mut P) {
         let stall = at.saturating_sub(self.blocked_at);
         match self.status {
-            Status::WaitWindow | Status::WaitDrain | Status::WaitTxn { .. } => {
+            Status::WaitWindow | Status::WaitDrain => {
                 if remote {
                     self.idc_stall += stall;
                 } else {
@@ -298,17 +315,11 @@ impl TraceCore {
         port.wake(at);
     }
 
-    /// Transaction `id` completed at `at`: wakes a core waiting on exactly
-    /// it, or frees its window slot and wakes a core waiting for a slot or
-    /// for the drain. An unknown id is ignored.
+    /// Transaction `id` completed at `at`: frees its window slot and wakes
+    /// a core waiting for a slot or for the drain. An unknown id is
+    /// ignored.
     #[inline]
     pub(crate) fn complete<P: CorePort>(&mut self, id: u64, at: Ps, port: &mut P) {
-        if let Status::WaitTxn { id: waited, remote } = self.status {
-            if waited == id {
-                self.unblock(at, remote, port);
-                return;
-            }
-        }
         let Some(pos) = self.outstanding.iter().position(|&(slot, _)| slot == id) else {
             return;
         };
@@ -321,69 +332,174 @@ impl TraceCore {
     }
 }
 
-/// A memory controller plus the time of its one live service tick. The
-/// tick is not an event in the owner's queue: the owner keeps it as a
-/// keyed slot, compares it with the queue's head, and calls
-/// [`McPort::service`] when it comes first. Moving the tick never leaves a
-/// stale one behind.
+/// The fraction of `threads` cores' time over `elapsed` that `stall`
+/// covers (0 for an empty run).
+pub(crate) fn stall_frac(stall: Ps, elapsed: Ps, threads: f64) -> f64 {
+    if elapsed == Ps::ZERO {
+        0.0
+    } else {
+        stall.as_ps() as f64 / (elapsed.as_ps() as f64 * threads)
+    }
+}
+
+/// What [`Schedule::pop`] hands back.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Next<E> {
+    /// Memory controller `ch`'s tick fires now: call
+    /// [`Schedule::service`].
+    Tick(usize),
+    /// A queued event fires now.
+    Event(E),
+}
+
+/// One partition's event order (see the module docs on order): the event
+/// queue, the memory controllers with one live service tick each, the
+/// clock, and the end of the current run of pops. A tick is not an event
+/// in the queue but a keyed slot beside it, so moving a tick never leaves
+/// a stale one behind.
 #[derive(Debug)]
-pub(crate) struct McPort {
-    pub(crate) mc: MemController,
-    /// When the live tick fires (`Ps::MAX`: none armed).
-    next: Ps,
+pub(crate) struct Schedule<E> {
+    events: EventQueue<E>,
+    /// The memory controllers, by channel.
+    mcs: Vec<MemController>,
+    /// When each controller's live tick fires (`Ps::MAX`: none armed).
+    ticks: Vec<Ps>,
+    /// The earliest live tick as a key (at `Ps::MAX`: none).
+    tick: EventKey,
+    /// The clock: the time of the last pop.
+    now: Ps,
+    /// The exclusive end of the current run of pops (`Ps::MAX` when
+    /// unbounded): the horizon never reaches past it.
+    end: Ps,
     /// The completion buffer, lent out by `service` and returned by `rearm`.
     done: Vec<Completion>,
 }
 
-impl McPort {
-    pub(crate) fn new(mc: MemController) -> Self {
-        McPort {
-            mc,
-            next: Ps::MAX,
+impl<E> Schedule<E> {
+    /// A schedule over the controllers `mcs`, with nothing queued or armed.
+    pub(crate) fn new(mcs: Vec<MemController>) -> Self {
+        Schedule {
+            events: EventQueue::new(),
+            ticks: vec![Ps::MAX; mcs.len()],
+            mcs,
+            tick: EventKey::MAX,
+            now: Ps::ZERO,
+            end: Ps::MAX,
             done: Vec::new(),
         }
     }
 
-    /// When the live tick fires (`Ps::MAX`: none armed).
-    pub(crate) fn tick(&self) -> Ps {
-        self.next
+    /// Queues `ev` at `at` under `rank`: 0 for a delivery or completion,
+    /// [`Schedule::wake_rank`] for a wake.
+    pub(crate) fn push(&mut self, at: Ps, rank: u64, ev: E) {
+        self.events.push_ranked(at, rank, ev);
     }
 
-    /// Enqueues `req` arriving at `at`, moving the tick earlier if the
-    /// request needs one before it: to when the request or a pending
-    /// refresh can first change the controller's state
-    /// ([`MemController::next_wake`]), not to its arrival, and never
-    /// before `now`.
-    pub(crate) fn enqueue(&mut self, now: Ps, at: Ps, req: MemRequest) {
-        self.mc.enqueue(at, req);
-        let wake = self.mc.next_wake().expect("a request is pending");
-        self.arm(wake.max(now));
+    /// The rank of core `id`'s wakes: after every tick at the same time.
+    pub(crate) fn wake_rank(&self, id: usize) -> u64 {
+        (1 + self.mcs.len() + id) as u64
     }
 
-    /// Services the controller on its tick, firing at `now`. After
-    /// handling the completions, the owner hands the buffer back to
-    /// [`McPort::rearm`].
+    /// Events queued so far (ticks not included).
+    pub(crate) fn pushed(&self) -> u64 {
+        self.events.total_scheduled()
+    }
+
+    /// The clock: the time of the last pop.
+    pub(crate) fn now(&self) -> Ps {
+        self.now
+    }
+
+    /// The memory controllers, by channel.
+    pub(crate) fn mcs(&self) -> &[MemController] {
+        &self.mcs
+    }
+
+    /// The next thing to happen: the queue's head or the earliest tick.
+    pub(crate) fn next_key(&self) -> EventKey {
+        let tick = self.tick;
+        self.events.peek_key().map_or(tick, |head| head.min(tick))
+    }
+
+    /// The next thing to happen or the end of the run of pops, ranked below
+    /// every event at that time: a core acts strictly before it.
+    pub(crate) fn horizon(&self) -> EventKey {
+        self.next_key().min(EventKey::new(self.end, 0))
+    }
+
+    /// Pops the next thing to happen before `end` and moves the clock to
+    /// it; `None` once nothing is left before `end`.
+    ///
+    /// # Panics
+    /// Panics if the next event is behind the clock: an event was pushed
+    /// into the past, and the results would be garbage.
+    #[inline]
+    pub(crate) fn pop(&mut self, end: Ps) -> Option<Next<E>> {
+        self.end = end;
+        let next = self.next_key();
+        if next.at >= end {
+            return None;
+        }
+        // A real (not debug) assert: on the NMP side this means
+        // cross-partition clamping failed.
+        assert!(
+            next.at >= self.now,
+            "time went backwards: event at {} behind clock {}",
+            next.at,
+            self.now
+        );
+        self.now = next.at;
+        if next == self.tick {
+            // The rank names the controller.
+            return Some(Next::Tick((next.rank - 1) as usize));
+        }
+        let (_, ev) = self.events.pop().expect("peeked event vanished");
+        Some(Next::Event(ev))
+    }
+
+    /// Enqueues `req` arriving at `at` at controller `ch`, moving its tick
+    /// earlier if the request needs one before it: to when the request or a
+    /// pending refresh can first change the controller's state
+    /// ([`MemController::next_wake`]), not to its arrival, and never before
+    /// `now`.
+    pub(crate) fn enqueue(&mut self, ch: usize, at: Ps, req: MemRequest) {
+        self.mcs[ch].enqueue(at, req);
+        let wake = self.mcs[ch].next_wake().expect("a request is pending");
+        self.arm(ch, wake.max(self.now));
+    }
+
+    /// Services controller `ch` on its tick, firing now. After handling
+    /// the completions, the owner hands the buffer back to
+    /// [`Schedule::rearm`].
     #[must_use]
-    pub(crate) fn service(&mut self, now: Ps) -> Vec<Completion> {
-        assert_eq!(now, self.next, "a memory tick fired off its time");
-        self.next = Ps::MAX;
+    pub(crate) fn service(&mut self, ch: usize) -> Vec<Completion> {
+        assert_eq!(self.now, self.ticks[ch], "a memory tick fired off its time");
+        self.ticks[ch] = Ps::MAX;
+        self.tick = self
+            .ticks
+            .iter()
+            .enumerate()
+            .map(|(ch, &at)| EventKey::new(at, 1 + ch as u64))
+            .min()
+            .unwrap_or(EventKey::MAX);
         let mut done = std::mem::take(&mut self.done);
-        self.mc.service_into(now, &mut done);
+        self.mcs[ch].service_into(self.now, &mut done);
         done
     }
 
-    /// Takes back the buffer [`McPort::service`] lent out and arms the next
-    /// tick, if the controller has work pending.
-    pub(crate) fn rearm(&mut self, mut done: Vec<Completion>) {
+    /// Takes back the buffer [`Schedule::service`] lent out and arms
+    /// controller `ch`'s next tick, if it has work pending.
+    pub(crate) fn rearm(&mut self, ch: usize, mut done: Vec<Completion>) {
         done.clear();
         self.done = done;
-        if let Some(w) = self.mc.next_wake() {
-            self.arm(w);
+        if let Some(w) = self.mcs[ch].next_wake() {
+            self.arm(ch, w);
         }
     }
 
-    fn arm(&mut self, wake: Ps) {
-        self.next = self.next.min(wake);
+    fn arm(&mut self, ch: usize, wake: Ps) {
+        self.ticks[ch] = self.ticks[ch].min(wake);
+        self.tick = self.tick.min(EventKey::new(self.ticks[ch], 1 + ch as u64));
     }
 }
 
@@ -446,13 +562,12 @@ mod tests {
     use super::*;
     use dl_workloads::Addr;
 
-    /// A port that records what the core asks of it. Loads hit when the
-    /// address is below `hit_below`; every miss is a new transaction whose
-    /// remoteness is the address's low bit. A `lookup` hit moves the
-    /// horizon to `horizon_after_hit`, if set.
+    /// A port that records what the core asks of it. Loads hit the L1
+    /// when the address is below `hit_below`; every other access is a new
+    /// transaction whose remoteness is the address's low bit. An L1 hit
+    /// moves the horizon to `horizon_after_hit`, if set.
     #[derive(Default)]
     struct FakePort {
-        mlp: usize,
         horizon: Option<EventKey>,
         horizon_after_hit: Option<EventKey>,
         hit_below: u64,
@@ -462,40 +577,22 @@ mod tests {
         barriers: Vec<Ps>,
     }
 
-    impl FakePort {
-        fn new(mlp: usize) -> Self {
-            FakePort {
-                mlp,
-                ..FakePort::default()
-            }
-        }
-    }
-
     impl CorePort for FakePort {
-        fn clock(&self) -> Freq {
-            Freq::from_ghz(1.0)
-        }
-        fn mlp(&self) -> usize {
-            self.mlp
-        }
-        fn rank(&self) -> u64 {
-            1
-        }
         fn horizon(&self) -> EventKey {
             self.horizon.unwrap_or(EventKey::MAX)
         }
-        fn private_hit(&mut self, addr: u64, _: bool) -> Option<Ps> {
-            (addr < self.hit_below).then_some(Ps::from_ns(1))
-        }
-        fn wake(&mut self, at: Ps) {
-            self.wakes.push(at);
-        }
-        fn lookup(&mut self, addr: u64, _: bool, cacheable: bool, _: Ps) -> Option<Ps> {
-            let hit = cacheable && addr < self.hit_below;
+        fn l1_hit(&mut self, addr: u64, _: bool) -> Option<Ps> {
+            let hit = addr < self.hit_below;
             if hit && self.horizon_after_hit.is_some() {
                 self.horizon = self.horizon_after_hit;
             }
             hit.then_some(Ps::from_ns(1))
+        }
+        fn wake(&mut self, at: Ps) {
+            self.wakes.push(at);
+        }
+        fn past_l1(&mut self, _: u64, _: bool, _: bool, _: Ps) -> Option<Ps> {
+            None
         }
         fn issue(&mut self, addr: u64, _: bool, _: Ps) -> (u64, bool) {
             self.next_id += 1;
@@ -508,12 +605,14 @@ mod tests {
         fn broadcast(&mut self, addr: u64, _: u16, t: Ps) -> u64 {
             self.issue(addr, true, t).0
         }
-        fn skips_barriers(&self) -> bool {
-            false
-        }
         fn barrier(&mut self, t: Ps) {
             self.barriers.push(t);
         }
+    }
+
+    /// A 1 GHz core of rank 1 over all of `ops`, with a window of `mlp`.
+    fn new_core(ops: &[Op], mlp: usize) -> TraceCore {
+        TraceCore::new(ops.len(), Freq::from_ghz(1.0), mlp, 1, false)
     }
 
     fn load(addr: u64) -> Op {
@@ -530,8 +629,8 @@ mod tests {
     #[test]
     fn full_window_blocks_until_the_next_completion() {
         let ops = [load(2), load(4), load(6), Op::Comp(5)];
-        let mut port = FakePort::new(2);
-        let mut core = TraceCore::new(ops.len(), 2);
+        let mut port = FakePort::default();
+        let mut core = new_core(&ops, 2);
         assert!(!core.advance(&ops, Ps::ZERO, &mut port));
         // Two loads issued 1 ns apart; the third finds the window full.
         assert_eq!(port.issued, vec![(1, 2), (2, 4)]);
@@ -569,9 +668,9 @@ mod tests {
         ];
         let mut port = FakePort {
             hit_below: 64,
-            ..FakePort::new(1)
+            ..FakePort::default()
         };
-        let mut core = TraceCore::new(ops.len(), 1);
+        let mut core = new_core(&ops, 1);
         assert!(core.advance(&ops, Ps::ZERO, &mut port));
         assert!(port.issued.is_empty());
         assert_eq!(core.finish, Some(ns(5)));
@@ -585,21 +684,17 @@ mod tests {
             load(4),
             Op::Barrier,
         ];
-        let mut port = FakePort::new(4);
-        let mut core = TraceCore::new(ops.len(), 4);
+        let mut port = FakePort::default();
+        let mut core = new_core(&ops, 4);
         core.advance(&ops, Ps::ZERO, &mut port);
         assert_eq!(core.status, Status::WaitDrain);
         assert_eq!(port.issued, vec![(1, 2)], "atomic held back");
         core.complete(1, ns(10), &mut port);
         core.advance(&ops, ns(10), &mut port);
         assert_eq!(port.issued[1], (2, 9));
-        assert_eq!(
-            core.status,
-            Status::WaitTxn {
-                id: 2,
-                remote: true
-            }
-        );
+        // The atomic holds the window alone.
+        assert_eq!(core.status, Status::WaitDrain);
+        assert_eq!(core.outstanding, [(2, true)]);
         core.complete(2, ns(50), &mut port);
         core.advance(&ops, ns(50), &mut port);
         assert_eq!(core.status, Status::WaitDrain);
@@ -613,8 +708,8 @@ mod tests {
     #[test]
     fn stale_wakes_are_ignored() {
         let ops = [Op::Atomic { addr: Addr::new(2) }, Op::Comp(1)];
-        let mut port = FakePort::new(2);
-        let mut core = TraceCore::new(ops.len(), 2);
+        let mut port = FakePort::default();
+        let mut core = new_core(&ops, 2);
         core.advance(&ops, Ps::ZERO, &mut port);
         let before = (core.pc, core.status, port.issued.len(), port.wakes.len());
         assert!(!core.advance(&ops, ns(3), &mut port));
@@ -644,9 +739,9 @@ mod tests {
         let mut port = FakePort {
             hit_below: 64,
             horizon: Some(EventKey::new(ns(5), 0)),
-            ..FakePort::new(1)
+            ..FakePort::default()
         };
-        let mut core = TraceCore::new(ops.len(), 1);
+        let mut core = new_core(&ops, 1);
         assert!(!core.advance(&ops, Ps::ZERO, &mut port));
         // Compute and L1 hits ran past 5 ns without a wake; the miss at
         // 22 ns yields in front of its access.
@@ -670,9 +765,9 @@ mod tests {
         for (rank, yields) in [(0, true), (1, false), (2, false)] {
             let mut port = FakePort {
                 horizon: Some(EventKey::new(ns(5), rank)),
-                ..FakePort::new(1)
+                ..FakePort::default()
             };
-            let mut core = TraceCore::new(ops.len(), 1);
+            let mut core = new_core(&ops, 1);
             core.advance(&ops, Ps::ZERO, &mut port);
             assert_eq!(port.issued.is_empty(), yields, "rank {rank}");
             // Either way the core stops at the horizon, before the load or
@@ -698,9 +793,9 @@ mod tests {
             let mut port = FakePort {
                 hit_below: 64,
                 horizon_after_hit: Some(EventKey::new(Ps::ZERO, 0)),
-                ..FakePort::new(1)
+                ..FakePort::default()
             };
-            TraceCore::new(ops.len(), 1).advance(&ops, Ps::ZERO, &mut port)
+            new_core(&ops, 1).advance(&ops, Ps::ZERO, &mut port)
         });
         match (run, dl_engine::AUDIT) {
             (Ok(finished), false) => assert!(finished),
@@ -712,42 +807,89 @@ mod tests {
         }
     }
 
+    fn read(id: u64) -> MemRequest {
+        let map = dl_mem::DimmAddressMap::new(&dl_mem::DramConfig::ddr4_2400_lrdimm());
+        MemRequest::new(id, dl_mem::AccessKind::Read, map.decode(id * 64))
+    }
+
+    /// A schedule over `channels` idle controllers.
+    fn schedule<E>(channels: usize) -> Schedule<E> {
+        let cfg = dl_mem::DramConfig::ddr4_2400_lrdimm();
+        Schedule::new(
+            (0..channels)
+                .map(|ch| MemController::new(format!("ch{ch}"), &cfg))
+                .collect(),
+        )
+    }
+
     #[test]
     fn a_controller_has_one_live_tick() {
-        let cfg = dl_mem::DramConfig::ddr4_2400_lrdimm();
-        let map = dl_mem::DimmAddressMap::new(&cfg);
-        let mut port = McPort::new(MemController::new("mc", &cfg));
-        let read = |id| MemRequest::new(id, dl_mem::AccessKind::Read, map.decode(id * 64));
-        assert_eq!(port.tick(), Ps::MAX, "idle");
-        port.enqueue(Ps::ZERO, ns(10), read(1));
-        assert_eq!(port.tick(), ns(10));
-        port.enqueue(Ps::ZERO, ns(20), read(2));
-        assert_eq!(port.tick(), ns(10), "covered");
+        // Nothing is queued, so the next key is the tick's.
+        let mut s = schedule::<()>(1);
+        assert_eq!(s.next_key().at, Ps::MAX, "idle");
+        s.enqueue(0, ns(10), read(1));
+        assert_eq!(s.next_key(), EventKey::new(ns(10), 1));
+        s.enqueue(0, ns(20), read(2));
+        assert_eq!(s.next_key().at, ns(10), "covered");
         // An earlier arrival moves the one tick; nothing is left at 10 ns.
-        port.enqueue(Ps::ZERO, ns(5), read(3));
-        assert_eq!(port.tick(), ns(5));
+        s.enqueue(0, ns(5), read(3));
+        assert_eq!(s.next_key().at, ns(5));
+        assert_eq!(s.pop(Ps::MAX), Some(Next::Tick(0)));
         // A request arriving in the past is due now.
         let now = ns(5);
-        port.enqueue(now, Ps::ZERO, read(4));
-        assert_eq!(port.tick(), now);
-        let done = port.service(now);
-        assert_eq!(port.tick(), Ps::MAX, "disarmed until rearmed");
-        port.rearm(done);
-        assert!(port.tick() > now, "requests still pending");
+        s.enqueue(0, Ps::ZERO, read(4));
+        assert_eq!(s.next_key().at, now);
+        let done = s.service(0);
+        assert_eq!(s.next_key().at, Ps::MAX, "disarmed until rearmed");
+        s.rearm(0, done);
+        assert!(s.next_key().at > now, "requests still pending");
     }
 
     #[test]
     #[should_panic(expected = "a memory tick fired off its time")]
     fn a_tick_fires_only_at_its_time() {
-        let cfg = dl_mem::DramConfig::ddr4_2400_lrdimm();
-        let map = dl_mem::DimmAddressMap::new(&cfg);
-        let mut port = McPort::new(MemController::new("mc", &cfg));
-        port.enqueue(
-            Ps::ZERO,
-            ns(10),
-            MemRequest::new(1, dl_mem::AccessKind::Read, map.decode(0)),
-        );
-        let _ = port.service(ns(9));
+        let mut s = schedule(1);
+        s.enqueue(0, ns(10), read(1));
+        s.push(ns(9), 0, ());
+        assert_eq!(s.pop(Ps::MAX), Some(Next::Event(())));
+        let _ = s.service(0);
+    }
+
+    #[test]
+    fn equal_times_pop_deliveries_then_ticks_by_controller_then_wakes_by_id() {
+        let at = ns(10);
+        let mut s = schedule(2);
+        assert_eq!(s.wake_rank(0), 3, "after both ticks");
+        s.push(at, s.wake_rank(1), "wake 1");
+        s.push(at, s.wake_rank(0), "wake 0");
+        s.enqueue(1, at, read(1));
+        s.enqueue(0, at, read(2));
+        s.push(at, 0, "delivery");
+        // The run of pops ends before `at`: nothing pops, and the horizon
+        // stops below every event at `at`.
+        assert_eq!(s.pop(at), None);
+        assert_eq!(s.horizon(), EventKey::new(at, 0));
+        let mut order = Vec::new();
+        while s.now() <= at {
+            match s.pop(Ps::MAX).expect("events pending") {
+                Next::Tick(ch) => {
+                    let done = s.service(ch);
+                    s.rearm(ch, done);
+                    order.push(if ch == 0 { "tick 0" } else { "tick 1" });
+                }
+                Next::Event(ev) => order.push(ev),
+            }
+        }
+        // The last pop is the first tick after `at`.
+        let after = order.pop();
+        assert!(s.now() > at && after.is_some_and(|ev| ev.starts_with("tick")));
+        assert_eq!(order, ["delivery", "tick 0", "tick 1", "wake 0", "wake 1"]);
+        // An event behind the clock is a hard error.
+        s.push(at, 0, "late");
+        let late = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.pop(Ps::MAX)));
+        let panic = late.expect_err("an event behind the clock must panic");
+        let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(msg.contains("time went backwards"), "{msg}");
     }
 
     #[test]
@@ -784,8 +926,8 @@ mod tests {
     fn stalls_are_attributed_to_remote_local_and_sync() {
         // Odd addresses are remote in the fake port.
         let ops = [load(3), load(2), Op::Barrier];
-        let mut port = FakePort::new(1);
-        let mut core = TraceCore::new(ops.len(), 1);
+        let mut port = FakePort::default();
+        let mut core = new_core(&ops, 1);
         core.advance(&ops, Ps::ZERO, &mut port);
         // Blocked at 1 ns behind the remote load.
         core.complete(1, ns(100), &mut port);

@@ -178,9 +178,11 @@ impl Cache {
         }
     }
 
-    /// Allocates the absent line of `addr`, evicting an invalid way first,
-    /// else the least recent; returns the dirty victim's address, if any.
-    fn fill(&mut self, addr: u64, is_write: bool) -> Option<u64> {
+    /// Allocates the line of `addr`, which must be absent (a [`Cache::hit`]
+    /// just missed), and counts the miss: evicts an invalid way first, else
+    /// the least recent, and returns the dirty victim's address, if any.
+    /// [`Cache::access`] is `hit`, then `fill` on a miss.
+    pub fn fill(&mut self, addr: u64, is_write: bool) -> Option<u64> {
         self.tick += 1;
         self.misses += 1;
         let (set, tag) = self.set_and_tag(addr);
@@ -212,11 +214,6 @@ impl Cache {
             lru: self.tick,
         };
         writeback
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &CacheConfig {
-        &self.cfg
     }
 
     /// Fraction of accesses that hit.

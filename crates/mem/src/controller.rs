@@ -566,16 +566,6 @@ impl MemController {
         }
     }
 
-    /// The configuration this controller was built with.
-    pub fn config(&self) -> &DramConfig {
-        &self.cfg
-    }
-
-    /// Diagnostic name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Request latency distribution (enqueue to burst completion, in ps).
     pub fn latency_histogram(&self) -> &Histogram {
         &self.queue_latency

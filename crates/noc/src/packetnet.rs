@@ -173,11 +173,6 @@ impl PacketNet {
         &self.topo
     }
 
-    /// The link parameters.
-    pub fn params(&self) -> LinkParams {
-        self.params
-    }
-
     /// Total bytes moved across all links (counting each hop).
     pub fn link_bytes(&self) -> u64 {
         self.links.iter().map(|l| l.bytes_moved()).sum()
