@@ -73,8 +73,10 @@ impl Args {
     ///
     /// # Errors
     /// A valued flag with a missing value, a numeric flag with an
-    /// unparsable value, `--threads 0`, and an unknown argument — each would
-    /// otherwise silently run a different experiment or write elsewhere.
+    /// unparsable value, `--threads 0`, a `--scale` past
+    /// [`MAX_SCALE`](dl_workloads::MAX_SCALE), and an unknown argument —
+    /// each would otherwise silently run a different experiment or write
+    /// elsewhere.
     pub fn parse_from(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         let mut args = Args {
             scale: 0,
@@ -110,6 +112,13 @@ impl Args {
             }
         }
         args.scale = scale.unwrap_or(if args.quick { 10 } else { 13 });
+        if args.scale > dl_workloads::MAX_SCALE {
+            return Err(format!(
+                "--scale {} exceeds the maximum {}",
+                args.scale,
+                dl_workloads::MAX_SCALE
+            ));
+        }
         Ok(args)
     }
 
@@ -266,6 +275,14 @@ mod tests {
         // A trailing `--out` must not fall back to the default directory.
         let err = parse(&["--quick", "--out"]).unwrap_err();
         assert!(err.contains("--out"), "{err}");
+    }
+
+    #[test]
+    fn scales_past_the_maximum_are_rejected() {
+        // `--scale 32` once wrapped to the scale-0 experiment.
+        assert_eq!(parse(&["--scale", "31"]).unwrap().scale, 31);
+        let err = parse(&["--scale", "32"]).unwrap_err();
+        assert!(err.contains("--scale 32"), "{err}");
     }
 
     #[test]

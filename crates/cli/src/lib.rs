@@ -21,7 +21,7 @@ use dimm_link::runner::{host_baseline, simulate, simulate_optimized, RunResult};
 use dl_bench::sweep::{Sweep, SweepOptions};
 use dl_engine::RunStatus;
 use dl_noc::TopologyKind;
-use dl_workloads::{WorkloadKind, WorkloadParams};
+use dl_workloads::{WorkloadKind, WorkloadParams, MAX_SCALE};
 use std::fmt;
 use std::path::PathBuf;
 
@@ -312,8 +312,15 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     }
 }
 
-/// Builds the system configuration a spec describes.
+/// Builds the system configuration a spec describes, after checking the
+/// spec's workload scale too.
 pub fn system_of(spec: &RunSpec) -> Result<SystemConfig, CliError> {
+    if spec.scale > MAX_SCALE {
+        return Err(err(format!(
+            "--scale {} exceeds the maximum {MAX_SCALE}",
+            spec.scale
+        )));
+    }
     if spec.dimms == 0 || spec.channels == 0 || !spec.dimms.is_multiple_of(spec.channels) {
         return Err(err(format!(
             "dimms ({}) must be a positive multiple of channels ({})",
@@ -384,6 +391,7 @@ pub struct CompareRow {
 
 /// Runs the `compare` subcommand: host + all mechanisms + DL-opt.
 pub fn execute_compare(spec: &RunSpec) -> Result<Vec<CompareRow>, CliError> {
+    system_of(spec)?; // validate before the host baseline builds the input
     let host = host_baseline(spec.workload, spec.scale, spec.seed);
     let host_ns = host.elapsed.as_ns_f64();
     let mut rows = vec![CompareRow {
@@ -453,7 +461,10 @@ pub fn execute_sweep(
                 s.channels = (v as usize / 2).max(1);
             }
             SweepParam::LinkGbps => s.link_gbps = Some(v),
-            SweepParam::Scale => s.scale = v as u32,
+            SweepParam::Scale => {
+                s.scale = u32::try_from(v)
+                    .map_err(|_| err(format!("--scale {v} exceeds the maximum {MAX_SCALE}")))?
+            }
         }
         let cfg = system_of(&s)?; // validate before spawning workers
         let label = format!("{} / {name}={v}", s.workload);
@@ -710,6 +721,28 @@ mod tests {
             spec.link_gbps = Some(gb);
             let msg = system_of(&spec).expect_err("bad --link-gbps").0;
             assert!(msg.contains("link"), "{gb}: {msg}");
+        }
+    }
+
+    #[test]
+    fn scales_past_the_maximum_are_rejected() {
+        // `1 << 32` wraps: scale 32 once ran scale 0, and a sweep value of
+        // 2^32 + 8 once ran scale 8.
+        let mut spec = RunSpec {
+            scale: MAX_SCALE,
+            ..RunSpec::default()
+        };
+        assert!(system_of(&spec).is_ok());
+        spec.scale = MAX_SCALE + 1;
+        let msg = system_of(&spec).expect_err("scale 32").0;
+        assert!(msg.contains("--scale 32"), "{msg}");
+        assert!(execute_run(&spec).is_err());
+        assert!(execute_compare(&spec).is_err());
+        for v in [u64::from(MAX_SCALE) + 1, (1 << 32) + 8] {
+            let msg = execute_sweep(&RunSpec::default(), SweepParam::Scale, &[v])
+                .expect_err("scale past the maximum")
+                .0;
+            assert!(msg.contains(&format!("--scale {v}")), "{msg}");
         }
     }
 

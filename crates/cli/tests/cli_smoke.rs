@@ -28,6 +28,22 @@ fn bad_flags_exit_nonzero_with_usage() {
 }
 
 #[test]
+fn scale_past_the_maximum_exits_one() {
+    for sub in [
+        &["run", "--scale", "32"][..],
+        &["compare", "--scale", "32"],
+        &["sweep", "--param", "scale", "--values", "4294967304"],
+    ] {
+        let out = dlsim().args(sub).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{sub:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("exceeds the maximum 31"),
+            "{sub:?}"
+        );
+    }
+}
+
+#[test]
 fn run_emits_valid_json() {
     let out = dlsim()
         .args([

@@ -16,7 +16,10 @@
 /// Words in one ChaCha block.
 const BLOCK_WORDS: usize = 16;
 /// "expand 32-byte k".
-const CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
+const CONSTANTS: Row = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
+
+/// Four words of the ChaCha state: one row of its 4×4 matrix.
+type Row = [u32; 4];
 
 /// A seeded, splittable deterministic RNG.
 ///
@@ -36,11 +39,13 @@ const CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574]
 /// ```
 #[derive(Debug, Clone)]
 pub struct DetRng {
-    key: [u32; 8],
-    /// The next block to generate.
-    counter: u64,
+    /// The ChaCha input block as four rows of four words: the constants,
+    /// the key's low and high halves, and the block counter (words 12–13)
+    /// beside the zero nonce. The counter names the next block to generate.
+    state: [Row; 4],
     block: [u32; BLOCK_WORDS],
     /// Next unread word of `block`; `BLOCK_WORDS` means it is used up.
+    /// Draws consume words in pairs, so it is always even.
     index: usize,
     seed: u64,
 }
@@ -59,9 +64,9 @@ impl DetRng {
             pair[0] = z as u32;
             pair[1] = (z >> 32) as u32;
         }
+        let [k0, k1, k2, k3, k4, k5, k6, k7] = key;
         DetRng {
-            key,
-            counter: 0,
+            state: [CONSTANTS, [k0, k1, k2, k3], [k4, k5, k6, k7], [0; 4]],
             block: [0; BLOCK_WORDS],
             index: BLOCK_WORDS,
             seed,
@@ -91,9 +96,14 @@ impl DetRng {
     }
 
     /// The next 64 bits of the stream: two words, low word first.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        let lo = u64::from(self.next_word());
-        let hi = u64::from(self.next_word());
+        if self.index == BLOCK_WORDS {
+            self.refill();
+        }
+        let lo = u64::from(self.block[self.index]);
+        let hi = u64::from(self.block[self.index + 1]);
+        self.index += 2;
         (hi << 32) | lo
     }
 
@@ -101,6 +111,7 @@ impl DetRng {
     ///
     /// # Panics
     /// Panics if `bound` is zero.
+    #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be non-zero");
         loop {
@@ -113,11 +124,13 @@ impl DetRng {
     }
 
     /// Uniform `f64` in `[0, 1)`.
+    #[inline]
     pub fn unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Bernoulli trial with probability `p`.
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.unit() < p
     }
@@ -130,53 +143,71 @@ impl DetRng {
         }
     }
 
-    fn next_word(&mut self) -> u32 {
-        if self.index == BLOCK_WORDS {
-            self.refill();
-        }
-        let w = self.block[self.index];
-        self.index += 1;
-        w
-    }
-
-    /// Generates block `counter` into `block` and advances the counter.
+    /// Generates the block the counter names into `block` and advances
+    /// the counter.
+    ///
+    /// The block function works on whole rows: a column round is one
+    /// quarter round applied lane-wise to the four rows, and a diagonal
+    /// round is the same after rotating rows b, c and d left by one, two
+    /// and three lanes, which lines each diagonal up in one lane.
+    #[inline(never)]
     fn refill(&mut self) {
-        let mut input = [0u32; BLOCK_WORDS];
-        input[..4].copy_from_slice(&CONSTANTS);
-        input[4..12].copy_from_slice(&self.key);
-        input[12] = self.counter as u32;
-        input[13] = (self.counter >> 32) as u32;
-        let mut x = input;
+        let [mut a, mut b, mut c, mut d] = self.state;
         for _ in 0..4 {
-            // A double round: the columns, then the diagonals.
-            quarter(&mut x, 0, 4, 8, 12);
-            quarter(&mut x, 1, 5, 9, 13);
-            quarter(&mut x, 2, 6, 10, 14);
-            quarter(&mut x, 3, 7, 11, 15);
-            quarter(&mut x, 0, 5, 10, 15);
-            quarter(&mut x, 1, 6, 11, 12);
-            quarter(&mut x, 2, 7, 8, 13);
-            quarter(&mut x, 3, 4, 9, 14);
+            quarter(&mut a, &mut b, &mut c, &mut d);
+            b = [b[1], b[2], b[3], b[0]];
+            c = [c[2], c[3], c[0], c[1]];
+            d = [d[3], d[0], d[1], d[2]];
+            quarter(&mut a, &mut b, &mut c, &mut d);
+            b = [b[3], b[0], b[1], b[2]];
+            c = [c[2], c[3], c[0], c[1]];
+            d = [d[1], d[2], d[3], d[0]];
         }
-        for (out, (w, i)) in self.block.iter_mut().zip(x.iter().zip(&input)) {
-            *out = w.wrapping_add(*i);
+        for (out, (x, s)) in self
+            .block
+            .chunks_exact_mut(4)
+            .zip([a, b, c, d].iter().zip(&self.state))
+        {
+            for ((o, x), s) in out.iter_mut().zip(x).zip(s) {
+                *o = x.wrapping_add(*s);
+            }
         }
-        self.counter = self.counter.wrapping_add(1);
+        let ctr = &mut self.state[3];
+        let next = (u64::from(ctr[1]) << 32 | u64::from(ctr[0])).wrapping_add(1);
+        ctr[0] = next as u32;
+        ctr[1] = (next >> 32) as u32;
         self.index = 0;
     }
 }
 
-/// The ChaCha quarter round on words `a`, `b`, `c`, `d` of `s`.
+/// The ChaCha quarter round on each of the four lanes of rows `a`, `b`,
+/// `c`, `d` at once.
 #[inline(always)]
-fn quarter(s: &mut [u32; BLOCK_WORDS], a: usize, b: usize, c: usize, d: usize) {
-    s[a] = s[a].wrapping_add(s[b]);
-    s[d] = (s[d] ^ s[a]).rotate_left(16);
-    s[c] = s[c].wrapping_add(s[d]);
-    s[b] = (s[b] ^ s[c]).rotate_left(12);
-    s[a] = s[a].wrapping_add(s[b]);
-    s[d] = (s[d] ^ s[a]).rotate_left(8);
-    s[c] = s[c].wrapping_add(s[d]);
-    s[b] = (s[b] ^ s[c]).rotate_left(7);
+fn quarter(a: &mut Row, b: &mut Row, c: &mut Row, d: &mut Row) {
+    add(a, b);
+    xor_rotate(d, a, 16);
+    add(c, d);
+    xor_rotate(b, c, 12);
+    add(a, b);
+    xor_rotate(d, a, 8);
+    add(c, d);
+    xor_rotate(b, c, 7);
+}
+
+/// `x += y`, lane-wise and wrapping.
+#[inline(always)]
+fn add(x: &mut Row, y: &Row) {
+    for (x, y) in x.iter_mut().zip(y) {
+        *x = x.wrapping_add(*y);
+    }
+}
+
+/// `x = (x ^ y) <<< n`, lane-wise.
+#[inline(always)]
+fn xor_rotate(x: &mut Row, y: &Row, n: u32) {
+    for (x, y) in x.iter_mut().zip(y) {
+        *x = (*x ^ *y).rotate_left(n);
+    }
 }
 
 /// Stream-collision registry for the audit build.
@@ -255,16 +286,42 @@ mod tests {
         assert_eq!(v, [1, 3, 0, 4, 6, 7, 2, 8, 5, 9]);
     }
 
+    /// FNV-1a-64 of the little-endian bytes of the first `n` draws.
+    fn hash_u64s(r: &mut DetRng, n: usize) -> (u64, Vec<u64>) {
+        let draws: Vec<u64> = (0..n).map(|_| r.next_u64()).collect();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for byte in draws.iter().flat_map(|d| d.to_le_bytes()) {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+        }
+        (h, draws)
+    }
+
+    /// Deep known answers: 10,000 draws cross 1,250 blocks, so the rounds,
+    /// the key expansion and the counter of every later block are pinned,
+    /// not only blocks 0 and 1.
+    #[test]
+    fn known_answers_across_many_blocks() {
+        let (h, d) = hash_u64s(&mut DetRng::seed(42), 10_000);
+        assert_eq!(h, 0x3f8d_0553_9f02_fc21, "got {h:#018x}");
+        assert_eq!(d[8], 0xf687_5512_6b94_7e05);
+        assert_eq!(d[32], 0x94ad_96ac_7e5f_1558);
+        assert_eq!(d[9999], 0x7076_a2c7_20ca_6825);
+        let (h, d) = hash_u64s(&mut DetRng::seed(7).stream("graph"), 10_000);
+        assert_eq!(h, 0xda30_49c4_b117_e735, "got {h:#018x}");
+        assert_eq!(d[33], 0x85b9_2b1c_e336_b218);
+    }
+
     #[test]
     fn clone_preserves_stream_position() {
         let mut a = DetRng::seed(7);
-        // An odd number of words, so the clone starts mid-block and
-        // mid-draw.
-        for _ in 0..37 {
-            a.next_word();
+        // 19 draws, so the clone starts mid-block.
+        for _ in 0..19 {
+            a.next_u64();
         }
         let mut b = a.clone();
-        for _ in 0..50 {
+        // 50 blocks' worth of draws: the clone's own refills must follow
+        // the original's counter.
+        for _ in 0..50 * BLOCK_WORDS / 2 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
     }

@@ -51,7 +51,8 @@ impl CsrGraph {
     /// of accesses while still dominating stall time.
     ///
     /// # Panics
-    /// Panics if `locality` is outside `[0, 1]`.
+    /// Panics if `locality` is outside `[0, 1]` or `scale` exceeds
+    /// [`MAX_SCALE`](crate::MAX_SCALE).
     pub fn rmat_with_locality(
         scale: u32,
         edge_factor: u32,
@@ -59,6 +60,11 @@ impl CsrGraph {
         rng: &mut DetRng,
     ) -> Self {
         assert!((0.0..=1.0).contains(&locality), "locality must be in [0,1]");
+        assert!(
+            scale <= crate::MAX_SCALE,
+            "R-MAT scale {scale} exceeds the maximum {}",
+            crate::MAX_SCALE
+        );
         let n = 1u32 << scale;
         let m = (n as u64 * edge_factor as u64) as usize;
         let window = (n as u64 / 64).max(2);
@@ -66,16 +72,7 @@ impl CsrGraph {
         for _ in 0..m {
             let (mut s, mut d) = (0u32, 0u32);
             for _ in 0..scale {
-                let r = rng.unit();
-                let (sb, db) = if r < 0.57 {
-                    (0, 0)
-                } else if r < 0.76 {
-                    (0, 1)
-                } else if r < 0.95 {
-                    (1, 0)
-                } else {
-                    (1, 1)
-                };
+                let (sb, db) = quadrant(rng.unit());
                 s = (s << 1) | sb;
                 d = (d << 1) | db;
             }
@@ -143,9 +140,51 @@ impl CsrGraph {
     }
 }
 
+/// The R-MAT quadrant `(source bit, destination bit)` of a uniform draw
+/// `r`, by cumulative probability: `[0, 0.57)` top-left, `[0.57, 0.76)`
+/// top-right, `[0.76, 0.95)` bottom-left and the rest bottom-right.
+/// Computed without branches, since the draw is unpredictable by design.
+#[inline]
+fn quadrant(r: f64) -> (u32, u32) {
+    let sb = u32::from(r >= 0.76);
+    let db = u32::from(r >= 0.57) ^ sb ^ u32::from(r >= 0.95);
+    (sb, db)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quadrant_matches_the_cumulative_thresholds() {
+        let reference = |r: f64| {
+            if r < 0.57 {
+                (0, 0)
+            } else if r < 0.76 {
+                (0, 1)
+            } else if r < 0.95 {
+                (1, 0)
+            } else {
+                (1, 1)
+            }
+        };
+        let ulp =
+            |x: f64, up: bool| f64::from_bits(if up { x.to_bits() + 1 } else { x.to_bits() - 1 });
+        let mut edges = vec![0.0, 1.0 - f64::EPSILON / 2.0];
+        for t in [0.57, 0.76, 0.95] {
+            edges.extend([ulp(t, false), t, ulp(t, true)]);
+        }
+        let mut rng = DetRng::seed(11);
+        for r in edges.into_iter().chain((0..100_000).map(|_| rng.unit())) {
+            assert_eq!(quadrant(r), reference(r), "r = {r}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the maximum")]
+    fn rmat_rejects_scales_that_would_wrap() {
+        let _ = CsrGraph::rmat(crate::MAX_SCALE + 1, 1, &mut DetRng::seed(1));
+    }
 
     #[test]
     fn csr_from_edges_sorts_and_dedups() {

@@ -44,9 +44,12 @@ pub fn kmeans(params: &WorkloadParams) -> Workload {
         .map(|t| layout.alloc(home[t], (K * 64) as u64))
         .collect();
 
+    // Each trace is allocated once, at its final length.
+    let mut traces: Vec<ThreadTrace> = (0..threads)
+        .map(|t| ThreadTrace::with_capacity(ops_per_thread(params, t, points_per_thread)))
+        .collect();
     // Pre-draw the per-point update probability stream so the trace is
     // deterministic and iteration-dependent reassignments taper off.
-    let mut traces = vec![ThreadTrace::new(); threads];
     for iter in 0..ITERS {
         let reassign_p = match iter {
             0 => 1.0,
@@ -121,6 +124,20 @@ pub fn kmeans(params: &WorkloadParams) -> Workload {
     Workload::new("KM", traces, layout, home)
 }
 
+/// The length of thread `t`'s trace. Per iteration: the snapshot (2K ops),
+/// each point (its load and K load-compute pairs; a reassignment merges
+/// into the trailing `Comp`), the folds (2K) and two barriers, plus three
+/// ops per resident centroid on the first thread of each DIMM.
+fn ops_per_thread(params: &WorkloadParams, t: usize, points_per_thread: u64) -> usize {
+    let resident = if t.is_multiple_of(params.threads_per_dimm) {
+        let d = t / params.threads_per_dimm;
+        (0..K).filter(|k| k % params.dimms == d).count()
+    } else {
+        0
+    };
+    ITERS * (4 * K + 2 + points_per_thread as usize * (1 + 2 * K) + 3 * resident)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,6 +148,21 @@ mod tests {
         // Snapshot + atomics only: remote ops are a small minority.
         let rf = wl.remote_fraction();
         assert!(rf > 0.001 && rf < 0.2, "rf = {rf}");
+    }
+
+    #[test]
+    fn traces_are_sized_exactly() {
+        for params in [WorkloadParams::small(4), WorkloadParams::small(32)] {
+            let wl = kmeans(&params);
+            let points = ((1u64 << (params.scale + 2)) / params.threads() as u64).max(16);
+            for (t, trace) in wl.traces().iter().enumerate() {
+                assert_eq!(
+                    trace.len(),
+                    ops_per_thread(&params, t, points),
+                    "thread {t}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -49,6 +49,10 @@ pub use trace::{Addr, Op, ThreadTrace, Workload};
 
 use serde::Serialize;
 
+/// The largest [`WorkloadParams::scale`] any generator accepts: the last
+/// before a generator's `1 << scale` overflows its 32-bit vertex ids.
+pub const MAX_SCALE: u32 = 31;
+
 /// Parameters shared by every workload builder.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct WorkloadParams {
@@ -270,13 +274,30 @@ mod tests {
         }
     }
 
+    /// Folds every widened op of `wl` into the FNV-1a-64 `hash`.
+    fn hash_widened(mut hash: u64, wl: &Workload) -> u64 {
+        for trace in wl.traces() {
+            for &op in trace.ops() {
+                let wide = widen(op);
+                for word in [u64::from(wide.0), wide.1, wide.2] {
+                    for byte in word.to_le_bytes() {
+                        hash = (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+                    }
+                }
+            }
+        }
+        hash
+    }
+
+    const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
     #[test]
     fn packed_traces_equal_their_wide_encoding() {
         // FNV-1a over every widened op of every generator at scale 8 (the
         // broadcast variants too), recorded with the 16-byte `u64`-address
         // `Op` the packed one replaced: packing changed no op.
         const WIDE_HASH: u64 = 0xfb47_42c7_b5f8_a9ad;
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut hash = FNV_BASIS;
         for kind in ALL {
             for broadcast in [false, true] {
                 if broadcast && !WorkloadKind::BROADCAST_SET.contains(&kind) {
@@ -287,18 +308,44 @@ mod tests {
                     broadcast,
                     ..WorkloadParams::small(4)
                 };
-                for trace in kind.build(&params).traces() {
-                    for &op in trace.ops() {
-                        let wide = widen(op);
-                        for word in [u64::from(wide.0), wide.1, wide.2] {
-                            for byte in word.to_le_bytes() {
-                                hash = (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
-                            }
-                        }
-                    }
-                }
+                hash = hash_widened(hash, &kind.build(&params));
             }
         }
         assert_eq!(hash, WIDE_HASH, "got {hash:#018x}");
+    }
+
+    #[test]
+    fn generated_ops_are_pinned() {
+        // FNV-1a over every widened op of each generator (and each
+        // broadcast variant) at scale 10 on 4 DIMMs, for seeds 42 and 7.
+        // The values pin the input generators end to end: the RNG stream,
+        // the R-MAT levels and every trace builder. Only a deliberate
+        // re-baseline may move them.
+        use WorkloadKind::*;
+        #[rustfmt::skip]
+        const PINS: [(WorkloadKind, bool, [u64; 2]); 11] = [
+            (Bfs, false, [0xc33d_e850_968f_e76e, 0xe559_9d0d_5baa_6e56]),
+            (Hotspot, false, [0x0835_25d2_a8a8_9c25, 0x0835_25d2_a8a8_9c25]),
+            (KMeans, false, [0x43f2_d635_da63_9885, 0x4caf_0d32_4233_8f75]),
+            (NeedlemanWunsch, false, [0xc335_f756_c40b_18a5, 0xc335_f756_c40b_18a5]),
+            (Pagerank, false, [0xfd78_e549_57b3_3396, 0x830b_4e5c_7dfc_82d7]),
+            (Sssp, false, [0x9887_492e_9ad4_84da, 0x690f_1dcd_d7c8_fa59]),
+            (Spmv, false, [0xa87b_1299_3218_729f, 0xbdc2_ff87_0d36_a53f]),
+            (TsPow, false, [0x2ef5_5144_42dc_2659, 0x4d05_a8b4_035b_e35e]),
+            (Pagerank, true, [0x2d1c_8913_389b_54e6, 0x8c49_f77e_a8cf_6e2c]),
+            (Sssp, true, [0x4c6c_3d09_f456_583c, 0x3052_c555_3793_f982]),
+            (Spmv, true, [0x3c9e_c4fc_2785_fee6, 0x6f5b_ee1e_1e5e_f240]),
+        ];
+        for (kind, broadcast, want) in PINS {
+            let got = [42, 7].map(|seed| {
+                let params = WorkloadParams {
+                    seed,
+                    broadcast,
+                    ..WorkloadParams::small(4)
+                };
+                hash_widened(FNV_BASIS, &kind.build(&params))
+            });
+            assert_eq!(got, want, "{kind} broadcast={broadcast}: got {got:#018x?}");
+        }
     }
 }

@@ -119,6 +119,13 @@ impl ThreadTrace {
         Self::default()
     }
 
+    /// An empty trace with room for `ops` operations.
+    pub fn with_capacity(ops: usize) -> Self {
+        ThreadTrace {
+            ops: Vec::with_capacity(ops),
+        }
+    }
+
     /// Appends an operation.
     pub fn push(&mut self, op: Op) {
         self.ops.push(op);
