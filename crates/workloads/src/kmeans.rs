@@ -48,6 +48,22 @@ pub fn kmeans(params: &WorkloadParams) -> Workload {
     let mut traces: Vec<ThreadTrace> = (0..threads)
         .map(|t| ThreadTrace::with_capacity(ops_per_thread(params, t, points_per_thread)))
         .collect();
+    // The scan of a thread's snapshot is the same after every point, so it
+    // is built once and copied: each centroid's load and its distance.
+    let scans: Vec<ThreadTrace> = scratch
+        .iter()
+        .map(|s| {
+            let mut scan = ThreadTrace::with_capacity(2 * K);
+            for k in 0..K {
+                scan.push(Op::Load {
+                    addr: Addr::new(s.line_of(k as u64, 64)),
+                    cacheable: true,
+                });
+                scan.comp(DIMS * 2);
+            }
+            scan
+        })
+        .collect();
     // Pre-draw the per-point update probability stream so the trace is
     // deterministic and iteration-dependent reassignments taper off.
     for iter in 0..ITERS {
@@ -76,13 +92,7 @@ pub fn kmeans(params: &WorkloadParams) -> Workload {
                     cacheable: true,
                 });
                 // Scan the local snapshot.
-                for k in 0..K {
-                    trace.push(Op::Load {
-                        addr: Addr::new(scratch[t].line_of(k as u64, 64)),
-                        cacheable: true,
-                    });
-                    trace.comp(DIMS * 2);
-                }
+                trace.extend_from_slice(scans[t].ops());
                 // Cluster reassignment updates the thread's *local* partial
                 // sums (pure compute); the shared accumulators are only
                 // touched once per iteration below.

@@ -131,6 +131,12 @@ impl ThreadTrace {
         self.ops.push(op);
     }
 
+    /// Appends a copy of `ops` as they are: a leading `Comp` does not merge
+    /// with a trailing one.
+    pub fn extend_from_slice(&mut self, ops: &[Op]) {
+        self.ops.extend_from_slice(ops);
+    }
+
     /// Appends `Comp(cycles)`, merging with a trailing `Comp` to keep traces
     /// compact.
     pub fn comp(&mut self, cycles: u32) {
@@ -280,6 +286,18 @@ mod tests {
         t.comp(0); // no-op
         t.comp(1);
         assert_eq!(t.len(), 3);
+    }
+
+    #[test]
+    fn extend_from_slice_copies_without_merging() {
+        let mut t = ThreadTrace::new();
+        t.comp(5);
+        t.extend_from_slice(&[Op::Comp(2), Op::Barrier, Op::Comp(3)]);
+        t.comp(1);
+        assert_eq!(
+            t.ops(),
+            &[Op::Comp(5), Op::Comp(2), Op::Barrier, Op::Comp(4)]
+        );
     }
 
     #[test]
