@@ -952,6 +952,12 @@ impl CorePort for DimmPort<'_, '_> {
         }
     }
 
+    fn count_deferred(&mut self, addr: u64, attempts: u32) {
+        let (sh, u) = (self.sh, &mut *self.uncore);
+        let dimm = sh.workload.layout().dimm_of(addr);
+        u.profile.record(self.g, dimm, u64::from(attempts));
+    }
+
     fn issue(&mut self, addr: u64, is_write: bool, t: Ps) -> (u64, bool) {
         let (sh, u, g) = (self.sh, &mut *self.uncore, self.g);
         let target = sh.workload.layout().dimm_of(addr);

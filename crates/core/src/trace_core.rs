@@ -52,7 +52,8 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Status {
     Ready,
-    /// Window full; resumes on the next completion.
+    /// Window full; resumes on the next completion, and no earlier than
+    /// where it blocked.
     WaitWindow,
     /// Needs an empty window before executing the op at `pc` (or finishing),
     /// or waits for the atomic that holds the window alone.
@@ -82,6 +83,10 @@ pub(crate) trait CorePort {
     /// a hit there; `None` sends it to memory, after the port has issued
     /// any writeback the miss evicted.
     fn past_l1(&mut self, addr: u64, is_write: bool, cacheable: bool, t: Ps) -> Option<Ps>;
+    /// Counts `attempts` more lookups of the access to `addr`, which the
+    /// core skipped while it was blocked in front of a full window (see
+    /// [`TraceCore::advance`]); each would have been a `past_l1` call.
+    fn count_deferred(&mut self, addr: u64, attempts: u32);
     /// Issues a memory access at `t`; returns its transaction id and
     /// whether it is remote. Its completion comes back via
     /// [`TraceCore::complete`].
@@ -114,6 +119,11 @@ pub(crate) struct TraceCore {
     rank: u64,
     /// Barriers are local no-ops (truncated, unbalanced traces).
     skips_barriers: bool,
+    /// Blocked at a yield, in front of an access it has not tried yet.
+    deferred: bool,
+    /// Attempts at the access at `pc` that a deferral skipped after which
+    /// a slot freed: its retry counts them.
+    skipped: u32,
     /// Window slots: `(transaction id, remote)`.
     outstanding: Vec<(u64, bool)>,
     status: Status,
@@ -147,6 +157,8 @@ impl TraceCore {
             mlp,
             rank,
             skips_barriers,
+            deferred: false,
+            skipped: 0,
             outstanding: Vec::with_capacity(mlp),
             status: Status::Ready,
             ready_at: Ps::ZERO,
@@ -225,6 +237,28 @@ impl TraceCore {
                 _ => {}
             }
             if EventKey::new(t, self.rank) > horizon {
+                // An uncacheable access in front of a full window cannot
+                // start before a slot frees. Woken at `t`, the core would
+                // only look it up and block, so it blocks here: no wake,
+                // and `unblock` resumes it no earlier than `t`.
+                if self.outstanding.len() >= self.mlp
+                    && matches!(
+                        op,
+                        Some(
+                            Op::Load {
+                                cacheable: false,
+                                ..
+                            } | Op::Store {
+                                cacheable: false,
+                                ..
+                            }
+                        )
+                    )
+                {
+                    self.deferred = true;
+                    self.block(Status::WaitWindow, t);
+                    return false;
+                }
                 self.ready_at = t;
                 port.wake(t);
                 return false;
@@ -242,6 +276,10 @@ impl TraceCore {
                 Op::Load { addr, cacheable } | Op::Store { addr, cacheable } => {
                     let (addr, is_write) = (addr.get(), matches!(op, Op::Store { .. }));
                     // A blocked access repeats its lookup when it resumes.
+                    if self.skipped > 0 {
+                        port.count_deferred(addr, self.skipped);
+                        self.skipped = 0;
+                    }
                     if let Some(latency) = port.past_l1(addr, is_write, cacheable, t) {
                         self.pc += 1;
                         t += latency;
@@ -294,11 +332,21 @@ impl TraceCore {
         }
     }
 
-    /// Resumes a blocked core at `at`, charging the stall to remote
-    /// traffic, local memory, or synchronization.
+    /// Resumes a blocked core at `at`, or where it blocked if that is
+    /// later, charging the stall to remote traffic, local memory, or
+    /// synchronization.
+    ///
+    /// A core that deferred its access at a yield had not looked it up yet.
+    /// Had it woken there instead, it would have looked it up once more if
+    /// the window was still full, that is if the slot frees after the
+    /// yield: its retry counts that attempt.
     #[inline]
     pub(crate) fn unblock<P: CorePort>(&mut self, at: Ps, remote: bool, port: &mut P) {
-        let stall = at.saturating_sub(self.blocked_at);
+        let at = at.max(self.blocked_at);
+        let stall = at - self.blocked_at;
+        if std::mem::take(&mut self.deferred) && stall > Ps::ZERO {
+            self.skipped += 1;
+        }
         match self.status {
             Status::WaitWindow | Status::WaitDrain => {
                 if remote {
@@ -575,6 +623,10 @@ mod tests {
         wakes: Vec<Ps>,
         issued: Vec<(u64, u64)>,
         barriers: Vec<Ps>,
+        /// Each `past_l1` call's address.
+        lookups: Vec<u64>,
+        /// Each `count_deferred` call.
+        skipped: Vec<(u64, u32)>,
     }
 
     impl CorePort for FakePort {
@@ -591,8 +643,12 @@ mod tests {
         fn wake(&mut self, at: Ps) {
             self.wakes.push(at);
         }
-        fn past_l1(&mut self, _: u64, _: bool, _: bool, _: Ps) -> Option<Ps> {
+        fn past_l1(&mut self, addr: u64, _: bool, _: bool, _: Ps) -> Option<Ps> {
+            self.lookups.push(addr);
             None
+        }
+        fn count_deferred(&mut self, addr: u64, attempts: u32) {
+            self.skipped.push((addr, attempts));
         }
         fn issue(&mut self, addr: u64, _: bool, _: Ps) -> (u64, bool) {
             self.next_id += 1;
@@ -756,6 +812,110 @@ mod tests {
         core.complete(1, ns(30), &mut port);
         assert!(core.advance(&ops, ns(30), &mut port));
         assert_eq!(core.finish, Some(ns(30)));
+    }
+
+    /// A window of one, a load issued at 0 ns, 9 ns of compute, and a
+    /// second uncacheable load at 10 ns, past a horizon at 5 ns: the core
+    /// defers it there.
+    fn deferred_at_10ns(ops: &[Op]) -> (TraceCore, FakePort) {
+        let mut port = FakePort {
+            horizon: Some(EventKey::new(ns(5), 0)),
+            ..FakePort::default()
+        };
+        let mut core = new_core(ops, 1);
+        assert!(!core.advance(ops, Ps::ZERO, &mut port));
+        assert_eq!(port.issued, [(1, 2)]);
+        assert_eq!(port.lookups, [2]);
+        port.lookups.clear();
+        (core, port)
+    }
+
+    #[test]
+    fn a_full_window_defers_an_uncacheable_access_at_the_yield() {
+        let ops = [load(2), Op::Comp(9), load(4)];
+        let (mut core, mut port) = deferred_at_10ns(&ops);
+        assert_eq!((core.status, core.blocked_at), (Status::WaitWindow, ns(10)));
+        assert!(port.wakes.is_empty(), "no wake while blocked");
+        assert!(port.lookups.is_empty(), "not looked up yet");
+        // A stale wake changes nothing.
+        assert!(!core.advance(&ops, ns(10), &mut port));
+        assert!(port.wakes.is_empty() && port.lookups.is_empty());
+        // A cacheable access yields with a wake: its lookup may hit past
+        // the L1 and need no slot.
+        let cached = [
+            load(2),
+            Op::Comp(9),
+            Op::Load {
+                addr: Addr::new(4),
+                cacheable: true,
+            },
+        ];
+        let (core, port) = deferred_at_10ns(&cached);
+        assert_eq!(
+            (core.status, port.wakes.as_slice()),
+            (Status::Ready, &[ns(10)][..])
+        );
+    }
+
+    #[test]
+    fn a_slot_freed_before_the_yield_resumes_at_the_yield() {
+        let ops = [load(2), Op::Comp(9), load(4)];
+        let (mut core, mut port) = deferred_at_10ns(&ops);
+        core.complete(1, ns(6), &mut port);
+        assert_eq!((core.status, core.ready_at), (Status::Ready, ns(10)));
+        assert_eq!(port.wakes, [ns(10)]);
+        assert_eq!(core.mem_stall, Ps::ZERO);
+        port.horizon = None;
+        assert!(!core.advance(&ops, ns(10), &mut port));
+        // One lookup, as if the core had woken at the yield and found the
+        // slot free.
+        assert_eq!(port.lookups, [4]);
+        assert!(port.skipped.is_empty(), "no extra profile entry");
+        assert_eq!(port.issued, [(1, 2), (2, 4)]);
+    }
+
+    #[test]
+    fn a_slot_freed_after_the_yield_charges_the_stall_and_one_attempt() {
+        let ops = [load(2), Op::Comp(9), load(4)];
+        let (mut core, mut port) = deferred_at_10ns(&ops);
+        core.complete(1, ns(25), &mut port);
+        assert_eq!(port.wakes, [ns(25)]);
+        assert_eq!(core.mem_stall, ns(15));
+        port.horizon = None;
+        assert!(!core.advance(&ops, ns(25), &mut port));
+        // The attempt a wake at the yield would have made, then the retry.
+        assert_eq!(port.skipped, [(4, 1)]);
+        assert_eq!(port.lookups, [4]);
+        assert_eq!(port.issued, [(1, 2), (2, 4)]);
+    }
+
+    #[test]
+    fn two_deferrals_count_two_attempts() {
+        let ops = [load(2), Op::Comp(9), load(5), Op::Comp(9), load(6)];
+        let (mut core, mut port) = deferred_at_10ns(&ops);
+        core.complete(1, ns(20), &mut port);
+        // The retry issues the remote load at 20 ns; the next load defers
+        // at 30 ns, past a horizon at 25 ns.
+        port.horizon = Some(EventKey::new(ns(25), 0));
+        assert!(!core.advance(&ops, ns(20), &mut port));
+        assert_eq!((core.status, core.blocked_at), (Status::WaitWindow, ns(30)));
+        assert_eq!(port.wakes, [ns(20)]);
+        core.complete(2, ns(40), &mut port);
+        assert_eq!((core.mem_stall, core.idc_stall), (ns(10), ns(10)));
+        port.horizon = None;
+        assert!(!core.advance(&ops, ns(40), &mut port));
+        assert_eq!(port.skipped, [(5, 1), (6, 1)]);
+        assert_eq!(port.lookups, [5, 6]);
+        let attempts: u32 = port.skipped.iter().map(|&(_, n)| n).sum();
+        assert_eq!(attempts as usize + port.lookups.len(), 4);
+    }
+
+    #[test]
+    fn a_core_keeps_its_size() {
+        // The deferral state sits in padding. A larger core moved the
+        // K-Means set-up's heap layout out of its reuse regime (see
+        // EXPERIMENTS.md, "Simulator host time").
+        assert_eq!(std::mem::size_of::<TraceCore>(), 128);
     }
 
     #[test]

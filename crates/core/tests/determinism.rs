@@ -197,10 +197,10 @@ fn golden_fingerprints_are_pinned() {
         .map(|(name, r)| (format!("{name} schedule"), fingerprint(r)))
         .collect();
     let golden = [
-        "KM/DL schedule 7a52165c5b90d04c",
+        "KM/DL schedule 07039a4f897d735b",
         "TS.Pow/MCN-central schedule b5cf695f69f353df",
-        "PR-BC/DL schedule bb6989dcfed1680f",
-        "BFS/DL-opt schedule e83f61c245814f82",
+        "PR-BC/DL schedule fa910aa3d59df076",
+        "BFS/DL-opt schedule 950c8e5d7c7f1321",
     ];
     assert_eq!(
         pins(&schedules),
