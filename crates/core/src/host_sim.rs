@@ -273,9 +273,6 @@ impl CorePort for HostPort<'_> {
         }
     }
 
-    /// The host keeps no access profile.
-    fn count_deferred(&mut self, _addr: u64, _attempts: u32) {}
-
     fn issue(&mut self, addr: u64, is_write: bool, t: Ps) -> (u64, bool) {
         let kind = if is_write {
             AccessKind::Write

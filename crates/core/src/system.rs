@@ -470,12 +470,14 @@ impl<'w> NmpSystem<'w> {
         self.lookahead
     }
 
-    /// Runs to completion (or until the furthest partition clock passes the
-    /// configured [`SystemConfig::max_sim`]) and collects results.
+    /// Runs to completion (or to the configured [`SystemConfig::max_sim`])
+    /// and collects results.
     ///
-    /// The cap is checked at the top of each epoch, so a cut run stops at
-    /// the first epoch boundary past it. A runaway run stops with
-    /// [`BudgetKind::Backstop`] instead of panicking.
+    /// A capped run is cut off at the end of the epoch-grid cell (of width
+    /// [`NmpSystem::lookahead`]) that holds the cap: every event before it
+    /// runs, none after, so where a run stops depends on simulated time
+    /// alone, not on which events the engine happens to schedule. A runaway
+    /// run stops with [`BudgetKind::Backstop`] instead of panicking.
     ///
     /// # Panics
     /// Panics on deadlock (all event queues drained with live threads —
@@ -516,24 +518,34 @@ impl<'w> NmpSystem<'w> {
     fn collect(self, status: RunStatus) -> RawRun {
         let NmpSystem {
             shared: sh,
-            parts,
+            mut parts,
             mut coord,
-            ..
+            lookahead,
         } = self;
         let threads_total = sh.placement.len();
 
         // Cores still running when a budget cut the run short are charged
-        // up to the cut-off time (the furthest partition clock); a
-        // completed run always has every finish time.
-        let high = parts
-            .iter()
-            .map(|p| p.uncore.sched.now())
-            .max()
-            .unwrap_or(Ps::ZERO);
+        // up to the cut-off time: the cap's [`cut_off`], or for the backstop
+        // the furthest partition clock. A completed run always has every
+        // finish time.
+        let cut = match (status, sh.cfg.max_sim) {
+            (RunStatus::BudgetExceeded(BudgetKind::SimTime), Some(cap)) => cut_off(cap, lookahead),
+            _ => parts
+                .iter()
+                .map(|p| p.uncore.sched.now())
+                .max()
+                .unwrap_or(Ps::ZERO),
+        };
         let mut elapsed = Ps::ZERO;
         for g in 0..threads_total {
-            let core = &parts[sh.placement[g]].cores[sh.local_of[g]];
-            elapsed = elapsed.max(core.finish.unwrap_or(high));
+            let part = &mut parts[sh.placement[g]];
+            let core = &part.cores[sh.local_of[g]];
+            elapsed = elapsed.max(core.finish.unwrap_or(cut));
+            // A core woken at its yield would have looked up the access it
+            // deferred there (see `TraceCore::advance`).
+            if let Some(addr) = core.deferred_before(sh.workload.traces()[g].ops(), cut) {
+                part.uncore.record_profile(&sh, g, addr);
+            }
         }
         coord.host.finalize(elapsed);
 
@@ -645,19 +657,17 @@ impl<'w> NmpSystem<'w> {
 
 /// Decides what the next epoch is: inspects every partition's clock, queue,
 /// and progress counters and applies the run-level checks in a fixed order
-/// — done, backstop, simulated-time cap, deadlock (which panics).
+/// — done, backstop, deadlock (which panics), simulated-time cap.
 fn epoch_plan(parts: &[DimmPart], cfg: &SystemConfig, lookahead: Ps) -> Plan {
     let mut done = 0;
     let mut total = 0;
     let mut scheduled = 0u64;
     let mut next = Ps::MAX;
-    let mut high = Ps::ZERO;
     for p in parts {
         done += p.done;
         total += p.cores.len();
         scheduled += p.scheduled();
         next = next.min(p.uncore.sched.next_key().at);
-        high = high.max(p.uncore.sched.now());
     }
     if done == total {
         return Plan::Stop(RunStatus::Completed);
@@ -665,18 +675,29 @@ fn epoch_plan(parts: &[DimmPart], cfg: &SystemConfig, lookahead: Ps) -> Plan {
     if scheduled >= EVENT_BUDGET {
         return Plan::Stop(RunStatus::BudgetExceeded(BudgetKind::Backstop));
     }
-    if cfg.max_sim.is_some_and(|cap| high > cap) {
-        return Plan::Stop(RunStatus::BudgetExceeded(BudgetKind::SimTime));
-    }
     assert!(
         next != Ps::MAX,
         "deadlock: {done} of {total} threads finished (unbalanced barriers?)"
     );
+    if cfg
+        .max_sim
+        .is_some_and(|cap| next >= cut_off(cap, lookahead))
+    {
+        return Plan::Stop(RunStatus::BudgetExceeded(BudgetKind::SimTime));
+    }
     // Epochs are cells of a fixed grid of width W: which actions share an
     // epoch depends only on their times, not on which events happen to be
     // pending.
     let w = lookahead.as_ps();
     Plan::Run(Ps::from_ps((next.as_ps() / w + 1) * w))
+}
+
+/// Where a run capped at `cap` stops: the end of the epoch-grid cell (of
+/// width `lookahead`) that holds the cap, or the end of time for a cap in
+/// the last cell.
+fn cut_off(cap: Ps, lookahead: Ps) -> Ps {
+    let w = lookahead.as_ps();
+    Ps::from_ps((cap.as_ps() / w).saturating_add(1).saturating_mul(w))
 }
 
 /// The epoch barrier: drains every outbox, merges the intents into the
@@ -950,12 +971,6 @@ impl CorePort for DimmPort<'_, '_> {
                 None
             }
         }
-    }
-
-    fn count_deferred(&mut self, addr: u64, attempts: u32) {
-        let (sh, u) = (self.sh, &mut *self.uncore);
-        let dimm = sh.workload.layout().dimm_of(addr);
-        u.profile.record(self.g, dimm, u64::from(attempts));
     }
 
     fn issue(&mut self, addr: u64, is_write: bool, t: Ps) -> (u64, bool) {
@@ -1308,6 +1323,17 @@ mod tests {
         // Only the final barrier's sync messages ride the links.
         assert!(r.stats.get("traffic.link_bytes").unwrap() < 200.0);
         assert_eq!(r.stats.get("idc_stall_frac"), Some(0.0));
+    }
+
+    #[test]
+    fn a_cap_at_the_end_of_time_cuts_nothing() {
+        let wl = WorkloadKind::KMeans.build(&quick_params(4));
+        let mut cfg = SystemConfig::nmp(4, 2).with_idc(IdcKind::DimmLink);
+        let full = run(&cfg, &wl);
+        cfg.max_sim = Some(Ps::MAX);
+        let capped = run(&cfg, &wl);
+        assert_eq!(capped.status, RunStatus::Completed);
+        assert_eq!(capped.elapsed, full.elapsed);
     }
 
     /// At scale 13 K-Means's L2 misses evict dirty victims: each victim's

@@ -83,10 +83,6 @@ pub(crate) trait CorePort {
     /// a hit there; `None` sends it to memory, after the port has issued
     /// any writeback the miss evicted.
     fn past_l1(&mut self, addr: u64, is_write: bool, cacheable: bool, t: Ps) -> Option<Ps>;
-    /// Counts `attempts` more lookups of the access to `addr`, which the
-    /// core skipped while it was blocked in front of a full window (see
-    /// [`TraceCore::advance`]); each would have been a `past_l1` call.
-    fn count_deferred(&mut self, addr: u64, attempts: u32);
     /// Issues a memory access at `t`; returns its transaction id and
     /// whether it is remote. Its completion comes back via
     /// [`TraceCore::complete`].
@@ -121,9 +117,9 @@ pub(crate) struct TraceCore {
     skips_barriers: bool,
     /// Blocked at a yield, in front of an access it has not tried yet.
     deferred: bool,
-    /// Attempts at the access at `pc` that a deferral skipped after which
-    /// a slot freed: its retry counts them.
-    skipped: u32,
+    /// The deferral skipped a lookup of the access at `pc` (a slot freed
+    /// only after the yield): its retry makes it.
+    skipped: bool,
     /// Window slots: `(transaction id, remote)`.
     outstanding: Vec<(u64, bool)>,
     status: Status,
@@ -158,7 +154,7 @@ impl TraceCore {
             rank,
             skips_barriers,
             deferred: false,
-            skipped: 0,
+            skipped: false,
             outstanding: Vec::with_capacity(mlp),
             status: Status::Ready,
             ready_at: Ps::ZERO,
@@ -276,9 +272,10 @@ impl TraceCore {
                 Op::Load { addr, cacheable } | Op::Store { addr, cacheable } => {
                     let (addr, is_write) = (addr.get(), matches!(op, Op::Store { .. }));
                     // A blocked access repeats its lookup when it resumes.
-                    if self.skipped > 0 {
-                        port.count_deferred(addr, self.skipped);
-                        self.skipped = 0;
+                    // A deferred one is uncacheable: the skipped lookup
+                    // only counts in the profile.
+                    if std::mem::take(&mut self.skipped) {
+                        port.past_l1(addr, is_write, cacheable, t);
                     }
                     if let Some(latency) = port.past_l1(addr, is_write, cacheable, t) {
                         self.pc += 1;
@@ -344,9 +341,7 @@ impl TraceCore {
     pub(crate) fn unblock<P: CorePort>(&mut self, at: Ps, remote: bool, port: &mut P) {
         let at = at.max(self.blocked_at);
         let stall = at - self.blocked_at;
-        if std::mem::take(&mut self.deferred) && stall > Ps::ZERO {
-            self.skipped += 1;
-        }
+        self.skipped = std::mem::take(&mut self.deferred) && stall > Ps::ZERO;
         match self.status {
             Status::WaitWindow | Status::WaitDrain => {
                 if remote {
@@ -361,6 +356,19 @@ impl TraceCore {
         self.status = Status::Ready;
         self.ready_at = at;
         port.wake(at);
+    }
+
+    /// The address of the access this core deferred at a yield before `t`,
+    /// if any. A run cut off at `t` has not looked it up, where a core woken
+    /// at the yield would have, once.
+    pub(crate) fn deferred_before(&self, ops: &[Op], t: Ps) -> Option<u64> {
+        if !self.deferred || self.blocked_at >= t {
+            return None;
+        }
+        match ops[self.pc] {
+            Op::Load { addr, .. } | Op::Store { addr, .. } => Some(addr.get()),
+            _ => unreachable!("only an access is deferred"),
+        }
     }
 
     /// Transaction `id` completed at `at`: frees its window slot and wakes
@@ -625,8 +633,6 @@ mod tests {
         barriers: Vec<Ps>,
         /// Each `past_l1` call's address.
         lookups: Vec<u64>,
-        /// Each `count_deferred` call.
-        skipped: Vec<(u64, u32)>,
     }
 
     impl CorePort for FakePort {
@@ -646,9 +652,6 @@ mod tests {
         fn past_l1(&mut self, addr: u64, _: bool, _: bool, _: Ps) -> Option<Ps> {
             self.lookups.push(addr);
             None
-        }
-        fn count_deferred(&mut self, addr: u64, attempts: u32) {
-            self.skipped.push((addr, attempts));
         }
         fn issue(&mut self, addr: u64, _: bool, _: Ps) -> (u64, bool) {
             self.next_id += 1;
@@ -868,9 +871,8 @@ mod tests {
         port.horizon = None;
         assert!(!core.advance(&ops, ns(10), &mut port));
         // One lookup, as if the core had woken at the yield and found the
-        // slot free.
+        // slot free: no extra profile entry.
         assert_eq!(port.lookups, [4]);
-        assert!(port.skipped.is_empty(), "no extra profile entry");
         assert_eq!(port.issued, [(1, 2), (2, 4)]);
     }
 
@@ -884,8 +886,7 @@ mod tests {
         port.horizon = None;
         assert!(!core.advance(&ops, ns(25), &mut port));
         // The attempt a wake at the yield would have made, then the retry.
-        assert_eq!(port.skipped, [(4, 1)]);
-        assert_eq!(port.lookups, [4]);
+        assert_eq!(port.lookups, [4, 4]);
         assert_eq!(port.issued, [(1, 2), (2, 4)]);
     }
 
@@ -904,8 +905,7 @@ mod tests {
         assert_eq!((core.mem_stall, core.idc_stall), (ns(10), ns(10)));
         port.horizon = None;
         assert!(!core.advance(&ops, ns(40), &mut port));
-        assert_eq!(port.skipped, [(5, 1), (6, 1)]);
-        assert_eq!(port.lookups, [5, 6]);
+        assert_eq!(port.lookups, [5, 5, 6, 6]);
     }
 
     #[test]

@@ -116,9 +116,10 @@ fn result_fingerprint(r: &RunResult) -> String {
 /// Pins *what* a run produces, not just that repeated runs agree. Covers
 /// the host baseline on every P2P workload, atomics (K-Means), the central
 /// barrier (TS.Pow on MCN), the NMP broadcast path, truncated profiling
-/// traces with no-op barriers (the optimized pipeline), and a run cut short
+/// traces with no-op barriers (the optimized pipeline), and runs cut short
 /// by a simulated-time cap (SSSP on MCN, stopped at about a third of its
-/// 29.85 us run).
+/// 29.85 us run; PageRank on DIMM-Link, plain and optimized, stopped within
+/// its first epochs).
 ///
 /// Each NMP run has two pins. Its *result pin* hashes everything but the
 /// event counts (`events_scheduled`, `events.*`): any change to simulated
@@ -127,9 +128,9 @@ fn result_fingerprint(r: &RunResult) -> String {
 /// fewer or more events (a core that runs further between wakes, a memory
 /// tick that would have made no progress) moves it and keeps the result
 /// pin. The host baseline exports no event counts, so one pin covers it.
-/// The cut run has only a result pin: where a simulated-time cap stops a
-/// run depends on simulated time alone, so it must not move when only the
-/// engine's schedule changes.
+/// The cut runs have only result pins: a capped run stops at the end of
+/// the epoch-grid cell that holds the cap, a simulated time, so its result
+/// must not move when only the engine's schedule changes.
 #[test]
 fn golden_fingerprints_are_pinned() {
     let mut hosts: Vec<(String, String)> = WorkloadKind::P2P_SET
@@ -164,6 +165,26 @@ fn golden_fingerprints_are_pinned() {
     mcn_capped.max_sim = Some(Ps::from_us(10));
     let cut = simulate(&WorkloadKind::Sssp.build(&params), &mcn_capped);
     assert_eq!(cut.status, RunStatus::BudgetExceeded(BudgetKind::SimTime));
+    // PageRank on DIMM-Link cut within its first epochs: under a cut-off at
+    // the furthest partition's last pop, a schedule with fewer wakes moved
+    // these results. The optimized run's profiling phase is cut too.
+    let pr = WorkloadKind::Pagerank.build(&params);
+    let mut cuts: Vec<(&str, RunResult)> = Vec::new();
+    for (name, ns, optimized) in [
+        ("PR/DL cut at 0ns", 0, false),
+        ("PR/DL cut at 240ns", 240, false),
+        ("PR/DL-opt cut at 0ns", 0, true),
+    ] {
+        let mut dl_capped = dl.clone();
+        dl_capped.max_sim = Some(Ps::from_ns(ns));
+        let r = if optimized {
+            simulate_optimized(&pr, &dl_capped)
+        } else {
+            simulate(&pr, &dl_capped)
+        };
+        assert_eq!(r.status, RunStatus::BudgetExceeded(BudgetKind::SimTime));
+        cuts.push((name, r));
+    }
 
     let pins = |runs: &[(String, String)]| -> Vec<String> {
         runs.iter()
@@ -178,6 +199,10 @@ fn golden_fingerprints_are_pinned() {
         "SSSP/MCN cut at 10us result".into(),
         result_fingerprint(&cut),
     ));
+    hosts.extend(
+        cuts.iter()
+            .map(|(name, r)| (format!("{name} result"), result_fingerprint(r))),
+    );
     let results = [
         "host BFS f6cea4d6f665d604",
         "host HS 1b459df513de8ded",
@@ -189,7 +214,10 @@ fn golden_fingerprints_are_pinned() {
         "TS.Pow/MCN-central result 4bc1c9cd5a75156d",
         "PR-BC/DL result b694854d9c066e4a",
         "BFS/DL-opt result 8b40c907c1fa9511",
-        "SSSP/MCN cut at 10us result 02a4e0e681d95a63",
+        "SSSP/MCN cut at 10us result a3009edb2b1fd026",
+        "PR/DL cut at 0ns result 0a6cc5590be1c10d",
+        "PR/DL cut at 240ns result c65e4ab47fd7eb20",
+        "PR/DL-opt cut at 0ns result 8f4427af4e8d38c2",
     ];
     assert_eq!(pins(&hosts), results, "a pinned simulation result changed");
     let schedules: Vec<(String, String)> = runs

