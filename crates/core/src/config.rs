@@ -172,7 +172,8 @@ pub struct SystemConfig {
     pub cxl_latency: Ps,
     /// Simulated-time cap on a run; `None` (the default) is unlimited. A
     /// run whose clock passes it ends with
-    /// [`dl_engine::RunStatus::BudgetExceeded`] and reports the prefix.
+    /// [`dl_engine::RunStatus::BudgetExceeded`] and reports the prefix up
+    /// to the end of the epoch-grid cell that holds the cap.
     pub max_sim: Option<Ps>,
 }
 
