@@ -743,6 +743,110 @@ mod tests {
         assert_eq!(dl.hop_distance(0, 4), Some(4));
         assert_eq!(dl.hop_distance(0, 12), None);
     }
+
+    /// Folds `word` into the FNV-1a-64 `hash`, byte by byte.
+    fn fold(hash: &mut u64, word: u64) {
+        for byte in word.to_le_bytes() {
+            *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    /// Every delivery the interconnect makes, pinned: one seeded mix of
+    /// unicasts, sync unicasts and broadcasts on every mechanism under each
+    /// polling strategy it accepts, at four system sizes (the largest with
+    /// four groups, so a broadcast crosses into several groups). The hash
+    /// covers each arrival and route, the host and link counters, the
+    /// DIMM-Link stage histograms, the lookahead and the distance matrix.
+    /// Reservations that change order or count move it.
+    #[test]
+    fn reservation_sequences_are_pinned() {
+        const PINNED: u64 = 0x29fc_12ec_9c25_3479;
+        let mut wide = SystemConfig::nmp(32, 16);
+        wide.groups = 4;
+        let systems = [
+            SystemConfig::nmp(4, 2),
+            SystemConfig::nmp(12, 6),
+            SystemConfig::nmp(16, 8),
+            wide,
+        ];
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        for system in systems {
+            for kind in [
+                IdcKind::CpuForwarding,
+                IdcKind::DedicatedBus,
+                IdcKind::AbcDimm,
+                IdcKind::DimmLink,
+                IdcKind::DimmLinkCxl,
+            ] {
+                for polling in [
+                    PollingStrategy::Base,
+                    PollingStrategy::BaseInterrupt,
+                    PollingStrategy::Proxy,
+                    PollingStrategy::ProxyInterrupt,
+                ] {
+                    let mut cfg = system.clone().with_idc(kind);
+                    cfg.polling = polling;
+                    if cfg.validate().is_err() {
+                        continue;
+                    }
+                    let mut idc = Interconnect::new(&cfg);
+                    let mut host = HostPath::new(&cfg, &idc.proxy_channels(&cfg));
+                    let mut rng = dl_engine::DetRng::seed(42);
+                    let mut t = Ps::ZERO;
+                    for _ in 0..300 {
+                        t += Ps::from_ps(rng.below(120_000));
+                        let src = rng.below(cfg.dimms as u64) as usize;
+                        let dst = (src + 1 + rng.below(cfg.dimms as u64 - 1) as usize) % cfg.dimms;
+                        let bytes = [NOTIFY_BYTES, wire_bytes(64), wire_bytes(256), 4096]
+                            [rng.below(4) as usize];
+                        match rng.below(3) {
+                            0 => {
+                                let (at, route) = idc.unicast(&mut host, &cfg, t, src, dst, bytes);
+                                fold(&mut hash, at.as_ps());
+                                fold(&mut hash, route as u64);
+                            }
+                            1 => {
+                                let (at, route) =
+                                    idc.sync_unicast(&mut host, &cfg, t, src, dst, NOTIFY_BYTES);
+                                fold(&mut hash, at.as_ps());
+                                fold(&mut hash, route as u64);
+                            }
+                            _ => {
+                                for at in idc.broadcast(&mut host, &cfg, t, src, bytes) {
+                                    fold(&mut hash, at.as_ps());
+                                }
+                            }
+                        }
+                    }
+                    let end = t + Ps::from_us(100);
+                    host.finalize(end);
+                    for word in [
+                        host.forwarded_packets(),
+                        host.polls(),
+                        host.interrupts(),
+                        host.channel_bytes(),
+                        idc.private_bytes(),
+                        host.bus_occupancy(end).to_bits(),
+                        min_cross_latency(&cfg).as_ps(),
+                    ] {
+                        fold(&mut hash, word);
+                    }
+                    if let Some(dl) = idc.dimm_link() {
+                        for h in [&dl.notify_wait, &dl.disc_wait, &dl.fwd_wait] {
+                            fold(&mut hash, h.mean().to_bits());
+                            fold(&mut hash, h.max());
+                        }
+                    }
+                    for row in distance_matrix(&cfg, &idc) {
+                        for d in row {
+                            fold(&mut hash, d);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(hash, PINNED, "reservation sequences moved: {hash:#018x}");
+    }
 }
 
 #[cfg(test)]
