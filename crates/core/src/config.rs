@@ -1,4 +1,8 @@
 //! System configuration (paper Table V plus the knobs of Sections IV–VI).
+//!
+//! Timings that no experiment varies are constants beside the code that
+//! reads them: the DL-Controller, AIM bus and CXL port figures in
+//! `idc`, the channel, interrupt and forwarding-thread figures in `host`.
 
 use dl_engine::{Freq, Ps};
 use dl_mem::{CacheConfig, DramConfig};
@@ -109,8 +113,6 @@ pub struct SystemConfig {
     pub dram: DramConfig,
     /// Memory-channel bandwidth in bytes/s (DDR4-2400: 19.2 GB/s).
     pub channel_bandwidth: u64,
-    /// One-way channel latency (command + IO path).
-    pub channel_latency: Ps,
     /// IDC mechanism.
     pub idc: IdcKind,
     /// DIMM-Link link parameters (used when `idc == DimmLink`).
@@ -119,45 +121,24 @@ pub struct SystemConfig {
     pub topology: TopologyKind,
     /// Number of DL groups (DIMMs on each side of the CPU socket).
     pub groups: usize,
-    /// DL-Controller packetize/decode latency per endpoint.
-    pub dl_proc: Ps,
     /// Polling strategy for host forwarding.
     pub polling: PollingStrategy,
     /// Full-scan polling period per channel.
     pub poll_period: Ps,
     /// Channel occupancy of polling one DIMM's registers.
     pub poll_cost: Ps,
-    /// Interrupt delivery + context switch latency (ALERT_N path).
-    pub interrupt_latency: Ps,
     /// Host packet-forwarding latency per packet (GEM5-profiled constant;
-    /// pipelined — see `fwd_occupancy`).
+    /// pipelined — see `host::FWD_OCCUPANCY`).
     pub fwd_proc: Ps,
-    /// Serialized initiation interval of the host forwarding thread: the
-    /// host can start a new forward only this often (its pipeline
-    /// throughput), even though each packet takes `fwd_proc` to emerge.
-    pub fwd_occupancy: Ps,
     /// Synchronization scheme.
     pub sync: SyncScheme,
     /// Latency of intra-DIMM core synchronization (via shared L2).
     pub local_sync_latency: Ps,
-    /// Serialized host-CPU occupancy per *synchronization* message it
-    /// forwards: unlike bulk data (which moves through DMA burst engines at
-    /// `fwd_occupancy`), sync flags are register-level operations performed
-    /// by the polling thread itself.
-    pub sync_fwd_occupancy: Ps,
     /// Serialized processing per message at a synchronization master core
     /// (aggregation, counter update, release initiation).
     pub sync_master_proc: Ps,
     /// Home-DIMM service time of one atomic operation.
     pub atomic_service: Ps,
-    /// Arbitration + bus-turnaround overhead per transaction on the AIM
-    /// dedicated multi-drop bus (shared-bus small-packet inefficiency).
-    pub bus_txn_overhead: Ps,
-    /// One-way latency of the AIM dedicated bus: arbitration among all
-    /// DIMMs plus propagation along a heavily-loaded multi-drop trace (the
-    /// signal-integrity-constrained topology the paper criticizes runs far
-    /// slower than a point-to-point link).
-    pub bus_latency: Ps,
     /// Initial thread placement.
     pub placement: PlacementPolicy,
     /// Fraction of each trace simulated during the profiling phase of
@@ -165,10 +146,8 @@ pub struct SystemConfig {
     pub profile_fraction: f64,
     /// Seed for randomized placement.
     pub seed: u64,
-    /// Per-blade CXL port bandwidth for [`IdcKind::DimmLinkCxl`]
-    /// (CXL 2.0 x8-class).
-    pub cxl_bandwidth: u64,
-    /// One-way CXL fabric latency (port + switch + wire).
+    /// One-way CXL fabric latency (port + switch + wire) for
+    /// [`IdcKind::DimmLinkCxl`].
     pub cxl_latency: Ps,
     /// Simulated-time cap on a run; `None` (the default) is unlimited. A
     /// run whose clock passes it ends with
@@ -198,29 +177,21 @@ impl SystemConfig {
             nmp_l2: CacheConfig::l2_128k(),
             dram: DramConfig::ddr4_2400_lrdimm(),
             channel_bandwidth: 19_200_000_000,
-            channel_latency: Ps::from_ns(15),
             idc: IdcKind::DimmLink,
             link: LinkParams::grs_25gbps(),
             topology: TopologyKind::Chain,
             groups: if dimms >= 8 { 2 } else { 1 },
-            dl_proc: Ps::from_ns(10),
             polling: PollingStrategy::Base,
             poll_period: Ps::from_ns(200),
             poll_cost: Ps::from_ns(30),
-            interrupt_latency: Ps::from_ns(400),
             fwd_proc: Ps::from_ns(150),
-            fwd_occupancy: Ps::from_ns(4),
             sync: SyncScheme::Hierarchical,
             local_sync_latency: Ps::from_ns(25),
-            sync_fwd_occupancy: Ps::from_ns(80),
             sync_master_proc: Ps::from_ns(15),
             atomic_service: Ps::from_ns(20),
-            bus_txn_overhead: Ps::from_ns(2),
-            bus_latency: Ps::from_ns(45),
             placement: PlacementPolicy::Natural,
             profile_fraction: 0.01,
             seed: 42,
-            cxl_bandwidth: 32_000_000_000,
             cxl_latency: Ps::from_ns(250),
             max_sim: None,
         }

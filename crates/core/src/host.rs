@@ -14,19 +14,32 @@
 use crate::config::{PollingStrategy, SystemConfig};
 use dl_engine::{BandwidthResource, Ps, Resource};
 
+/// One-way memory-channel latency (command + IO path).
+pub(crate) const CHANNEL_LATENCY: Ps = Ps::from_ns(15);
+
+/// Interrupt delivery + context switch latency (ALERT_N path).
+const INTERRUPT_LATENCY: Ps = Ps::from_ns(400);
+
+/// Serialized initiation interval of the host forwarding thread: the host
+/// can start a new forward only this often (its pipeline throughput), even
+/// though each packet takes `fwd_proc` to emerge.
+pub(crate) const FWD_OCCUPANCY: Ps = Ps::from_ns(4);
+
+/// Serialized host-CPU occupancy per synchronization message it forwards:
+/// unlike bulk data, which moves through DMA burst engines at
+/// [`FWD_OCCUPANCY`], sync flags are register-level operations performed by
+/// the polling thread itself.
+pub(crate) const SYNC_FWD_OCCUPANCY: Ps = Ps::from_ns(80);
+
 /// Channels + polling + forwarding state of the host CPU.
 #[derive(Debug)]
 pub struct HostPath {
     channels: Vec<BandwidthResource>,
-    channel_latency: Ps,
     strategy: PollingStrategy,
     poll_period: Ps,
     poll_cost: Ps,
-    interrupt_latency: Ps,
     fwd_proc: Ps,
-    fwd_occupancy: Ps,
-    sync_fwd_occupancy: Ps,
-    /// The host's forwarding thread: starts one packet per `fwd_occupancy`.
+    /// The host's forwarding thread: starts one packet per [`FWD_OCCUPANCY`].
     cpu: Resource,
     /// Standing poll targets per channel (0 = no periodic polling there).
     standing: Vec<usize>,
@@ -61,14 +74,10 @@ impl HostPath {
         HostPath {
             channels,
             cpu: Resource::new("host-fwd-thread"),
-            channel_latency: cfg.channel_latency,
             strategy: cfg.polling,
             poll_period: cfg.poll_period,
             poll_cost: cfg.poll_cost,
-            interrupt_latency: cfg.interrupt_latency,
             fwd_proc: cfg.fwd_proc,
-            fwd_occupancy: cfg.fwd_occupancy,
-            sync_fwd_occupancy: cfg.sync_fwd_occupancy,
             standing,
             polled_until: vec![Ps::ZERO; cfg.channels],
             pending_scan: vec![Ps::ZERO; cfg.channels],
@@ -129,7 +138,7 @@ impl HostPath {
                     return self.pending_scan[channel];
                 }
                 self.interrupts += 1;
-                let scan_start = registered + self.interrupt_latency;
+                let scan_start = registered + INTERRUPT_LATENCY;
                 let scan = self.poll_cost * scan_dimms.max(1) as u64;
                 self.channels[channel].occupy(scan_start, scan);
                 self.polls += scan_dimms.max(1) as u64;
@@ -144,39 +153,26 @@ impl HostPath {
     /// arrival time at the destination DIMM.
     ///
     /// The host runs a single forwarding thread (the paper's polling-thread
-    /// assumption) whose pipeline starts one packet per `fwd_occupancy`;
+    /// assumption) whose pipeline starts one packet per `FWD_OCCUPANCY`;
     /// each packet additionally takes `fwd_proc` of latency to emerge. This
     /// bounds CPU-forwarding throughput without charging the full
-    /// cache-hierarchy round trip serially per packet.
-    pub fn forward(&mut self, t: Ps, src_channel: usize, dst_channel: usize, bytes: u64) -> Ps {
-        self.forward_with(self.fwd_occupancy, t, src_channel, dst_channel, bytes)
-    }
-
-    /// Forwards a synchronization message: same path as [`Self::forward`]
-    /// but the host occupancy is the register-level `sync_fwd_occupancy` —
-    /// the polling thread itself shuttles sync flags, so they serialize
-    /// hard (the inefficiency hierarchical synchronization exists to
-    /// avoid, paper Section III-D).
-    pub fn forward_sync(
+    /// cache-hierarchy round trip serially per packet. A `sync` flag holds
+    /// the thread for `SYNC_FWD_OCCUPANCY` instead: the polling thread
+    /// itself shuttles sync flags, so they serialize hard (the inefficiency
+    /// hierarchical synchronization exists to avoid, paper Section III-D).
+    pub fn forward(
         &mut self,
         t: Ps,
         src_channel: usize,
         dst_channel: usize,
         bytes: u64,
+        sync: bool,
     ) -> Ps {
-        self.forward_with(self.sync_fwd_occupancy, t, src_channel, dst_channel, bytes)
-    }
-
-    /// The forwarding path shared by [`Self::forward`] and
-    /// [`Self::forward_sync`]: the forwarding thread is held for `occupancy`.
-    fn forward_with(
-        &mut self,
-        occupancy: Ps,
-        t: Ps,
-        src_channel: usize,
-        dst_channel: usize,
-        bytes: u64,
-    ) -> Ps {
+        let occupancy = if sync {
+            SYNC_FWD_OCCUPANCY
+        } else {
+            FWD_OCCUPANCY
+        };
         let read_done = self.channel_transfer(src_channel, t, bytes);
         let slot_end = self.cpu.reserve(read_done, occupancy);
         let processed = slot_end + self.fwd_proc;
@@ -197,17 +193,7 @@ impl HostPath {
         self.advance_polls(channel, t);
         let end = self.channels[channel].transfer(t, bytes);
         self.advance_polls(channel, end);
-        end + self.channel_latency
-    }
-
-    /// One-way channel latency.
-    pub fn channel_latency(&self) -> Ps {
-        self.channel_latency
-    }
-
-    /// Host packet-processing time per forwarded packet.
-    pub fn fwd_proc(&self) -> Ps {
-        self.fwd_proc
+        end + CHANNEL_LATENCY
     }
 
     /// Occupies the host forwarding thread for one packet operation
@@ -216,7 +202,7 @@ impl HostPath {
     /// per-channel broadcast-writes), which are host-driven just like
     /// point-to-point forwarding.
     pub fn host_process(&mut self, t: Ps) -> Ps {
-        self.cpu.reserve(t, self.fwd_occupancy) + self.fwd_proc
+        self.cpu.reserve(t, FWD_OCCUPANCY) + self.fwd_proc
     }
 
     /// Accounts standing polls up to the end of the run. Call once before
@@ -300,7 +286,7 @@ mod tests {
         assert_eq!(h.bus_occupancy(end), 0.0);
         // But a discovery costs interrupt latency + a channel scan.
         let d = h.discover(Ps::from_us(1), 0, 2);
-        assert_eq!(d, Ps::from_us(1) + c.interrupt_latency + c.poll_cost * 2);
+        assert_eq!(d, Ps::from_us(1) + INTERRUPT_LATENCY + c.poll_cost * 2);
         assert_eq!(h.interrupts(), 1);
     }
 
@@ -332,9 +318,9 @@ mod tests {
     fn forward_crosses_both_channels() {
         let c = cfg(PollingStrategy::BaseInterrupt);
         let mut h = HostPath::new(&c, &[]);
-        let arrival = h.forward(Ps::ZERO, 0, 3, 80);
+        let arrival = h.forward(Ps::ZERO, 0, 3, 80, false);
         // 80 B at 19.2 GB/s ~ 4.17 ns per crossing + 2x latency + proc.
-        let min = c.fwd_proc + c.channel_latency * 2;
+        let min = c.fwd_proc + CHANNEL_LATENCY * 2;
         assert!(arrival > min);
         assert!(arrival < min + Ps::from_ns(20));
         assert_eq!(h.forwarded_packets(), 1);

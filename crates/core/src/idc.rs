@@ -14,10 +14,11 @@
 //!   transaction and other channels via one forward + broadcast-write each.
 //! * **DIMM-Link** — intra-group packets route over the SerDes chain;
 //!   inter-group packets fall back to host forwarding, with the polling
-//!   proxy aggregating discovery (Section IV-A).
+//!   proxy aggregating discovery (Section IV-A), or cross a CXL fabric
+//!   between memory blades (Section VI).
 
 use crate::config::{IdcKind, PollingStrategy, SystemConfig};
-use crate::host::HostPath;
+use crate::host::{HostPath, CHANNEL_LATENCY, FWD_OCCUPANCY, SYNC_FWD_OCCUPANCY};
 use dl_engine::{BandwidthResource, Ps};
 
 use dl_noc::{PacketNet, Topology};
@@ -27,6 +28,22 @@ pub use dl_noc::wire_bytes;
 
 /// Size of a forwarding-request notification packet (no payload: one flit).
 pub const NOTIFY_BYTES: u64 = wire_bytes(0);
+
+/// DL-Controller packetize/decode latency per link endpoint.
+const DL_PROC: Ps = Ps::from_ns(10);
+
+/// Per-blade CXL port bandwidth in bytes/s (CXL 2.0 x8-class).
+const CXL_BANDWIDTH: u64 = 32_000_000_000;
+
+/// One-way latency of the AIM dedicated bus: arbitration among all DIMMs
+/// plus propagation along a heavily-loaded multi-drop trace (the
+/// signal-integrity-constrained topology the paper criticizes runs far
+/// slower than a point-to-point link).
+const BUS_LATENCY: Ps = Ps::from_ns(45);
+
+/// Arbitration + bus-turnaround occupancy per transaction on the AIM bus
+/// (shared-bus small-packet inefficiency).
+const BUS_TXN_OVERHEAD: Ps = Ps::from_ns(2);
 
 /// Which path a delivery took (drives the Fig. 11 traffic breakdown).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,21 +61,23 @@ pub enum Route {
 /// A CXL-class blade fabric: one full-duplex port per blade plus a switch.
 #[derive(Debug)]
 pub struct CxlFabric {
-    /// Per-blade egress ports (ingress contention is folded into egress of
-    /// the sender plus switch latency; CXL links are full-duplex).
+    /// The sending side of each blade's port.
     egress: Vec<BandwidthResource>,
+    /// The receiving side of each blade's port, where packets from several
+    /// blades to one contend (full duplex: each side is its own resource).
     ingress: Vec<BandwidthResource>,
+    /// One-way latency of port, switch and wire.
     latency: Ps,
 }
 
 impl CxlFabric {
-    fn new(blades: usize, bandwidth: u64, latency: Ps) -> Self {
+    fn new(blades: usize, latency: Ps) -> Self {
         CxlFabric {
             egress: (0..blades)
-                .map(|b| BandwidthResource::new(format!("cxl-egress{b}"), bandwidth))
+                .map(|b| BandwidthResource::new(format!("cxl-egress{b}"), CXL_BANDWIDTH))
                 .collect(),
             ingress: (0..blades)
-                .map(|b| BandwidthResource::new(format!("cxl-ingress{b}"), bandwidth))
+                .map(|b| BandwidthResource::new(format!("cxl-ingress{b}"), CXL_BANDWIDTH))
                 .collect(),
             latency,
         }
@@ -85,13 +104,10 @@ pub struct DlState {
     of: Vec<(usize, usize)>,
     nets: Vec<PacketNet>,
     /// The proxy / synchronization-master DIMM of each group (the middle
-    /// DIMM, per Section III-D's heuristic).
+    /// DIMM, per Section III-D's heuristic). It is also the group's CXL
+    /// port in the disaggregated organization.
     proxy: Vec<usize>,
-    dl_proc: Ps,
     proxy_polling: bool,
-    /// CXL fabric for inter-group (inter-blade) packets; `None` uses host
-    /// forwarding (the in-server organization).
-    cxl: Option<CxlFabric>,
     /// Stage timings of inter-group sends (diagnostics).
     pub notify_wait: dl_engine::stats::Histogram,
     /// Discovery wait (registration to host pickup).
@@ -102,10 +118,6 @@ pub struct DlState {
 
 impl DlState {
     fn new(cfg: &SystemConfig) -> Self {
-        Self::with_fabric(cfg, None)
-    }
-
-    fn with_fabric(cfg: &SystemConfig, cxl: Option<CxlFabric>) -> Self {
         let groups: Vec<Vec<usize>> = (0..cfg.groups).map(|g| cfg.group_members(g)).collect();
         let mut of = vec![(0usize, 0usize); cfg.dimms];
         for (g, members) in groups.iter().enumerate() {
@@ -123,11 +135,9 @@ impl DlState {
             of,
             nets,
             proxy,
-            cxl,
             notify_wait: dl_engine::stats::Histogram::new(),
             disc_wait: dl_engine::stats::Histogram::new(),
             fwd_wait: dl_engine::stats::Histogram::new(),
-            dl_proc: cfg.dl_proc,
             proxy_polling: matches!(
                 cfg.polling,
                 PollingStrategy::Proxy | PollingStrategy::ProxyInterrupt
@@ -152,11 +162,106 @@ impl DlState {
         (ga == gb).then(|| self.nets[ga].topology().distance(la, lb))
     }
 
+    /// Sends `bytes` over the links from `src` to `dst` in the same group,
+    /// through the DL-Controller at each end; a DIMM reaches itself at once.
     fn send(&mut self, now: Ps, src: usize, dst: usize, bytes: u64) -> Ps {
+        if src == dst {
+            return now;
+        }
         let (g, ls) = self.of[src];
         let (gd, ld) = self.of[dst];
         debug_assert_eq!(g, gd, "send() is intra-group only");
-        self.nets[g].send(now + self.dl_proc, ls, ld, bytes) + self.dl_proc
+        self.nets[g].send(now + DL_PROC, ls, ld, bytes) + DL_PROC
+    }
+
+    /// The hop from `dimm` to its group's proxy (its CXL port); `now` at
+    /// the proxy itself.
+    fn hop_to_proxy(&mut self, now: Ps, dimm: usize, bytes: u64) -> Ps {
+        self.send(now, dimm, self.proxy[self.group_of(dimm)], bytes)
+    }
+
+    /// Registers a forwarding request from `src` with the host and waits
+    /// for the host to discover it: at `src` itself, or one notification
+    /// away at its group's proxy when the proxy aggregates discovery.
+    /// Returns `(registered, discovered)`.
+    fn register(
+        &mut self,
+        host: &mut HostPath,
+        cfg: &SystemConfig,
+        now: Ps,
+        src: usize,
+    ) -> (Ps, Ps) {
+        let (registered, channel, scan) = if self.proxy_polling {
+            let proxy = self.proxy[self.group_of(src)];
+            let registered = self.hop_to_proxy(now, src, NOTIFY_BYTES);
+            (registered, cfg.channel_of(proxy), 1)
+        } else {
+            (now, cfg.channel_of(src), cfg.dimms_per_channel())
+        };
+        (registered, host.discover(registered, channel, scan))
+    }
+
+    /// Broadcasts `bytes` over the links of `from`'s group, leaving `from`
+    /// at `at`, and records when each member has it.
+    fn fan_out(&mut self, arrivals: &mut [Ps], from: usize, at: Ps, bytes: u64) {
+        let (g, local) = self.of[from];
+        let reached = self.nets[g].broadcast(at + DL_PROC, local, bytes);
+        for (&d, &t) in self.groups[g].iter().zip(&reached) {
+            arrivals[d] = if d == from { at } else { t + DL_PROC };
+        }
+    }
+
+    /// The inter-group crossing. Carries `bytes` from `src` to `dst` in
+    /// another group, or with `dst == None` to the proxy of every other
+    /// group, and hands each arrival to `land(self, to, at, waits)`:
+    /// `waits` holds the host's `(registered, discovered)` times when the
+    /// host forwarded the packet.
+    ///
+    /// Over the CXL `fabric` the packet hops to `src`'s port once, crosses
+    /// to each group's port, and hops on to its target there. Without one
+    /// it is registered, discovered and forwarded by the host straight to
+    /// the target's channel, once per group.
+    #[allow(clippy::too_many_arguments)]
+    fn cross(
+        &mut self,
+        fabric: Option<&mut CxlFabric>,
+        host: &mut HostPath,
+        cfg: &SystemConfig,
+        now: Ps,
+        src: usize,
+        dst: Option<usize>,
+        bytes: u64,
+        sync: bool,
+        mut land: impl FnMut(&mut Self, usize, Ps, Option<(Ps, Ps)>),
+    ) -> Route {
+        let gs = self.group_of(src);
+        let into = match dst {
+            Some(dst) => self.group_of(dst)..self.group_of(dst) + 1,
+            None => 0..self.groups.len(),
+        };
+        let into = into.filter(|&g| g != gs);
+        match fabric {
+            Some(fabric) => {
+                let at_port = self.hop_to_proxy(now, src, bytes);
+                for g in into {
+                    let to = dst.unwrap_or(self.proxy[g]);
+                    let landed = fabric.transfer(at_port, gs, g, bytes);
+                    let at = self.send(landed, self.proxy[g], to, bytes);
+                    land(self, to, at, None);
+                }
+                Route::Cxl
+            }
+            None => {
+                for g in into {
+                    let to = dst.unwrap_or(self.proxy[g]);
+                    let (registered, discovered) = self.register(host, cfg, now, src);
+                    let (from, to_channel) = (cfg.channel_of(src), cfg.channel_of(to));
+                    let at = host.forward(discovered, from, to_channel, bytes, sync);
+                    land(self, to, at, Some((registered, discovered)));
+                }
+                Route::HostForward
+            }
+        }
     }
 
     /// Total bytes moved over all links (per-hop).
@@ -165,24 +270,26 @@ impl DlState {
     }
 }
 
+/// One AIM bus transaction carrying `bytes` from `now`: the transfer, the
+/// per-transaction overhead, then the latency to the far end.
+fn bus_transaction(bus: &mut BandwidthResource, now: Ps, bytes: u64) -> Ps {
+    let data_done = bus.transfer(now, bytes);
+    bus.occupy(data_done, BUS_TXN_OVERHEAD) + BUS_LATENCY
+}
+
 /// One of the four IDC mechanisms, holding its private resources.
 #[derive(Debug)]
 pub enum Interconnect {
     /// MCN / UPMEM style.
     CpuForwarding,
-    /// AIM's shared bus.
-    DedicatedBus {
-        /// The multi-drop bus.
-        bus: BandwidthResource,
-        /// Arbitration + propagation latency per transaction.
-        latency: Ps,
-        /// Bus occupancy overhead per transaction (arbitration/turnaround).
-        txn_overhead: Ps,
-    },
+    /// AIM's shared multi-drop bus.
+    DedicatedBus(BandwidthResource),
     /// ABC-DIMM.
     AbcDimm,
-    /// DIMM-Link. Boxed: the link state dwarfs the other variants.
-    DimmLink(Box<DlState>),
+    /// DIMM-Link, with the CXL fabric between its groups in the
+    /// disaggregated organization (`None`: the host forwards between
+    /// groups). Boxed: the link state dwarfs the other variants.
+    DimmLink(Box<DlState>, Option<CxlFabric>),
 }
 
 impl Interconnect {
@@ -191,27 +298,21 @@ impl Interconnect {
         match cfg.idc {
             IdcKind::CpuForwarding => Interconnect::CpuForwarding,
             IdcKind::AbcDimm => Interconnect::AbcDimm,
-            IdcKind::DedicatedBus => Interconnect::DedicatedBus {
-                bus: BandwidthResource::new("aim-bus", cfg.channel_bandwidth),
-                latency: cfg.bus_latency,
-                txn_overhead: cfg.bus_txn_overhead,
-            },
-            IdcKind::DimmLink => Interconnect::DimmLink(Box::new(DlState::new(cfg))),
-            IdcKind::DimmLinkCxl => Interconnect::DimmLink(Box::new(DlState::with_fabric(
-                cfg,
-                Some(CxlFabric::new(
-                    cfg.groups,
-                    cfg.cxl_bandwidth,
-                    cfg.cxl_latency,
-                )),
-            ))),
+            IdcKind::DedicatedBus => {
+                Interconnect::DedicatedBus(BandwidthResource::new("aim-bus", cfg.channel_bandwidth))
+            }
+            IdcKind::DimmLink => Interconnect::DimmLink(Box::new(DlState::new(cfg)), None),
+            IdcKind::DimmLinkCxl => Interconnect::DimmLink(
+                Box::new(DlState::new(cfg)),
+                Some(CxlFabric::new(cfg.groups, cfg.cxl_latency)),
+            ),
         }
     }
 
     /// The channels hosting polling-proxy DIMMs (for [`HostPath::new`]).
     pub fn proxy_channels(&self, cfg: &SystemConfig) -> Vec<usize> {
         match self {
-            Interconnect::DimmLink(dl) if dl.proxy_polling => {
+            Interconnect::DimmLink(dl, _) if dl.proxy_polling => {
                 dl.proxy.iter().map(|&d| cfg.channel_of(d)).collect()
             }
             _ => Vec::new(),
@@ -260,75 +361,38 @@ impl Interconnect {
         sync: bool,
     ) -> (Ps, Route) {
         assert_ne!(src, dst, "local access must not use the interconnect");
-        let fwd = |host: &mut HostPath, t: Ps, a: usize, b: usize| {
-            if sync {
-                host.forward_sync(t, a, b, bytes)
-            } else {
-                host.forward(t, a, b, bytes)
-            }
-        };
         match self {
             Interconnect::CpuForwarding | Interconnect::AbcDimm => {
-                let disc = host.discover(now, cfg.channel_of(src), cfg.dimms_per_channel());
-                let arrival = fwd(host, disc, cfg.channel_of(src), cfg.channel_of(dst));
+                let (from, to) = (cfg.channel_of(src), cfg.channel_of(dst));
+                let disc = host.discover(now, from, cfg.dimms_per_channel());
+                let arrival = host.forward(disc, from, to, bytes, sync);
                 (arrival, Route::HostForward)
             }
-            Interconnect::DedicatedBus {
-                bus,
-                latency,
-                txn_overhead,
-            } => {
-                let data_done = bus.transfer(now, bytes);
-                let released = bus.occupy(data_done, *txn_overhead);
-                (released + *latency, Route::Bus)
-            }
-            Interconnect::DimmLink(dl) => {
-                let (gs, _) = dl.of[src];
-                let (gd, _) = dl.of[dst];
-                if gs == gd {
-                    (dl.send(now, src, dst, bytes), Route::Link)
-                } else if dl.cxl.is_some() {
-                    // Disaggregated organization: route to the blade's CXL
-                    // port over the links, cross the fabric, then route to
-                    // the destination inside its blade. The port sits at the
-                    // blade's proxy/master DIMM.
-                    let src_port = dl.proxy[gs];
-                    let dst_port = dl.proxy[gd];
-                    let at_port = if src == src_port {
-                        now
-                    } else {
-                        dl.send(now, src, src_port, bytes)
-                    };
-                    let fabric = dl.cxl.as_mut().expect("checked is_some");
-                    let landed = fabric.transfer(at_port, gs, gd, bytes);
-                    let arrival = if dst == dst_port {
-                        landed
-                    } else {
-                        dl.send(landed, dst_port, dst, bytes)
-                    };
-                    (arrival, Route::Cxl)
-                } else {
-                    // Inter-group: register, get discovered, be forwarded.
-                    let (disc_channel, registered, scan) = if dl.proxy_polling {
-                        let proxy = dl.proxy[gs];
-                        let reg = if proxy == src {
-                            now
-                        } else {
-                            dl.send(now, src, proxy, NOTIFY_BYTES)
-                        };
-                        (cfg.channel_of(proxy), reg, 1)
-                    } else {
-                        (cfg.channel_of(src), now, cfg.dimms_per_channel())
-                    };
-                    let disc = host.discover(registered, disc_channel, scan);
-                    let arrival = fwd(host, disc, cfg.channel_of(src), cfg.channel_of(dst));
-                    dl.notify_wait
-                        .record((registered.saturating_sub(now)).as_ps());
-                    dl.disc_wait
-                        .record((disc.saturating_sub(registered)).as_ps());
-                    dl.fwd_wait.record((arrival.saturating_sub(disc)).as_ps());
-                    (arrival, Route::HostForward)
+            Interconnect::DedicatedBus(bus) => (bus_transaction(bus, now, bytes), Route::Bus),
+            Interconnect::DimmLink(dl, fabric) => {
+                if dl.group_of(src) == dl.group_of(dst) {
+                    return (dl.send(now, src, dst, bytes), Route::Link);
                 }
+                let mut arrival = now;
+                let route = dl.cross(
+                    fabric.as_mut(),
+                    host,
+                    cfg,
+                    now,
+                    src,
+                    Some(dst),
+                    bytes,
+                    sync,
+                    |dl, _, at, waits| {
+                        if let Some((reg, disc)) = waits {
+                            dl.notify_wait.record(reg.saturating_sub(now).as_ps());
+                            dl.disc_wait.record(disc.saturating_sub(reg).as_ps());
+                            dl.fwd_wait.record(at.saturating_sub(disc).as_ps());
+                        }
+                        arrival = at;
+                    },
+                );
+                (arrival, route)
             }
         }
     }
@@ -380,90 +444,30 @@ impl Interconnect {
                     }
                 }
             }
-            Interconnect::DedicatedBus {
-                bus,
-                latency,
-                txn_overhead,
-            } => {
+            Interconnect::DedicatedBus(bus) => {
                 // One multi-drop transaction reaches everyone.
-                let data_done = bus.transfer(now, bytes);
-                let done = bus.occupy(data_done, *txn_overhead) + *latency;
+                let done = bus_transaction(bus, now, bytes);
                 for (d, a) in arrivals.iter_mut().enumerate() {
                     if d != src {
                         *a = done;
                     }
                 }
             }
-            Interconnect::DimmLink(dl) => {
-                // Own group over the links.
-                let (gs, ls) = dl.of[src];
-                let local = dl.nets[gs].broadcast(now + dl.dl_proc, ls, bytes);
-                for (i, &d) in dl.groups[gs].clone().iter().enumerate() {
-                    if d != src {
-                        arrivals[d] = local[i] + dl.dl_proc;
-                    }
-                }
-                // Other groups: ship once to each group's proxy (via CXL in
-                // the disaggregated organization, host forwarding
-                // otherwise), then broadcast within that group.
-                if dl.cxl.is_some() {
-                    let src_port = dl.proxy[gs];
-                    let at_port = if src == src_port {
-                        now
-                    } else {
-                        dl.send(now, src, src_port, bytes)
-                    };
-                    for g in 0..dl.groups.len() {
-                        if g == gs {
-                            continue;
-                        }
-                        let proxy = dl.proxy[g];
-                        let landed = dl
-                            .cxl
-                            .as_mut()
-                            .expect("checked is_some")
-                            .transfer(at_port, gs, g, bytes);
-                        let (_, lp) = dl.of[proxy];
-                        let sub = dl.nets[g].broadcast(landed + dl.dl_proc, lp, bytes);
-                        for (i, &d) in dl.groups[g].clone().iter().enumerate() {
-                            arrivals[d] = if d == proxy {
-                                landed
-                            } else {
-                                sub[i] + dl.dl_proc
-                            };
-                        }
-                    }
-                    return arrivals;
-                }
-                for g in 0..dl.groups.len() {
-                    if g == gs {
-                        continue;
-                    }
-                    let proxy = dl.proxy[g];
-                    let (reg, scan_ch, scan) = if dl.proxy_polling {
-                        let own_proxy = dl.proxy[gs];
-                        let reg = if own_proxy == src {
-                            now
-                        } else {
-                            dl.send(now, src, own_proxy, NOTIFY_BYTES)
-                        };
-                        (reg, cfg.channel_of(own_proxy), 1)
-                    } else {
-                        (now, cfg.channel_of(src), cfg.dimms_per_channel())
-                    };
-                    let disc = host.discover(reg, scan_ch, scan);
-                    let at_proxy =
-                        host.forward(disc, cfg.channel_of(src), cfg.channel_of(proxy), bytes);
-                    let (_, lp) = dl.of[proxy];
-                    let sub = dl.nets[g].broadcast(at_proxy + dl.dl_proc, lp, bytes);
-                    for (i, &d) in dl.groups[g].clone().iter().enumerate() {
-                        arrivals[d] = if d == proxy {
-                            at_proxy
-                        } else {
-                            sub[i] + dl.dl_proc
-                        };
-                    }
-                }
+            Interconnect::DimmLink(dl, fabric) => {
+                // Own group over the links; each other group from its proxy
+                // once the packet has crossed to it.
+                dl.fan_out(&mut arrivals, src, now, bytes);
+                dl.cross(
+                    fabric.as_mut(),
+                    host,
+                    cfg,
+                    now,
+                    src,
+                    None,
+                    bytes,
+                    false,
+                    |dl, proxy, at, _| dl.fan_out(&mut arrivals, proxy, at, bytes),
+                );
             }
         }
         arrivals
@@ -472,10 +476,10 @@ impl Interconnect {
     /// Bytes moved on mechanism-private media (links or dedicated bus).
     pub fn private_bytes(&self) -> u64 {
         match self {
-            Interconnect::DimmLink(dl) => {
-                dl.link_bytes() + dl.cxl.as_ref().map_or(0, |c| c.bytes_moved())
+            Interconnect::DimmLink(dl, fabric) => {
+                dl.link_bytes() + fabric.as_ref().map_or(0, |f| f.bytes_moved())
             }
-            Interconnect::DedicatedBus { bus, .. } => bus.bytes_moved(),
+            Interconnect::DedicatedBus(bus) => bus.bytes_moved(),
             _ => 0,
         }
     }
@@ -484,7 +488,7 @@ impl Interconnect {
     /// DIMM-Link interconnect.
     pub fn dimm_link(&self) -> Option<&DlState> {
         match self {
-            Interconnect::DimmLink(dl) => Some(dl),
+            Interconnect::DimmLink(dl, _) => Some(dl),
             _ => None,
         }
     }
@@ -497,7 +501,7 @@ pub fn distance_matrix(cfg: &SystemConfig, idc: &Interconnect) -> Vec<Vec<u64>> 
     const HOST_PENALTY: u64 = 24;
     let n = cfg.dimms;
     match idc {
-        Interconnect::DimmLink(dl) => (0..n)
+        Interconnect::DimmLink(dl, _) => (0..n)
             .map(|a| {
                 (0..n)
                     .map(|b| match dl.hop_distance(a, b) {
@@ -555,10 +559,8 @@ pub fn min_cross_latency(cfg: &SystemConfig) -> Ps {
             t += spacing;
         }
     }
-    let host_floor = cfg.channel_latency
-        + cfg.channel_latency
-        + cfg.fwd_proc
-        + cfg.fwd_occupancy.min(cfg.sync_fwd_occupancy);
+    let host_floor =
+        CHANNEL_LATENCY + CHANNEL_LATENCY + cfg.fwd_proc + FWD_OCCUPANCY.min(SYNC_FWD_OCCUPANCY);
     min.min(host_floor).max(Ps::from_ns(1))
 }
 
