@@ -86,8 +86,9 @@ impl<T> Ord for Entry<T> {
 #[derive(Default)]
 pub struct EventQueue<T> {
     heap: BinaryHeap<Entry<T>>,
+    /// Pushes so far: the next entry's FIFO tie-break, and the count
+    /// [`Self::total_scheduled`] reports.
     seq: u64,
-    scheduled: u64,
     /// Timestamp of the last popped event: the queue's notion of "current
     /// sim time", against which the audit build checks causality.
     #[cfg(feature = "audit")]
@@ -100,7 +101,6 @@ impl<T> EventQueue<T> {
         EventQueue {
             heap: BinaryHeap::new(),
             seq: 0,
-            scheduled: 0,
             #[cfg(feature = "audit")]
             now: Ps::ZERO,
         }
@@ -126,7 +126,6 @@ impl<T> EventQueue<T> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.scheduled += 1;
         let key = EventKey::new(at, rank);
         self.heap.push(Entry { key, seq, payload });
     }
@@ -158,7 +157,7 @@ impl<T> EventQueue<T> {
 
     /// Total number of events ever scheduled (a cheap progress metric).
     pub fn total_scheduled(&self) -> u64 {
-        self.scheduled
+        self.seq
     }
 }
 
@@ -166,7 +165,7 @@ impl<T> std::fmt::Debug for EventQueue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
             .field("pending", &self.heap.len())
-            .field("scheduled", &self.scheduled)
+            .field("scheduled", &self.seq)
             .finish()
     }
 }
