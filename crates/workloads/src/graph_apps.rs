@@ -42,6 +42,9 @@ struct GraphCtx {
     replica: Vec<Region>,
     home: Vec<usize>,
     threads: usize,
+    /// Whether neighbour state is read from a refreshed local replica (the
+    /// broadcast variants).
+    broadcast: bool,
 }
 
 impl GraphCtx {
@@ -105,6 +108,7 @@ impl GraphCtx {
             replica,
             home,
             threads,
+            broadcast: params.broadcast,
         }
     }
 
@@ -166,6 +170,39 @@ impl GraphCtx {
         }
     }
 
+    /// In the broadcast variants, refreshes every DIMM's replica of the
+    /// state vector: each thread broadcasts its partition, then every thread
+    /// waits at a barrier. Emits nothing otherwise.
+    fn refresh_replicas(&self, traces: &mut [ThreadTrace]) {
+        if !self.broadcast {
+            return;
+        }
+        for (t, trace) in traces.iter_mut().enumerate() {
+            self.emit_partition_broadcast(trace, t);
+        }
+        for trace in traces {
+            trace.push(Op::Barrier);
+        }
+    }
+
+    /// The load of neighbour `u`'s state by a thread on DIMM `home`: from
+    /// `home`'s replica in the broadcast variants (cacheable; see
+    /// [`Self::refresh_replicas`]), otherwise from `u`'s state line, which
+    /// is `cacheable` only while no thread writes it.
+    fn neighbor_load(&self, home: usize, u: u32, cacheable: bool) -> Op {
+        if self.broadcast {
+            Op::Load {
+                addr: Addr::new(self.replica_line(home, u)),
+                cacheable: true,
+            }
+        } else {
+            Op::Load {
+                addr: Addr::new(self.state_line(u)),
+                cacheable,
+            }
+        }
+    }
+
     fn into_workload(self, name: &str, traces: Vec<ThreadTrace>) -> Workload {
         Workload::new(name, traces, self.layout, self.home)
     }
@@ -223,15 +260,7 @@ pub fn pagerank(params: &WorkloadParams) -> Workload {
     let mut traces = vec![ThreadTrace::new(); ctx.threads];
 
     for _iter in 0..ITERS {
-        if params.broadcast {
-            // Refresh every DIMM's replica of the rank vector.
-            for (t, trace) in traces.iter_mut().enumerate() {
-                ctx.emit_partition_broadcast(trace, t);
-            }
-            for trace in &mut traces {
-                trace.push(Op::Barrier);
-            }
-        }
+        ctx.refresh_replicas(&mut traces);
         for (t, trace) in traces.iter_mut().enumerate() {
             let home = ctx.home[t];
             for v in ctx.block[t]..ctx.block[t + 1] {
@@ -239,18 +268,7 @@ pub fn pagerank(params: &WorkloadParams) -> Workload {
                 ctx.emit_row_loads(trace, v);
                 for (u, _) in ctx.graph.neighbors(v) {
                     trace.comp(2);
-                    if params.broadcast {
-                        // Read the local replica (refreshed above).
-                        trace.push(Op::Load {
-                            addr: Addr::new(ctx.replica_line(home, u)),
-                            cacheable: true,
-                        });
-                    } else {
-                        trace.push(Op::Load {
-                            addr: Addr::new(ctx.state_line(u)),
-                            cacheable: false,
-                        });
-                    }
+                    trace.push(ctx.neighbor_load(home, u, false));
                 }
                 trace.comp(6);
                 trace.push(Op::Store {
@@ -279,14 +297,7 @@ pub fn sssp(params: &WorkloadParams) -> Workload {
     let mut dist = vec![u64::MAX; n];
     dist[root as usize] = 0;
     for _round in 0..MAX_ROUNDS {
-        if params.broadcast {
-            for (t, trace) in traces.iter_mut().enumerate() {
-                ctx.emit_partition_broadcast(trace, t);
-            }
-            for trace in &mut traces {
-                trace.push(Op::Barrier);
-            }
-        }
+        ctx.refresh_replicas(&mut traces);
         let mut changed = false;
         let snapshot = dist.clone();
         for (t, trace) in traces.iter_mut().enumerate() {
@@ -304,17 +315,7 @@ pub fn sssp(params: &WorkloadParams) -> Workload {
                 ctx.emit_row_loads(trace, v);
                 for (u, w) in ctx.graph.neighbors(v) {
                     trace.comp(2);
-                    if params.broadcast {
-                        trace.push(Op::Load {
-                            addr: Addr::new(ctx.replica_line(home, u)),
-                            cacheable: true,
-                        });
-                    } else {
-                        trace.push(Op::Load {
-                            addr: Addr::new(ctx.state_line(u)),
-                            cacheable: false,
-                        });
-                    }
+                    trace.push(ctx.neighbor_load(home, u, false));
                     let cand = snapshot[v as usize] + w as u64;
                     if cand < dist[u as usize] {
                         dist[u as usize] = cand;
@@ -344,14 +345,7 @@ pub fn spmv(params: &WorkloadParams) -> Workload {
     let ctx = GraphCtx::new(params, 8);
     let mut traces = vec![ThreadTrace::new(); ctx.threads];
 
-    if params.broadcast {
-        for (t, trace) in traces.iter_mut().enumerate() {
-            ctx.emit_partition_broadcast(trace, t);
-        }
-        for trace in &mut traces {
-            trace.push(Op::Barrier);
-        }
-    }
+    ctx.refresh_replicas(&mut traces);
     for (t, trace) in traces.iter_mut().enumerate() {
         let home = ctx.home[t];
         for v in ctx.block[t]..ctx.block[t + 1] {
@@ -359,18 +353,8 @@ pub fn spmv(params: &WorkloadParams) -> Workload {
             ctx.emit_row_loads(trace, v);
             for (u, _) in ctx.graph.neighbors(v) {
                 trace.comp(2);
-                if params.broadcast {
-                    trace.push(Op::Load {
-                        addr: Addr::new(ctx.replica_line(home, u)),
-                        cacheable: true,
-                    });
-                } else {
-                    // x is read-only: cacheable even when remote.
-                    trace.push(Op::Load {
-                        addr: Addr::new(ctx.state_line(u)),
-                        cacheable: true,
-                    });
-                }
+                // x is read-only: cacheable even when remote.
+                trace.push(ctx.neighbor_load(home, u, true));
             }
             trace.comp(4);
             trace.push(Op::Store {
