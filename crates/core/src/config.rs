@@ -1,8 +1,6 @@
 //! System configuration (paper Table V plus the knobs of Sections IV–VI).
 //!
-//! Timings that no experiment varies are constants beside the code that
-//! reads them: the DL-Controller, AIM bus and CXL port figures in
-//! `idc`, the channel, interrupt and forwarding-thread figures in `host`.
+//! Timings that no experiment varies are constants in `idc` and `host`.
 
 use dl_engine::{Freq, Ps};
 use dl_mem::{CacheConfig, DramConfig};

@@ -61,12 +61,12 @@ pub enum Route {
 /// A CXL-class blade fabric: one full-duplex port per blade plus a switch.
 #[derive(Debug)]
 pub struct CxlFabric {
-    /// The sending side of each blade's port.
+    /// The two sides of each blade's full-duplex port, each its own
+    /// resource: a blade's sends queue at its egress, packets converging
+    /// on a blade at its ingress.
     egress: Vec<BandwidthResource>,
-    /// The receiving side of each blade's port, where packets from several
-    /// blades to one contend (full duplex: each side is its own resource).
     ingress: Vec<BandwidthResource>,
-    /// One-way latency of port, switch and wire.
+    /// One-way latency (port + switch + wire).
     latency: Ps,
 }
 
@@ -425,33 +425,26 @@ impl Interconnect {
                 // Broadcast-read reaches same-channel peers in one
                 // transaction; each other channel gets one forwarded
                 // broadcast-write.
-                let disc = host.discover(now, cfg.channel_of(src), cfg.dimms_per_channel());
-                let read = host.channel_transfer(cfg.channel_of(src), disc, bytes);
-                for (d, a) in arrivals.iter_mut().enumerate() {
-                    if d != src && cfg.channel_of(d) == cfg.channel_of(src) {
-                        *a = read;
+                let home = cfg.channel_of(src);
+                let disc = host.discover(now, home, cfg.dimms_per_channel());
+                let read = host.channel_transfer(home, disc, bytes);
+                let mut written = vec![read; cfg.channels];
+                for (ch, w) in written.iter_mut().enumerate() {
+                    if ch != home {
+                        let ready = host.host_process(read);
+                        *w = host.channel_transfer(ch, ready, bytes);
                     }
                 }
-                for ch in 0..cfg.channels {
-                    if ch != cfg.channel_of(src) {
-                        let ready = host.host_process(read);
-                        let w = host.channel_transfer(ch, ready, bytes);
-                        for (d, a) in arrivals.iter_mut().enumerate() {
-                            if cfg.channel_of(d) == ch {
-                                *a = w;
-                            }
-                        }
+                for (d, a) in arrivals.iter_mut().enumerate() {
+                    if d != src {
+                        *a = written[cfg.channel_of(d)];
                     }
                 }
             }
             Interconnect::DedicatedBus(bus) => {
                 // One multi-drop transaction reaches everyone.
-                let done = bus_transaction(bus, now, bytes);
-                for (d, a) in arrivals.iter_mut().enumerate() {
-                    if d != src {
-                        *a = done;
-                    }
-                }
+                arrivals.fill(bus_transaction(bus, now, bytes));
+                arrivals[src] = now;
             }
             Interconnect::DimmLink(dl, fabric) => {
                 // Own group over the links; each other group from its proxy
