@@ -190,16 +190,14 @@ impl GraphCtx {
     /// [`Self::refresh_replicas`]), otherwise from `u`'s state line, which
     /// is `cacheable` only while no thread writes it.
     fn neighbor_load(&self, home: usize, u: u32, cacheable: bool) -> Op {
-        if self.broadcast {
-            Op::Load {
-                addr: Addr::new(self.replica_line(home, u)),
-                cacheable: true,
-            }
+        let (line, cacheable) = if self.broadcast {
+            (self.replica_line(home, u), true)
         } else {
-            Op::Load {
-                addr: Addr::new(self.state_line(u)),
-                cacheable,
-            }
+            (self.state_line(u), cacheable)
+        };
+        Op::Load {
+            addr: Addr::new(line),
+            cacheable,
         }
     }
 
