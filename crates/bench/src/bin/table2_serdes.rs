@@ -1,10 +1,10 @@
 //! Table II — SerDes technique comparison (static parameters).
 //!
 //! These are the physical-layer options the paper weighs for the DL-Bridge;
-//! the GRS column is what the simulator's default link model and energy
-//! model are configured from.
+//! the GRS column is what the simulator's default link model and the
+//! energy model's link constant are taken from.
 
-use dimm_link::EnergyParams;
+use dimm_link::energy::LINK_PJ_PER_BIT;
 use dl_bench::print_table;
 use dl_noc::LinkParams;
 
@@ -38,7 +38,6 @@ fn main() {
     );
 
     let link = LinkParams::grs_25gbps();
-    let energy = EnergyParams::default();
     print_table(
         "Simulator configuration derived from the GRS column",
         &["parameter", "value"],
@@ -49,10 +48,7 @@ fn main() {
             ],
             vec!["hop latency".into(), link.hop_latency.to_string()],
             vec!["router latency".into(), link.router_latency.to_string()],
-            vec![
-                "link energy".into(),
-                format!("{} pJ/b", energy.link_pj_per_bit),
-            ],
+            vec!["link energy".into(), format!("{LINK_PJ_PER_BIT} pJ/b")],
         ],
     );
 }

@@ -1,8 +1,11 @@
 //! System configuration (paper Table V plus the knobs of Sections IV–VI).
 //!
-//! Timings that no experiment varies are constants in `idc` and `host`.
+//! Values that no experiment varies are constants beside their readers:
+//! the NMP cores and their synchronization in `system`, the interconnect
+//! timings in `idc` and `host`, the host baseline in `host_sim` and the
+//! energy model in `energy`.
 
-use dl_engine::{Freq, Ps};
+use dl_engine::Ps;
 use dl_mem::{CacheConfig, DramConfig};
 use dl_noc::{LinkParams, TopologyKind};
 use serde::Serialize;
@@ -10,6 +13,10 @@ use serde::Serialize;
 /// The system size limit: DIMM ids travel in the 5-bit SRC/DST fields of
 /// the DIMM-Link packet header (paper Figure 3-b).
 const MAX_DIMMS: usize = 1 << 5;
+
+/// NMP cores per DIMM (paper Table V: four general-purpose cores), one
+/// thread each.
+pub(crate) const CORES_PER_DIMM: usize = 4;
 
 /// Which inter-DIMM communication mechanism the system uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
@@ -97,16 +104,8 @@ pub struct SystemConfig {
     pub dimms: usize,
     /// Number of host memory channels.
     pub channels: usize,
-    /// NMP cores per DIMM (paper: 4 general-purpose cores).
-    pub cores_per_dimm: usize,
-    /// NMP core clock.
-    pub nmp_freq: Freq,
-    /// Maximum outstanding memory requests per NMP core (in-order, small).
-    pub nmp_mlp: usize,
     /// NMP L1 configuration.
     pub nmp_l1: CacheConfig,
-    /// Shared per-DIMM L2 (paper: 128 KB).
-    pub nmp_l2: CacheConfig,
     /// DRAM configuration per DIMM.
     pub dram: DramConfig,
     /// Memory-channel bandwidth in bytes/s (DDR4-2400: 19.2 GB/s).
@@ -130,13 +129,6 @@ pub struct SystemConfig {
     pub fwd_proc: Ps,
     /// Synchronization scheme.
     pub sync: SyncScheme,
-    /// Latency of intra-DIMM core synchronization (via shared L2).
-    pub local_sync_latency: Ps,
-    /// Serialized processing per message at a synchronization master core
-    /// (aggregation, counter update, release initiation).
-    pub sync_master_proc: Ps,
-    /// Home-DIMM service time of one atomic operation.
-    pub atomic_service: Ps,
     /// Initial thread placement.
     pub placement: PlacementPolicy,
     /// Fraction of each trace simulated during the profiling phase of
@@ -168,11 +160,7 @@ impl SystemConfig {
         SystemConfig {
             dimms,
             channels,
-            cores_per_dimm: 4,
-            nmp_freq: Freq::from_ghz(2.0),
-            nmp_mlp: 8,
             nmp_l1: CacheConfig::l1_32k(),
-            nmp_l2: CacheConfig::l2_128k(),
             dram: DramConfig::ddr4_2400_lrdimm(),
             channel_bandwidth: 19_200_000_000,
             idc: IdcKind::DimmLink,
@@ -184,9 +172,6 @@ impl SystemConfig {
             poll_cost: Ps::from_ns(30),
             fwd_proc: Ps::from_ns(150),
             sync: SyncScheme::Hierarchical,
-            local_sync_latency: Ps::from_ns(25),
-            sync_master_proc: Ps::from_ns(15),
-            atomic_service: Ps::from_ns(20),
             placement: PlacementPolicy::Natural,
             profile_fraction: 0.01,
             seed: 42,
@@ -255,11 +240,6 @@ impl SystemConfig {
             .collect()
     }
 
-    /// Total NMP threads (one per core).
-    pub fn threads(&self) -> usize {
-        self.dimms * self.cores_per_dimm
-    }
-
     /// Validates cross-field consistency.
     ///
     /// # Errors
@@ -292,62 +272,27 @@ impl SystemConfig {
         }
         self.dram.validate()?;
         self.nmp_l1.validate()?;
-        self.nmp_l2.validate()?;
         Ok(())
     }
 }
 
-/// Host-CPU baseline configuration (the fixed 16-core comparator of Fig. 10).
+/// Host-CPU baseline configuration (the fixed 16-core comparator of Fig.
+/// 10). Its cores, caches and memory are constants in `host_sim`.
 #[derive(Debug, Clone)]
 pub struct HostConfig {
     /// Out-of-order cores.
     pub cores: usize,
-    /// Core clock.
-    pub freq: Freq,
-    /// Outstanding-miss window (OoO cores hide much more latency).
-    pub mlp: usize,
-    /// Private L1.
-    pub l1: CacheConfig,
-    /// Shared last-level cache.
-    pub llc: CacheConfig,
     /// Memory channels.
     pub channels: usize,
-    /// Channel bandwidth in bytes/s.
-    pub channel_bandwidth: u64,
-    /// One-way channel latency.
-    pub channel_latency: Ps,
-    /// DRAM configuration per channel.
-    pub dram: DramConfig,
 }
 
 impl HostConfig {
     /// The paper's baseline: 16 OoO cores at 3 GHz with 8 DDR4-2400
     /// channels.
-    ///
-    /// Two deliberate calibrations for the scaled-down inputs (see
-    /// DESIGN.md): the LLC is shrunk to preserve the paper's working-set to
-    /// cache ratio (LiveJournal-class inputs exceed a server LLC by more
-    /// than an order of magnitude), and the per-access channel latency uses
-    /// a loaded-system value rather than an unloaded pin-to-pin figure.
     pub fn xeon_16core() -> Self {
         HostConfig {
             cores: 16,
-            freq: Freq::from_ghz(3.0),
-            mlp: 10,
-            l1: CacheConfig::l1_32k(),
-            llc: CacheConfig {
-                capacity_bytes: 512 * 1024,
-                ways: 16,
-                line_bytes: 64,
-                hit_latency_cycles: 35,
-            },
             channels: 8,
-            channel_bandwidth: 19_200_000_000,
-            channel_latency: Ps::from_ns(30),
-            dram: DramConfig {
-                bus_per_rank: false,
-                ..DramConfig::ddr4_2400_lrdimm()
-            },
         }
     }
 }
@@ -426,6 +371,5 @@ mod tests {
         let h = HostConfig::xeon_16core();
         assert_eq!(h.cores, 16);
         assert_eq!(h.channels, 8);
-        assert!(!h.dram.bus_per_rank);
     }
 }

@@ -11,39 +11,20 @@ use dl_engine::stats::StatSet;
 use dl_engine::Ps;
 use serde::{Deserialize, Serialize};
 
-/// Energy-model constants.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnergyParams {
-    /// DIMM-Link SerDes energy (GRS), pJ per bit.
-    pub link_pj_per_bit: f64,
-    /// One DRAM row activation, nJ.
-    pub act_nj: f64,
-    /// DRAM read/write data movement, pJ per bit.
-    pub dram_pj_per_bit: f64,
-    /// Off-chip memory-bus IO, pJ per bit (also the AIM bus).
-    pub bus_pj_per_bit: f64,
-    /// Power of one DIMM's four-core NMP processor, watts.
-    pub nmp_watts_per_dimm: f64,
-    /// Host CPU energy per forwarded packet (cache hierarchy round trip),
-    /// nJ.
-    pub fwd_nj_per_packet: f64,
-    /// Host CPU energy per polling operation, nJ.
-    pub poll_nj: f64,
-}
-
-impl Default for EnergyParams {
-    fn default() -> Self {
-        EnergyParams {
-            link_pj_per_bit: 1.17,
-            act_nj: 2.1,
-            dram_pj_per_bit: 14.0,
-            bus_pj_per_bit: 22.0,
-            nmp_watts_per_dimm: 1.8,
-            fwd_nj_per_packet: 60.0,
-            poll_nj: 6.0,
-        }
-    }
-}
+/// DIMM-Link SerDes energy (GRS), pJ per bit.
+pub const LINK_PJ_PER_BIT: f64 = 1.17;
+/// One DRAM row activation, nJ.
+const ACT_NJ: f64 = 2.1;
+/// DRAM read/write data movement, pJ per bit.
+const DRAM_PJ_PER_BIT: f64 = 14.0;
+/// Off-chip memory-bus IO, pJ per bit (also the AIM bus).
+const BUS_PJ_PER_BIT: f64 = 22.0;
+/// Power of one DIMM's four-core NMP processor, watts.
+const NMP_WATTS_PER_DIMM: f64 = 1.8;
+/// Host CPU energy per forwarded packet (cache hierarchy round trip), nJ.
+const FWD_NJ_PER_PACKET: f64 = 60.0;
+/// Host CPU energy per polling operation, nJ.
+const POLL_NJ: f64 = 6.0;
 
 /// Energy consumed by one run, in joules, split by component.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -71,26 +52,19 @@ impl EnergyBreakdown {
 ///
 /// `stats` must contain the counters exported by
 /// [`crate::system::NmpSystem`].
-pub fn energy_of(
-    stats: &StatSet,
-    elapsed: Ps,
-    dimms: usize,
-    idc: IdcKind,
-    p: &EnergyParams,
-) -> EnergyBreakdown {
+pub fn energy_of(stats: &StatSet, elapsed: Ps, dimms: usize, idc: IdcKind) -> EnergyBreakdown {
     let g = |k: &str| stats.get(k).unwrap_or(0.0);
     let dram_bytes = (g("dram.reads") + g("dram.writes")) * 64.0;
-    let dram_j =
-        g("dram.activates") * p.act_nj * 1e-9 + dram_bytes * 8.0 * p.dram_pj_per_bit * 1e-12;
-    let bus_j = g("host.channel_bytes") * 8.0 * p.bus_pj_per_bit * 1e-12;
+    let dram_j = g("dram.activates") * ACT_NJ * 1e-9 + dram_bytes * 8.0 * DRAM_PJ_PER_BIT * 1e-12;
+    let bus_j = g("host.channel_bytes") * 8.0 * BUS_PJ_PER_BIT * 1e-12;
     let idc_pj = match idc {
-        IdcKind::DimmLink => p.link_pj_per_bit,
-        _ => p.bus_pj_per_bit,
+        IdcKind::DimmLink => LINK_PJ_PER_BIT,
+        _ => BUS_PJ_PER_BIT,
     };
     let idc_j = g("idc.private_bytes") * 8.0 * idc_pj * 1e-12;
-    let nmp_cores_j = p.nmp_watts_per_dimm * dimms as f64 * elapsed.as_secs_f64();
+    let nmp_cores_j = NMP_WATTS_PER_DIMM * dimms as f64 * elapsed.as_secs_f64();
     let host_j =
-        g("host.fwd_packets") * p.fwd_nj_per_packet * 1e-9 + g("host.polls") * p.poll_nj * 1e-9;
+        g("host.fwd_packets") * FWD_NJ_PER_PACKET * 1e-9 + g("host.polls") * POLL_NJ * 1e-9;
     EnergyBreakdown {
         dram_j,
         bus_j,
@@ -103,16 +77,6 @@ pub fn energy_of(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn defaults_match_paper_constants() {
-        let p = EnergyParams::default();
-        assert_eq!(p.link_pj_per_bit, 1.17);
-        assert_eq!(p.act_nj, 2.1);
-        assert_eq!(p.dram_pj_per_bit, 14.0);
-        assert_eq!(p.bus_pj_per_bit, 22.0);
-        assert_eq!(p.nmp_watts_per_dimm, 1.8);
-    }
 
     #[test]
     fn breakdown_sums() {
@@ -130,17 +94,15 @@ mod tests {
     fn link_bits_cost_less_than_bus_bits() {
         let mut s = StatSet::new();
         s.set("idc.private_bytes", 1e9);
-        let p = EnergyParams::default();
-        let dl = energy_of(&s, Ps::ZERO, 0, IdcKind::DimmLink, &p);
-        let aim = energy_of(&s, Ps::ZERO, 0, IdcKind::DedicatedBus, &p);
+        let dl = energy_of(&s, Ps::ZERO, 0, IdcKind::DimmLink);
+        let aim = energy_of(&s, Ps::ZERO, 0, IdcKind::DedicatedBus);
         assert!(dl.idc_j < aim.idc_j / 10.0);
     }
 
     #[test]
     fn static_power_scales_with_time_and_dimms() {
         let s = StatSet::new();
-        let p = EnergyParams::default();
-        let e = energy_of(&s, Ps::from_ms(100), 16, IdcKind::DimmLink, &p);
+        let e = energy_of(&s, Ps::from_ms(100), 16, IdcKind::DimmLink);
         // 1.8 W x 16 DIMMs x 0.1 s = 2.88 J.
         assert!((e.nmp_cores_j - 2.88).abs() < 1e-9);
     }

@@ -19,9 +19,43 @@
 use crate::config::HostConfig;
 use crate::trace_core::{stall_frac, CorePort, Next, Schedule, TraceCore, TxnTable};
 use dl_engine::stats::StatSet;
-use dl_engine::{EventKey, Ps, Resource};
-use dl_mem::{AccessKind, Cache, CacheOutcome, DimmAddressMap, MemController, MemRequest};
+use dl_engine::{EventKey, Freq, Ps, Resource};
+use dl_mem::{
+    AccessKind, Cache, CacheConfig, CacheOutcome, DimmAddressMap, DramConfig, MemController,
+    MemRequest,
+};
 use dl_workloads::Workload;
+
+// The paper's baseline cores run at 3 GHz over 8 DDR4-2400 channels. Two
+// deliberate calibrations for the scaled-down inputs (see DESIGN.md): the
+// LLC is shrunk to preserve the paper's working-set to cache ratio
+// (LiveJournal-class inputs exceed a server LLC by more than an order of
+// magnitude), and the per-access channel latency uses a loaded-system
+// value rather than an unloaded pin-to-pin figure.
+
+/// Host core clock.
+const FREQ: Freq = Freq::from_ghz(3.0);
+/// Outstanding-miss window (OoO cores hide much more latency).
+const MLP: usize = 10;
+/// Private L1.
+const L1: CacheConfig = CacheConfig::l1_32k();
+/// Shared last-level cache.
+const LLC: CacheConfig = CacheConfig {
+    capacity_bytes: 512 * 1024,
+    ways: 16,
+    line_bytes: 64,
+    hit_latency_cycles: 35,
+};
+/// One-way channel latency under load, paid by a request on its way to
+/// memory and by its data on the way back. The NMP system's host path
+/// crosses a channel in `host::CHANNEL_LATENCY`.
+const LOADED_CHANNEL_LATENCY: Ps = Ps::from_ns(30);
+/// DRAM configuration per channel: the NMP system's DIMMs, with the ranks
+/// of a channel sharing one data bus.
+const DRAM: DramConfig = DramConfig {
+    bus_per_rank: false,
+    ..DramConfig::ddr4_2400_lrdimm()
+};
 
 /// A queued event: a core's wake (ranked by core) or a completion (rank
 /// 0, ahead of the channel ticks).
@@ -68,7 +102,7 @@ struct HostSystem<'w> {
 /// Everything but the cores: caches, channels, the atomic unit, the
 /// barrier, and the schedule.
 struct Uncore {
-    cfg: HostConfig,
+    channels: usize,
     /// The events and the channels with their ticks.
     sched: Schedule<Ev>,
     l1: Vec<Cache>,
@@ -98,27 +132,27 @@ impl<'w> HostSystem<'w> {
         let threads = workload.traces().len();
         let mut sched = Schedule::new(
             (0..cfg.channels)
-                .map(|c| MemController::new(format!("host-ch{c}"), &cfg.dram))
+                .map(|c| MemController::new(format!("host-ch{c}"), &DRAM))
                 .collect(),
         );
         let mut cores = Vec::with_capacity(threads);
         for (c, tr) in workload.traces().iter().enumerate() {
             let rank = sched.wake_rank(c);
             sched.push(Ps::ZERO, rank, Ev::Wake(c));
-            cores.push(TraceCore::new(tr.len(), cfg.freq, cfg.mlp, rank, false));
+            cores.push(TraceCore::new(tr.len(), FREQ, MLP, rank, false));
         }
         HostSystem {
             workload,
             cores,
             done: 0,
             uncore: Uncore {
-                cfg: cfg.clone(),
+                channels: cfg.channels,
                 sched,
-                l1: (0..threads).map(|_| Cache::new(cfg.l1)).collect(),
-                llc: Cache::new(cfg.llc),
-                l1_hit: cfg.freq.cycles(u64::from(cfg.l1.hit_latency_cycles)),
-                llc_hit: cfg.freq.cycles(u64::from(cfg.llc.hit_latency_cycles)),
-                map: DimmAddressMap::new(&cfg.dram),
+                l1: (0..threads).map(|_| Cache::new(L1)).collect(),
+                llc: Cache::new(LLC),
+                l1_hit: FREQ.cycles(u64::from(L1.hit_latency_cycles)),
+                llc_hit: FREQ.cycles(u64::from(LLC.hit_latency_cycles)),
+                map: DimmAddressMap::new(&DRAM),
                 atomic_unit: Resource::new("host-atomics"),
                 txns: TxnTable::new(),
                 next_txn: 0,
@@ -184,7 +218,7 @@ impl<'w> HostSystem<'w> {
         let completions = u.sched.service(ch);
         // The data return crosses the channel too: deliver completions with
         // the return-path latency added.
-        let at = u.sched.now() + u.cfg.channel_latency;
+        let at = u.sched.now() + LOADED_CHANNEL_LATENCY;
         for comp in &completions {
             if u.txns.contains(comp.id) {
                 u.sched.push(at, 0, Ev::Done(comp.id));
@@ -225,11 +259,11 @@ impl Uncore {
         self.next_txn += 1;
         // Line-interleaved channels (maximizes host channel parallelism);
         // the address folds into the channel's local space.
-        let channels = self.cfg.channels as u64;
+        let channels = self.channels as u64;
         let ch = ((addr / 64) % channels) as usize;
         let req = MemRequest::new(self.next_txn, kind, self.map.decode(addr / channels));
         // Channel command/IO latency folded into the request arrival.
-        let arrival = t + self.cfg.channel_latency;
+        let arrival = t + LOADED_CHANNEL_LATENCY;
         self.sched.enqueue(ch, arrival, req);
         self.next_txn
     }

@@ -43,6 +43,6 @@ pub mod system;
 mod trace_core;
 
 pub use config::{HostConfig, IdcKind, PlacementPolicy, PollingStrategy, SyncScheme, SystemConfig};
-pub use energy::{EnergyBreakdown, EnergyParams};
+pub use energy::EnergyBreakdown;
 pub use runner::{host_baseline, simulate, simulate_optimized, RunResult};
 pub use system::{natural_placement, random_placement, NmpSystem};

@@ -1,7 +1,7 @@
 //! High-level experiment API: one call per (workload, system) run.
 
 use crate::config::{HostConfig, PlacementPolicy, SystemConfig};
-use crate::energy::{energy_of, EnergyBreakdown, EnergyParams};
+use crate::energy::{energy_of, EnergyBreakdown};
 use crate::host_sim::{simulate_host, HostRun};
 use crate::system::{natural_placement, optimized_placement, random_placement, NmpSystem, RawRun};
 use dl_engine::stats::StatSet;
@@ -71,13 +71,7 @@ pub fn traffic_breakdown(stats: &StatSet) -> (f64, f64, f64, f64) {
 }
 
 fn finish(raw: RawRun, cfg: &SystemConfig, profiling: Ps, earlier: RunStatus) -> RunResult {
-    let energy = energy_of(
-        &raw.stats,
-        raw.elapsed,
-        cfg.dimms,
-        cfg.idc,
-        &EnergyParams::default(),
-    );
+    let energy = energy_of(&raw.stats, raw.elapsed, cfg.dimms, cfg.idc);
     RunResult {
         elapsed: raw.elapsed + profiling,
         profiling,

@@ -74,18 +74,33 @@
 //! L1 hits without comparing keys: it yields only in front of a shared
 //! action past the horizon.
 
-use crate::config::{SyncScheme, SystemConfig};
+use crate::config::{SyncScheme, SystemConfig, CORES_PER_DIMM};
 use crate::host::HostPath;
 use crate::idc::{
     distance_matrix, min_cross_latency, wire_bytes, Interconnect, Route, NOTIFY_BYTES,
 };
 use crate::trace_core::{stall_frac, CorePort, Next, Schedule, TraceCore, TxnTable};
 use dl_engine::stats::{Histogram, StatSet};
-use dl_engine::{BudgetKind, EventKey, Ps, Resource, RunStatus};
-use dl_mem::{AccessKind, Cache, CacheOutcome, DimmAddressMap, MemController, MemRequest};
+use dl_engine::{BudgetKind, EventKey, Freq, Ps, Resource, RunStatus};
+use dl_mem::{
+    AccessKind, Cache, CacheConfig, CacheOutcome, DimmAddressMap, MemController, MemRequest,
+};
 use dl_placement::AccessProfile;
 use dl_workloads::Workload;
 
+/// NMP core clock (paper Table V: 2 GHz).
+const NMP_FREQ: Freq = Freq::from_ghz(2.0);
+/// Maximum outstanding memory requests per NMP core (in-order, small).
+const NMP_MLP: usize = 8;
+/// Shared per-DIMM L2 (paper Table V: 128 KB).
+const NMP_L2: CacheConfig = CacheConfig::l2_128k();
+/// Latency of intra-DIMM core synchronization (via shared L2).
+const LOCAL_SYNC_LATENCY: Ps = Ps::from_ns(25);
+/// Serialized processing per message at a synchronization master core
+/// (aggregation, counter update, release initiation).
+const SYNC_MASTER_PROC: Ps = Ps::from_ns(15);
+/// Home-DIMM service time of one atomic operation.
+const ATOMIC_SERVICE: Ps = Ps::from_ns(20);
 /// Cycles of local bookkeeping at each synchronization stage.
 const SYNC_PROC: Ps = Ps::from_ns(5);
 /// Sync message payload (a flag/sequence number): one flit on the wire.
@@ -349,7 +364,7 @@ impl<'w> NmpSystem<'w> {
             load[d] += 1;
         }
         assert!(
-            load.iter().all(|&l| l <= cfg.cores_per_dimm),
+            load.iter().all(|&l| l <= CORES_PER_DIMM),
             "placement exceeds per-DIMM core count: {load:?}"
         );
         assert!(
@@ -391,7 +406,7 @@ impl<'w> NmpSystem<'w> {
                     sched.push(Ps::ZERO, rank, Ev::Wake(g));
                     let len = workload.traces()[g].len();
                     let limit = limit_ops.map_or(len, |l| l.min(len));
-                    let core = TraceCore::new(limit, cfg.nmp_freq, cfg.nmp_mlp, rank, profiling);
+                    let core = TraceCore::new(limit, NMP_FREQ, NMP_MLP, rank, profiling);
                     cores.push(core);
                 }
                 DimmPart {
@@ -403,7 +418,7 @@ impl<'w> NmpSystem<'w> {
                     uncore: Uncore {
                         dimm: d,
                         l1: residents.iter().map(|_| Cache::new(cfg.nmp_l1)).collect(),
-                        l2: Cache::new(cfg.nmp_l2),
+                        l2: Cache::new(NMP_L2),
                         sched,
                         atomic_unit: Resource::new(format!("dimm{d}.atomic")),
                         outbox: Vec::new(),
@@ -428,12 +443,8 @@ impl<'w> NmpSystem<'w> {
                 placement: placement.to_vec(),
                 local_of,
                 map: DimmAddressMap::new(&cfg.dram),
-                l1_hit: cfg
-                    .nmp_freq
-                    .cycles(u64::from(cfg.nmp_l1.hit_latency_cycles)),
-                l2_hit: cfg
-                    .nmp_freq
-                    .cycles(u64::from(cfg.nmp_l2.hit_latency_cycles)),
+                l1_hit: NMP_FREQ.cycles(u64::from(cfg.nmp_l1.hit_latency_cycles)),
+                l2_hit: NMP_FREQ.cycles(u64::from(NMP_L2.hit_latency_cycles)),
             },
             parts,
             coord: Coordinator {
@@ -837,7 +848,7 @@ impl DimmPart {
                 addr,
                 origin,
             } => {
-                let done = u.atomic_unit.reserve(now, sh.cfg.atomic_service);
+                let done = u.atomic_unit.reserve(now, ATOMIC_SERVICE);
                 u.local_bytes += 128;
                 u.background_mem(sh, done, addr, AccessKind::Write);
                 u.unicast(
@@ -1017,7 +1028,7 @@ impl CorePort for DimmPort<'_, '_> {
         let target = sh.workload.layout().dimm_of(addr);
         let id = u.alloc_txn();
         if target == u.dimm {
-            let done = u.atomic_unit.reserve(t, sh.cfg.atomic_service);
+            let done = u.atomic_unit.reserve(t, ATOMIC_SERVICE);
             u.local_bytes += 128; // read + write of the line
             u.background_mem(sh, done, addr, AccessKind::Write);
             let then = XEvent::Complete {
@@ -1137,14 +1148,14 @@ impl Coordinator {
             SyncScheme::Central => {
                 let master = self.global_master();
                 let at_master = self.sync_hop(sh, t, dimm, master);
-                let absorbed = self.master_absorb(sh, master, at_master);
+                let absorbed = self.master_absorb(master, at_master);
                 self.barrier.global_ready = self.barrier.global_ready.max(absorbed);
             }
             SyncScheme::Hierarchical => {
                 // Stage 1: core -> DIMM master (local, serialized at the
                 // master core).
-                let local = t + sh.cfg.local_sync_latency;
-                let absorbed = self.master_absorb(sh, dimm, local);
+                let local = t + LOCAL_SYNC_LATENCY;
+                let absorbed = self.master_absorb(dimm, local);
                 let agg = &mut self.barrier.dimm_agg[dimm];
                 agg.arrived += 1;
                 agg.ready_at = agg.ready_at.max(absorbed);
@@ -1155,7 +1166,7 @@ impl Coordinator {
                     let group = sh.cfg.group_of(dimm);
                     let gmaster = self.group_master(group);
                     let at_gm = self.sync_hop(sh, dimm_done, dimm, gmaster);
-                    let at_gm = self.master_absorb(sh, gmaster, at_gm);
+                    let at_gm = self.master_absorb(gmaster, at_gm);
                     let gagg = &mut self.barrier.group_agg[group];
                     gagg.arrived += 1;
                     gagg.ready_at = gagg.ready_at.max(at_gm);
@@ -1165,7 +1176,7 @@ impl Coordinator {
                         // Stage 3: group master -> global master.
                         let at_global =
                             self.sync_hop(sh, group_done, gmaster, self.global_master());
-                        let at_global = self.master_absorb(sh, self.global_master(), at_global);
+                        let at_global = self.master_absorb(self.global_master(), at_global);
                         self.barrier.global_ready = self.barrier.global_ready.max(at_global);
                     }
                 }
@@ -1190,7 +1201,7 @@ impl Coordinator {
                 for c in waiting {
                     let dimm = sh.placement[c];
                     // The master initiates release messages one at a time.
-                    let sent = self.master_absorb(sh, master, release_from);
+                    let sent = self.master_absorb(master, release_from);
                     let at = self.sync_hop(sh, sent, master, dimm);
                     out.push((dimm, at, XEvent::BarrierRelease { thread: c }));
                 }
@@ -1205,7 +1216,7 @@ impl Coordinator {
                         continue;
                     }
                     let gm = self.group_master(g);
-                    let sent = self.master_absorb(sh, master, release_from);
+                    let sent = self.master_absorb(master, release_from);
                     let at = self.sync_hop(sh, sent, master, gm);
                     *release = at + SYNC_PROC;
                 }
@@ -1216,7 +1227,7 @@ impl Coordinator {
                     }
                     let g = sh.cfg.group_of(d);
                     let gm = self.group_master(g);
-                    let sent = self.master_absorb(sh, gm, group_release[g]);
+                    let sent = self.master_absorb(gm, group_release[g]);
                     let at = self.sync_hop(sh, sent, gm, d);
                     *release = at + SYNC_PROC;
                 }
@@ -1224,8 +1235,8 @@ impl Coordinator {
                 waiting.sort_unstable();
                 for c in waiting {
                     let d = sh.placement[c];
-                    let sent = self.master_absorb(sh, d, dimm_release[d]);
-                    let at = sent + sh.cfg.local_sync_latency;
+                    let sent = self.master_absorb(d, dimm_release[d]);
+                    let at = sent + LOCAL_SYNC_LATENCY;
                     out.push((d, at, XEvent::BarrierRelease { thread: c }));
                 }
             }
@@ -1246,8 +1257,8 @@ impl Coordinator {
 
     /// The master core on `dimm` processes one sync message arriving at
     /// `at`; returns when it has been absorbed.
-    fn master_absorb(&mut self, sh: &Shared<'_>, dimm: usize, at: Ps) -> Ps {
-        self.sync_units[dimm].reserve(at, sh.cfg.sync_master_proc)
+    fn master_absorb(&mut self, dimm: usize, at: Ps) -> Ps {
+        self.sync_units[dimm].reserve(at, SYNC_MASTER_PROC)
     }
 
     /// The global synchronization master: the proxy of group 0 for
@@ -1273,7 +1284,7 @@ pub fn natural_placement(workload: &Workload) -> Vec<usize> {
 pub fn random_placement(workload: &Workload, cfg: &SystemConfig, seed: u64) -> Vec<usize> {
     let threads = workload.traces().len();
     let mut slots: Vec<usize> = (0..cfg.dimms)
-        .flat_map(|d| std::iter::repeat_n(d, cfg.cores_per_dimm))
+        .flat_map(|d| std::iter::repeat_n(d, CORES_PER_DIMM))
         .collect();
     let mut rng = dl_engine::DetRng::seed(seed).stream("placement");
     rng.shuffle(&mut slots);
@@ -1287,7 +1298,7 @@ pub fn random_placement(workload: &Workload, cfg: &SystemConfig, seed: u64) -> V
 pub fn optimized_placement(cfg: &SystemConfig, profile_run: &RawRun) -> Vec<usize> {
     let idc = Interconnect::new(cfg);
     let dist = distance_matrix(cfg, &idc);
-    dl_placement::place_threads(&profile_run.profile, &dist, cfg.cores_per_dimm)
+    dl_placement::place_threads(&profile_run.profile, &dist, CORES_PER_DIMM)
         .expect("threads fit on cores by construction")
         .assignment()
         .to_vec()
@@ -1460,7 +1471,7 @@ mod tests {
         let p = random_placement(&wl, &cfg, 3);
         assert_eq!(p.len(), 16);
         for d in 0..4 {
-            assert!(p.iter().filter(|&&x| x == d).count() <= cfg.cores_per_dimm);
+            assert!(p.iter().filter(|&&x| x == d).count() <= CORES_PER_DIMM);
         }
     }
 
@@ -1575,7 +1586,7 @@ mod tests {
         // At the completion time: the delivery pops first and releases
         // the core; the injected wake, pushed earlier with an equal key,
         // runs it.
-        for (at, stale) in [(cfg.atomic_service / 2, true), (cfg.atomic_service, false)] {
+        for (at, stale) in [(ATOMIC_SERVICE / 2, true), (ATOMIC_SERVICE, false)] {
             let mut sys = NmpSystem::new(&wl, &cfg, &placement, None);
             sys.inject_wake(0, at);
             let poked = sys.run();

@@ -215,7 +215,7 @@ impl Freq {
     ///
     /// # Panics
     /// Panics if `hz` is zero.
-    pub fn from_hz(hz: u64) -> Self {
+    pub const fn from_hz(hz: u64) -> Self {
         assert!(hz > 0, "frequency must be non-zero");
         Freq(hz)
     }
@@ -224,7 +224,7 @@ impl Freq {
     ///
     /// # Panics
     /// Panics if `ghz` is not strictly positive.
-    pub fn from_ghz(ghz: f64) -> Self {
+    pub const fn from_ghz(ghz: f64) -> Self {
         assert!(ghz > 0.0, "frequency must be positive");
         Self::from_hz((ghz * 1e9).round() as u64)
     }

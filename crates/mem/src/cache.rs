@@ -24,7 +24,7 @@ pub struct CacheConfig {
 
 impl CacheConfig {
     /// A 32 KB, 8-way, 64 B-line L1 with 2-cycle hits.
-    pub fn l1_32k() -> Self {
+    pub const fn l1_32k() -> Self {
         CacheConfig {
             capacity_bytes: 32 * 1024,
             ways: 8,
@@ -34,7 +34,7 @@ impl CacheConfig {
     }
 
     /// The paper's 128 KB shared L2 (8-way, 10-cycle hits).
-    pub fn l2_128k() -> Self {
+    pub const fn l2_128k() -> Self {
         CacheConfig {
             capacity_bytes: 128 * 1024,
             ways: 8,

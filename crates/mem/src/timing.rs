@@ -66,7 +66,7 @@ pub struct DramTiming {
 
 impl DramTiming {
     /// DDR4-2400 CL17 timing (tCK = 833 ps).
-    pub fn ddr4_2400() -> Self {
+    pub const fn ddr4_2400() -> Self {
         DramTiming {
             tck_ps: 833,
             cl: 17,
@@ -145,7 +145,7 @@ pub struct DramConfig {
 impl DramConfig {
     /// The paper's simulated LR-DIMM: DDR4-2400, 2 ranks, 4 bank groups ×
     /// 4 banks, 8 KB rows.
-    pub fn ddr4_2400_lrdimm() -> Self {
+    pub const fn ddr4_2400_lrdimm() -> Self {
         DramConfig {
             timing: DramTiming::ddr4_2400(),
             ranks: 2,
