@@ -65,7 +65,7 @@ use dimm_link::config::SystemConfig;
 use dimm_link::runner::{self, host_baseline, simulate, simulate_optimized, RunResult};
 use dimm_link::EnergyBreakdown;
 use dl_engine::stats::StatSet;
-use dl_engine::{Ps, RunStatus};
+use dl_engine::{Fnv1a, Ps, RunStatus};
 use dl_workloads::{WorkloadKind, WorkloadParams};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -725,20 +725,12 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// 64-bit FNV-1a over length-delimited parts (so `("ab","c")` and
 /// `("a","bc")` hash differently).
 fn fnv1a64(parts: &[&[u8]]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
+    let mut h = Fnv1a::new();
     for part in parts {
-        for &b in *part {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-        for b in (part.len() as u64).to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
+        h.write(part);
+        h.write_u64(part.len() as u64);
     }
-    h
+    h.finish()
 }
 
 /// Content hash identifying a sweep point across process restarts: label,
@@ -1165,6 +1157,16 @@ mod tests {
         c.simulate("p", WorkloadKind::Bfs, params, cfg);
         c.cap_sim_time(Ps::from_us(10));
         assert_ne!(point_key(&a.points[0]), point_key(&c.points[0]));
+    }
+
+    #[test]
+    fn journal_key_of_a_host_point_is_pinned() {
+        // A host point's key hashes its label, its config summary and its
+        // job, none of which reads `SystemConfig`: a journal of host
+        // points stays resumable when `SystemConfig` changes shape.
+        let mut sweep = Sweep::new("keys");
+        sweep.host("pr / host", WorkloadKind::Pagerank, 13, 42);
+        assert_eq!(point_key(&sweep.points[0]), "a0113d04d789b952");
     }
 
     #[test]

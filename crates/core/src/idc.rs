@@ -739,13 +739,6 @@ mod tests {
         assert_eq!(dl.hop_distance(0, 12), None);
     }
 
-    /// Folds `word` into the FNV-1a-64 `hash`, byte by byte.
-    fn fold(hash: &mut u64, word: u64) {
-        for byte in word.to_le_bytes() {
-            *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
     /// Every delivery the interconnect makes, pinned: one seeded mix of
     /// unicasts, sync unicasts and broadcasts on every mechanism under each
     /// polling strategy it accepts, at four system sizes (the largest with
@@ -764,7 +757,7 @@ mod tests {
             SystemConfig::nmp(16, 8),
             wide,
         ];
-        let mut hash = 0xcbf2_9ce4_8422_2325;
+        let mut hash = dl_engine::Fnv1a::new();
         for system in systems {
             for kind in [
                 IdcKind::CpuForwarding,
@@ -797,18 +790,18 @@ mod tests {
                         match rng.below(3) {
                             0 => {
                                 let (at, route) = idc.unicast(&mut host, &cfg, t, src, dst, bytes);
-                                fold(&mut hash, at.as_ps());
-                                fold(&mut hash, route as u64);
+                                hash.write_u64(at.as_ps());
+                                hash.write_u64(route as u64);
                             }
                             1 => {
                                 let (at, route) =
                                     idc.sync_unicast(&mut host, &cfg, t, src, dst, NOTIFY_BYTES);
-                                fold(&mut hash, at.as_ps());
-                                fold(&mut hash, route as u64);
+                                hash.write_u64(at.as_ps());
+                                hash.write_u64(route as u64);
                             }
                             _ => {
                                 for at in idc.broadcast(&mut host, &cfg, t, src, bytes) {
-                                    fold(&mut hash, at.as_ps());
+                                    hash.write_u64(at.as_ps());
                                 }
                             }
                         }
@@ -824,22 +817,23 @@ mod tests {
                         host.bus_occupancy(end).to_bits(),
                         min_cross_latency(&cfg).as_ps(),
                     ] {
-                        fold(&mut hash, word);
+                        hash.write_u64(word);
                     }
                     if let Some(dl) = idc.dimm_link() {
                         for h in [&dl.notify_wait, &dl.disc_wait, &dl.fwd_wait] {
-                            fold(&mut hash, h.mean().to_bits());
-                            fold(&mut hash, h.max());
+                            hash.write_u64(h.mean().to_bits());
+                            hash.write_u64(h.max());
                         }
                     }
                     for row in distance_matrix(&cfg, &idc) {
                         for d in row {
-                            fold(&mut hash, d);
+                            hash.write_u64(d);
                         }
                     }
                 }
             }
         }
+        let hash = hash.finish();
         assert_eq!(hash, PINNED, "reservation sequences moved: {hash:#018x}");
     }
 }

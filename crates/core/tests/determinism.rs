@@ -12,7 +12,7 @@ use dimm_link::config::{IdcKind, PlacementPolicy, SyncScheme, SystemConfig};
 use dimm_link::host_sim::HostRun;
 use dimm_link::runner::{host_baseline, simulate, simulate_optimized, RunResult};
 use dl_engine::stats::StatSet;
-use dl_engine::{BudgetKind, Ps, RunStatus};
+use dl_engine::{BudgetKind, Fnv1a, Ps, RunStatus};
 use dl_workloads::{WorkloadKind, WorkloadParams};
 
 /// Serializes everything observable about a run into one comparable blob.
@@ -83,11 +83,11 @@ fn optimized_pipeline_is_deterministic_with_random_placement() {
     }
 }
 
-/// 64-bit FNV-1a: a compact, dependency-free pin for a fingerprint string.
+/// 64-bit FNV-1a: a compact pin for a fingerprint string.
 fn fnv1a64(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    let mut h = Fnv1a::new();
+    h.write(s.as_bytes());
+    h.finish()
 }
 
 fn host_fingerprint(r: &HostRun) -> String {

@@ -14,7 +14,8 @@
 //!   [`BandwidthResource`]) used to model memory channels, SerDes links, and
 //!   shared buses,
 //! * statistics plumbing ([`stats::StatSet`], [`stats::Histogram`]),
-//! * a seeded deterministic RNG ([`rng::DetRng`]).
+//! * a seeded deterministic RNG ([`rng::DetRng`]) and the FNV-1a hash its
+//!   streams are derived with ([`Fnv1a`]).
 //!
 //! # Examples
 //!
@@ -30,6 +31,7 @@
 
 pub mod budget;
 pub mod event;
+pub mod fnv;
 pub mod resource;
 pub mod rng;
 pub mod stats;
@@ -37,6 +39,7 @@ pub mod time;
 
 pub use budget::{BudgetKind, RunStatus};
 pub use event::{EventKey, EventQueue};
+pub use fnv::Fnv1a;
 pub use resource::{BandwidthResource, Resource};
 pub use rng::DetRng;
 pub use time::{Freq, Ps};

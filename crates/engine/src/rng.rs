@@ -13,6 +13,8 @@
 //! keeps the top 53 bits of a draw. The module's known-answer tests pin the
 //! resulting streams: every generated input and figure depends on them.
 
+use crate::Fnv1a;
+
 /// Words in one ChaCha block.
 const BLOCK_WORDS: usize = 16;
 /// "expand 32-byte k".
@@ -85,11 +87,9 @@ impl DetRng {
     /// derivation panics instead. Re-deriving the same stream from the same
     /// origin is legitimate and not flagged.
     pub fn stream(&self, label: &str) -> DetRng {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ self.seed;
-        for b in label.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
+        let mut fnv = Fnv1a::from_state(Fnv1a::BASIS ^ self.seed);
+        fnv.write(label.as_bytes());
+        let h = fnv.finish();
         #[cfg(feature = "audit")]
         audit::record_stream(h, self.seed, label);
         DetRng::seed(h)
@@ -289,11 +289,11 @@ mod tests {
     /// FNV-1a-64 of the little-endian bytes of the first `n` draws.
     fn hash_u64s(r: &mut DetRng, n: usize) -> (u64, Vec<u64>) {
         let draws: Vec<u64> = (0..n).map(|_| r.next_u64()).collect();
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for byte in draws.iter().flat_map(|d| d.to_le_bytes()) {
-            h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+        let mut h = Fnv1a::new();
+        for &d in &draws {
+            h.write_u64(d);
         }
-        (h, draws)
+        (h.finish(), draws)
     }
 
     /// Deep known answers: 10,000 draws cross 1,250 blocks, so the rounds,
@@ -385,8 +385,8 @@ mod tests {
         //   seed2 = basis ^ ((basis ^ seed1) * p⁻¹ ^ 'x')
         // makes stream("x") of seed2 derive the same value as stream("")
         // of seed1 — two different origins, one random sequence.
-        const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-        const P: u64 = 0x100_0000_01b3;
+        const BASIS: u64 = Fnv1a::BASIS;
+        const P: u64 = Fnv1a::PRIME;
         let mut inv: u64 = 1;
         for _ in 0..6 {
             // Newton iteration doubles correct low bits each round.

@@ -181,6 +181,7 @@ impl std::fmt::Display for WorkloadKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dl_engine::Fnv1a;
 
     const ALL: [WorkloadKind; 8] = [
         WorkloadKind::Bfs,
@@ -274,22 +275,17 @@ mod tests {
         }
     }
 
-    /// Folds every widened op of `wl` into the FNV-1a-64 `hash`.
-    fn hash_widened(mut hash: u64, wl: &Workload) -> u64 {
+    /// Folds every widened op of `wl` into `hash`.
+    fn hash_widened(hash: &mut Fnv1a, wl: &Workload) {
         for trace in wl.traces() {
             for &op in trace.ops() {
                 let wide = widen(op);
                 for word in [u64::from(wide.0), wide.1, wide.2] {
-                    for byte in word.to_le_bytes() {
-                        hash = (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
-                    }
+                    hash.write_u64(word);
                 }
             }
         }
-        hash
     }
-
-    const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
     #[test]
     fn packed_traces_equal_their_wide_encoding() {
@@ -297,7 +293,7 @@ mod tests {
         // broadcast variants too), recorded with the 16-byte `u64`-address
         // `Op` the packed one replaced: packing changed no op.
         const WIDE_HASH: u64 = 0xfb47_42c7_b5f8_a9ad;
-        let mut hash = FNV_BASIS;
+        let mut hash = Fnv1a::new();
         for kind in ALL {
             for broadcast in [false, true] {
                 if broadcast && !WorkloadKind::BROADCAST_SET.contains(&kind) {
@@ -308,9 +304,10 @@ mod tests {
                     broadcast,
                     ..WorkloadParams::small(4)
                 };
-                hash = hash_widened(hash, &kind.build(&params));
+                hash_widened(&mut hash, &kind.build(&params));
             }
         }
+        let hash = hash.finish();
         assert_eq!(hash, WIDE_HASH, "got {hash:#018x}");
     }
 
@@ -343,7 +340,9 @@ mod tests {
                     broadcast,
                     ..WorkloadParams::small(4)
                 };
-                hash_widened(FNV_BASIS, &kind.build(&params))
+                let mut hash = Fnv1a::new();
+                hash_widened(&mut hash, &kind.build(&params));
+                hash.finish()
             });
             assert_eq!(got, want, "{kind} broadcast={broadcast}: got {got:#018x?}");
         }
