@@ -26,9 +26,8 @@ use dl_mem::{
 };
 use dl_workloads::Workload;
 
-// The paper's baseline cores run at 3 GHz over 8 DDR4-2400 channels. Two
-// deliberate calibrations for the scaled-down inputs (see DESIGN.md): the
-// LLC is shrunk to preserve the paper's working-set to cache ratio
+// Two deliberate calibrations for the scaled-down inputs (see DESIGN.md):
+// the LLC is shrunk to preserve the paper's working-set to cache ratio
 // (LiveJournal-class inputs exceed a server LLC by more than an order of
 // magnitude), and the per-access channel latency uses a loaded-system
 // value rather than an unloaded pin-to-pin figure.
