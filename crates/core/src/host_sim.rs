@@ -138,7 +138,7 @@ impl<'w> HostSystem<'w> {
         for (c, tr) in workload.traces().iter().enumerate() {
             let rank = sched.wake_rank(c);
             sched.push(Ps::ZERO, rank, Ev::Wake(c));
-            cores.push(TraceCore::new(tr.len(), FREQ, MLP, rank, false));
+            cores.push(TraceCore::new(tr, tr.len(), FREQ, MLP, rank, false));
         }
         HostSystem {
             workload,
@@ -168,9 +168,9 @@ impl<'w> HostSystem<'w> {
             match next {
                 Next::Tick(ch) => self.mem_tick(ch),
                 Next::Event(Ev::Wake(c)) => {
-                    let ops = self.workload.traces()[c].ops();
+                    let trace = &self.workload.traces()[c];
                     let (core, mut port) = self.core(c);
-                    if core.advance(ops, t, &mut port) {
+                    if core.advance(trace, t, &mut port) {
                         self.done += 1;
                     }
                     if self.uncore.waiting.len() == self.cores.len() {

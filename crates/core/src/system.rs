@@ -404,9 +404,9 @@ impl<'w> NmpSystem<'w> {
                 for &g in &residents {
                     let rank = sched.wake_rank(g);
                     sched.push(Ps::ZERO, rank, Ev::Wake(g));
-                    let len = workload.traces()[g].len();
-                    let limit = limit_ops.map_or(len, |l| l.min(len));
-                    let core = TraceCore::new(limit, NMP_FREQ, NMP_MLP, rank, profiling);
+                    let trace = &workload.traces()[g];
+                    let limit = limit_ops.unwrap_or(trace.len());
+                    let core = TraceCore::new(trace, limit, NMP_FREQ, NMP_MLP, rank, profiling);
                     cores.push(core);
                 }
                 DimmPart {
@@ -554,7 +554,7 @@ impl<'w> NmpSystem<'w> {
             elapsed = elapsed.max(core.finish.unwrap_or(cut));
             // A core woken at its yield would have looked up the access it
             // deferred there (see `TraceCore::advance`).
-            if let Some(addr) = core.deferred_before(sh.workload.traces()[g].ops(), cut) {
+            if let Some(addr) = core.deferred_before(&sh.workload.traces()[g], cut) {
                 part.uncore.record_profile(&sh, g, addr);
             }
         }
@@ -768,10 +768,10 @@ impl DimmPart {
                 }
                 Next::Event(Ev::Wake(g)) => {
                     self.ev_wake += 1;
-                    let ops = sh.workload.traces()[g].ops();
+                    let trace = &sh.workload.traces()[g];
                     let now = self.uncore.sched.now();
                     let (core, mut port) = self.core(sh, g);
-                    if core.advance(ops, now, &mut port) {
+                    if core.advance(trace, now, &mut port) {
                         self.done += 1;
                     }
                 }

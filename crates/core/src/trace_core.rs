@@ -1,7 +1,7 @@
 //! The one trace-driven core model, shared by the NMP system
 //! ([`crate::system`]) and the host baseline ([`crate::host_sim`]).
 //!
-//! A [`TraceCore`] replays a thread's [`Op`] trace with bounded
+//! A [`TraceCore`] replays a thread's [`ThreadTrace`] with bounded
 //! memory-level parallelism: loads and stores that miss the caches occupy
 //! one slot of an MLP window and the core keeps going until the window is
 //! full; atomics and barriers first drain the window, and an atomic then
@@ -9,7 +9,9 @@
 //! are the same state machine with different clocks and window sizes.
 //! Everything the core does not own — the caches, memory, the
 //! interconnect, the barrier and the event queue — it reaches through a
-//! [`CorePort`], which each system implements for itself.
+//! [`CorePort`], which each system implements for itself. The core walks
+//! the trace's compact form in place: a call runs its block's ops where it
+//! stands, and the expanded sequence is never built.
 //!
 //! [`Schedule`] is the event order both systems share: one event queue,
 //! one live service tick per memory controller beside it, the clock, and
@@ -45,7 +47,7 @@
 
 use dl_engine::{EventKey, EventQueue, Freq, Ps};
 use dl_mem::{Completion, MemController, MemRequest};
-use dl_workloads::Op;
+use dl_workloads::{Block, Op, Step, ThreadTrace};
 use std::collections::VecDeque;
 
 /// Where a core is in its trace.
@@ -55,8 +57,8 @@ pub(crate) enum Status {
     /// Window full; resumes on the next completion, and no earlier than
     /// where it blocked.
     WaitWindow,
-    /// Needs an empty window before executing the op at `pc` (or finishing),
-    /// or waits for the atomic that holds the window alone.
+    /// Needs an empty window before executing the op it stands at (or
+    /// finishing), or waits for the atomic that holds the window alone.
     WaitDrain,
     /// Arrived at a barrier, waiting for release.
     WaitBarrier,
@@ -103,13 +105,20 @@ pub(crate) trait CorePort {
 /// time went.
 #[derive(Debug)]
 pub(crate) struct TraceCore {
+    /// The position: the trace's step `pc`, and inside the block that step
+    /// calls, op `sub` (0 outside a block).
     pc: usize,
-    /// The trace ends here (a profiling run truncates it).
-    limit: usize,
+    sub: u32,
+    /// The trace stops after its first `stop` steps (a profiling run
+    /// truncates it) ...
+    stop: usize,
+    /// ... and the block called at step `stop - 1` after its first `cut`
+    /// ops (0: in full).
+    cut: u32,
     /// The core clock's period.
     period: Ps,
     /// The MLP window: outstanding memory transactions allowed at once.
-    mlp: usize,
+    mlp: u32,
     /// The rank of this core's wakes among events at the same time
     /// ([`Schedule::wake_rank`]); unique to the core.
     rank: u64,
@@ -117,8 +126,8 @@ pub(crate) struct TraceCore {
     skips_barriers: bool,
     /// Blocked at a yield, in front of an access it has not tried yet.
     deferred: bool,
-    /// The deferral skipped a lookup of the access at `pc` (a slot freed
-    /// only after the yield): its retry makes it.
+    /// The deferral skipped a lookup of the access it stands at (a slot
+    /// freed only after the yield): its retry makes it.
     skipped: bool,
     /// Window slots: `(transaction id, remote)`.
     outstanding: Vec<(u64, bool)>,
@@ -137,20 +146,25 @@ pub(crate) struct TraceCore {
 }
 
 impl TraceCore {
-    /// A core clocked at `clock` that will run the first `limit` ops of its
-    /// trace with a window of `mlp` slots, waking under `rank`.
+    /// A core clocked at `clock` that will run the first `limit` ops of
+    /// `trace` (expanded; the stop may fall inside a block) with a window
+    /// of `mlp` slots, waking under `rank`.
     pub(crate) fn new(
+        trace: &ThreadTrace,
         limit: usize,
         clock: Freq,
         mlp: usize,
         rank: u64,
         skips_barriers: bool,
     ) -> Self {
+        let (pc, sub) = trace.position(limit);
         TraceCore {
             pc: 0,
-            limit,
+            sub: 0,
+            stop: pc + usize::from(sub > 0),
+            cut: u32::try_from(sub).expect("blocks hold fewer than 2^32 ops"),
             period: clock.period(),
-            mlp,
+            mlp: u32::try_from(mlp).expect("a window of fewer than 2^32 slots"),
             rank,
             skips_barriers,
             deferred: false,
@@ -171,6 +185,23 @@ impl TraceCore {
         self.blocked_at = t;
     }
 
+    /// Whether every window slot is taken.
+    fn window_full(&self) -> bool {
+        self.outstanding.len() >= self.mlp as usize
+    }
+
+    /// The ops of block `b` that the call at step `pc` runs: all of them,
+    /// unless the stop cuts that call short.
+    #[inline]
+    fn called<'t>(&self, trace: &'t ThreadTrace, b: Block, pc: usize) -> &'t [Step] {
+        let ops = trace.block(b);
+        if self.cut > 0 && pc + 1 == self.stop {
+            &ops[..self.cut as usize]
+        } else {
+            ops
+        }
+    }
+
     /// Runs the core from `now` until it blocks, finishes, or reaches a
     /// shared action past the port's horizon (see the module docs on
     /// order). A wake for a core that is not `Ready` is stale and does
@@ -179,7 +210,12 @@ impl TraceCore {
     // that system's codegen unit, so the port's hooks inline into the loop;
     // without it the partition-local loop ran ~10% slower.
     #[inline]
-    pub(crate) fn advance<P: CorePort>(&mut self, ops: &[Op], now: Ps, port: &mut P) -> bool {
+    pub(crate) fn advance<P: CorePort>(
+        &mut self,
+        trace: &ThreadTrace,
+        now: Ps,
+        port: &mut P,
+    ) -> bool {
         if self.status != Status::Ready {
             return false;
         }
@@ -191,30 +227,39 @@ impl TraceCore {
         // a barrier return. So it is read again only after `issue` and
         // `broadcast`, and under the auditor checked fresh at every step.
         let mut horizon = port.horizon();
-        loop {
+        // The current run, the trace's steps or the block that step `pc`
+        // calls, and the index `i` in it; written back once, on return.
+        let steps = &trace.steps()[..self.stop];
+        let mut pc = self.pc;
+        let (mut run, mut i, mut in_block) = match steps.get(pc) {
+            Some(&Step::Call(b)) => (self.called(trace, b, pc), self.sub as usize, true),
+            _ => (steps, pc, false),
+        };
+        let finished = loop {
             if dl_engine::AUDIT {
                 assert_eq!(horizon, port.horizon(), "the core's horizon went stale");
             }
-            let op = ops[..self.limit].get(self.pc);
+            let step = run.get(i);
             // What touches only the core's own state runs whatever the
-            // horizon: compute, an L1 hit, a skipped barrier. Those change
-            // only its L1 and the commutative profile counts. A completion
-            // that arrives meanwhile for a `Ready` core only frees a window
-            // slot, which the next shared access sees: the horizon check
-            // below runs before it.
-            match op {
-                Some(&Op::Comp(cycles)) => {
-                    self.pc += 1;
+            // horizon: compute, an L1 hit, a skipped barrier, and entering
+            // or leaving a block. Those change only its L1 and the
+            // commutative profile counts. A completion that arrives
+            // meanwhile for a `Ready` core only frees a window slot, which
+            // the next shared access sees: the horizon check below runs
+            // before it.
+            match step {
+                Some(&Step::Op(Op::Comp(cycles))) => {
+                    i += 1;
                     t += period * u64::from(cycles);
                     continue;
                 }
-                Some(Op::Barrier) if self.skips_barriers => {
-                    self.pc += 1;
+                Some(Step::Op(Op::Barrier)) if self.skips_barriers => {
+                    i += 1;
                     t += period * 10;
                     continue;
                 }
-                Some(
-                    &(Op::Load {
+                Some(&Step::Op(
+                    op @ (Op::Load {
                         addr,
                         cacheable: true,
                     }
@@ -222,13 +267,22 @@ impl TraceCore {
                         addr,
                         cacheable: true,
                     }),
-                ) => {
-                    let is_write = matches!(op, Some(Op::Store { .. }));
+                )) => {
+                    let is_write = matches!(op, Op::Store { .. });
                     if let Some(latency) = port.l1_hit(addr.get(), is_write) {
-                        self.pc += 1;
+                        i += 1;
                         t += latency;
                         continue;
                     }
+                }
+                Some(&Step::Call(b)) => {
+                    (pc, i, in_block) = (i, 0, true);
+                    run = self.called(trace, b, pc);
+                    continue;
+                }
+                None if in_block => {
+                    (run, i, in_block) = (steps, pc + 1, false);
+                    continue;
                 }
                 _ => {}
             }
@@ -237,10 +291,10 @@ impl TraceCore {
                 // start before a slot frees. Woken at `t`, the core would
                 // only look it up and block, so it blocks here: no wake,
                 // and `unblock` resumes it no earlier than `t`.
-                if self.outstanding.len() >= self.mlp
+                if self.window_full()
                     && matches!(
-                        op,
-                        Some(
+                        step,
+                        Some(Step::Op(
                             Op::Load {
                                 cacheable: false,
                                 ..
@@ -248,25 +302,29 @@ impl TraceCore {
                                 cacheable: false,
                                 ..
                             }
-                        )
+                        ))
                     )
                 {
                     self.deferred = true;
                     self.block(Status::WaitWindow, t);
-                    return false;
+                    break false;
                 }
                 self.ready_at = t;
                 port.wake(t);
-                return false;
+                break false;
             }
-            let Some(&op) = op else {
-                if self.outstanding.is_empty() {
+            let op = match step {
+                Some(&Step::Op(op)) => op,
+                Some(Step::Call(_)) => unreachable!("a call is entered before the horizon check"),
+                None if self.outstanding.is_empty() => {
                     self.status = Status::Done;
                     self.finish = Some(t);
-                    return true;
+                    break true;
                 }
-                self.block(Status::WaitDrain, t);
-                return false;
+                None => {
+                    self.block(Status::WaitDrain, t);
+                    break false;
+                }
             };
             match op {
                 Op::Load { addr, cacheable } | Op::Store { addr, cacheable } => {
@@ -278,15 +336,15 @@ impl TraceCore {
                         port.past_l1(addr, is_write, cacheable, t);
                     }
                     if let Some(latency) = port.past_l1(addr, is_write, cacheable, t) {
-                        self.pc += 1;
+                        i += 1;
                         t += latency;
                         continue;
                     }
-                    if self.outstanding.len() >= self.mlp {
+                    if self.window_full() {
                         self.block(Status::WaitWindow, t);
-                        return false;
+                        break false;
                     }
-                    self.pc += 1;
+                    i += 1;
                     let slot = port.issue(addr, is_write, t);
                     self.outstanding.push(slot);
                     horizon = port.horizon();
@@ -295,20 +353,20 @@ impl TraceCore {
                 Op::Atomic { addr } => {
                     if !self.outstanding.is_empty() {
                         self.block(Status::WaitDrain, t);
-                        return false;
+                        break false;
                     }
-                    self.pc += 1;
+                    i += 1;
                     let slot = port.atomic(addr.get(), t);
                     self.outstanding.push(slot);
                     self.block(Status::WaitDrain, t);
-                    return false;
+                    break false;
                 }
                 Op::Broadcast { addr, bytes } => {
-                    if self.outstanding.len() >= self.mlp {
+                    if self.window_full() {
                         self.block(Status::WaitWindow, t);
-                        return false;
+                        break false;
                     }
-                    self.pc += 1;
+                    i += 1;
                     let id = port.broadcast(addr.get(), bytes, t);
                     self.outstanding.push((id, true));
                     horizon = port.horizon();
@@ -317,16 +375,25 @@ impl TraceCore {
                 Op::Barrier => {
                     if !self.outstanding.is_empty() {
                         self.block(Status::WaitDrain, t);
-                        return false;
+                        break false;
                     }
-                    self.pc += 1;
+                    i += 1;
                     self.block(Status::WaitBarrier, t);
                     port.barrier(t);
-                    return false;
+                    break false;
                 }
                 Op::Comp(_) => unreachable!("compute runs before the horizon check"),
             }
-        }
+        };
+        (self.pc, self.sub) = if in_block {
+            (
+                pc,
+                u32::try_from(i).expect("blocks hold fewer than 2^32 ops"),
+            )
+        } else {
+            (i, 0)
+        };
+        finished
     }
 
     /// Resumes a blocked core at `at`, or where it blocked if that is
@@ -361,12 +428,16 @@ impl TraceCore {
     /// The address of the access this core deferred at a yield before `t`,
     /// if any. A run cut off at `t` has not looked it up, where a core woken
     /// at the yield would have, once.
-    pub(crate) fn deferred_before(&self, ops: &[Op], t: Ps) -> Option<u64> {
+    pub(crate) fn deferred_before(&self, trace: &ThreadTrace, t: Ps) -> Option<u64> {
         if !self.deferred || self.blocked_at >= t {
             return None;
         }
-        match ops[self.pc] {
-            Op::Load { addr, .. } | Op::Store { addr, .. } => Some(addr.get()),
+        let step = match trace.steps()[self.pc] {
+            Step::Call(b) => trace.block(b)[self.sub as usize],
+            step => step,
+        };
+        match step {
+            Step::Op(Op::Load { addr, .. } | Op::Store { addr, .. }) => Some(addr.get()),
             _ => unreachable!("only an access is deferred"),
         }
     }
@@ -669,9 +740,14 @@ mod tests {
         }
     }
 
+    /// A trace of `ops`, with no blocks.
+    fn trace<const N: usize>(ops: [Op; N]) -> ThreadTrace {
+        ops.into_iter().collect()
+    }
+
     /// A 1 GHz core of rank 1 over all of `ops`, with a window of `mlp`.
-    fn new_core(ops: &[Op], mlp: usize) -> TraceCore {
-        TraceCore::new(ops.len(), Freq::from_ghz(1.0), mlp, 1, false)
+    fn new_core(ops: &ThreadTrace, mlp: usize) -> TraceCore {
+        TraceCore::new(ops, ops.len(), Freq::from_ghz(1.0), mlp, 1, false)
     }
 
     fn load(addr: u64) -> Op {
@@ -687,7 +763,7 @@ mod tests {
 
     #[test]
     fn full_window_blocks_until_the_next_completion() {
-        let ops = [load(2), load(4), load(6), Op::Comp(5)];
+        let ops = trace([load(2), load(4), load(6), Op::Comp(5)]);
         let mut port = FakePort::default();
         let mut core = new_core(&ops, 2);
         assert!(!core.advance(&ops, Ps::ZERO, &mut port));
@@ -718,13 +794,13 @@ mod tests {
 
     #[test]
     fn hits_and_compute_advance_without_slots() {
-        let ops = [
+        let ops = trace([
             Op::Load {
                 addr: Addr::new(0),
                 cacheable: true,
             },
             Op::Comp(4),
-        ];
+        ]);
         let mut port = FakePort {
             hit_below: 64,
             ..FakePort::default()
@@ -737,12 +813,12 @@ mod tests {
 
     #[test]
     fn atomics_and_barriers_wait_for_the_window_to_drain() {
-        let ops = [
+        let ops = trace([
             load(2),
             Op::Atomic { addr: Addr::new(9) },
             load(4),
             Op::Barrier,
-        ];
+        ]);
         let mut port = FakePort::default();
         let mut core = new_core(&ops, 4);
         core.advance(&ops, Ps::ZERO, &mut port);
@@ -766,7 +842,7 @@ mod tests {
 
     #[test]
     fn stale_wakes_are_ignored() {
-        let ops = [Op::Atomic { addr: Addr::new(2) }, Op::Comp(1)];
+        let ops = trace([Op::Atomic { addr: Addr::new(2) }, Op::Comp(1)]);
         let mut port = FakePort::default();
         let mut core = new_core(&ops, 2);
         core.advance(&ops, Ps::ZERO, &mut port);
@@ -787,14 +863,14 @@ mod tests {
             addr: Addr::new(addr),
             cacheable: true,
         };
-        let ops = [
+        let ops = trace([
             Op::Comp(10),
             hit(0),
             Op::Comp(10),
             hit(8),
             load(70),
             Op::Comp(1),
-        ];
+        ]);
         let mut port = FakePort {
             hit_below: 64,
             horizon: Some(EventKey::new(ns(5), 0)),
@@ -820,7 +896,7 @@ mod tests {
     /// A window of one, a load issued at 0 ns, 9 ns of compute, and a
     /// second uncacheable load at 10 ns, past a horizon at 5 ns: the core
     /// defers it there.
-    fn deferred_at_10ns(ops: &[Op]) -> (TraceCore, FakePort) {
+    fn deferred_at_10ns(ops: &ThreadTrace) -> (TraceCore, FakePort) {
         let mut port = FakePort {
             horizon: Some(EventKey::new(ns(5), 0)),
             ..FakePort::default()
@@ -835,7 +911,7 @@ mod tests {
 
     #[test]
     fn a_full_window_defers_an_uncacheable_access_at_the_yield() {
-        let ops = [load(2), Op::Comp(9), load(4)];
+        let ops = trace([load(2), Op::Comp(9), load(4)]);
         let (mut core, mut port) = deferred_at_10ns(&ops);
         assert_eq!((core.status, core.blocked_at), (Status::WaitWindow, ns(10)));
         assert!(port.wakes.is_empty(), "no wake while blocked");
@@ -845,14 +921,14 @@ mod tests {
         assert!(port.wakes.is_empty() && port.lookups.is_empty());
         // A cacheable access yields with a wake: its lookup may hit past
         // the L1 and need no slot.
-        let cached = [
+        let cached = trace([
             load(2),
             Op::Comp(9),
             Op::Load {
                 addr: Addr::new(4),
                 cacheable: true,
             },
-        ];
+        ]);
         let (core, port) = deferred_at_10ns(&cached);
         assert_eq!(
             (core.status, port.wakes.as_slice()),
@@ -862,7 +938,7 @@ mod tests {
 
     #[test]
     fn a_slot_freed_before_the_yield_resumes_at_the_yield() {
-        let ops = [load(2), Op::Comp(9), load(4)];
+        let ops = trace([load(2), Op::Comp(9), load(4)]);
         let (mut core, mut port) = deferred_at_10ns(&ops);
         core.complete(1, ns(6), &mut port);
         assert_eq!((core.status, core.ready_at), (Status::Ready, ns(10)));
@@ -878,7 +954,7 @@ mod tests {
 
     #[test]
     fn a_slot_freed_after_the_yield_charges_the_stall_and_one_attempt() {
-        let ops = [load(2), Op::Comp(9), load(4)];
+        let ops = trace([load(2), Op::Comp(9), load(4)]);
         let (mut core, mut port) = deferred_at_10ns(&ops);
         core.complete(1, ns(25), &mut port);
         assert_eq!(port.wakes, [ns(25)]);
@@ -892,7 +968,7 @@ mod tests {
 
     #[test]
     fn two_deferrals_count_two_attempts() {
-        let ops = [load(2), Op::Comp(9), load(5), Op::Comp(9), load(6)];
+        let ops = trace([load(2), Op::Comp(9), load(5), Op::Comp(9), load(6)]);
         let (mut core, mut port) = deferred_at_10ns(&ops);
         core.complete(1, ns(20), &mut port);
         // The retry issues the remote load at 20 ns; the next load defers
@@ -908,6 +984,96 @@ mod tests {
         assert_eq!(port.lookups, [5, 5, 6, 6]);
     }
 
+    /// A trace that calls a block of `block` once per entry of `calls`,
+    /// each call after the op given there, if any.
+    fn with_block<const N: usize>(block: [Op; N], calls: &[Option<Op>]) -> ThreadTrace {
+        let mut t = ThreadTrace::new();
+        let b = t.add_block(&block);
+        for &op in calls {
+            t.extend(op);
+            t.call(b);
+        }
+        t
+    }
+
+    #[test]
+    fn a_core_yields_inside_a_block_and_resumes_there() {
+        let hit = |addr| Op::Load {
+            addr: Addr::new(addr),
+            cacheable: true,
+        };
+        let block = [Op::Comp(10), hit(0), Op::Comp(10), hit(8), load(70)];
+        let ops = with_block(block, &[None, Some(Op::Comp(1))]);
+        let mut port = FakePort {
+            hit_below: 64,
+            horizon: Some(EventKey::new(ns(5), 0)),
+            ..FakePort::default()
+        };
+        let mut core = new_core(&ops, 1);
+        assert!(!core.advance(&ops, Ps::ZERO, &mut port));
+        // In front of the first call's load, as in the flat trace.
+        assert_eq!((core.pc, core.sub, core.status), (0, 4, Status::Ready));
+        assert_eq!(port.wakes, [ns(22)]);
+        port.horizon = None;
+        assert!(!core.advance(&ops, ns(6), &mut port));
+        // The load issued; the second call's load finds the window full.
+        assert_eq!(port.issued, [(1, 70)]);
+        assert_eq!((core.pc, core.sub, core.status), (2, 4, Status::WaitWindow));
+        assert_eq!(core.blocked_at, ns(24 + 22));
+        core.complete(1, ns(50), &mut port);
+        assert!(!core.advance(&ops, ns(50), &mut port));
+        assert_eq!(port.issued, [(1, 70), (2, 70)]);
+        assert_eq!((core.pc, core.sub, core.status), (3, 0, Status::WaitDrain));
+    }
+
+    #[test]
+    fn a_full_window_blocks_inside_a_block_and_resumes_there() {
+        let ops = with_block([load(2), load(4), load(6)], &[None, None]);
+        let mut port = FakePort::default();
+        let mut core = new_core(&ops, 2);
+        assert!(!core.advance(&ops, Ps::ZERO, &mut port));
+        assert_eq!((core.pc, core.sub, core.status), (0, 2, Status::WaitWindow));
+        core.complete(1, ns(10), &mut port);
+        assert!(!core.advance(&ops, ns(10), &mut port));
+        // The third load, then the second call's first finds it full again.
+        assert_eq!(port.issued, [(1, 2), (2, 4), (3, 6)]);
+        assert_eq!((core.pc, core.sub, core.status), (1, 0, Status::WaitWindow));
+        assert_eq!(core.blocked_at, ns(11));
+    }
+
+    #[test]
+    fn a_deferral_inside_a_block_resumes_at_the_same_op() {
+        let ops = with_block([load(2), Op::Comp(9), load(4)], &[None]);
+        let (mut core, mut port) = deferred_at_10ns(&ops);
+        assert_eq!((core.pc, core.sub), (0, 2));
+        assert_eq!((core.status, core.blocked_at), (Status::WaitWindow, ns(10)));
+        assert_eq!(core.deferred_before(&ops, ns(11)), Some(4));
+        core.complete(1, ns(25), &mut port);
+        port.horizon = None;
+        assert!(!core.advance(&ops, ns(25), &mut port));
+        assert_eq!(port.lookups, [4, 4]);
+        assert_eq!(port.issued, [(1, 2), (2, 4)]);
+        assert_eq!((core.pc, core.sub), (1, 0));
+    }
+
+    #[test]
+    fn a_stop_may_cut_a_call_short() {
+        let ops = with_block([load(2), Op::Comp(1), load(4)], &[None, None]);
+        for (limit, issued) in [
+            (4, &[2, 4, 2][..]),
+            (3, &[2, 4]),
+            (2, &[2]),
+            (9, &[2, 4, 2, 4]),
+        ] {
+            let mut port = FakePort::default();
+            let mut core = TraceCore::new(&ops, limit, Freq::from_ghz(1.0), 8, 1, false);
+            assert!(!core.advance(&ops, Ps::ZERO, &mut port));
+            let addrs: Vec<u64> = port.issued.iter().map(|&(_, addr)| addr).collect();
+            assert_eq!(addrs, issued, "limit {limit}");
+            assert_eq!(core.status, Status::WaitDrain, "limit {limit}");
+        }
+    }
+
     #[test]
     fn a_core_keeps_its_size() {
         // The deferral state sits in padding: a core stays two host cache
@@ -919,7 +1085,7 @@ mod tests {
     #[test]
     fn an_equal_time_event_goes_first_only_if_it_ranks_lower() {
         // The fake core's rank is 1; the load is issued at 5 ns.
-        let ops = [Op::Comp(5), load(2)];
+        let ops = trace([Op::Comp(5), load(2)]);
         for (rank, yields) in [(0, true), (1, false), (2, false)] {
             let mut port = FakePort {
                 horizon: Some(EventKey::new(ns(5), rank)),
@@ -940,13 +1106,13 @@ mod tests {
         // A hit schedules nothing, so the core keeps the horizon it read;
         // a port whose hit moves it breaks that, and only the auditor's
         // freshness check notices.
-        let ops = [
+        let ops = trace([
             Op::Load {
                 addr: Addr::new(0),
                 cacheable: true,
             },
             Op::Comp(1),
-        ];
+        ]);
         let run = std::panic::catch_unwind(|| {
             let mut port = FakePort {
                 hit_below: 64,
@@ -1083,7 +1249,7 @@ mod tests {
     #[test]
     fn stalls_are_attributed_to_remote_local_and_sync() {
         // Odd addresses are remote in the fake port.
-        let ops = [load(3), load(2), Op::Barrier];
+        let ops = trace([load(3), load(2), Op::Barrier]);
         let mut port = FakePort::default();
         let mut core = new_core(&ops, 1);
         core.advance(&ops, Ps::ZERO, &mut port);

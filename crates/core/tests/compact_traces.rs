@@ -1,0 +1,124 @@
+//! K-Means stores its per-point scan once per thread and calls it per
+//! point. The cores walk that compact form in place, so a K-Means workload
+//! must simulate exactly as its flattened copy (every call expanded), and
+//! no run may build the expanded sequence.
+
+use dimm_link::config::{HostConfig, IdcKind, SystemConfig};
+use dimm_link::runner::{host_baseline_for, simulate, simulate_optimized};
+use dimm_link::system::{natural_placement, NmpSystem, RawRun};
+use dl_workloads::{Step, ThreadTrace, Workload, WorkloadKind, WorkloadParams};
+
+fn kmeans(dimms: usize, threads_per_dimm: usize, seed: u64) -> Workload {
+    WorkloadKind::KMeans.build(&WorkloadParams {
+        dimms,
+        threads_per_dimm,
+        seed,
+        scale: 9,
+        ..WorkloadParams::small(dimms)
+    })
+}
+
+/// `wl` with every trace's ops rebuilt one by one: no blocks, no calls.
+fn flattened(wl: &Workload) -> Workload {
+    let traces = wl
+        .traces()
+        .iter()
+        .map(|t| t.ops().iter().copied().collect::<ThreadTrace>())
+        .collect();
+    Workload::new(
+        wl.name(),
+        traces,
+        wl.layout().clone(),
+        wl.home_dimm().to_vec(),
+    )
+}
+
+fn nmp_cfg(dimms: usize) -> SystemConfig {
+    SystemConfig::nmp(dimms, dimms / 2).with_idc(IdcKind::DimmLink)
+}
+
+fn nmp_run(wl: &Workload, cfg: &SystemConfig, limit: Option<usize>) -> String {
+    let RawRun {
+        elapsed,
+        stats,
+        profile,
+        status,
+    } = NmpSystem::new(wl, cfg, &natural_placement(wl), limit).run();
+    format!("elapsed={elapsed} status={status:?} stats={stats:?} profile={profile:?}")
+}
+
+/// Expanded-op counts at which thread 0's trace stops inside a block, in
+/// front of a call and right after one.
+fn stops(trace: &ThreadTrace) -> [usize; 3] {
+    let from = trace.len() / 10;
+    let find = |want: &dyn Fn(usize, usize) -> bool| {
+        (from..trace.len())
+            .find(|&n| {
+                let (pc, sub) = trace.position(n);
+                want(pc, sub)
+            })
+            .expect("K-Means calls a block per point")
+    };
+    let call = |pc: usize| matches!(trace.steps().get(pc), Some(Step::Call(_)));
+    [
+        find(&|_, sub| sub == 5),
+        find(&|pc, sub| sub == 0 && call(pc)),
+        find(&|pc, sub| sub == 0 && pc > 0 && call(pc - 1)),
+    ]
+}
+
+#[test]
+fn a_compact_trace_simulates_as_its_flattened_copy() {
+    for seed in [42, 7] {
+        for dimms in [4, 16] {
+            let wl = kmeans(dimms, 4, seed);
+            let flat = flattened(&wl);
+            assert_ne!(wl.traces(), flat.traces(), "K-Means calls blocks");
+            let cfg = SystemConfig {
+                seed,
+                ..nmp_cfg(dimms)
+            };
+            let case = format!("seed {seed}, {dimms} DIMMs");
+            assert_eq!(
+                nmp_run(&wl, &cfg, None),
+                nmp_run(&flat, &cfg, None),
+                "{case}"
+            );
+            for limit in stops(&wl.traces()[0]) {
+                assert_eq!(
+                    nmp_run(&wl, &cfg, Some(limit)),
+                    nmp_run(&flat, &cfg, Some(limit)),
+                    "{case}, profiling up to op {limit}"
+                );
+            }
+            let [opt, opt_flat] = [&wl, &flat].map(|w| {
+                let r = simulate_optimized(w, &cfg);
+                format!("{:?} {:?} {:?}", r.elapsed, r.stats, r.energy)
+            });
+            assert_eq!(opt, opt_flat, "{case}, optimized");
+        }
+        let host = HostConfig::xeon_16core();
+        let wl = kmeans(host.channels, host.cores / host.channels, seed);
+        let flat = flattened(&wl);
+        let [run, run_flat] = [&wl, &flat].map(|w| {
+            let r = host_baseline_for(w);
+            format!("{:?} {:?}", r.elapsed, r.stats)
+        });
+        assert_eq!(run, run_flat, "seed {seed}, host baseline");
+    }
+}
+
+#[test]
+fn no_run_expands_a_kmeans_trace() {
+    let wl = kmeans(4, 4, 42);
+    let cfg = nmp_cfg(4);
+    let _ = simulate(&wl, &cfg);
+    let _ = simulate_optimized(&wl, &cfg);
+    let host = HostConfig::xeon_16core();
+    let host_wl = kmeans(host.channels, host.cores / host.channels, 42);
+    let _ = host_baseline_for(&host_wl);
+    let _ = (wl.total_mem_ops(), wl.remote_fraction());
+    for w in [&wl, &host_wl] {
+        assert!(w.traces().iter().all(|t| !t.is_materialized()));
+    }
+}

@@ -44,26 +44,32 @@ pub fn kmeans(params: &WorkloadParams) -> Workload {
         .map(|t| layout.alloc(home[t], (K * 64) as u64))
         .collect();
 
-    // Each trace is allocated once, at its final length.
-    let mut traces: Vec<ThreadTrace> = (0..threads)
-        .map(|t| ThreadTrace::with_capacity(ops_per_thread(params, t, points_per_thread)))
-        .collect();
-    // The scan of a thread's snapshot is the same after every point, so it
-    // is built once and copied: each centroid's load and its distance.
-    let scans: Vec<ThreadTrace> = scratch
-        .iter()
-        .map(|s| {
-            let mut scan = ThreadTrace::with_capacity(2 * K);
-            for k in 0..K {
-                scan.push(Op::Load {
-                    addr: Addr::new(s.line_of(k as u64, 64)),
-                    cacheable: true,
-                });
-                scan.comp(DIMS * 2);
-            }
-            scan
-        })
-        .collect();
+    // The scan of a thread's snapshot is the same after every point: each
+    // centroid's load and its distance. Each trace stores it once as a
+    // block, with a twin whose last `Comp` carries a reassignment, and
+    // calls one of the two per point.
+    let mut traces: Vec<ThreadTrace> = Vec::with_capacity(threads);
+    let mut scans = Vec::with_capacity(threads);
+    for (t, s) in scratch.iter().enumerate() {
+        let mut trace = ThreadTrace::with_capacity(steps_per_thread(params, t, points_per_thread));
+        let mut scan: Vec<Op> = (0..K)
+            .flat_map(|k| {
+                let addr = Addr::new(s.line_of(k as u64, 64));
+                [
+                    Op::Load {
+                        addr,
+                        cacheable: true,
+                    },
+                    Op::Comp(DIMS * 2),
+                ]
+            })
+            .collect();
+        let plain = trace.add_block(&scan);
+        *scan.last_mut().expect("K > 0") = Op::Comp(DIMS * 4);
+        let reassigned = trace.add_block(&scan);
+        traces.push(trace);
+        scans.push((plain, reassigned));
+    }
     // Pre-draw the per-point update probability stream so the trace is
     // deterministic and iteration-dependent reassignments taper off.
     for iter in 0..ITERS {
@@ -91,15 +97,18 @@ pub fn kmeans(params: &WorkloadParams) -> Workload {
                     addr: Addr::new(points[t].line_of(p, 64)),
                     cacheable: true,
                 });
-                // Scan the local snapshot.
-                trace.extend_from_slice(scans[t].ops());
-                // Cluster reassignment updates the thread's *local* partial
-                // sums (pure compute); the shared accumulators are only
-                // touched once per iteration below.
-                if rng.chance(reassign_p) {
+                // Scan the local snapshot. A cluster reassignment updates
+                // the thread's *local* partial sums (pure compute); the
+                // shared accumulators are only touched once per iteration
+                // below.
+                let (plain, reassigned) = scans[t];
+                let scan = if rng.chance(reassign_p) {
                     let _ = rng.below(K as u64);
-                    trace.comp(DIMS * 2);
-                }
+                    reassigned
+                } else {
+                    plain
+                };
+                trace.call(scan);
             }
             // Per-thread partial sums folded into the global accumulators.
             for a in &accums {
@@ -135,22 +144,31 @@ pub fn kmeans(params: &WorkloadParams) -> Workload {
 }
 
 /// The length of thread `t`'s trace. Per iteration: the snapshot (2K ops),
-/// each point (its load and K load-compute pairs; a reassignment merges
-/// into the trailing `Comp`), the folds (2K) and two barriers, plus three
-/// ops per resident centroid on the first thread of each DIMM.
+/// each point (its load and K load-compute pairs; a reassignment lengthens
+/// the last `Comp`), the folds (2K) and two barriers, plus three ops per
+/// resident centroid on the first thread of each DIMM.
+#[cfg(test)]
 fn ops_per_thread(params: &WorkloadParams, t: usize, points_per_thread: u64) -> usize {
+    steps_per_thread(params, t, points_per_thread)
+        + ITERS * points_per_thread as usize * (2 * K - 1)
+}
+
+/// The number of thread `t`'s own steps: [`ops_per_thread`] with each
+/// point's scan as one call.
+fn steps_per_thread(params: &WorkloadParams, t: usize, points_per_thread: u64) -> usize {
     let resident = if t.is_multiple_of(params.threads_per_dimm) {
         let d = t / params.threads_per_dimm;
         (0..K).filter(|k| k % params.dimms == d).count()
     } else {
         0
     };
-    ITERS * (4 * K + 2 + points_per_thread as usize * (1 + 2 * K) + 3 * resident)
+    ITERS * (4 * K + 2 + points_per_thread as usize * 2 + 3 * resident)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Step;
 
     #[test]
     fn centroid_snapshots_bound_remote_traffic() {
@@ -171,6 +189,24 @@ mod tests {
                     ops_per_thread(&params, t, points),
                     "thread {t}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn each_point_is_its_load_and_one_call() {
+        for params in [WorkloadParams::small(4), WorkloadParams::small(32)] {
+            let wl = kmeans(&params);
+            let points = ((1u64 << (params.scale + 2)) / params.threads() as u64).max(16);
+            for (t, trace) in wl.traces().iter().enumerate() {
+                let steps = trace.steps();
+                assert_eq!(
+                    steps.len(),
+                    steps_per_thread(&params, t, points),
+                    "thread {t}"
+                );
+                let calls = steps.iter().filter(|s| matches!(s, Step::Call(_)));
+                assert_eq!(calls.count() as u64, ITERS as u64 * points, "thread {t}");
             }
         }
     }
