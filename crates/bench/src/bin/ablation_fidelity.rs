@@ -14,13 +14,11 @@
 //! Exits non-zero if any case is outside the bound, so CI can gate on it.
 
 use dimm_link::runner::RunResult;
-use dimm_link::EnergyBreakdown;
-use dl_bench::fidelity::{self, FidelityReport};
+use dl_bench::fidelity::{self, FidelityReport, Op};
 use dl_bench::sweep::Sweep;
 use dl_bench::{print_table, run_sweep, save_results, Args};
 use dl_engine::stats::StatSet;
-use dl_engine::Ps;
-use dl_noc::{wire_bytes, FlitNet, FlitNetConfig, LinkParams, PacketNet, Topology, TopologyKind};
+use dl_noc::TopologyKind;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -37,35 +35,16 @@ struct Summary {
     differential: FidelityReport,
 }
 
-fn wrap(makespan: Ps) -> RunResult {
-    RunResult {
-        elapsed: makespan,
-        profiling: Ps::ZERO,
-        stats: StatSet::new(),
-        energy: EnergyBreakdown::default(),
-        status: dl_engine::RunStatus::Completed,
-    }
-}
-
-fn packet_makespan(pairs: &[(usize, usize)]) -> Ps {
-    let topo = Topology::new(TopologyKind::Chain, 8);
-    let mut pnet = PacketNet::new(&topo, LinkParams::grs_25gbps());
-    let mut last = Ps::ZERO;
-    for &(s, d) in pairs {
-        last = last.max(pnet.send(Ps::ZERO, s, d, wire_bytes(256)));
-    }
-    last
-}
-
-fn flit_makespan(pairs: &[(usize, usize)]) -> Ps {
-    let topo = Topology::new(TopologyKind::Chain, 8);
-    let mut fnet = FlitNet::new(&topo, FlitNetConfig::grs_25gbps());
-    for (i, &(s, d)) in pairs.iter().enumerate() {
-        fnet.inject(i as u64, s, d, fidelity::MAX_FLITS);
-    }
-    let deliveries = fnet.run_until_idle(10_000_000);
-    let cycles = deliveries.iter().map(|d| d.cycle).max().unwrap_or(0);
-    fnet.time_of(cycles)
+/// The pairs as one max-size unicast each over a chain of 8.
+fn chain8(pairs: &[(usize, usize)]) -> Vec<Op> {
+    pairs
+        .iter()
+        .map(|&(src, dst)| Op::Unicast {
+            src,
+            dst,
+            flits: fidelity::MAX_FLITS,
+        })
+        .collect()
 }
 
 fn main() {
@@ -95,24 +74,26 @@ fn main() {
     // cycle-accurate flit-level cross-check.
     let mut sweep = Sweep::new("ablation_fidelity");
     for (name, pairs) in &patterns {
-        let p = pairs.clone();
-        sweep.custom(
-            format!("{name} / packet"),
-            "chain-8 packet-level",
-            move || wrap(packet_makespan(&p)),
-        );
-        let p = pairs.clone();
+        let ops = chain8(pairs);
+        sweep.custom(format!("{name} / packet"), "chain-8 packet-level", {
+            let ops = ops.clone();
+            move || {
+                let (makespan, _) = fidelity::packet_level(TopologyKind::Chain, 8, &ops);
+                RunResult::measured(makespan, StatSet::new())
+            }
+        });
         sweep.custom(format!("{name} / flit"), "chain-8 flit-level", move || {
-            wrap(flit_makespan(&p))
+            let makespan = fidelity::flit_level(TopologyKind::Chain, 8, &ops);
+            RunResult::measured(makespan, StatSet::new())
         });
     }
     let result = run_sweep(sweep, &args);
 
     let mut rows = Vec::new();
     let mut curated = Vec::new();
-    for (i, (name, _)) in patterns.iter().enumerate() {
-        let p = result.records[2 * i].elapsed().as_ns_f64();
-        let f = result.records[2 * i + 1].elapsed().as_ns_f64();
+    for ((name, _), runs) in patterns.iter().zip(result.records.chunks(2)) {
+        let p = runs[0].elapsed().as_ns_f64();
+        let f = runs[1].elapsed().as_ns_f64();
         let ratio = p / f.max(1e-9);
         rows.push(vec![
             name.to_string(),

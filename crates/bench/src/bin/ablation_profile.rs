@@ -8,7 +8,7 @@
 use dimm_link::config::{IdcKind, SystemConfig};
 use dl_bench::sweep::Sweep;
 use dl_bench::{fmt_pct, fmt_x, print_table, run_sweep, save_results, Args};
-use dl_workloads::{WorkloadKind, WorkloadParams};
+use dl_workloads::WorkloadKind;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -24,11 +24,7 @@ fn main() {
         "Ablation: Algorithm 1 profiling fraction (PR, 16D-8C, scale {})",
         args.scale
     );
-    let params = WorkloadParams {
-        scale: args.scale,
-        seed: args.seed,
-        ..WorkloadParams::small(16)
-    };
+    let params = args.params(16);
     let base_cfg = SystemConfig::nmp(16, 8).with_idc(IdcKind::DimmLink);
     let fractions = [0.001, 0.005, 0.01, 0.05, 0.10];
 

@@ -10,7 +10,7 @@ use dimm_link::config::{IdcKind, SystemConfig};
 use dl_bench::sweep::Sweep;
 use dl_bench::{fmt_x, print_table, run_sweep, save_results, Args};
 use dl_mem::{MappingScheme, RowPolicy};
-use dl_workloads::{WorkloadKind, WorkloadParams};
+use dl_workloads::WorkloadKind;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -37,12 +37,8 @@ fn main() {
     // XOR bank mapping. The cap=4 run is the stock configuration, so it
     // doubles as the open-page + plain-mapping baseline.
     let mut sweep = Sweep::new("ablation_sched");
+    let params = args.params(16);
     for kind in WORKLOADS {
-        let params = WorkloadParams {
-            scale: args.scale,
-            seed: args.seed,
-            ..WorkloadParams::small(16)
-        };
         for cap in [1u32, 4, 16] {
             let mut cfg = SystemConfig::nmp(16, 8).with_idc(IdcKind::DimmLink);
             cfg.dram.hit_streak_cap = cap;
@@ -57,13 +53,11 @@ fn main() {
         sweep.simulate(format!("{kind} / xor-mapping"), kind, params, xor);
     }
     let out = run_sweep(sweep, &args);
-    const PER_WORKLOAD: usize = 5;
 
     let mut rows = Vec::new();
     let mut json = Vec::new();
     let mut rows2 = Vec::new();
-    for (w, kind) in WORKLOADS.iter().enumerate() {
-        let runs = &out.records[w * PER_WORKLOAD..(w + 1) * PER_WORKLOAD];
+    for (kind, runs) in WORKLOADS.iter().zip(out.records.chunks(5)) {
         let (t1, t4, t16) = (
             runs[0].elapsed_f64(),
             runs[1].elapsed_f64(),

@@ -11,7 +11,7 @@ use dimm_link::config::{IdcKind, SystemConfig};
 use dl_bench::sweep::Sweep;
 use dl_bench::{fmt_time, fmt_x, geo, print_table, run_sweep, save_results, Args};
 use dl_engine::Ps;
-use dl_workloads::{WorkloadKind, WorkloadParams};
+use dl_workloads::WorkloadKind;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -48,12 +48,8 @@ fn main() {
 
     let mut sweep = Sweep::new("ext_disaggregated");
     for (name, dimms, channels, groups) in blade_cfgs {
+        let params = args.params(dimms);
         for kind in WORKLOADS {
-            let params = WorkloadParams {
-                scale: args.scale,
-                seed: args.seed,
-                ..WorkloadParams::small(dimms)
-            };
             sweep.simulate(
                 format!("{name} / {kind} / host-org"),
                 kind,
@@ -71,41 +67,34 @@ fn main() {
 
     // Fabric-latency sensitivity: when does disaggregation stop paying off?
     let lat_base = sweep.len();
-    {
-        let params = WorkloadParams {
-            scale: args.scale,
-            seed: args.seed,
-            ..WorkloadParams::small(16)
-        };
+    let params = args.params(16);
+    sweep.simulate(
+        "fabric-sweep / pr / host-org",
+        WorkloadKind::Pagerank,
+        params,
+        blades(16, 8, 2, IdcKind::DimmLink),
+    );
+    for lat_ns in fabric_lats {
+        let mut cfg = blades(16, 8, 2, IdcKind::DimmLinkCxl);
+        cfg.cxl_latency = Ps::from_ns(lat_ns);
         sweep.simulate(
-            "fabric-sweep / pr / host-org",
+            format!("fabric-sweep / pr / cxl {lat_ns} ns"),
             WorkloadKind::Pagerank,
             params,
-            blades(16, 8, 2, IdcKind::DimmLink),
+            cfg,
         );
-        for lat_ns in fabric_lats {
-            let mut cfg = blades(16, 8, 2, IdcKind::DimmLinkCxl);
-            cfg.cxl_latency = Ps::from_ns(lat_ns);
-            sweep.simulate(
-                format!("fabric-sweep / pr / cxl {lat_ns} ns"),
-                WorkloadKind::Pagerank,
-                params,
-                cfg,
-            );
-        }
     }
 
     let result = run_sweep(sweep, &args);
 
     let mut out = Vec::new();
-    let mut idx = 0;
-    for (name, _, _, _) in blade_cfgs {
+    // A host-org and a CXL-org run per workload, one group per blade count.
+    let per_blades = result.records[..lat_base].chunks(2 * WORKLOADS.len());
+    for ((name, _, _, _), runs) in blade_cfgs.iter().zip(per_blades) {
         let mut rows = Vec::new();
         let mut speedups = Vec::new();
-        for kind in WORKLOADS {
-            let host_org = &result.records[idx];
-            let cxl_org = &result.records[idx + 1];
-            idx += 2;
+        for (kind, pair) in WORKLOADS.iter().zip(runs.chunks(2)) {
+            let (host_org, cxl_org) = (&pair[0], &pair[1]);
             let s = host_org.elapsed_f64() / cxl_org.elapsed_f64();
             speedups.push(s);
             rows.push(vec![
@@ -135,8 +124,7 @@ fn main() {
 
     let host_org = result.records[lat_base].elapsed_f64();
     let mut rows = Vec::new();
-    for (i, lat_ns) in fabric_lats.iter().enumerate() {
-        let r = &result.records[lat_base + 1 + i];
+    for (lat_ns, r) in fabric_lats.iter().zip(&result.records[lat_base + 1..]) {
         rows.push(vec![
             format!("{lat_ns} ns"),
             fmt_x(host_org / r.elapsed_f64()),

@@ -9,11 +9,9 @@
 use dimm_link::config::{IdcKind, SystemConfig};
 use dimm_link::runner::RunResult;
 use dimm_link::system::{natural_placement, NmpSystem};
-use dimm_link::EnergyBreakdown;
 use dl_bench::sweep::Sweep;
 use dl_bench::{gbps, print_table, run_sweep, save_results, Args};
-use dl_engine::Ps;
-use dl_workloads::{synth, WorkloadParams};
+use dl_workloads::{synth, Workload, WorkloadParams};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -22,15 +20,13 @@ struct Point {
     idc_gbps: f64,
 }
 
-fn raw_run(wl: &dl_workloads::Workload, cfg: &SystemConfig) -> RunResult {
-    let placement = natural_placement(wl);
-    let run = NmpSystem::new(wl, cfg, &placement, None).run();
+/// Runs `wl` on the 16D-8C MCN system in its natural placement.
+fn raw_run(wl: &Workload) -> RunResult {
+    let cfg = SystemConfig::nmp(16, 8).with_idc(IdcKind::CpuForwarding);
+    let run = NmpSystem::new(wl, &cfg, &natural_placement(wl), None).run();
     RunResult {
-        elapsed: run.elapsed,
-        profiling: Ps::ZERO,
-        stats: run.stats,
-        energy: EnergyBreakdown::default(),
         status: run.status,
+        ..RunResult::measured(run.elapsed, run.stats)
     }
 }
 
@@ -55,32 +51,24 @@ fn main() {
     // (a) P2P bandwidth vs transfer size through host forwarding; these are
     // raw NmpSystem runs, so they go in as custom points.
     let mut sweep = Sweep::new("fig01_motivation");
+    let pairs = WorkloadParams {
+        threads_per_dimm: 1,
+        ..args.params(16)
+    };
     for &bytes in sizes {
         sweep.custom(
             format!("bulk-copy {} KiB", bytes / 1024),
             "16D-8C MCN bulk-copy",
-            move || {
-                let params = WorkloadParams {
-                    threads_per_dimm: 1,
-                    ..WorkloadParams::small(16)
-                };
-                let wl = synth::bulk_copy(&params, bytes / 8); // 8 concurrent pairs
-                let cfg = SystemConfig::nmp(16, 8).with_idc(IdcKind::CpuForwarding);
-                raw_run(&wl, &cfg)
-            },
+            // 8 concurrent pairs, each copying a share of the bytes.
+            move || raw_run(&synth::bulk_copy(&pairs, bytes / 8)),
         );
     }
 
     // (b) Aggregate NMP bandwidth vs IDC bandwidth at 16 DIMMs.
-    let messages = if args.quick { 2_000 } else { 20_000 };
+    let messages: usize = if args.quick { 2_000 } else { 20_000 };
+    let params = args.params(16);
     let local_idx = sweep.custom("uniform local traffic", "16D-8C MCN all-local", move || {
-        let params = WorkloadParams {
-            threads_per_dimm: 4,
-            ..WorkloadParams::small(16)
-        };
-        let local = synth::uniform_random(&params, messages, 0.0);
-        let cfg = SystemConfig::nmp(16, 8).with_idc(IdcKind::CpuForwarding);
-        raw_run(&local, &cfg)
+        raw_run(&synth::uniform_random(&params, messages, 0.0))
     });
 
     let out = run_sweep(sweep, &args);

@@ -12,7 +12,7 @@
 use dimm_link::config::{IdcKind, PlacementPolicy, SystemConfig};
 use dl_bench::sweep::Sweep;
 use dl_bench::{fmt_pct, fmt_x, geo, print_table, run_sweep, save_results, Args};
-use dl_workloads::{WorkloadKind, WorkloadParams};
+use dl_workloads::WorkloadKind;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -52,12 +52,7 @@ fn main() {
     let mut groups: Vec<(&str, WorkloadKind, usize, [usize; 5])> = Vec::new();
     for (cfg_name, base_cfg) in &configs {
         for &(kind, host_idx) in &hosts {
-            let params = WorkloadParams {
-                dimms: base_cfg.dimms,
-                scale: args.scale,
-                seed: args.seed,
-                ..WorkloadParams::small(base_cfg.dimms)
-            };
+            let params = args.params(base_cfg.dimms);
             // DL-rand: an affinity-oblivious runtime mapping — the situation
             // Algorithm 1 rescues (it profiles from exactly this start).
             let mut rand_cfg = base_cfg.clone().with_idc(IdcKind::DimmLink);

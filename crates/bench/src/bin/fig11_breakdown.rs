@@ -7,7 +7,7 @@
 use dimm_link::config::{IdcKind, SystemConfig};
 use dl_bench::sweep::Sweep;
 use dl_bench::{fmt_pct, print_table, run_sweep, save_results, Args};
-use dl_workloads::{WorkloadKind, WorkloadParams};
+use dl_workloads::WorkloadKind;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -27,12 +27,8 @@ fn main() {
     let cfg = SystemConfig::nmp(16, 8).with_idc(IdcKind::DimmLink);
 
     let mut sweep = Sweep::new("fig11_breakdown");
+    let params = args.params(16);
     for kind in WorkloadKind::P2P_SET {
-        let params = WorkloadParams {
-            scale: args.scale,
-            seed: args.seed,
-            ..WorkloadParams::small(16)
-        };
         sweep.simulate_optimized(format!("{kind} / DL-opt"), kind, params, cfg.clone());
     }
     let result = run_sweep(sweep, &args);

@@ -37,13 +37,11 @@ fn main() {
     let mut sweep = Sweep::new("fig12_broadcast");
     // (workload, MCN index, [ABC, AIM, DL] indices)
     let mut groups = Vec::new();
+    let params = WorkloadParams {
+        broadcast: true,
+        ..args.params(16)
+    };
     for kind in WorkloadKind::BROADCAST_SET {
-        let params = WorkloadParams {
-            scale: args.scale,
-            seed: args.seed,
-            broadcast: true,
-            ..WorkloadParams::small(16)
-        };
         let mcn = sweep.simulate(
             format!("2DPC / {kind}-BC / MCN-BC"),
             kind,
@@ -64,13 +62,11 @@ fn main() {
         groups.push((kind, mcn, idx));
     }
     let mut groups3 = Vec::new();
+    let params = WorkloadParams {
+        broadcast: true,
+        ..args.params(12)
+    };
     for kind in WorkloadKind::BROADCAST_SET {
-        let params = WorkloadParams {
-            scale: args.scale,
-            seed: args.seed,
-            broadcast: true,
-            ..WorkloadParams::small(12)
-        };
         let idx: Vec<usize> = [
             ("MCN-BC", IdcKind::CpuForwarding),
             ("ABC-3DPC", IdcKind::AbcDimm),

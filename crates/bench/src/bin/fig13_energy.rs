@@ -7,7 +7,7 @@
 use dimm_link::config::{IdcKind, SystemConfig};
 use dl_bench::sweep::Sweep;
 use dl_bench::{fmt_x, geo, print_table, run_sweep, save_results, Args};
-use dl_workloads::{WorkloadKind, WorkloadParams};
+use dl_workloads::WorkloadKind;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -38,12 +38,8 @@ fn main() {
     let base = SystemConfig::nmp(16, 8);
 
     let mut sweep = Sweep::new("fig13_energy");
+    let params = args.params(16);
     for kind in WorkloadKind::P2P_SET {
-        let params = WorkloadParams {
-            scale: args.scale,
-            seed: args.seed,
-            ..WorkloadParams::small(16)
-        };
         for (name, idc) in SYSTEMS {
             sweep.simulate(
                 format!("{kind} / {name}"),
@@ -59,8 +55,10 @@ fn main() {
     let mut out = Vec::new();
     let mut ratios_mcn = Vec::new();
     let mut ratios_aim = Vec::new();
-    for (w, kind) in WorkloadKind::P2P_SET.iter().enumerate() {
-        let runs = &result.records[w * SYSTEMS.len()..(w + 1) * SYSTEMS.len()];
+    for (kind, runs) in WorkloadKind::P2P_SET
+        .iter()
+        .zip(result.records.chunks(SYSTEMS.len()))
+    {
         let totals: Vec<f64> = runs.iter().map(|r| r.energy.total()).collect();
         ratios_mcn.push(totals[0] / totals[2]);
         ratios_aim.push(totals[1] / totals[2]);

@@ -43,22 +43,15 @@ fn main() {
     // (a) Interval sweep: the synthetic workload comes from `synth`, not
     // from a WorkloadKind, so these are custom points.
     let intervals = [500u32, 1000, 2000, 5000, 10000];
-    let rounds = if args.quick { 40 } else { 200 };
+    let rounds: usize = if args.quick { 40 } else { 200 };
+    let params = args.params(16);
     for &interval in &intervals {
-        let params = WorkloadParams {
-            scale: args.scale,
-            seed: args.seed,
-            ..WorkloadParams::small(16)
-        };
         for (name, cfg) in &systems {
             let cfg = cfg.clone();
             sweep.custom(
                 format!("interval {interval} / {name}"),
                 format!("16D-8C {} sync-sweep", cfg.idc),
-                move || {
-                    let wl = synth::sync_sweep(&params, interval, rounds);
-                    simulate(&wl, &cfg)
-                },
+                move || simulate(&synth::sync_sweep(&params, interval, rounds), &cfg),
             );
         }
     }
@@ -68,10 +61,8 @@ fn main() {
     // length, so this experiment caps the scale at the sync-rich regime.
     let ts_params = WorkloadParams {
         scale: args.scale.min(11),
-        seed: args.seed,
-        ..WorkloadParams::small(16)
+        ..args.params(16)
     };
-    let ts_base = sweep.len();
     for (name, cfg) in &systems {
         sweep.simulate(
             format!("ts.pow / {name}"),
@@ -82,14 +73,17 @@ fn main() {
     }
 
     let out = run_sweep(sweep, &args);
-    let elapsed = |i: usize| out.records[i].elapsed_f64();
+    // One run per system, in `systems` order: one group per interval, then
+    // TS.Pow.
+    let groups: Vec<[f64; 4]> = out
+        .records
+        .chunks(systems.len())
+        .map(|runs| [0, 1, 2, 3].map(|i| runs[i].elapsed_f64()))
+        .collect();
 
     let mut rows = Vec::new();
     let mut points = Vec::new();
-    for (n, &interval) in intervals.iter().enumerate() {
-        let i = n * systems.len();
-        let (t_hier, t_central, t_mcn, t_aim) =
-            (elapsed(i), elapsed(i + 1), elapsed(i + 2), elapsed(i + 3));
+    for (&interval, &[t_hier, t_central, t_mcn, t_aim]) in intervals.iter().zip(&groups) {
         rows.push(vec![
             interval.to_string(),
             fmt_x(t_mcn / t_hier),
@@ -109,14 +103,14 @@ fn main() {
         &rows,
     );
 
-    let t_hier = elapsed(ts_base);
+    let [t_hier, t_central, t_mcn, t_aim] = groups[intervals.len()];
     print_table(
         "Fig.14(b) TS.Pow end-to-end (paper: DL-Hier 1.46-1.74x over MCN)",
         &["system", "speedup of DL-Hier"],
         &[
-            vec!["vs MCN".into(), fmt_x(elapsed(ts_base + 2) / t_hier)],
-            vec!["vs AIM".into(), fmt_x(elapsed(ts_base + 3) / t_hier)],
-            vec!["vs DL-Central".into(), fmt_x(elapsed(ts_base + 1) / t_hier)],
+            vec!["vs MCN".into(), fmt_x(t_mcn / t_hier)],
+            vec!["vs AIM".into(), fmt_x(t_aim / t_hier)],
+            vec!["vs DL-Central".into(), fmt_x(t_central / t_hier)],
         ],
     );
     save_results("fig14_sync", &points);

@@ -8,7 +8,7 @@
 use dimm_link::config::{IdcKind, PollingStrategy, SystemConfig};
 use dl_bench::sweep::Sweep;
 use dl_bench::{fmt_pct, fmt_x, geo, print_table, run_sweep, save_results, Args};
-use dl_workloads::{WorkloadKind, WorkloadParams};
+use dl_workloads::WorkloadKind;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -33,12 +33,8 @@ fn main() {
     ];
 
     let mut sweep = Sweep::new("fig15_polling");
+    let params = args.params(16);
     for kind in WorkloadKind::P2P_SET {
-        let params = WorkloadParams {
-            scale: args.scale,
-            seed: args.seed,
-            ..WorkloadParams::small(16)
-        };
         for &strat in &strategies {
             let mut cfg = SystemConfig::nmp(16, 8).with_idc(IdcKind::DimmLink);
             cfg.polling = strat;
@@ -50,8 +46,7 @@ fn main() {
     // Per-strategy speedups vs Base, per workload, plus occupancy.
     let mut per_strategy: Vec<Vec<f64>> = vec![Vec::new(); strategies.len()];
     let mut occupancy: Vec<Vec<f64>> = vec![Vec::new(); strategies.len()];
-    for w in 0..WorkloadKind::P2P_SET.len() {
-        let runs = &result.records[w * strategies.len()..(w + 1) * strategies.len()];
+    for runs in result.records.chunks(strategies.len()) {
         for (i, r) in runs.iter().enumerate() {
             per_strategy[i].push(runs[0].elapsed_f64() / r.elapsed_f64());
             occupancy[i].push(r.bus_occupancy());

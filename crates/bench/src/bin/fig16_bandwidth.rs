@@ -7,7 +7,7 @@
 use dimm_link::config::{IdcKind, SystemConfig};
 use dl_bench::sweep::Sweep;
 use dl_bench::{fmt_x, print_table, run_sweep, save_results, Args};
-use dl_workloads::{WorkloadKind, WorkloadParams};
+use dl_workloads::WorkloadKind;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -31,12 +31,8 @@ fn main() {
 
     let mut sweep = Sweep::new("fig16_bandwidth");
     for (cfg_name, dimms, channels) in configs {
+        let params = args.params(dimms);
         for kind in workloads {
-            let params = WorkloadParams {
-                scale: args.scale,
-                seed: args.seed,
-                ..WorkloadParams::small(dimms)
-            };
             for &gb in bandwidths {
                 let mut cfg = SystemConfig::nmp(dimms, channels).with_idc(IdcKind::DimmLink);
                 cfg.link = cfg.link.with_bandwidth(gb * 1_000_000_000);
@@ -52,15 +48,14 @@ fn main() {
     let result = run_sweep(sweep, &args);
 
     let mut out = Vec::new();
-    let mut idx = 0;
-    for (cfg_name, _, _) in configs {
+    let per_config = workloads.len() * bandwidths.len();
+    for ((cfg_name, _, _), runs) in configs.iter().zip(result.records.chunks(per_config)) {
         let mut rows = Vec::new();
-        for kind in workloads {
+        for (kind, runs) in workloads.iter().zip(runs.chunks(bandwidths.len())) {
             let mut row = vec![kind.to_string()];
-            let base_ps = result.records[idx].elapsed_f64();
-            for &gb in bandwidths {
-                let s = base_ps / result.records[idx].elapsed_f64();
-                idx += 1;
+            let base_ps = runs[0].elapsed_f64();
+            for (&gb, r) in bandwidths.iter().zip(runs) {
+                let s = base_ps / r.elapsed_f64();
                 row.push(fmt_x(s));
                 out.push(Point {
                     config: cfg_name.to_string(),

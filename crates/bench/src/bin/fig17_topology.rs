@@ -5,10 +5,10 @@
 
 use dimm_link::config::{IdcKind, SystemConfig};
 use dimm_link::runner::simulate;
-use dl_bench::sweep::Sweep;
+use dl_bench::sweep::{RunRecord, Sweep};
 use dl_bench::{fmt_x, geo, print_table, run_sweep, save_results, Args};
 use dl_noc::TopologyKind;
-use dl_workloads::{WorkloadKind, WorkloadParams};
+use dl_workloads::{synth, WorkloadKind};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -39,12 +39,8 @@ fn main() {
     ];
 
     let mut sweep = Sweep::new("fig17_topology");
+    let params = args.params(16);
     for kind in WorkloadKind::P2P_SET {
-        let params = WorkloadParams {
-            scale: args.scale,
-            seed: args.seed,
-            ..WorkloadParams::small(16)
-        };
         for topo in all_topos {
             sweep.simulate(format!("{kind} / {topo:?}"), kind, params, cfg_with(topo));
         }
@@ -54,35 +50,25 @@ fn main() {
     // the inter-group host path hides intra-group hop savings; a single
     // 16-DIMM group (chain diameter 15) under a uniform IDC stress exposes
     // exactly the congestion/diameter problem Section VI discusses.
-    let stress_base = sweep.len();
-    {
-        let params = WorkloadParams {
-            scale: args.scale,
-            seed: args.seed,
-            ..WorkloadParams::small(16)
-        };
-        let messages = if args.quick { 500 } else { 4000 };
-        for topo in all_topos {
-            let mut cfg = cfg_with(topo);
-            cfg.groups = 1;
-            sweep.custom(
-                format!("uniform-stress / {topo:?}"),
-                format!("16D-8C single-group {topo:?}"),
-                move || {
-                    let stress = dl_workloads::synth::uniform_random(&params, messages, 0.9);
-                    simulate(&stress, &cfg)
-                },
-            );
-        }
+    let messages: usize = if args.quick { 500 } else { 4000 };
+    for topo in all_topos {
+        let mut cfg = cfg_with(topo);
+        cfg.groups = 1;
+        sweep.custom(
+            format!("uniform-stress / {topo:?}"),
+            format!("16D-8C single-group {topo:?}"),
+            move || simulate(&synth::uniform_random(&params, messages, 0.9), &cfg),
+        );
     }
 
     let out = run_sweep(sweep, &args);
+    // One run per topology: one group per workload, then the stress test.
+    let groups: Vec<&[RunRecord]> = out.records.chunks(all_topos.len()).collect();
 
     let mut rows = Vec::new();
     let mut json = Vec::new();
     let mut per_topo: Vec<Vec<f64>> = vec![Vec::new(); all_topos.len() - 1];
-    for (w, kind) in WorkloadKind::P2P_SET.iter().enumerate() {
-        let runs = &out.records[w * all_topos.len()..(w + 1) * all_topos.len()];
+    for (kind, runs) in WorkloadKind::P2P_SET.iter().zip(&groups) {
         let base = runs[0].elapsed_f64();
         let mut speeds = Vec::new();
         for (i, r) in runs[1..].iter().enumerate() {
@@ -115,7 +101,7 @@ fn main() {
         &rows,
     );
 
-    let stress = &out.records[stress_base..stress_base + all_topos.len()];
+    let stress = groups[WorkloadKind::P2P_SET.len()];
     let base = stress[0].elapsed_f64();
     let mut srow = vec!["uniform-IDC stress".to_string()];
     for r in &stress[1..] {

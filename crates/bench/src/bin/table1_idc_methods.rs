@@ -8,7 +8,6 @@ use dimm_link::config::{IdcKind, SystemConfig};
 use dimm_link::host::HostPath;
 use dimm_link::idc::Interconnect;
 use dimm_link::runner::RunResult;
-use dimm_link::EnergyBreakdown;
 use dl_bench::sweep::Sweep;
 use dl_bench::{gbps, print_table, run_sweep, save_results, Args};
 use dl_engine::stats::StatSet;
@@ -65,13 +64,7 @@ fn measure(kind: IdcKind, packets: u64) -> RunResult {
             next[pair] = next[pair].max(earliest);
         }
     }
-    RunResult {
-        elapsed: last,
-        profiling: Ps::ZERO,
-        stats: StatSet::new(),
-        energy: EnergyBreakdown::default(),
-        status: dl_engine::RunStatus::Completed,
-    }
+    RunResult::measured(last, StatSet::new())
 }
 
 fn main() {

@@ -40,7 +40,6 @@
 
 use crate::sweep::{RunRecord, Sweep};
 use dimm_link::runner::RunResult;
-use dimm_link::EnergyBreakdown;
 use dl_engine::stats::StatSet;
 use dl_engine::{DetRng, Ps};
 use dl_noc::{
@@ -252,30 +251,43 @@ impl CaseMeasurement {
 /// Runs one case through both models.
 pub fn run_case(case: &FidelityCase) -> CaseMeasurement {
     let ops = ops_for(case);
-    let topo = Topology::new(case.kind, case.nodes);
+    let (packet, link_bytes) = packet_level(case.kind, case.nodes, &ops);
+    CaseMeasurement {
+        packet,
+        flit: flit_level(case.kind, case.nodes, &ops),
+        link_bytes,
+    }
+}
 
-    // Packet level: all operations issued at t = 0.
-    let mut pnet = PacketNet::new(&topo, LinkParams::grs_25gbps());
-    let mut packet = Ps::ZERO;
-    for op in &ops {
+/// Sends every operation at t = 0 over a `PacketNet` of `nodes` nodes;
+/// returns the makespan and the bytes moved across all links.
+pub fn packet_level(kind: TopologyKind, nodes: usize, ops: &[Op]) -> (Ps, u64) {
+    let mut pnet = PacketNet::new(&Topology::new(kind, nodes), LinkParams::grs_25gbps());
+    let mut makespan = Ps::ZERO;
+    for op in ops {
         match *op {
             Op::Unicast { src, dst, flits } => {
-                packet =
-                    packet.max(pnet.send(Ps::ZERO, src, dst, flits as u64 * FLIT_BYTES as u64));
+                makespan =
+                    makespan.max(pnet.send(Ps::ZERO, src, dst, flits as u64 * FLIT_BYTES as u64));
             }
             Op::Broadcast { src, flits } => {
                 let arrivals = pnet.broadcast(Ps::ZERO, src, flits as u64 * FLIT_BYTES as u64);
                 for (node, a) in arrivals.iter().enumerate() {
                     if node != src {
-                        packet = packet.max(*a);
+                        makespan = makespan.max(*a);
                     }
                 }
             }
         }
     }
+    (makespan, pnet.link_bytes())
+}
 
-    // Flit level: same operations injected at cycle 0.
-    let mut fnet = FlitNet::new(&topo, FlitNetConfig::for_topology(case.kind));
+/// Injects every operation at cycle 0 into a `FlitNet` of `nodes` nodes
+/// (the topology's deadlock-safe configuration); returns the makespan.
+pub fn flit_level(kind: TopologyKind, nodes: usize, ops: &[Op]) -> Ps {
+    let topo = Topology::new(kind, nodes);
+    let mut fnet = FlitNet::new(&topo, FlitNetConfig::for_topology(kind));
     for (i, op) in ops.iter().enumerate() {
         match *op {
             Op::Unicast { src, dst, flits } => {
@@ -286,12 +298,7 @@ pub fn run_case(case: &FidelityCase) -> CaseMeasurement {
     }
     let deliveries = fnet.run_until_idle(50_000_000);
     let last = deliveries.iter().map(|d| d.cycle).max().unwrap_or(0);
-
-    CaseMeasurement {
-        packet,
-        flit: fnet.time_of(last),
-        link_bytes: pnet.link_bytes(),
-    }
+    fnet.time_of(last)
 }
 
 /// The randomized differential suite: every topology × scale × pattern ×
@@ -342,13 +349,7 @@ pub fn build_sweep(cases: &[FidelityCase]) -> Sweep {
                 stats.set("fidelity.bw_rel_err", m.bw_rel_err());
                 stats.set("fidelity.link_bytes", m.link_bytes as f64);
                 stats.set("fidelity.in_bound", if m.in_bound() { 1.0 } else { 0.0 });
-                RunResult {
-                    elapsed: m.flit,
-                    profiling: Ps::ZERO,
-                    stats,
-                    energy: EnergyBreakdown::default(),
-                    status: dl_engine::RunStatus::Completed,
-                }
+                RunResult::measured(m.flit, stats)
             },
         );
     }
@@ -471,13 +472,13 @@ mod tests {
             TopologyKind::Mesh,
             TopologyKind::Torus,
         ] {
-            let topo = Topology::new(kind, 8);
-            let mut pnet = PacketNet::new(&topo, LinkParams::grs_25gbps());
-            let packet = pnet.send(Ps::ZERO, 0, 5, MAX_FLITS as u64 * FLIT_BYTES as u64);
-            let mut fnet = FlitNet::new(&topo, FlitNetConfig::for_topology(kind));
-            fnet.inject(0, 0, 5, MAX_FLITS);
-            let done = fnet.run_until_idle(1_000_000);
-            let flit = fnet.time_of(done[0].cycle);
+            let op = [Op::Unicast {
+                src: 0,
+                dst: 5,
+                flits: MAX_FLITS,
+            }];
+            let (packet, _) = packet_level(kind, 8, &op);
+            let flit = flit_level(kind, 8, &op);
             let m = CaseMeasurement {
                 packet,
                 flit,

@@ -18,6 +18,7 @@ pub mod sweep;
 
 use dl_engine::stats::geomean;
 use dl_engine::Ps;
+use dl_workloads::WorkloadParams;
 use serde::Serialize;
 use std::io;
 use std::path::Path;
@@ -120,6 +121,16 @@ impl Args {
             ));
         }
         Ok(args)
+    }
+
+    /// The workload parameters of a point on `dimms` DIMMs: `--scale` and
+    /// `--seed` on top of [`WorkloadParams::small`].
+    pub fn params(&self, dimms: usize) -> WorkloadParams {
+        WorkloadParams {
+            scale: self.scale,
+            seed: self.seed,
+            ..WorkloadParams::small(dimms)
+        }
     }
 
     /// The sweep options these arguments describe.

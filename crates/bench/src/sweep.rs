@@ -696,13 +696,7 @@ fn execute(job: &Job) -> RunResult {
         }
         Job::HostBaseline { kind, scale, seed } => {
             let host = host_baseline(*kind, *scale, *seed);
-            RunResult {
-                elapsed: host.elapsed,
-                profiling: Ps::ZERO,
-                stats: host.stats,
-                energy: EnergyBreakdown::default(),
-                status: RunStatus::Completed,
-            }
+            RunResult::measured(host.elapsed, host.stats)
         }
         Job::Custom(f) => f(),
     }
@@ -843,13 +837,7 @@ mod tests {
     fn custom_result(ps: u64) -> RunResult {
         let mut stats = StatSet::new();
         stats.set("point.value", ps as f64);
-        RunResult {
-            elapsed: Ps::from_ps(ps),
-            profiling: Ps::ZERO,
-            stats,
-            energy: EnergyBreakdown::default(),
-            status: RunStatus::Completed,
-        }
+        RunResult::measured(Ps::from_ps(ps), stats)
     }
 
     fn quiet() -> SweepOptions {

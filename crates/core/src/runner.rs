@@ -26,6 +26,19 @@ pub struct RunResult {
 }
 
 impl RunResult {
+    /// A result measured outside the NMP runner (the host baseline, a
+    /// microbenchmark, a model cross-check): no profiling phase, no energy,
+    /// completed.
+    pub fn measured(elapsed: Ps, stats: StatSet) -> Self {
+        RunResult {
+            elapsed,
+            profiling: Ps::ZERO,
+            stats,
+            energy: EnergyBreakdown::default(),
+            status: RunStatus::Completed,
+        }
+    }
+
     /// Fraction of core time stalled on non-overlapped IDC.
     pub fn idc_stall_frac(&self) -> f64 {
         idc_stall_frac(&self.stats)
