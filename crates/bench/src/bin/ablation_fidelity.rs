@@ -74,18 +74,24 @@ fn main() {
     // cycle-accurate flit-level cross-check.
     let mut sweep = Sweep::new("ablation_fidelity");
     for (name, pairs) in &patterns {
-        let ops = chain8(pairs);
-        sweep.custom(format!("{name} / packet"), "chain-8 packet-level", {
-            let ops = ops.clone();
-            move || {
-                let (makespan, _) = fidelity::packet_level(TopologyKind::Chain, 8, &ops);
+        sweep.custom(
+            format!("{name} / packet"),
+            "chain-8 packet-level",
+            pairs.clone(),
+            |pairs| {
+                let (makespan, _) = fidelity::packet_level(TopologyKind::Chain, 8, &chain8(pairs));
                 RunResult::measured(makespan, StatSet::new())
-            }
-        });
-        sweep.custom(format!("{name} / flit"), "chain-8 flit-level", move || {
-            let makespan = fidelity::flit_level(TopologyKind::Chain, 8, &ops);
-            RunResult::measured(makespan, StatSet::new())
-        });
+            },
+        );
+        sweep.custom(
+            format!("{name} / flit"),
+            "chain-8 flit-level",
+            pairs.clone(),
+            |pairs| {
+                let makespan = fidelity::flit_level(TopologyKind::Chain, 8, &chain8(pairs));
+                RunResult::measured(makespan, StatSet::new())
+            },
+        );
     }
     let result = run_sweep(sweep, &args);
 

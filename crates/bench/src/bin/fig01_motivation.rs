@@ -59,17 +59,20 @@ fn main() {
         sweep.custom(
             format!("bulk-copy {} KiB", bytes / 1024),
             "16D-8C MCN bulk-copy",
+            (pairs, bytes),
             // 8 concurrent pairs, each copying a share of the bytes.
-            move || raw_run(&synth::bulk_copy(&pairs, bytes / 8)),
+            |(params, bytes)| raw_run(&synth::bulk_copy(params, bytes / 8)),
         );
     }
 
     // (b) Aggregate NMP bandwidth vs IDC bandwidth at 16 DIMMs.
     let messages: usize = if args.quick { 2_000 } else { 20_000 };
-    let params = args.params(16);
-    let local_idx = sweep.custom("uniform local traffic", "16D-8C MCN all-local", move || {
-        raw_run(&synth::uniform_random(&params, messages, 0.0))
-    });
+    let local_idx = sweep.custom(
+        "uniform local traffic",
+        "16D-8C MCN all-local",
+        (args.params(16), messages),
+        |(params, messages)| raw_run(&synth::uniform_random(params, *messages, 0.0)),
+    );
 
     let out = run_sweep(sweep, &args);
 

@@ -47,11 +47,13 @@ fn main() {
     let params = args.params(16);
     for &interval in &intervals {
         for (name, cfg) in &systems {
-            let cfg = cfg.clone();
             sweep.custom(
                 format!("interval {interval} / {name}"),
                 format!("16D-8C {} sync-sweep", cfg.idc),
-                move || simulate(&synth::sync_sweep(&params, interval, rounds), &cfg),
+                ((params, cfg.clone()), (interval, rounds)),
+                |((params, cfg), (interval, rounds))| {
+                    simulate(&synth::sync_sweep(params, *interval, *rounds), cfg)
+                },
             );
         }
     }

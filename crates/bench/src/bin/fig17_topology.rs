@@ -57,7 +57,10 @@ fn main() {
         sweep.custom(
             format!("uniform-stress / {topo:?}"),
             format!("16D-8C single-group {topo:?}"),
-            move || simulate(&synth::uniform_random(&params, messages, 0.9), &cfg),
+            ((params, messages), cfg),
+            |((params, messages), cfg)| {
+                simulate(&synth::uniform_random(params, *messages, 0.9), cfg)
+            },
         );
     }
 

@@ -39,7 +39,7 @@ const WINDOW: usize = 32;
 /// earliest arrival. Sends are issued in time order (the pair with the
 /// earliest next send first, ties to the lower pair), so no reservation
 /// lands behind a shared resource's pruned horizon.
-fn measure(kind: IdcKind, packets: u64) -> RunResult {
+fn measure(&(kind, packets): &(IdcKind, u64)) -> RunResult {
     let cfg = SystemConfig::nmp(16, 8).with_idc(kind);
     let mut idc = Interconnect::new(&cfg);
     let mut host = HostPath::new(&cfg, &idc.proxy_channels(&cfg));
@@ -90,7 +90,8 @@ fn main() {
         sweep.custom(
             format!("{kind} / stream"),
             format!("16D-8C {kind} saturating stream"),
-            move || measure(kind, packets),
+            (kind, packets),
+            measure,
         );
     }
     let result = run_sweep(sweep, &args);

@@ -335,12 +335,12 @@ pub fn default_suite(seeds: u64) -> Vec<FidelityCase> {
 pub fn build_sweep(cases: &[FidelityCase]) -> Sweep {
     let mut sweep = Sweep::new("fidelity_diff");
     for case in cases {
-        let case = *case;
         sweep.custom(
             case.label(),
             format!("{} n={} differential", case.kind, case.nodes),
-            move || {
-                let m = run_case(&case);
+            *case,
+            |case| {
+                let m = run_case(case);
                 let mut stats = StatSet::new();
                 stats.set("fidelity.packet_ps", m.packet.as_ps() as f64);
                 stats.set("fidelity.flit_ps", m.flit.as_ps() as f64);

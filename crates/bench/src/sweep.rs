@@ -22,7 +22,8 @@
 //!
 //! * every finished point is appended **immediately** to a journal
 //!   (`<out>/<name>.journal.jsonl`, one fsync'd line per point keyed by a
-//!   content hash of the point's label, config, and job parameters);
+//!   content hash of the point's label, config, and job parameters — for a
+//!   custom point, the inputs its function reads);
 //! * with [`SweepOptions::resume`], journaled points are loaded instead of
 //!   re-simulated, and the final artifact is still emitted in submission
 //!   order — byte-identical to an uninterrupted run at any thread count;
@@ -102,9 +103,14 @@ pub enum Job {
         seed: u64,
     },
     /// Anything else (raw `NmpSystem` runs, IDC microbenchmarks, model
-    /// cross-checks). The closure must be deterministic to keep the sweep
-    /// artifact thread-count-independent.
-    Custom(Box<dyn Fn() -> RunResult + Send + Sync>),
+    /// cross-checks), built by [`Sweep::custom`] from a function of its
+    /// inputs alone.
+    Custom {
+        /// The serialized inputs, which name everything `run` reads.
+        inputs: String,
+        /// The function applied to those inputs.
+        run: Box<dyn Fn() -> RunResult + Send + Sync>,
+    },
 }
 
 /// A labelled unit of work in a sweep.
@@ -394,17 +400,25 @@ impl Sweep {
         })
     }
 
-    /// Submits an arbitrary deterministic closure as a point.
-    pub fn custom(
+    /// Submits `run(&inputs)` as a point. `run` is a plain function, not a
+    /// capturing closure, so everything it reads comes from `inputs`, and
+    /// the serialized `inputs` go into the journal key: a point whose inputs
+    /// change is never resumed from a stale entry. `run` must be
+    /// deterministic to keep the artifact thread-count-independent.
+    pub fn custom<I: Serialize + Send + Sync + 'static>(
         &mut self,
         label: impl Into<String>,
         config: impl Into<String>,
-        f: impl Fn() -> RunResult + Send + Sync + 'static,
+        inputs: I,
+        run: fn(&I) -> RunResult,
     ) -> usize {
         self.push(SweepPoint {
             label: label.into(),
             config: config.into(),
-            job: Job::Custom(Box::new(f)),
+            job: Job::Custom {
+                inputs: serde_json::to_string(&inputs).unwrap_or_default(),
+                run: Box::new(move || run(&inputs)),
+            },
         })
     }
 
@@ -698,7 +712,7 @@ fn execute(job: &Job) -> RunResult {
             let host = host_baseline(*kind, *scale, *seed);
             RunResult::measured(host.elapsed, host.stats)
         }
-        Job::Custom(f) => f(),
+        Job::Custom { run, .. } => run(),
     }
 }
 
@@ -730,8 +744,7 @@ fn fnv1a64(parts: &[&[u8]]) -> u64 {
 /// Content hash identifying a sweep point across process restarts: label,
 /// config summary, and the full job parameters (for `Simulate`, the
 /// serialized workload parameters and `SystemConfig` — including any
-/// engine budget). A `Custom` closure cannot be fingerprinted, so its
-/// label and config must identify it (true for every figure binary).
+/// simulated-time cap; for `Custom`, the serialized inputs).
 fn point_key(p: &SweepPoint) -> String {
     let fingerprint = match &p.job {
         Job::Simulate {
@@ -745,7 +758,7 @@ fn point_key(p: &SweepPoint) -> String {
             serde_json::to_string(cfg.as_ref()).unwrap_or_default(),
         ),
         Job::HostBaseline { kind, scale, seed } => format!("host:{kind}:{scale}:{seed}"),
-        Job::Custom(_) => "custom".to_string(),
+        Job::Custom { inputs, .. } => format!("custom:{inputs}"),
     };
     format!(
         "{:016x}",
@@ -857,7 +870,7 @@ mod tests {
         // order inverts the submission order; the records must not.
         let mut sweep = Sweep::new("order");
         for i in 0..12u64 {
-            sweep.custom(format!("p{i}"), "test", move || {
+            sweep.custom(format!("p{i}"), "test", i, |&i| {
                 std::thread::sleep(std::time::Duration::from_millis(12 - i));
                 custom_result(i)
             });
@@ -924,7 +937,7 @@ mod tests {
         let file = temp_dir("unwritable");
         std::fs::write(&file, "").unwrap();
         let mut sweep = Sweep::new("unwritable");
-        sweep.custom("ok", "test", || custom_result(1));
+        sweep.custom("ok", "test", 1, |&ps| custom_result(ps));
         let err = sweep
             .run_with(&SweepOptions {
                 out_dir: Some(file.join("sub")),
@@ -948,8 +961,8 @@ mod tests {
     #[test]
     fn panicking_point_is_a_labeled_error() {
         let mut sweep = Sweep::new("boom");
-        sweep.custom("fine", "test", || custom_result(1));
-        sweep.custom("exploder", "test", || panic!("intentional test panic"));
+        sweep.custom("fine", "test", 1, |&ps| custom_result(ps));
+        sweep.custom("exploder", "test", 2, |_| panic!("intentional test panic"));
         let err = sweep
             .run_with(&SweepOptions {
                 threads: Some(2),
@@ -967,9 +980,9 @@ mod tests {
         // A panic used to poison the pool and throw away every record;
         // now every other point still runs and is reported.
         let mut sweep = Sweep::new("poison");
-        sweep.custom("bang", "test", || panic!("first point dies"));
+        sweep.custom("bang", "test", 0, |_| panic!("first point dies"));
         for i in 0..8u64 {
-            sweep.custom(format!("later{i}"), "test", move || custom_result(i));
+            sweep.custom(format!("later{i}"), "test", i, |&i| custom_result(i));
         }
         let err = sweep
             .run_with(&SweepOptions {
@@ -987,15 +1000,15 @@ mod tests {
         let dir = temp_dir("preserve");
         let build = |fixed: bool| {
             let mut sweep = Sweep::new("preserve");
-            sweep.custom("ok1", "test", || custom_result(10));
-            sweep.custom("flaky", "test", move || {
+            sweep.custom("ok1", "test", 10, |&ps| custom_result(ps));
+            sweep.custom("flaky", "test", fixed, |&fixed| {
                 if fixed {
                     custom_result(20)
                 } else {
                     panic!("deliberate failure")
                 }
             });
-            sweep.custom("ok2", "test", || custom_result(30));
+            sweep.custom("ok2", "test", 30, |&ps| custom_result(ps));
             sweep
         };
         let opts = |resume: bool| SweepOptions {
@@ -1145,6 +1158,22 @@ mod tests {
         c.simulate("p", WorkloadKind::Bfs, params, cfg);
         c.cap_sim_time(Ps::from_us(10));
         assert_ne!(point_key(&a.points[0]), point_key(&c.points[0]));
+    }
+
+    #[test]
+    fn journal_keys_of_custom_points_cover_their_inputs() {
+        // Two custom points with the same label and config that read
+        // different inputs (say `fig14_sync`'s round count with and without
+        // `--quick`) must not share a journal entry.
+        let point = |rounds: u64| {
+            let mut s = Sweep::new("keys");
+            s.custom("interval 500 / DL-Hier", "16D-8C", rounds, |&r| {
+                custom_result(r)
+            });
+            point_key(&s.points[0])
+        };
+        assert_eq!(point(40), point(40));
+        assert_ne!(point(40), point(200));
     }
 
     #[test]
