@@ -6,7 +6,7 @@
 
 use dimm_link::energy::LINK_PJ_PER_BIT;
 use dl_bench::print_table;
-use dl_noc::LinkParams;
+use dl_noc::{LinkParams, HOP_LATENCY, ROUTER_LATENCY};
 
 fn main() {
     print_table(
@@ -46,8 +46,8 @@ fn main() {
                 "link bandwidth/direction".into(),
                 format!("{} GB/s", link.bytes_per_sec / 1_000_000_000),
             ],
-            vec!["hop latency".into(), link.hop_latency.to_string()],
-            vec!["router latency".into(), link.router_latency.to_string()],
+            vec!["hop latency".into(), HOP_LATENCY.to_string()],
+            vec!["router latency".into(), ROUTER_LATENCY.to_string()],
             vec!["link energy".into(), format!("{LINK_PJ_PER_BIT} pJ/b")],
         ],
     );

@@ -16,7 +16,7 @@
 //!
 //! * **Endpoint pipeline accounting.** `FlitNet` charges the full
 //!   13-cycle wire/router pipeline on every hop including the last, while
-//!   `PacketNet` charges `router_latency` only at intermediate routers —
+//!   `PacketNet` charges `ROUTER_LATENCY` only at intermediate routers —
 //!   a fixed ≈3 ns offset per case, dominant for short single-packet
 //!   cases. This is covered by [`ABS_ERR_FLOOR`].
 //! * **Cycle quantization.** 8 ns of per-hop latency rounds up to 13

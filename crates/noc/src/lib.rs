@@ -47,7 +47,7 @@ pub mod packetnet;
 pub mod topology;
 
 pub use flitnet::{Delivery, FlitNet, FlitNetConfig, PacketRef};
-pub use packetnet::{LinkParams, PacketNet};
+pub use packetnet::{LinkParams, PacketNet, HOP_LATENCY, ROUTER_LATENCY};
 pub use topology::{LinkId, Topology, TopologyKind};
 
 /// Size of one flit in bytes (128 bits).

@@ -13,35 +13,32 @@ fn head_flit_bytes(bytes: u64) -> u64 {
     (FLIT_BYTES as u64).min(bytes)
 }
 
-/// Physical parameters of one unidirectional SerDes link.
+/// Propagation + transceiver latency of one GRS link hop.
+pub const HOP_LATENCY: Ps = Ps::from_ns(5);
+/// Router pipeline latency added at every intermediate router
+/// (packetize/decode cost at the endpoints is charged by the caller).
+pub const ROUTER_LATENCY: Ps = Ps::from_ns(3);
+
+/// Physical parameters of one unidirectional SerDes link; its latencies
+/// are [`HOP_LATENCY`] and [`ROUTER_LATENCY`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct LinkParams {
     /// Usable bandwidth per direction, bytes per second.
     pub bytes_per_sec: u64,
-    /// Propagation + transceiver latency per hop.
-    pub hop_latency: Ps,
-    /// Router pipeline latency added at every intermediate router
-    /// (packetize/decode cost at the endpoints is charged by the caller).
-    pub router_latency: Ps,
 }
 
 impl LinkParams {
-    /// GRS-based DL-Bridge defaults: 25 GB/s per direction (the paper's
-    /// default DIMM-Link bandwidth), 5 ns hop propagation, 3 ns router.
+    /// GRS-based DL-Bridge default: 25 GB/s per direction (the paper's
+    /// default DIMM-Link bandwidth).
     pub fn grs_25gbps() -> Self {
         LinkParams {
             bytes_per_sec: 25_000_000_000,
-            hop_latency: Ps::from_ns(5),
-            router_latency: Ps::from_ns(3),
         }
     }
 
-    /// Same latencies with a different bandwidth (for the Fig. 16 sweep).
+    /// A different bandwidth (for the Fig. 16 sweep).
     pub fn with_bandwidth(self, bytes_per_sec: u64) -> Self {
-        LinkParams {
-            bytes_per_sec,
-            ..self
-        }
+        LinkParams { bytes_per_sec }
     }
 }
 
@@ -81,7 +78,6 @@ impl LinkParams {
 #[derive(Debug)]
 pub struct PacketNet {
     topo: Topology,
-    params: LinkParams,
     links: Vec<BandwidthResource>,
     packets_sent: u64,
     broadcasts_sent: u64,
@@ -99,7 +95,6 @@ impl PacketNet {
             .collect();
         PacketNet {
             topo: topo.clone(),
-            params,
             links,
             packets_sent: 0,
             broadcasts_sent: 0,
@@ -129,11 +124,11 @@ impl PacketNet {
             // the tail follows the full serialization. The tail only ever
             // moves later: a downstream link that happens to have early idle
             // gaps cannot finish before an upstream one.
-            head = start + flit_time + self.params.hop_latency;
+            head = start + flit_time + HOP_LATENCY;
             if i + 1 < route.len() {
-                head += self.params.router_latency;
+                head += ROUTER_LATENCY;
             }
-            tail = tail.max(end + self.params.hop_latency);
+            tail = tail.max(end + HOP_LATENCY);
         }
         tail.max(head)
     }
@@ -158,11 +153,11 @@ impl PacketNet {
             let launch = if parent == src {
                 heads[parent]
             } else {
-                heads[parent] + self.params.router_latency
+                heads[parent] + ROUTER_LATENCY
             };
             let (start, end) = self.links[link.0].transfer_split_with_start(launch, bytes);
-            heads[child] = start + flit_time + self.params.hop_latency;
-            arrivals[child] = (end + self.params.hop_latency).max(heads[child]);
+            heads[child] = start + flit_time + HOP_LATENCY;
+            arrivals[child] = (end + HOP_LATENCY).max(heads[child]);
             self.total_hops += 1;
         }
         arrivals
@@ -236,14 +231,13 @@ mod tests {
 
     #[test]
     fn latency_grows_with_hops_pipelined() {
-        let p = LinkParams::grs_25gbps();
         let mut n = net(TopologyKind::Chain, 8);
         let one_hop = n.send(Ps::ZERO, 0, 1, 272);
         let mut n2 = net(TopologyKind::Chain, 8);
         let seven_hops = n2.send(Ps::ZERO, 0, 7, 272);
         // Cut-through: extra hops add ~ (flit + hop + router), not a full
         // re-serialization of the packet.
-        let per_hop = n2.links_flit_time(272) + p.hop_latency + p.router_latency;
+        let per_hop = n2.links_flit_time(272) + HOP_LATENCY + ROUTER_LATENCY;
         let expected_extra = per_hop * 6;
         let extra = seven_hops - one_hop;
         assert!(extra >= per_hop * 5, "extra {extra} too small");
@@ -256,9 +250,8 @@ mod tests {
     #[test]
     fn serialization_matches_bandwidth() {
         let mut n = net(TopologyKind::Chain, 2);
-        let p = LinkParams::grs_25gbps();
         let arrival = n.send(Ps::ZERO, 0, 1, 25_000); // 25 kB at 25 GB/s = 1 us
-        assert_eq!(arrival, Ps::from_us(1) + p.hop_latency);
+        assert_eq!(arrival, Ps::from_us(1) + HOP_LATENCY);
     }
 
     #[test]
@@ -266,7 +259,7 @@ mod tests {
         let mut n = net(TopologyKind::Chain, 2);
         let a = n.send(Ps::ZERO, 0, 1, 1_000_000);
         let b = n.send(Ps::ZERO, 0, 1, 1_000_000);
-        assert!(b.as_ps() >= 2 * (a.as_ps() - LinkParams::grs_25gbps().hop_latency.as_ps()));
+        assert!(b.as_ps() >= 2 * (a.as_ps() - HOP_LATENCY.as_ps()));
         // Opposite direction is a distinct link: no contention.
         let c = n.send(Ps::ZERO, 1, 0, 1_000_000);
         assert_eq!(c, a);
@@ -298,7 +291,7 @@ mod tests {
 
     #[test]
     fn one_hop_broadcast_matches_one_hop_unicast() {
-        // Regression: broadcast used to charge router_latency on the first
+        // Regression: broadcast used to charge ROUTER_LATENCY on the first
         // hop out of the source, which `send` never does.
         let mut bc = net(TopologyKind::Chain, 2);
         let arrivals = bc.broadcast(Ps::ZERO, 0, 272);
