@@ -208,8 +208,8 @@ impl SystemConfig {
                 self.sync = SyncScheme::Hierarchical;
             }
             IdcKind::DimmLinkCxl => {
-                // No host involvement at all: polling is irrelevant (kept at
-                // Base so no proxy channels are registered).
+                // No host involvement at all: `HostPath` registers no polls.
+                // Proxy polling is DIMM-Link's alone (see `validate`).
                 self.polling = PollingStrategy::Base;
                 self.sync = SyncScheme::Hierarchical;
             }

@@ -58,16 +58,15 @@ pub fn energy_of(stats: &StatSet, elapsed: Ps, dimms: usize, idc: IdcKind) -> En
     let dram_j = g("dram.activates") * ACT_NJ * 1e-9 + dram_bytes * 8.0 * DRAM_PJ_PER_BIT * 1e-12;
     let bus_j = g("host.channel_bytes") * 8.0 * BUS_PJ_PER_BIT * 1e-12;
     // DIMM-Link+CXL moves its private bytes over the same SerDes links (its
-    // CXL fabric bytes are charged at their rate too) and involves no host
-    // CPU: its standing polls only keep proxy channels unregistered.
-    let (idc_pj, host_polls) = match idc {
-        IdcKind::DimmLink => (LINK_PJ_PER_BIT, g("host.polls")),
-        IdcKind::DimmLinkCxl => (LINK_PJ_PER_BIT, 0.0),
-        _ => (BUS_PJ_PER_BIT, g("host.polls")),
+    // CXL fabric bytes are charged at their rate too).
+    let idc_pj = match idc {
+        IdcKind::DimmLink | IdcKind::DimmLinkCxl => LINK_PJ_PER_BIT,
+        _ => BUS_PJ_PER_BIT,
     };
     let idc_j = g("idc.private_bytes") * 8.0 * idc_pj * 1e-12;
     let nmp_cores_j = NMP_WATTS_PER_DIMM * dimms as f64 * elapsed.as_secs_f64();
-    let host_j = g("host.fwd_packets") * FWD_NJ_PER_PACKET * 1e-9 + host_polls * POLL_NJ * 1e-9;
+    let host_j =
+        g("host.fwd_packets") * FWD_NJ_PER_PACKET * 1e-9 + g("host.polls") * POLL_NJ * 1e-9;
     EnergyBreakdown {
         dram_j,
         bus_j,
@@ -103,15 +102,12 @@ mod tests {
     }
 
     #[test]
-    fn cxl_link_bits_cost_as_dimm_link_bits_and_poll_nothing() {
+    fn cxl_link_bits_cost_as_dimm_link_bits() {
         let mut s = StatSet::new();
         s.set("idc.private_bytes", 1e9);
-        s.set("host.polls", 1e3);
         let dl = energy_of(&s, Ps::ZERO, 0, IdcKind::DimmLink);
         let cxl = energy_of(&s, Ps::ZERO, 0, IdcKind::DimmLinkCxl);
         assert_eq!(cxl.idc_j, dl.idc_j);
-        assert!(dl.host_j > 0.0);
-        assert_eq!(cxl.host_j, 0.0);
     }
 
     #[test]

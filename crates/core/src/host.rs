@@ -9,9 +9,10 @@
 //! `poll_period` — this is exactly the "memory bus occupation" series of
 //! Fig. 15-b. Interrupt strategies have no standing polls but pay an
 //! interrupt latency plus a scan burst per request; the proxy strategy keeps
-//! standing polls on one DIMM per DL group only.
+//! standing polls on one DIMM per DL group only. The DIMM-Link+CXL
+//! organization's host forwards nothing, so it polls nothing either.
 
-use crate::config::{PollingStrategy, SystemConfig};
+use crate::config::{IdcKind, PollingStrategy, SystemConfig};
 use dl_engine::{BandwidthResource, Ps, Resource};
 
 /// One-way memory-channel latency (command + IO path).
@@ -66,6 +67,7 @@ impl HostPath {
             .collect();
         let standing = (0..cfg.channels)
             .map(|c| match cfg.polling {
+                _ if cfg.idc == IdcKind::DimmLinkCxl => 0,
                 PollingStrategy::Base => cfg.dimms_per_channel(),
                 PollingStrategy::Proxy => proxy_channels.iter().filter(|&&p| p == c).count(),
                 PollingStrategy::BaseInterrupt | PollingStrategy::ProxyInterrupt => 0,

@@ -232,6 +232,20 @@ mod tests {
     }
 
     #[test]
+    fn a_cxl_run_polls_nothing_and_costs_no_host_energy() {
+        // The DIMM-Link+CXL host forwards nothing, so no standing polls
+        // occupy its channels and the host spends no energy.
+        let wl = WorkloadKind::Pagerank.build(&WorkloadParams {
+            broadcast: true,
+            ..params(4)
+        });
+        let r = simulate(&wl, &SystemConfig::nmp(4, 2).with_idc(IdcKind::DimmLinkCxl));
+        assert_eq!(r.stats.get("host.polls"), Some(0.0));
+        assert_eq!(r.bus_occupancy(), 0.0);
+        assert_eq!(r.energy.host_j, 0.0);
+    }
+
+    #[test]
     fn energy_is_positive_and_dominated_by_reasonable_terms() {
         let wl = WorkloadKind::KMeans.build(&params(8));
         let cfg = SystemConfig::nmp(8, 4).with_idc(IdcKind::DimmLink);
