@@ -846,6 +846,7 @@ fn write_jsonl(dir: &Path, name: &str, records: &[RunRecord]) -> std::io::Result
 mod tests {
     use super::*;
     use dimm_link::config::IdcKind;
+    use std::sync::atomic::AtomicBool;
 
     fn custom_result(ps: u64) -> RunResult {
         let mut stats = StatSet::new();
@@ -997,13 +998,17 @@ mod tests {
 
     #[test]
     fn panicking_point_preserves_completed_work_on_disk() {
+        // The flaky point's inputs stay the same across both runs, so its
+        // journal key does too: the resume finds its `Failed` entry and must
+        // re-run it rather than reuse it.
+        static FIXED: AtomicBool = AtomicBool::new(false);
         let dir = temp_dir("preserve");
-        let build = |fixed: bool| {
+        let build = || {
             let mut sweep = Sweep::new("preserve");
             sweep.custom("ok1", "test", 10, |&ps| custom_result(ps));
-            sweep.custom("flaky", "test", fixed, |&fixed| {
-                if fixed {
-                    custom_result(20)
+            sweep.custom("flaky", "test", 20, |&ps| {
+                if FIXED.load(Ordering::SeqCst) {
+                    custom_result(ps)
                 } else {
                     panic!("deliberate failure")
                 }
@@ -1018,7 +1023,7 @@ mod tests {
             ..SweepOptions::default()
         };
 
-        let err = build(false).run_with(&opts(false)).unwrap_err();
+        let err = build().run_with(&opts(false)).unwrap_err();
         assert_eq!(err.label, "flaky");
         assert_eq!((err.completed, err.failed), (2, 1));
         // The artifact of successful points was still written...
@@ -1035,7 +1040,8 @@ mod tests {
 
         // Resume with the point fixed: the two good points are loaded, the
         // failed one re-runs, and the sweep completes.
-        let out = build(true).run_with(&opts(true)).unwrap();
+        FIXED.store(true, Ordering::SeqCst);
+        let out = build().run_with(&opts(true)).unwrap();
         assert_eq!(out.resumed, 2);
         assert_eq!(out.records.len(), 3);
         assert_eq!(out.records[1].elapsed_ps, 20);

@@ -102,12 +102,16 @@ mod tests {
     }
 
     #[test]
-    fn cxl_link_bits_cost_as_dimm_link_bits() {
+    fn cxl_link_bits_and_polls_cost_as_dimm_link_ones() {
         let mut s = StatSet::new();
         s.set("idc.private_bytes", 1e9);
+        s.set("host.polls", 1e3);
         let dl = energy_of(&s, Ps::ZERO, 0, IdcKind::DimmLink);
         let cxl = energy_of(&s, Ps::ZERO, 0, IdcKind::DimmLinkCxl);
         assert_eq!(cxl.idc_j, dl.idc_j);
+        // Polls cost host energy; a CXL run just registers none.
+        assert!(dl.host_j > 0.0);
+        assert_eq!(cxl.host_j, dl.host_j);
     }
 
     #[test]
