@@ -988,7 +988,7 @@ mod tests {
     /// each call after the op given there, if any.
     fn with_block<const N: usize>(block: [Op; N], calls: &[Option<Op>]) -> ThreadTrace {
         let mut t = ThreadTrace::new();
-        let b = t.add_block(&block);
+        let b = t.add_block(block.into_iter().collect());
         for &op in calls {
             t.extend(op);
             t.call(b);

@@ -1,19 +1,36 @@
 //! K-Means stores its per-point scan once per thread and calls it per
-//! point. The cores walk that compact form in place, so a K-Means workload
-//! must simulate exactly as its flattened copy (every call expanded), and
-//! no run may build the expanded sequence.
+//! point; PageRank (and its broadcast variant) and Hotspot store a thread's
+//! sweep once and call it per iteration. The cores walk that compact form
+//! in place, so each of these workloads must simulate exactly as its
+//! flattened copy (every call expanded), and no run may build the expanded
+//! sequence.
 
 use dimm_link::config::{HostConfig, IdcKind, SystemConfig};
 use dimm_link::runner::{host_baseline_for, simulate, simulate_optimized};
 use dimm_link::system::{natural_placement, NmpSystem, RawRun};
 use dl_workloads::{Step, ThreadTrace, Workload, WorkloadKind, WorkloadParams};
 
-fn kmeans(dimms: usize, threads_per_dimm: usize, seed: u64) -> Workload {
-    WorkloadKind::KMeans.build(&WorkloadParams {
+/// The kinds whose traces call blocks, with their `broadcast` setting.
+const BLOCKED: [(WorkloadKind, bool); 4] = [
+    (WorkloadKind::KMeans, false),
+    (WorkloadKind::Pagerank, false),
+    (WorkloadKind::Pagerank, true),
+    (WorkloadKind::Hotspot, false),
+];
+
+fn build(
+    kind: WorkloadKind,
+    broadcast: bool,
+    dimms: usize,
+    threads_per_dimm: usize,
+    seed: u64,
+) -> Workload {
+    kind.build(&WorkloadParams {
         dimms,
         threads_per_dimm,
         seed,
         scale: 9,
+        broadcast,
         ..WorkloadParams::small(dimms)
     })
 }
@@ -57,7 +74,7 @@ fn stops(trace: &ThreadTrace) -> [usize; 3] {
                 let (pc, sub) = trace.position(n);
                 want(pc, sub)
             })
-            .expect("K-Means calls a block per point")
+            .expect("thread 0 calls a block after its first tenth")
     };
     let call = |pc: usize| matches!(trace.steps().get(pc), Some(Step::Call(_)));
     [
@@ -69,56 +86,68 @@ fn stops(trace: &ThreadTrace) -> [usize; 3] {
 
 #[test]
 fn a_compact_trace_simulates_as_its_flattened_copy() {
-    for seed in [42, 7] {
-        for dimms in [4, 16] {
-            let wl = kmeans(dimms, 4, seed);
-            let flat = flattened(&wl);
-            assert_ne!(wl.traces(), flat.traces(), "K-Means calls blocks");
-            let cfg = SystemConfig {
-                seed,
-                ..nmp_cfg(dimms)
-            };
-            let case = format!("seed {seed}, {dimms} DIMMs");
-            assert_eq!(
-                nmp_run(&wl, &cfg, None),
-                nmp_run(&flat, &cfg, None),
-                "{case}"
-            );
-            for limit in stops(&wl.traces()[0]) {
+    for (kind, broadcast) in BLOCKED {
+        for seed in [42, 7] {
+            for dimms in [4, 16] {
+                let wl = build(kind, broadcast, dimms, 4, seed);
+                let flat = flattened(&wl);
+                let case = format!("{}, seed {seed}, {dimms} DIMMs", wl.name());
+                assert_ne!(wl.traces(), flat.traces(), "{case}: calls blocks");
+                let cfg = SystemConfig {
+                    seed,
+                    ..nmp_cfg(dimms)
+                };
                 assert_eq!(
-                    nmp_run(&wl, &cfg, Some(limit)),
-                    nmp_run(&flat, &cfg, Some(limit)),
-                    "{case}, profiling up to op {limit}"
+                    nmp_run(&wl, &cfg, None),
+                    nmp_run(&flat, &cfg, None),
+                    "{case}"
                 );
+                for limit in stops(&wl.traces()[0]) {
+                    assert_eq!(
+                        nmp_run(&wl, &cfg, Some(limit)),
+                        nmp_run(&flat, &cfg, Some(limit)),
+                        "{case}, profiling up to op {limit}"
+                    );
+                }
+                let [opt, opt_flat] = [&wl, &flat].map(|w| {
+                    let r = simulate_optimized(w, &cfg);
+                    format!("{:?} {:?} {:?}", r.elapsed, r.stats, r.energy)
+                });
+                assert_eq!(opt, opt_flat, "{case}, optimized");
             }
-            let [opt, opt_flat] = [&wl, &flat].map(|w| {
-                let r = simulate_optimized(w, &cfg);
-                format!("{:?} {:?} {:?}", r.elapsed, r.stats, r.energy)
+            // The host has no broadcast: it runs the plain variants only.
+            if broadcast {
+                continue;
+            }
+            let host = HostConfig::xeon_16core();
+            let wl = build(kind, false, host.channels, host.cores / host.channels, seed);
+            let flat = flattened(&wl);
+            let [run, run_flat] = [&wl, &flat].map(|w| {
+                let r = host_baseline_for(w);
+                format!("{:?} {:?}", r.elapsed, r.stats)
             });
-            assert_eq!(opt, opt_flat, "{case}, optimized");
+            assert_eq!(run, run_flat, "{}, seed {seed}, host baseline", wl.name());
         }
-        let host = HostConfig::xeon_16core();
-        let wl = kmeans(host.channels, host.cores / host.channels, seed);
-        let flat = flattened(&wl);
-        let [run, run_flat] = [&wl, &flat].map(|w| {
-            let r = host_baseline_for(w);
-            format!("{:?} {:?}", r.elapsed, r.stats)
-        });
-        assert_eq!(run, run_flat, "seed {seed}, host baseline");
     }
 }
 
 #[test]
-fn no_run_expands_a_kmeans_trace() {
-    let wl = kmeans(4, 4, 42);
-    let cfg = nmp_cfg(4);
-    let _ = simulate(&wl, &cfg);
-    let _ = simulate_optimized(&wl, &cfg);
-    let host = HostConfig::xeon_16core();
-    let host_wl = kmeans(host.channels, host.cores / host.channels, 42);
-    let _ = host_baseline_for(&host_wl);
-    let _ = (wl.total_mem_ops(), wl.remote_fraction());
-    for w in [&wl, &host_wl] {
-        assert!(w.traces().iter().all(|t| !t.is_materialized()));
+fn no_run_expands_a_blocked_trace() {
+    for (kind, broadcast) in BLOCKED {
+        let wl = build(kind, broadcast, 4, 4, 42);
+        let cfg = nmp_cfg(4);
+        let _ = simulate(&wl, &cfg);
+        let _ = simulate_optimized(&wl, &cfg);
+        let host = HostConfig::xeon_16core();
+        let host_wl = build(kind, false, host.channels, host.cores / host.channels, 42);
+        let _ = host_baseline_for(&host_wl);
+        let _ = (wl.total_mem_ops(), wl.remote_fraction());
+        for w in [&wl, &host_wl] {
+            assert!(
+                w.traces().iter().all(|t| !t.is_materialized()),
+                "{}",
+                w.name()
+            );
+        }
     }
 }

@@ -23,6 +23,8 @@ use dl_engine::DetRng;
 const ELEM: u64 = 8;
 /// Graph targets are u32.
 const TGT: u64 = 4;
+/// PageRank iterations.
+pub(crate) const PR_ITERS: usize = 3;
 
 /// Per-thread graph partition context shared by the four kernels.
 struct GraphCtx {
@@ -155,9 +157,13 @@ impl GraphCtx {
         }
     }
 
-    /// Per-thread broadcast of this thread's state partition: emitted as a
-    /// sequence of max-payload broadcasts covering the partition.
-    fn emit_partition_broadcast(&self, trace: &mut ThreadTrace, t: usize) {
+    /// In the broadcast variants, thread `t`'s part in refreshing every
+    /// DIMM's replica of the state vector: it broadcasts its partition in
+    /// max-payload chunks, then waits at a barrier. Emits nothing otherwise.
+    fn refresh_replicas(&self, trace: &mut ThreadTrace, t: usize) {
+        if !self.broadcast {
+            return;
+        }
         let bytes = self.state[t].bytes();
         let mut off = 0u64;
         while off < bytes {
@@ -168,21 +174,7 @@ impl GraphCtx {
             });
             off += u64::from(chunk);
         }
-    }
-
-    /// In the broadcast variants, refreshes every DIMM's replica of the
-    /// state vector: each thread broadcasts its partition, then every thread
-    /// waits at a barrier. Emits nothing otherwise.
-    fn refresh_replicas(&self, traces: &mut [ThreadTrace]) {
-        if !self.broadcast {
-            return;
-        }
-        for (t, trace) in traces.iter_mut().enumerate() {
-            self.emit_partition_broadcast(trace, t);
-        }
-        for trace in traces {
-            trace.push(Op::Barrier);
-        }
+        trace.push(Op::Barrier);
     }
 
     /// The load of neighbour `u`'s state by a thread on DIMM `home`: from
@@ -250,35 +242,40 @@ pub fn bfs(params: &WorkloadParams) -> Workload {
     ctx.into_workload("BFS", traces)
 }
 
-/// PageRank: `iters` pull-style iterations over the reversed graph; each
+/// PageRank: three pull-style iterations over the reversed graph; each
 /// edge reads the source vertex's rank (remote when cross-partition).
+///
+/// An iteration's sweep over a thread's vertices is the same every time, so
+/// each trace stores it once as a block and calls it per iteration.
 pub fn pagerank(params: &WorkloadParams) -> Workload {
-    const ITERS: usize = 3;
     let ctx = GraphCtx::new(params, 8);
-    let mut traces = vec![ThreadTrace::new(); ctx.threads];
-
-    for _iter in 0..ITERS {
-        ctx.refresh_replicas(&mut traces);
-        for (t, trace) in traces.iter_mut().enumerate() {
+    let traces = (0..ctx.threads)
+        .map(|t| {
             let home = ctx.home[t];
+            let mut sweep = ThreadTrace::new();
             for v in ctx.block[t]..ctx.block[t + 1] {
-                trace.comp(4);
-                ctx.emit_row_loads(trace, v);
+                sweep.comp(4);
+                ctx.emit_row_loads(&mut sweep, v);
                 for (u, _) in ctx.graph.neighbors(v) {
-                    trace.comp(2);
-                    trace.push(ctx.neighbor_load(home, u, false));
+                    sweep.comp(2);
+                    sweep.push(ctx.neighbor_load(home, u, false));
                 }
-                trace.comp(6);
-                trace.push(Op::Store {
+                sweep.comp(6);
+                sweep.push(Op::Store {
                     addr: Addr::new(ctx.state_line(v)),
                     cacheable: false,
                 });
             }
-        }
-        for trace in &mut traces {
-            trace.push(Op::Barrier);
-        }
-    }
+            let mut trace = ThreadTrace::new();
+            let sweep = trace.add_block(sweep);
+            for _iter in 0..PR_ITERS {
+                ctx.refresh_replicas(&mut trace, t);
+                trace.call(sweep);
+                trace.push(Op::Barrier);
+            }
+            trace
+        })
+        .collect();
     let name = if params.broadcast { "PR-BC" } else { "PR" };
     ctx.into_workload(name, traces)
 }
@@ -295,10 +292,10 @@ pub fn sssp(params: &WorkloadParams) -> Workload {
     let mut dist = vec![u64::MAX; n];
     dist[root as usize] = 0;
     for _round in 0..MAX_ROUNDS {
-        ctx.refresh_replicas(&mut traces);
         let mut changed = false;
         let snapshot = dist.clone();
         for (t, trace) in traces.iter_mut().enumerate() {
+            ctx.refresh_replicas(trace, t);
             let home = ctx.home[t];
             for v in ctx.block[t]..ctx.block[t + 1] {
                 trace.comp(2);
@@ -343,8 +340,8 @@ pub fn spmv(params: &WorkloadParams) -> Workload {
     let ctx = GraphCtx::new(params, 8);
     let mut traces = vec![ThreadTrace::new(); ctx.threads];
 
-    ctx.refresh_replicas(&mut traces);
     for (t, trace) in traces.iter_mut().enumerate() {
+        ctx.refresh_replicas(trace, t);
         let home = ctx.home[t];
         for v in ctx.block[t]..ctx.block[t + 1] {
             trace.comp(2);

@@ -52,21 +52,19 @@ pub fn kmeans(params: &WorkloadParams) -> Workload {
     let mut scans = Vec::with_capacity(threads);
     for (t, s) in scratch.iter().enumerate() {
         let mut trace = ThreadTrace::with_capacity(steps_per_thread(params, t, points_per_thread));
-        let mut scan: Vec<Op> = (0..K)
-            .flat_map(|k| {
-                let addr = Addr::new(s.line_of(k as u64, 64));
-                [
-                    Op::Load {
-                        addr,
-                        cacheable: true,
-                    },
-                    Op::Comp(DIMS * 2),
-                ]
-            })
-            .collect();
-        let plain = trace.add_block(&scan);
-        *scan.last_mut().expect("K > 0") = Op::Comp(DIMS * 4);
-        let reassigned = trace.add_block(&scan);
+        let scan = |last_comp: u32| {
+            let mut scan = ThreadTrace::with_capacity(2 * K);
+            for k in 0..K {
+                scan.push(Op::Load {
+                    addr: Addr::new(s.line_of(k as u64, 64)),
+                    cacheable: true,
+                });
+                scan.comp(if k + 1 < K { DIMS * 2 } else { last_comp });
+            }
+            scan
+        };
+        let plain = trace.add_block(scan(DIMS * 2));
+        let reassigned = trace.add_block(scan(DIMS * 4));
         traces.push(trace);
         scans.push((plain, reassigned));
     }

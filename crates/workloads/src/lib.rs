@@ -261,6 +261,46 @@ mod tests {
         }
     }
 
+    #[test]
+    fn each_iteration_is_one_call() {
+        // PR (and PR-BC) and HS store a thread's sweep once: its steps are
+        // one call of that block per iteration, each followed by a barrier,
+        // after the replica refresh in the broadcast variant.
+        for (kind, broadcast, iters) in [
+            (WorkloadKind::Pagerank, false, graph_apps::PR_ITERS),
+            (WorkloadKind::Pagerank, true, graph_apps::PR_ITERS),
+            (WorkloadKind::Hotspot, false, stencil::HS_ITERS),
+        ] {
+            for dimms in [4, 32] {
+                let params = WorkloadParams {
+                    broadcast,
+                    ..WorkloadParams::small(dimms)
+                };
+                let wl = kind.build(&params);
+                for (t, trace) in wl.traces().iter().enumerate() {
+                    let case = format!("{} on {dimms} DIMMs, thread {t}", wl.name());
+                    let steps = trace.steps();
+                    let calls: Vec<usize> = (0..steps.len())
+                        .filter(|&pc| matches!(steps[pc], Step::Call(_)))
+                        .collect();
+                    assert_eq!(calls.len(), iters, "{case}");
+                    for &pc in &calls {
+                        assert_eq!(steps[pc], steps[calls[0]], "{case}: one block");
+                        assert_eq!(steps.get(pc + 1), Some(&Step::Op(Op::Barrier)), "{case}");
+                    }
+                    if broadcast {
+                        let refreshed = calls
+                            .iter()
+                            .all(|&pc| steps[pc - 1] == Step::Op(Op::Barrier));
+                        assert!(refreshed, "{case}");
+                    } else {
+                        assert_eq!(steps.len(), 2 * iters, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
     /// An op in the wide layout traces had before packing: variant, full
     /// `u64` address (through [`Op::addr`]) and the remaining field.
     fn widen(op: Op) -> (u8, u64, u64) {

@@ -9,6 +9,8 @@ use crate::WorkloadParams;
 const ELEM: u64 = 8;
 /// Cells per 64-byte line.
 const PER_LINE: u64 = 64 / ELEM;
+/// Hotspot iterations.
+pub(crate) const HS_ITERS: usize = 4;
 
 /// Hotspot: iterative 5-point stencil over a 2-D temperature grid.
 ///
@@ -16,9 +18,10 @@ const PER_LINE: u64 = 64 / ELEM;
 /// each strip's temperature and power rows live on the owning thread's home
 /// DIMM. Temperature is shared read-write (uncacheable: neighbouring strips
 /// read each other's boundary rows every iteration — the IDC traffic), power
-/// is read-only (cacheable). Four iterations with a barrier each.
+/// is read-only (cacheable). Four iterations with a barrier each; a
+/// thread's sweep of its strip is the same every time, so its trace stores
+/// it once as a block and calls it per iteration.
 pub fn hotspot(params: &WorkloadParams) -> Workload {
-    const ITERS: usize = 4;
     let threads = params.threads();
     let side = 1u64 << (params.scale / 2 + 2);
     let rows_per_thread = (side / threads as u64).max(1);
@@ -39,46 +42,52 @@ pub fn hotspot(params: &WorkloadParams) -> Workload {
         temp[t].line_of(local * side + col, ELEM)
     };
 
-    let mut traces = vec![ThreadTrace::new(); threads];
-    for _iter in 0..ITERS {
-        for (t, trace) in traces.iter_mut().enumerate() {
+    let traces = (0..threads)
+        .map(|t| {
+            let mut sweep = ThreadTrace::new();
             let row0 = t as u64 * rows_per_thread;
             for r in row0..row0 + rows_per_thread {
                 for cl in 0..side / PER_LINE {
                     let col = cl * PER_LINE;
                     // Centre line + vertical neighbours (shared rw).
-                    trace.push(Op::Load {
+                    sweep.push(Op::Load {
                         addr: Addr::new(line_of(r, col)),
                         cacheable: false,
                     });
                     if r > 0 {
-                        trace.push(Op::Load {
+                        sweep.push(Op::Load {
                             addr: Addr::new(line_of(r - 1, col)),
                             cacheable: false,
                         });
                     }
                     if r + 1 < side {
-                        trace.push(Op::Load {
+                        sweep.push(Op::Load {
                             addr: Addr::new(line_of(r + 1, col)),
                             cacheable: false,
                         });
                     }
                     // Power is read-only.
                     let local = r - row0;
-                    trace.push(Op::Load {
+                    sweep.push(Op::Load {
                         addr: Addr::new(power[t].line_of(local * side + col, ELEM)),
                         cacheable: true,
                     });
-                    trace.comp(PER_LINE as u32 * 6);
-                    trace.push(Op::Store {
+                    sweep.comp(PER_LINE as u32 * 6);
+                    sweep.push(Op::Store {
                         addr: Addr::new(line_of(r, col)),
                         cacheable: false,
                     });
                 }
             }
-            trace.push(Op::Barrier);
-        }
-    }
+            let mut trace = ThreadTrace::new();
+            let sweep = trace.add_block(sweep);
+            for _iter in 0..HS_ITERS {
+                trace.call(sweep);
+                trace.push(Op::Barrier);
+            }
+            trace
+        })
+        .collect();
     Workload::new("HS", traces, layout, home)
 }
 

@@ -3,10 +3,13 @@
 //! Traces are fully built before a run, so their size caps the input scale
 //! a host can simulate. Every [`Op`] therefore packs into 8 bytes: addresses
 //! are 40-bit [`Addr`]s, which cover the whole [`DataLayout`] address space.
-//! A sequence a thread repeats, such as K-Means' per-point scan of its
-//! centroid snapshot, is stored once as a block of its [`ThreadTrace`] and
-//! each repetition is one 8-byte [`Step::Call`]. A trace costs 8 bytes per
-//! [`Step`] plus its blocks; the cores walk this compact form in place.
+//! A sequence a thread repeats is stored once as a block of its
+//! [`ThreadTrace`] and each repetition is one 8-byte [`Step::Call`]:
+//! K-Means' per-point scan of its centroid snapshot, and a thread's sweep
+//! in each iteration of PageRank and Hotspot. BFS, SSSP and
+//! Needleman-Wunsch call no blocks, since their rounds differ, nor does
+//! SpMV's single pass. A trace costs 8 bytes per [`Step`] plus its blocks;
+//! the cores walk this compact form in place.
 
 use crate::layout::DataLayout;
 use std::fmt;
@@ -184,19 +187,21 @@ impl ThreadTrace {
         }
     }
 
-    /// Stores `ops` as a block of this trace, for [`ThreadTrace::call`].
+    /// Stores the ops of `body`, built with [`push`](Self::push) and
+    /// [`comp`](Self::comp), as a block of this trace, for
+    /// [`ThreadTrace::call`]. Its steps move into the block as they are.
     ///
     /// # Panics
-    /// Panics if the block holds 2^32 ops or more: a core keeps its index
-    /// in a block as a `u32`.
-    pub fn add_block(&mut self, ops: &[Op]) -> Block {
+    /// Panics if `body` calls blocks of its own, or holds 2^32 ops or more:
+    /// a core keeps its index in a block as a `u32`.
+    pub fn add_block(&mut self, body: ThreadTrace) -> Block {
+        assert!(body.blocks.is_empty(), "a block holds only ops");
         assert!(
-            u32::try_from(ops.len()).is_ok(),
+            u32::try_from(body.len).is_ok(),
             "a block holds fewer than 2^32 ops"
         );
         let id = u32::try_from(self.blocks.len()).expect("fewer than 2^32 blocks");
-        self.blocks
-            .push(ops.iter().map(|&op| Step::Op(op)).collect());
+        self.blocks.push(body.steps.into_boxed_slice());
         Block(id)
     }
 
@@ -426,7 +431,7 @@ mod tests {
     fn with_calls() -> ThreadTrace {
         let mut t = ThreadTrace::new();
         t.comp(5);
-        let b = t.add_block(&[Op::Comp(2), load(64), Op::Comp(3)]);
+        let b = t.add_block([Op::Comp(2), load(64), Op::Comp(3)].into_iter().collect());
         t.call(b);
         t.comp(1);
         t.call(b);
@@ -462,12 +467,19 @@ mod tests {
         assert_eq!(t.len(), 9);
         assert_eq!(t.ops().len(), 9);
         // Appending drops the stale expansion.
-        let empty = t.add_block(&[]);
+        let empty = t.add_block(ThreadTrace::new());
         t.call(empty);
         t.push(Op::Barrier);
         assert!(!t.is_materialized());
         assert_eq!((t.len(), t.ops().len()), (10, 10));
         assert_eq!(t.ops().last(), Some(&Op::Barrier));
+    }
+
+    #[test]
+    #[should_panic(expected = "a block holds only ops")]
+    fn a_block_calls_no_blocks() {
+        let mut t = ThreadTrace::new();
+        let _ = t.add_block(with_calls());
     }
 
     #[test]
