@@ -35,8 +35,9 @@
 //! error to stay under [`MEAN_REL_ERR_BOUND`], which catches systematic
 //! drift that per-case slack would hide.
 //!
-//! Run `cargo run --release -p dl-bench --bin ablation_fidelity` to execute
-//! the full suite; divergences land in `target/sweeps/fidelity_diff.jsonl`.
+//! Run `cargo run --release -p dl-bench --bin figures -- ablation_fidelity`
+//! to execute the full suite; divergences land in
+//! `target/sweeps/fidelity_diff.jsonl`.
 
 use crate::sweep::{RunRecord, Sweep};
 use dimm_link::runner::RunResult;
@@ -495,7 +496,7 @@ mod tests {
     #[test]
     fn reduced_suite_is_in_bound() {
         // One seed over every topology / scale / pattern: 48 cases. The
-        // full 240-case suite runs in the ablation_fidelity binary and CI.
+        // full 240-case suite runs in `figures ablation_fidelity` and CI.
         let cases = default_suite(1);
         assert_eq!(cases.len(), 48);
         let sweep = build_sweep(&cases);

@@ -7,19 +7,23 @@
 //! Two parts:
 //! 1. the original curated chain-of-8 pattern table (human-readable
 //!    sanity check), and
-//! 2. the randomized differential suite from [`dl_bench::fidelity`] —
-//!    every topology × scale × pattern × seed — asserting the documented
-//!    error bounds and writing `target/sweeps/fidelity_diff.jsonl`.
+//! 2. the randomized differential suite from [`crate::fidelity`] — every
+//!    topology × scale × pattern × seed — asserting the documented error
+//!    bounds and writing `<out>/fidelity_diff.jsonl`.
 //!
-//! Exits non-zero if any case is outside the bound, so CI can gate on it.
+//! The run fails if any case is outside the bound, so CI can gate on it.
 
+use super::Report;
+use crate::fidelity::{self, FidelityReport, Op};
+use crate::sweep::{RunRecord, Sweep};
+use crate::Args;
 use dimm_link::runner::RunResult;
-use dl_bench::fidelity::{self, FidelityReport, Op};
-use dl_bench::sweep::Sweep;
-use dl_bench::{print_table, run_sweep, save_results, Args};
 use dl_engine::stats::StatSet;
 use dl_noc::TopologyKind;
 use serde::Serialize;
+use std::fmt::Write as _;
+
+pub(super) const NAME: &str = "ablation_fidelity";
 
 #[derive(Serialize)]
 struct Row {
@@ -47,12 +51,9 @@ fn chain8(pairs: &[(usize, usize)]) -> Vec<Op> {
         .collect()
 }
 
-fn main() {
-    let args = Args::parse();
-    println!("Ablation: packet-level vs flit-level network model");
-
-    // --- Part 1: curated chain-of-8 table ---------------------------------
-    let patterns: Vec<(&str, Vec<(usize, usize)>)> = vec![
+/// The curated chain-of-8 patterns, as (source, destination) pairs.
+fn patterns() -> Vec<(&'static str, Vec<(usize, usize)>)> {
+    vec![
         ("single 1-hop", vec![(0, 1)]),
         ("single 7-hop", vec![(0, 7)]),
         ("4 disjoint pairs", vec![(0, 1), (2, 3), (4, 5), (6, 7)]),
@@ -68,12 +69,14 @@ fn main() {
                 .take(28)
                 .collect(),
         ),
-    ];
+    ]
+}
 
-    // Two points per pattern: the fast packet-level model and the
-    // cycle-accurate flit-level cross-check.
-    let mut sweep = Sweep::new("ablation_fidelity");
-    for (name, pairs) in &patterns {
+pub(super) fn points(args: &Args) -> Vec<Sweep> {
+    // Part 1, the curated table: two points per pattern, the fast
+    // packet-level model and the cycle-accurate flit-level cross-check.
+    let mut sweep = Sweep::new(NAME);
+    for (name, pairs) in patterns() {
         sweep.custom(
             format!("{name} / packet"),
             "chain-8 packet-level",
@@ -86,18 +89,25 @@ fn main() {
         sweep.custom(
             format!("{name} / flit"),
             "chain-8 flit-level",
-            pairs.clone(),
+            pairs,
             |pairs| {
                 let makespan = fidelity::flit_level(TopologyKind::Chain, 8, &chain8(pairs));
                 RunResult::measured(makespan, StatSet::new())
             },
         );
     }
-    let result = run_sweep(sweep, &args);
+    // Part 2, the randomized differential suite.
+    let seeds = if args.quick { 2 } else { 5 };
+    vec![sweep, fidelity::build_sweep(&fidelity::default_suite(seeds))]
+}
 
+pub(super) fn report(_: &Args, records: &[RunRecord]) -> Report {
+    let mut report = Report::new("Ablation: packet-level vs flit-level network model\n");
+    let patterns = patterns();
+    let (runs, diff) = records.split_at(2 * patterns.len());
     let mut rows = Vec::new();
     let mut curated = Vec::new();
-    for ((name, _), runs) in patterns.iter().zip(result.records.chunks(2)) {
+    for ((name, _), runs) in patterns.iter().zip(runs.chunks(2)) {
         let p = runs[0].elapsed().as_ns_f64();
         let f = runs[1].elapsed().as_ns_f64();
         let ratio = p / f.max(1e-9);
@@ -114,47 +124,43 @@ fn main() {
             ratio,
         });
     }
-    print_table(
+    report.table(
         "Makespan comparison (17-flit packets); ratios near 1.0 validate the fast model",
         &["pattern", "packet-level (ns)", "flit-level (ns)", "ratio"],
         &rows,
     );
 
-    // --- Part 2: randomized differential suite ----------------------------
-    let seeds = if args.quick { 2 } else { 5 };
-    let cases = fidelity::default_suite(seeds);
-    println!(
+    let suite = fidelity::evaluate(diff);
+    let _ = writeln!(
+        report.text,
         "\nDifferential suite: {} randomized cases (chain/ring/mesh/torus x \
-         3 scales x 4 patterns x {seeds} seeds)",
-        cases.len()
+         3 scales x 4 patterns x {} seeds)",
+        diff.len(),
+        diff.len() / fidelity::default_suite(1).len()
     );
-    let diff = run_sweep(fidelity::build_sweep(&cases), &args);
-    let report = fidelity::evaluate(&diff.records);
-    println!(
+    let _ = writeln!(
+        report.text,
         "fidelity: {} cases, max rel err {:.3}, mean rel err {:.3}, {} violation(s)",
-        report.cases,
-        report.max_rel_err,
-        report.mean_rel_err,
-        report.violations.len()
+        suite.cases,
+        suite.max_rel_err,
+        suite.mean_rel_err,
+        suite.violations.len()
     );
-    for v in &report.violations {
-        println!(
+    for v in &suite.violations {
+        let _ = writeln!(
+            report.text,
             "  OUT OF BOUND {}: packet {:.1} ns vs flit {:.1} ns (rel {:.3}, bw {:.3})",
             v.label, v.packet_ns, v.flit_ns, v.rel_err, v.bw_rel_err
         );
     }
-
-    let pass = report.pass;
-    save_results(
-        "fidelity_summary",
-        &Summary {
-            curated,
-            differential: report,
-        },
-    );
-    if !pass {
-        eprintln!("fidelity differential suite FAILED (see fidelity_diff.jsonl)");
-        std::process::exit(1);
-    }
-    println!("fidelity differential suite PASSED");
+    report.verdict = if suite.pass {
+        Ok("fidelity differential suite PASSED\n")
+    } else {
+        Err("fidelity differential suite FAILED (see fidelity_diff.jsonl)")
+    };
+    let summary = Summary {
+        curated,
+        differential: suite,
+    };
+    report.save("fidelity_summary", &summary)
 }

@@ -6,12 +6,15 @@
 //! * row policy (open- vs closed-page),
 //! * address mapping (plain vs XOR bank permutation).
 
+use super::Report;
+use crate::sweep::{RunRecord, Sweep};
+use crate::{fmt_x, Args};
 use dimm_link::config::{IdcKind, SystemConfig};
-use dl_bench::sweep::Sweep;
-use dl_bench::{fmt_x, print_table, run_sweep, save_results, Args};
 use dl_mem::{MappingScheme, RowPolicy};
 use dl_workloads::WorkloadKind;
 use serde::Serialize;
+
+pub(super) const NAME: &str = "ablation_sched";
 
 #[derive(Serialize)]
 struct Row {
@@ -26,17 +29,11 @@ const WORKLOADS: [WorkloadKind; 3] = [
     WorkloadKind::KMeans,
 ];
 
-fn main() {
-    let args = Args::parse();
-    println!(
-        "Ablation: FR-FCFS hit-streak cap (16D-8C DIMM-Link, scale {})",
-        args.scale
-    );
-
+pub(super) fn points(args: &Args) -> Vec<Sweep> {
     // Five variants per workload: three hit-streak caps, closed-page, and
     // XOR bank mapping. The cap=4 run is the stock configuration, so it
     // doubles as the open-page + plain-mapping baseline.
-    let mut sweep = Sweep::new("ablation_sched");
+    let mut sweep = Sweep::new(NAME);
     let params = args.params(16);
     for kind in WORKLOADS {
         for cap in [1u32, 4, 16] {
@@ -52,12 +49,18 @@ fn main() {
         sweep.simulate(format!("{kind} / closed-page"), kind, params, closed);
         sweep.simulate(format!("{kind} / xor-mapping"), kind, params, xor);
     }
-    let out = run_sweep(sweep, &args);
+    vec![sweep]
+}
 
+pub(super) fn report(args: &Args, records: &[RunRecord]) -> Report {
+    let mut report = Report::new(format!(
+        "Ablation: FR-FCFS hit-streak cap (16D-8C DIMM-Link, scale {})\n",
+        args.scale
+    ));
     let mut rows = Vec::new();
     let mut json = Vec::new();
     let mut rows2 = Vec::new();
-    for (kind, runs) in WORKLOADS.iter().zip(out.records.chunks(5)) {
+    for (kind, runs) in WORKLOADS.iter().zip(records.chunks(5)) {
         let (t1, t4, t16) = (
             runs[0].elapsed_f64(),
             runs[1].elapsed_f64(),
@@ -75,15 +78,15 @@ fn main() {
             fmt_x(t4 / runs[4].elapsed_f64()),
         ]);
     }
-    print_table(
+    report.table(
         "Speedup relative to the default cap of 4 (>1 means the variant is faster)",
         &["workload", "cap=1 (FCFS-ish)", "cap=16 (hit-first)"],
         &rows,
     );
-    print_table(
+    report.table(
         "Row policy / mapping vs the open-page + plain default",
         &["workload", "closed-page", "XOR bank mapping"],
         &rows2,
     );
-    save_results("ablation_sched", &json);
+    report.save(NAME, &json)
 }

@@ -7,12 +7,15 @@
 //! (inter-group via host) vs the disaggregated one (inter-blade via CXL) at
 //! 2 blades × 8 DIMMs and 4 blades × 8 DIMMs, plus a fabric-latency sweep.
 
+use super::Report;
+use crate::sweep::{RunRecord, Sweep};
+use crate::{fmt_x, geo, Args};
 use dimm_link::config::{IdcKind, SystemConfig};
-use dl_bench::sweep::Sweep;
-use dl_bench::{fmt_time, fmt_x, geo, print_table, run_sweep, save_results, Args};
 use dl_engine::Ps;
 use dl_workloads::WorkloadKind;
 use serde::Serialize;
+
+pub(super) const NAME: &str = "ext_disaggregated";
 
 #[derive(Serialize)]
 struct Row {
@@ -33,40 +36,32 @@ fn blades(dimms: usize, channels: usize, groups: usize, idc: IdcKind) -> SystemC
     cfg
 }
 
-fn main() {
-    let args = Args::parse();
-    println!(
-        "Extension (Section VI): DIMM-Link on disaggregated memory (scale {})",
-        args.scale
-    );
+/// (name, DIMMs, channels, blades).
+const BLADES: [(&str, usize, usize, usize); 2] =
+    [("2 blades x 8", 16, 8, 2), ("4 blades x 8", 32, 16, 4)];
+/// One-way fabric latencies of the sensitivity sweep, ns.
+const FABRIC_LATS: [u64; 5] = [100, 250, 500, 1000, 2000];
 
-    let blade_cfgs = [
-        ("2 blades x 8", 16usize, 8usize, 2usize),
-        ("4 blades x 8", 32, 16, 4),
-    ];
-    let fabric_lats = [100u64, 250, 500, 1000, 2000];
-
-    let mut sweep = Sweep::new("ext_disaggregated");
-    for (name, dimms, channels, groups) in blade_cfgs {
+pub(super) fn points(args: &Args) -> Vec<Sweep> {
+    let mut sweep = Sweep::new(NAME);
+    for (name, dimms, channels, groups) in BLADES {
         let params = args.params(dimms);
         for kind in WORKLOADS {
-            sweep.simulate(
-                format!("{name} / {kind} / host-org"),
-                kind,
-                params,
-                blades(dimms, channels, groups, IdcKind::DimmLink),
-            );
-            sweep.simulate(
-                format!("{name} / {kind} / cxl-org"),
-                kind,
-                params,
-                blades(dimms, channels, groups, IdcKind::DimmLinkCxl),
-            );
+            for (org, idc) in [
+                ("host-org", IdcKind::DimmLink),
+                ("cxl-org", IdcKind::DimmLinkCxl),
+            ] {
+                sweep.simulate(
+                    format!("{name} / {kind} / {org}"),
+                    kind,
+                    params,
+                    blades(dimms, channels, groups, idc),
+                );
+            }
         }
     }
 
     // Fabric-latency sensitivity: when does disaggregation stop paying off?
-    let lat_base = sweep.len();
     let params = args.params(16);
     sweep.simulate(
         "fabric-sweep / pr / host-org",
@@ -74,7 +69,7 @@ fn main() {
         params,
         blades(16, 8, 2, IdcKind::DimmLink),
     );
-    for lat_ns in fabric_lats {
+    for lat_ns in FABRIC_LATS {
         let mut cfg = blades(16, 8, 2, IdcKind::DimmLinkCxl);
         cfg.cxl_latency = Ps::from_ns(lat_ns);
         sweep.simulate(
@@ -84,13 +79,20 @@ fn main() {
             cfg,
         );
     }
+    vec![sweep]
+}
 
-    let result = run_sweep(sweep, &args);
-
+pub(super) fn report(args: &Args, records: &[RunRecord]) -> Report {
+    let mut report = Report::scaled(
+        "Extension (Section VI): DIMM-Link on disaggregated memory",
+        args,
+    );
     let mut out = Vec::new();
-    // A host-org and a CXL-org run per workload, one group per blade count.
-    let per_blades = result.records[..lat_base].chunks(2 * WORKLOADS.len());
-    for ((name, _, _, _), runs) in blade_cfgs.iter().zip(per_blades) {
+    // A host-org and a CXL-org run per workload, one group per blade count;
+    // then the fabric sweep.
+    let per_blades = 2 * WORKLOADS.len();
+    let (runs, fabric) = records.split_at(BLADES.len() * per_blades);
+    for ((name, _, _, _), runs) in BLADES.iter().zip(runs.chunks(per_blades)) {
         let mut rows = Vec::new();
         let mut speedups = Vec::new();
         for (kind, pair) in WORKLOADS.iter().zip(runs.chunks(2)) {
@@ -99,8 +101,8 @@ fn main() {
             speedups.push(s);
             rows.push(vec![
                 kind.to_string(),
-                fmt_time(host_org.elapsed()),
-                fmt_time(cxl_org.elapsed()),
+                host_org.elapsed().to_string(),
+                cxl_org.elapsed().to_string(),
                 fmt_x(s),
             ]);
             out.push(Row {
@@ -115,25 +117,25 @@ fn main() {
             String::new(),
             fmt_x(geo(&speedups)),
         ]);
-        print_table(
+        report.table(
             &format!("{name}: in-server (host-forwarded inter-group) vs disaggregated (CXL)"),
             &["workload", "host org", "CXL org", "CXL speedup"],
             &rows,
         );
     }
 
-    let host_org = result.records[lat_base].elapsed_f64();
+    let host_org = fabric[0].elapsed_f64();
     let mut rows = Vec::new();
-    for (lat_ns, r) in fabric_lats.iter().zip(&result.records[lat_base + 1..]) {
+    for (lat_ns, r) in FABRIC_LATS.iter().zip(&fabric[1..]) {
         rows.push(vec![
             format!("{lat_ns} ns"),
             fmt_x(host_org / r.elapsed_f64()),
         ]);
     }
-    print_table(
+    report.table(
         "PR, 2 blades: CXL speedup over the host organization vs fabric latency",
         &["one-way fabric latency", "speedup"],
         &rows,
     );
-    save_results("ext_disaggregated", &out);
+    report.save(NAME, &out)
 }

@@ -6,13 +6,16 @@
 //! (b) Aggregate NMP bandwidth vs. achievable P2P IDC bandwidth at 16 DIMMs:
 //!     the paper reports a ~51x gap.
 
+use super::Report;
+use crate::sweep::{RunRecord, Sweep};
+use crate::{gbps, Args};
 use dimm_link::config::{IdcKind, SystemConfig};
 use dimm_link::runner::RunResult;
 use dimm_link::system::{natural_placement, NmpSystem};
-use dl_bench::sweep::Sweep;
-use dl_bench::{gbps, print_table, run_sweep, save_results, Args};
 use dl_workloads::{synth, Workload, WorkloadParams};
 use serde::Serialize;
+
+pub(super) const NAME: &str = "fig01_motivation";
 
 #[derive(Serialize)]
 struct Point {
@@ -30,11 +33,9 @@ fn raw_run(wl: &Workload) -> RunResult {
     }
 }
 
-fn main() {
-    let args = Args::parse();
-    println!("Figure 1: CPU-forwarding IDC exploration (UPMEM-like system)");
-
-    let sizes: &[u64] = if args.quick {
+/// The total bytes of each bulk copy.
+fn sizes(args: &Args) -> &'static [u64] {
+    if args.quick {
         &[4 * 1024, 64 * 1024, 1024 * 1024]
     } else {
         &[
@@ -46,16 +47,18 @@ fn main() {
             1024 * 1024,
             4 * 1024 * 1024,
         ]
-    };
+    }
+}
 
+pub(super) fn points(args: &Args) -> Vec<Sweep> {
     // (a) P2P bandwidth vs transfer size through host forwarding; these are
     // raw NmpSystem runs, so they go in as custom points.
-    let mut sweep = Sweep::new("fig01_motivation");
+    let mut sweep = Sweep::new(NAME);
     let pairs = WorkloadParams {
         threads_per_dimm: 1,
         ..args.params(16)
     };
-    for &bytes in sizes {
+    for &bytes in sizes(args) {
         sweep.custom(
             format!("bulk-copy {} KiB", bytes / 1024),
             "16D-8C MCN bulk-copy",
@@ -67,20 +70,22 @@ fn main() {
 
     // (b) Aggregate NMP bandwidth vs IDC bandwidth at 16 DIMMs.
     let messages: usize = if args.quick { 2_000 } else { 20_000 };
-    let local_idx = sweep.custom(
+    sweep.custom(
         "uniform local traffic",
         "16D-8C MCN all-local",
         (args.params(16), messages),
         |(params, messages)| raw_run(&synth::uniform_random(params, *messages, 0.0)),
     );
+    vec![sweep]
+}
 
-    let out = run_sweep(sweep, &args);
-
+pub(super) fn report(args: &Args, records: &[RunRecord]) -> Report {
+    let mut report = Report::new("Figure 1: CPU-forwarding IDC exploration (UPMEM-like system)\n");
     let mut points = Vec::new();
     let mut rows = Vec::new();
-    for (i, &bytes) in sizes.iter().enumerate() {
+    for (&bytes, record) in sizes(args).iter().zip(records) {
         // Each of the 8 pairs copies bytes/8: total payload moved = bytes.
-        let bw = gbps(bytes, out.records[i].elapsed());
+        let bw = gbps(bytes, record.elapsed());
         rows.push(vec![
             format!("{} KiB", bytes / 1024),
             format!("{bw:.2} GB/s"),
@@ -90,17 +95,17 @@ fn main() {
             idc_gbps: bw,
         });
     }
-    print_table(
+    report.table(
         "Fig.1(a) P2P IDC bandwidth vs transfer size (paper: saturates ~3.14 GB/s)",
         &["total transfer", "IDC bandwidth"],
         &rows,
     );
 
-    let local = &out.records[local_idx];
+    let local = &records[sizes(args).len()];
     let local_bytes = local.stats.get("traffic.local_bytes").unwrap_or(0.0) as u64;
     let nmp_bw = gbps(local_bytes, local.elapsed());
     let idc_bw = points.last().map(|p| p.idc_gbps).unwrap_or(1.0);
-    print_table(
+    report.table(
         "Fig.1(b) bandwidth gap at 16 DIMMs (paper: 1.28 TB/s NMP vs ~25 GB/s IDC, 51x)",
         &["metric", "value"],
         &[
@@ -112,5 +117,5 @@ fn main() {
             vec!["gap".into(), format!("{:.0}x", nmp_bw / idc_bw.max(1e-9))],
         ],
     );
-    save_results("fig01_motivation", &points);
+    report.save(NAME, &points)
 }

@@ -9,11 +9,14 @@
 //! Paper reference: DIMM-Link-opt geomean 5.93x over the CPU; 2.42x over
 //! MCN; 1.87x over AIM; 1.12x over DIMM-Link-base.
 
+use super::Report;
+use crate::sweep::{RunRecord, Sweep};
+use crate::{fmt_pct, fmt_x, geo, Args};
 use dimm_link::config::{IdcKind, PlacementPolicy, SystemConfig};
-use dl_bench::sweep::Sweep;
-use dl_bench::{fmt_pct, fmt_x, geo, print_table, run_sweep, save_results, Args};
 use dl_workloads::WorkloadKind;
 use serde::Serialize;
+
+pub(super) const NAME: &str = "fig10_p2p";
 
 #[derive(Serialize)]
 struct Cell {
@@ -25,95 +28,85 @@ struct Cell {
     elapsed_ns: f64,
 }
 
-const SYSTEMS: [&str; 5] = ["MCN", "AIM", "DL-rand", "DL-base", "DL-opt"];
+/// The compared systems, in the order each workload's runs hold them: name,
+/// mechanism, thread placement, and whether Algorithm 1 re-places the
+/// threads. DL-rand is an affinity-oblivious runtime mapping — the
+/// situation Algorithm 1 rescues (it profiles from exactly this start).
+const SYSTEMS: [(&str, IdcKind, PlacementPolicy, bool); 5] = [
+    (
+        "MCN",
+        IdcKind::CpuForwarding,
+        PlacementPolicy::Natural,
+        false,
+    ),
+    (
+        "AIM",
+        IdcKind::DedicatedBus,
+        PlacementPolicy::Natural,
+        false,
+    ),
+    ("DL-rand", IdcKind::DimmLink, PlacementPolicy::Random, false),
+    (
+        "DL-base",
+        IdcKind::DimmLink,
+        PlacementPolicy::Natural,
+        false,
+    ),
+    ("DL-opt", IdcKind::DimmLink, PlacementPolicy::Natural, true),
+];
 
-fn main() {
-    let args = Args::parse();
-    println!(
-        "Figure 10: P2P speedup over the 16-core host CPU (scale {})",
-        args.scale
-    );
-
-    // Submit every point up front: host baselines (independent of the NMP
-    // configuration), then all (config x workload x system) runs.
-    let mut sweep = Sweep::new("fig10_p2p");
-    let hosts: Vec<(WorkloadKind, usize)> = WorkloadKind::P2P_SET
-        .iter()
-        .map(|&k| {
-            (
-                k,
-                sweep.host(format!("host / {k}"), k, args.scale, args.seed),
-            )
-        })
-        .collect();
-
-    let configs = SystemConfig::p2p_sweep();
-    // (config name, workload, host index, per-system record indices)
-    let mut groups: Vec<(&str, WorkloadKind, usize, [usize; 5])> = Vec::new();
-    for (cfg_name, base_cfg) in &configs {
-        for &(kind, host_idx) in &hosts {
+pub(super) fn points(args: &Args) -> Vec<Sweep> {
+    // Host baselines first (independent of the NMP configuration), then
+    // every (config x workload x system) run.
+    let mut sweep = Sweep::new(NAME);
+    for k in WorkloadKind::P2P_SET {
+        sweep.host(format!("host / {k}"), k, args.scale, args.seed);
+    }
+    for (cfg_name, base_cfg) in SystemConfig::p2p_sweep() {
+        for kind in WorkloadKind::P2P_SET {
             let params = args.params(base_cfg.dimms);
-            // DL-rand: an affinity-oblivious runtime mapping — the situation
-            // Algorithm 1 rescues (it profiles from exactly this start).
-            let mut rand_cfg = base_cfg.clone().with_idc(IdcKind::DimmLink);
-            rand_cfg.placement = PlacementPolicy::Random;
-            let label = |sys: &str| format!("{cfg_name} / {kind} / {sys}");
-            let idx = [
-                sweep.simulate(
-                    label("MCN"),
-                    kind,
-                    params,
-                    base_cfg.clone().with_idc(IdcKind::CpuForwarding),
-                ),
-                sweep.simulate(
-                    label("AIM"),
-                    kind,
-                    params,
-                    base_cfg.clone().with_idc(IdcKind::DedicatedBus),
-                ),
-                sweep.simulate(label("DL-rand"), kind, params, rand_cfg),
-                sweep.simulate(
-                    label("DL-base"),
-                    kind,
-                    params,
-                    base_cfg.clone().with_idc(IdcKind::DimmLink),
-                ),
-                sweep.simulate_optimized(
-                    label("DL-opt"),
-                    kind,
-                    params,
-                    base_cfg.clone().with_idc(IdcKind::DimmLink),
-                ),
-            ];
-            groups.push((cfg_name, kind, host_idx, idx));
+            for (sys, idc, placement, optimized) in SYSTEMS {
+                let mut cfg = base_cfg.clone().with_idc(idc);
+                cfg.placement = placement;
+                let label = format!("{cfg_name} / {kind} / {sys}");
+                if optimized {
+                    sweep.simulate_optimized(label, kind, params, cfg);
+                } else {
+                    sweep.simulate(label, kind, params, cfg);
+                }
+            }
         }
     }
+    vec![sweep]
+}
 
-    let out = run_sweep(sweep, &args);
-
+pub(super) fn report(args: &Args, records: &[RunRecord]) -> Report {
+    let mut report = Report::scaled("Figure 10: P2P speedup over the 16-core host CPU", args);
+    let (hosts, runs) = records.split_at(WorkloadKind::P2P_SET.len());
+    let per_config = runs.chunks(hosts.len() * SYSTEMS.len());
     let mut cells: Vec<Cell> = Vec::new();
-    for (cfg_name, _) in &configs {
+    for ((cfg_name, _), runs) in SystemConfig::p2p_sweep().iter().zip(per_config) {
         let mut rows = Vec::new();
         let mut per_system: Vec<Vec<f64>> = vec![Vec::new(); SYSTEMS.len()];
-        for &(name, kind, host_idx, idx) in groups.iter().filter(|g| g.0 == *cfg_name) {
-            let host_ps = out.records[host_idx].elapsed_f64();
+        let per_workload = hosts.iter().zip(runs.chunks(SYSTEMS.len()));
+        for (kind, (host, runs)) in WorkloadKind::P2P_SET.iter().zip(per_workload) {
+            let host_ps = host.elapsed_f64();
             let mut row = vec![kind.to_string()];
-            for (i, &ri) in idx.iter().enumerate() {
-                let r = &out.records[ri];
+            for (i, r) in runs.iter().enumerate() {
                 let speedup = host_ps / r.elapsed_f64();
                 per_system[i].push(speedup);
                 row.push(fmt_x(speedup));
                 cells.push(Cell {
-                    config: name.to_string(),
+                    config: cfg_name.to_string(),
                     workload: kind.to_string(),
-                    system: SYSTEMS[i].to_string(),
+                    system: SYSTEMS[i].0.to_string(),
                     speedup_vs_host: speedup,
                     idc_stall_frac: r.idc_stall_frac(),
                     elapsed_ns: r.elapsed().as_ns_f64(),
                 });
             }
             // IDC stall ratio of the DL-opt run (the paper's line series).
-            row.push(fmt_pct(out.records[idx[4]].idc_stall_frac()));
+            row.push(fmt_pct(runs[4].idc_stall_frac()));
             rows.push(row);
         }
         let mut geo_row = vec!["geomean".to_string()];
@@ -122,7 +115,7 @@ fn main() {
         }
         geo_row.push(String::new());
         rows.push(geo_row);
-        print_table(
+        report.table(
             &format!("Fig.10 {cfg_name}"),
             &[
                 "workload",
@@ -150,7 +143,7 @@ fn main() {
     let g_rand = geo(&all("DL-rand"));
     let g_base = geo(&all("DL-base"));
     let g_opt = geo(&all("DL-opt"));
-    print_table(
+    report.table(
         "Fig.10 headline geomeans (paper: DL-opt 5.93x; vs MCN 2.42x; vs AIM 1.87x; vs DL-base 1.12x)",
         &["metric", "measured", "paper"],
         &[
@@ -165,5 +158,5 @@ fn main() {
             ],
         ],
     );
-    save_results("fig10_p2p", &cells);
+    report.save(NAME, &cells)
 }

@@ -4,11 +4,14 @@
 //! of total traffic is forwarded via the CPU; the rest stays local or rides
 //! the intra-group links.
 
+use super::Report;
+use crate::sweep::{RunRecord, Sweep};
+use crate::{fmt_pct, Args};
 use dimm_link::config::{IdcKind, SystemConfig};
-use dl_bench::sweep::Sweep;
-use dl_bench::{fmt_pct, print_table, run_sweep, save_results, Args};
 use dl_workloads::WorkloadKind;
 use serde::Serialize;
+
+pub(super) const NAME: &str = "fig11_breakdown";
 
 #[derive(Serialize)]
 struct Row {
@@ -18,25 +21,25 @@ struct Row {
     cpu_forwarded: f64,
 }
 
-fn main() {
-    let args = Args::parse();
-    println!(
-        "Figure 11: traffic breakdown of DIMM-Link-opt at 16D-8C (scale {})",
-        args.scale
-    );
+pub(super) fn points(args: &Args) -> Vec<Sweep> {
     let cfg = SystemConfig::nmp(16, 8).with_idc(IdcKind::DimmLink);
-
-    let mut sweep = Sweep::new("fig11_breakdown");
+    let mut sweep = Sweep::new(NAME);
     let params = args.params(16);
     for kind in WorkloadKind::P2P_SET {
         sweep.simulate_optimized(format!("{kind} / DL-opt"), kind, params, cfg.clone());
     }
-    let result = run_sweep(sweep, &args);
+    vec![sweep]
+}
 
+pub(super) fn report(args: &Args, records: &[RunRecord]) -> Report {
+    let mut report = Report::scaled(
+        "Figure 11: traffic breakdown of DIMM-Link-opt at 16D-8C",
+        args,
+    );
     let mut rows = Vec::new();
     let mut out = Vec::new();
     let mut fwd_sum = 0.0;
-    for (kind, r) in WorkloadKind::P2P_SET.iter().zip(&result.records) {
+    for (kind, r) in WorkloadKind::P2P_SET.iter().zip(records) {
         let (local, link, fwd, _) = r.traffic_breakdown();
         fwd_sum += fwd;
         rows.push(vec![
@@ -58,10 +61,10 @@ fn main() {
         String::new(),
         fmt_pct(fwd_sum / WorkloadKind::P2P_SET.len() as f64),
     ]);
-    print_table(
+    report.table(
         "Fig.11 bytes by path (paper: ~29% CPU-forwarded on average)",
         &["workload", "local DRAM", "DIMM-Link", "CPU-forwarded"],
         &rows,
     );
-    save_results("fig11_breakdown", &out);
+    report.save(NAME, &out)
 }

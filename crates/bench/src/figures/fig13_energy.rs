@@ -4,11 +4,14 @@
 //! from reduced IDC energy) and 1.07x less than AIM (whose bus is cheap per
 //! bit but whose runs are longer).
 
+use super::Report;
+use crate::sweep::{RunRecord, Sweep};
+use crate::{fmt_x, geo, Args};
 use dimm_link::config::{IdcKind, SystemConfig};
-use dl_bench::sweep::Sweep;
-use dl_bench::{fmt_x, geo, print_table, run_sweep, save_results, Args};
 use dl_workloads::WorkloadKind;
 use serde::Serialize;
+
+pub(super) const NAME: &str = "fig13_energy";
 
 #[derive(Serialize)]
 struct Row {
@@ -32,12 +35,9 @@ const SYSTEMS: [(&str, IdcKind); 3] = [
     ("DIMM-Link", IdcKind::DimmLink),
 ];
 
-fn main() {
-    let args = Args::parse();
-    println!("Figure 13: energy at 16D-8C (scale {})", args.scale);
+pub(super) fn points(args: &Args) -> Vec<Sweep> {
     let base = SystemConfig::nmp(16, 8);
-
-    let mut sweep = Sweep::new("fig13_energy");
+    let mut sweep = Sweep::new(NAME);
     let params = args.params(16);
     for kind in WorkloadKind::P2P_SET {
         for (name, idc) in SYSTEMS {
@@ -49,15 +49,18 @@ fn main() {
             );
         }
     }
-    let result = run_sweep(sweep, &args);
+    vec![sweep]
+}
 
+pub(super) fn report(args: &Args, records: &[RunRecord]) -> Report {
+    let mut report = Report::scaled("Figure 13: energy at 16D-8C", args);
     let mut rows = Vec::new();
     let mut out = Vec::new();
     let mut ratios_mcn = Vec::new();
     let mut ratios_aim = Vec::new();
     for (kind, runs) in WorkloadKind::P2P_SET
         .iter()
-        .zip(result.records.chunks(SYSTEMS.len()))
+        .zip(records.chunks(SYSTEMS.len()))
     {
         let totals: Vec<f64> = runs.iter().map(|r| r.energy.total()).collect();
         ratios_mcn.push(totals[0] / totals[2]);
@@ -86,7 +89,7 @@ fn main() {
             });
         }
     }
-    print_table(
+    report.table(
         "Fig.13 energy breakdown (mJ)",
         &[
             "workload",
@@ -100,7 +103,7 @@ fn main() {
         ],
         &rows,
     );
-    print_table(
+    report.table(
         "Fig.13 energy ratios (paper: MCN/DL 1.76x, AIM/DL 1.07x)",
         &["metric", "measured", "paper"],
         &[
@@ -116,5 +119,5 @@ fn main() {
             ],
         ],
     );
-    save_results("fig13_energy", &out);
+    report.save(NAME, &out)
 }

@@ -6,12 +6,15 @@
 //!     and AIM by 2.2x.
 //! (b) End-to-end TS.Pow (SynCron's task). Paper: 1.46-1.74x over MCN.
 
+use super::Report;
+use crate::sweep::{RunRecord, Sweep};
+use crate::{fmt_x, Args};
 use dimm_link::config::{IdcKind, SyncScheme, SystemConfig};
 use dimm_link::runner::simulate;
-use dl_bench::sweep::Sweep;
-use dl_bench::{fmt_x, print_table, run_sweep, save_results, Args};
 use dl_workloads::{synth, WorkloadKind, WorkloadParams};
 use serde::Serialize;
+
+pub(super) const NAME: &str = "fig14_sync";
 
 #[derive(Serialize)]
 struct Point {
@@ -21,10 +24,11 @@ struct Point {
     central_over_hier: f64,
 }
 
-fn main() {
-    let args = Args::parse();
-    println!("Figure 14: synchronization sensitivity");
+/// Barrier intervals of the synthetic sweep, in instructions.
+const INTERVALS: [u32; 5] = [500, 1000, 2000, 5000, 10000];
 
+pub(super) fn points(args: &Args) -> Vec<Sweep> {
+    // The compared systems, in the order each group of runs holds them.
     let base = SystemConfig::nmp(16, 8);
     let hier = base.clone().with_idc(IdcKind::DimmLink);
     let mut central = hier.clone();
@@ -37,15 +41,13 @@ fn main() {
         ("MCN", mcn),
         ("AIM", aim),
     ];
-
-    let mut sweep = Sweep::new("fig14_sync");
+    let mut sweep = Sweep::new(NAME);
 
     // (a) Interval sweep: the synthetic workload comes from `synth`, not
     // from a WorkloadKind, so these are custom points.
-    let intervals = [500u32, 1000, 2000, 5000, 10000];
     let rounds: usize = if args.quick { 40 } else { 200 };
     let params = args.params(16);
-    for &interval in &intervals {
+    for interval in INTERVALS {
         for (name, cfg) in &systems {
             sweep.custom(
                 format!("interval {interval} / {name}"),
@@ -65,27 +67,29 @@ fn main() {
         scale: args.scale.min(11),
         ..args.params(16)
     };
-    for (name, cfg) in &systems {
+    for (name, cfg) in systems {
         sweep.simulate(
             format!("ts.pow / {name}"),
             WorkloadKind::TsPow,
             ts_params,
-            cfg.clone(),
+            cfg,
         );
     }
+    vec![sweep]
+}
 
-    let out = run_sweep(sweep, &args);
-    // One run per system, in `systems` order: one group per interval, then
-    // TS.Pow.
-    let groups: Vec<[f64; 4]> = out
-        .records
-        .chunks(systems.len())
+pub(super) fn report(_: &Args, records: &[RunRecord]) -> Report {
+    let mut report = Report::new("Figure 14: synchronization sensitivity\n");
+    // One run per system, in `points`' order: one group per interval,
+    // then TS.Pow.
+    let groups: Vec<[f64; 4]> = records
+        .chunks(4)
         .map(|runs| [0, 1, 2, 3].map(|i| runs[i].elapsed_f64()))
         .collect();
 
     let mut rows = Vec::new();
     let mut points = Vec::new();
-    for (&interval, &[t_hier, t_central, t_mcn, t_aim]) in intervals.iter().zip(&groups) {
+    for (&interval, &[t_hier, t_central, t_mcn, t_aim]) in INTERVALS.iter().zip(&groups) {
         rows.push(vec![
             interval.to_string(),
             fmt_x(t_mcn / t_hier),
@@ -99,14 +103,14 @@ fn main() {
             central_over_hier: t_central / t_hier,
         });
     }
-    print_table(
+    report.table(
         "Fig.14(a) DIMM-Link-Hier speedup vs sync interval (paper @500: 5.3x over MCN, 2.2x over AIM)",
         &["interval (instr)", "vs MCN", "vs AIM", "vs DL-Central"],
         &rows,
     );
 
-    let [t_hier, t_central, t_mcn, t_aim] = groups[intervals.len()];
-    print_table(
+    let [t_hier, t_central, t_mcn, t_aim] = groups[INTERVALS.len()];
+    report.table(
         "Fig.14(b) TS.Pow end-to-end (paper: DL-Hier 1.46-1.74x over MCN)",
         &["system", "speedup of DL-Hier"],
         &[
@@ -115,5 +119,5 @@ fn main() {
             vec!["vs DL-Central".into(), fmt_x(t_central / t_hier)],
         ],
     );
-    save_results("fig14_sync", &points);
+    report.save(NAME, &points)
 }

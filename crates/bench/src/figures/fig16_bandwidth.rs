@@ -4,11 +4,14 @@
 //! at 16D-8C, HS and BFS improve almost linearly — evidence that the large
 //! chain diameter causes congestion that bandwidth relieves.
 
+use super::Report;
+use crate::sweep::{RunRecord, Sweep};
+use crate::{fmt_x, Args};
 use dimm_link::config::{IdcKind, SystemConfig};
-use dl_bench::sweep::Sweep;
-use dl_bench::{fmt_x, print_table, run_sweep, save_results, Args};
 use dl_workloads::WorkloadKind;
 use serde::Serialize;
+
+pub(super) const NAME: &str = "fig16_bandwidth";
 
 #[derive(Serialize)]
 struct Point {
@@ -18,22 +21,22 @@ struct Point {
     speedup_vs_4gbps: f64,
 }
 
-fn main() {
-    let args = Args::parse();
-    println!("Figure 16: link-bandwidth sweep (scale {})", args.scale);
-    let bandwidths: &[u64] = &[4, 8, 16, 25, 32, 64];
-    let workloads = [
-        WorkloadKind::Hotspot,
-        WorkloadKind::Bfs,
-        WorkloadKind::Pagerank,
-    ];
-    let configs = [("4D-2C", 4usize, 2usize), ("16D-8C", 16, 8)];
+/// Link bandwidths per direction, GB/s.
+const BANDWIDTHS: [u64; 6] = [4, 8, 16, 25, 32, 64];
+const WORKLOADS: [WorkloadKind; 3] = [
+    WorkloadKind::Hotspot,
+    WorkloadKind::Bfs,
+    WorkloadKind::Pagerank,
+];
+/// (name, DIMMs, channels).
+const CONFIGS: [(&str, usize, usize); 2] = [("4D-2C", 4, 2), ("16D-8C", 16, 8)];
 
-    let mut sweep = Sweep::new("fig16_bandwidth");
-    for (cfg_name, dimms, channels) in configs {
+pub(super) fn points(args: &Args) -> Vec<Sweep> {
+    let mut sweep = Sweep::new(NAME);
+    for (cfg_name, dimms, channels) in CONFIGS {
         let params = args.params(dimms);
-        for kind in workloads {
-            for &gb in bandwidths {
+        for kind in WORKLOADS {
+            for gb in BANDWIDTHS {
                 let mut cfg = SystemConfig::nmp(dimms, channels).with_idc(IdcKind::DimmLink);
                 cfg.link = cfg.link.with_bandwidth(gb * 1_000_000_000);
                 sweep.simulate(
@@ -45,16 +48,19 @@ fn main() {
             }
         }
     }
-    let result = run_sweep(sweep, &args);
+    vec![sweep]
+}
 
+pub(super) fn report(args: &Args, records: &[RunRecord]) -> Report {
+    let mut report = Report::scaled("Figure 16: link-bandwidth sweep", args);
     let mut out = Vec::new();
-    let per_config = workloads.len() * bandwidths.len();
-    for ((cfg_name, _, _), runs) in configs.iter().zip(result.records.chunks(per_config)) {
+    let per_config = WORKLOADS.len() * BANDWIDTHS.len();
+    for ((cfg_name, _, _), runs) in CONFIGS.iter().zip(records.chunks(per_config)) {
         let mut rows = Vec::new();
-        for (kind, runs) in workloads.iter().zip(runs.chunks(bandwidths.len())) {
+        for (kind, runs) in WORKLOADS.iter().zip(runs.chunks(BANDWIDTHS.len())) {
             let mut row = vec![kind.to_string()];
             let base_ps = runs[0].elapsed_f64();
-            for (&gb, r) in bandwidths.iter().zip(runs) {
+            for (&gb, r) in BANDWIDTHS.iter().zip(runs) {
                 let s = base_ps / r.elapsed_f64();
                 row.push(fmt_x(s));
                 out.push(Point {
@@ -66,12 +72,14 @@ fn main() {
             }
             rows.push(row);
         }
-        print_table(
+        report.table(
             &format!("Fig.16 {cfg_name}: speedup vs 4 GB/s links"),
             &["workload", "4", "8", "16", "25", "32", "64 GB/s"],
             &rows,
         );
     }
-    println!("\nExpected shape: gains grow with system size (16D-8C > 4D-2C).");
-    save_results("fig16_bandwidth", &out);
+    report
+        .text
+        .push_str("\nExpected shape: gains grow with system size (16D-8C > 4D-2C).\n");
+    report.save(NAME, &out)
 }

@@ -3,13 +3,16 @@
 //! Paper: relative to the practical chain ("half-ring") baseline, Ring
 //! accelerates P2P IDC by 1.11x, Mesh by 1.19x, Torus by 1.27x on average.
 
+use super::Report;
+use crate::sweep::{RunRecord, Sweep};
+use crate::{fmt_x, geo, Args};
 use dimm_link::config::{IdcKind, SystemConfig};
 use dimm_link::runner::simulate;
-use dl_bench::sweep::{RunRecord, Sweep};
-use dl_bench::{fmt_x, geo, print_table, run_sweep, save_results, Args};
 use dl_noc::TopologyKind;
 use dl_workloads::{synth, WorkloadKind};
 use serde::Serialize;
+
+pub(super) const NAME: &str = "fig17_topology";
 
 #[derive(Serialize)]
 struct Row {
@@ -25,23 +28,18 @@ fn cfg_with(topo: TopologyKind) -> SystemConfig {
     cfg
 }
 
-fn main() {
-    let args = Args::parse();
-    println!(
-        "Figure 17: topology exploration at 16D-8C (scale {})",
-        args.scale
-    );
-    let all_topos = [
-        TopologyKind::Chain,
-        TopologyKind::Ring,
-        TopologyKind::Mesh,
-        TopologyKind::Torus,
-    ];
+const TOPOLOGIES: [TopologyKind; 4] = [
+    TopologyKind::Chain,
+    TopologyKind::Ring,
+    TopologyKind::Mesh,
+    TopologyKind::Torus,
+];
 
-    let mut sweep = Sweep::new("fig17_topology");
+pub(super) fn points(args: &Args) -> Vec<Sweep> {
+    let mut sweep = Sweep::new(NAME);
     let params = args.params(16);
     for kind in WorkloadKind::P2P_SET {
-        for topo in all_topos {
+        for topo in TOPOLOGIES {
             sweep.simulate(format!("{kind} / {topo:?}"), kind, params, cfg_with(topo));
         }
     }
@@ -51,7 +49,7 @@ fn main() {
     // 16-DIMM group (chain diameter 15) under a uniform IDC stress exposes
     // exactly the congestion/diameter problem Section VI discusses.
     let messages: usize = if args.quick { 500 } else { 4000 };
-    for topo in all_topos {
+    for topo in TOPOLOGIES {
         let mut cfg = cfg_with(topo);
         cfg.groups = 1;
         sweep.custom(
@@ -63,14 +61,17 @@ fn main() {
             },
         );
     }
+    vec![sweep]
+}
 
-    let out = run_sweep(sweep, &args);
+pub(super) fn report(args: &Args, records: &[RunRecord]) -> Report {
+    let mut report = Report::scaled("Figure 17: topology exploration at 16D-8C", args);
     // One run per topology: one group per workload, then the stress test.
-    let groups: Vec<&[RunRecord]> = out.records.chunks(all_topos.len()).collect();
+    let groups: Vec<&[RunRecord]> = records.chunks(TOPOLOGIES.len()).collect();
 
     let mut rows = Vec::new();
     let mut json = Vec::new();
-    let mut per_topo: Vec<Vec<f64>> = vec![Vec::new(); all_topos.len() - 1];
+    let mut per_topo: Vec<Vec<f64>> = vec![Vec::new(); TOPOLOGIES.len() - 1];
     for (kind, runs) in WorkloadKind::P2P_SET.iter().zip(&groups) {
         let base = runs[0].elapsed_f64();
         let mut speeds = Vec::new();
@@ -98,7 +99,7 @@ fn main() {
         fmt_x(geo(&per_topo[1])),
         fmt_x(geo(&per_topo[2])),
     ]);
-    print_table(
+    report.table(
         "Fig.17 speedup over the chain baseline (paper: Ring 1.11x, Mesh 1.19x, Torus 1.27x)",
         &["workload", "Ring", "Mesh", "Torus"],
         &rows,
@@ -110,10 +111,10 @@ fn main() {
     for r in &stress[1..] {
         srow.push(fmt_x(base / r.elapsed_f64()));
     }
-    print_table(
+    report.table(
         "Fig.17 supplement: one 16-DIMM group (diameter 15), uniform IDC stress",
         &["workload", "Ring", "Mesh", "Torus"],
         &[srow],
     );
-    save_results("fig17_topology", &json);
+    report.save(NAME, &json)
 }

@@ -4,17 +4,20 @@
 //! bandwidths measured with a saturating stream microbench on each
 //! mechanism.
 
+use super::Report;
+use crate::sweep::{RunRecord, Sweep};
+use crate::{gbps, Args};
 use dimm_link::config::{IdcKind, SystemConfig};
 use dimm_link::host::HostPath;
 use dimm_link::idc::Interconnect;
 use dimm_link::runner::RunResult;
-use dl_bench::sweep::Sweep;
-use dl_bench::{gbps, print_table, run_sweep, save_results, Args};
 use dl_engine::stats::StatSet;
 use dl_engine::Ps;
 use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+pub(super) const NAME: &str = "table1_idc_methods";
 
 #[derive(Serialize)]
 struct Row {
@@ -29,6 +32,30 @@ const PAIRS: usize = 8;
 /// Packets a pair may have in flight; a window of 128 or 512 reads the
 /// same stream bandwidth, so 32 saturates every mechanism.
 const WINDOW: usize = 32;
+/// One channel's bandwidth, GB/s.
+const BETA: f64 = 19.2;
+
+/// Each method with the paper's formula for its maximum and that maximum,
+/// GB/s.
+const METHODS: [(IdcKind, &str, f64); 4] = [
+    (
+        IdcKind::CpuForwarding,
+        "#Channel x beta/2",
+        8.0 * BETA / 2.0,
+    ),
+    (IdcKind::AbcDimm, "#DIMM x beta (broadcast)", 16.0 * BETA),
+    (IdcKind::DedicatedBus, "beta", BETA),
+    (IdcKind::DimmLink, "#Link x beta_link", 14.0 * 25.0),
+];
+
+/// Packets each pair streams.
+fn packets(args: &Args) -> u64 {
+    if args.quick {
+        2_000
+    } else {
+        20_000
+    }
+}
 
 /// Saturates a mechanism with concurrent neighbour-to-neighbour streams;
 /// the returned elapsed time is the last arrival, from which the aggregate
@@ -67,39 +94,26 @@ fn measure(&(kind, packets): &(IdcKind, u64)) -> RunResult {
     RunResult::measured(last, StatSet::new())
 }
 
-fn main() {
-    let args = Args::parse();
-    let packets = if args.quick { 2_000 } else { 20_000 };
-    let beta = 19.2; // GB/s per channel
-
-    let rows_data = [
-        (
-            IdcKind::CpuForwarding,
-            "#Channel x beta/2",
-            8.0 * beta / 2.0,
-        ),
-        (IdcKind::AbcDimm, "#DIMM x beta (broadcast)", 16.0 * beta),
-        (IdcKind::DedicatedBus, "beta", beta),
-        (IdcKind::DimmLink, "#Link x beta_link", 14.0 * 25.0),
-    ];
-
+pub(super) fn points(args: &Args) -> Vec<Sweep> {
     // ABC-DIMM's point-to-point path is CPU forwarding; its analytic
     // entry refers to broadcast (measured in fig12). Measure P2P here.
-    let mut sweep = Sweep::new("table1_idc_methods");
-    for (kind, _, _) in rows_data {
+    let mut sweep = Sweep::new(NAME);
+    for (kind, _, _) in METHODS {
         sweep.custom(
             format!("{kind} / stream"),
             format!("16D-8C {kind} saturating stream"),
-            (kind, packets),
+            (kind, packets(args)),
             measure,
         );
     }
-    let result = run_sweep(sweep, &args);
+    vec![sweep]
+}
 
+pub(super) fn report(args: &Args, records: &[RunRecord]) -> Report {
     let mut rows = Vec::new();
     let mut out = Vec::new();
-    for ((kind, formula, analytic), record) in rows_data.into_iter().zip(&result.records) {
-        let measured = gbps(BYTES * packets * 8, record.elapsed());
+    for ((kind, formula, analytic), record) in METHODS.into_iter().zip(records) {
+        let measured = gbps(BYTES * packets(args) * 8, record.elapsed());
         rows.push(vec![
             kind.to_string(),
             formula.to_string(),
@@ -113,15 +127,16 @@ fn main() {
             measured_gbps: measured,
         });
     }
-    print_table(
+    let mut report = Report::new("");
+    report.table(
         "Table I: maximum P2P IDC bandwidth (16D-8C; analytic vs measured stream)",
         &["method", "formula", "analytic", "measured P2P"],
         &rows,
     );
-    println!(
+    report.text.push_str(
         "\nNotes: MCN/ABC measured P2P includes polling discovery and the host \
          round trip, so it sits below the channel-count bound; DIMM-Link's \
-         adjacent-pair stream exercises 8 of the 14 links."
+         adjacent-pair stream exercises 8 of the 14 links.\n",
     );
-    save_results("table1_idc_methods", &out);
+    report.save(NAME, &out)
 }

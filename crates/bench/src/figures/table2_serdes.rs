@@ -4,12 +4,22 @@
 //! the GRS column is what the simulator's default link model and the
 //! energy model's link constant are taken from.
 
+use super::Report;
+use crate::sweep::{RunRecord, Sweep};
+use crate::Args;
 use dimm_link::energy::LINK_PJ_PER_BIT;
-use dl_bench::print_table;
 use dl_noc::{LinkParams, HOP_LATENCY, ROUTER_LATENCY};
 
-fn main() {
-    print_table(
+pub(super) const NAME: &str = "table2_serdes";
+
+/// A table of constants: no sweep.
+pub(super) fn points(_: &Args) -> Vec<Sweep> {
+    Vec::new()
+}
+
+pub(super) fn report(_: &Args, _: &[RunRecord]) -> Report {
+    let mut report = Report::new("");
+    report.table(
         "Table II: SerDes techniques (paper values)",
         &["reference", "media", "signal rate", "reach", "energy"],
         &[
@@ -38,7 +48,7 @@ fn main() {
     );
 
     let link = LinkParams::grs_25gbps();
-    print_table(
+    report.table(
         "Simulator configuration derived from the GRS column",
         &["parameter", "value"],
         &[
@@ -51,4 +61,5 @@ fn main() {
             vec!["link energy".into(), format!("{LINK_PJ_PER_BIT} pJ/b")],
         ],
     );
+    report
 }

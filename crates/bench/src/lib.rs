@@ -1,30 +1,31 @@
 //! # dl-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper's
-//! evaluation (Section V) plus ablations. Each binary prints the same rows
-//! or series the paper reports and writes machine-readable results to
-//! `target/results/<name>.json`.
+//! The experiment harness: each table and figure of the paper's evaluation
+//! (Section V) plus the ablations is a [`figures::Figure`], and the
+//! `figures` binary runs one by name. A run prints the rows or series the
+//! paper reports and writes its sweep artifacts and its results JSON to
+//! one directory (`--out`, default `target/sweeps`); `report` collates
+//! that directory into `REPORT.md`.
 //!
 //! Run, e.g.:
 //!
 //! ```text
-//! cargo run --release -p dl-bench --bin fig10_p2p
-//! cargo run --release -p dl-bench --bin fig10_p2p -- --quick   # small inputs
-//! cargo run --release -p dl-bench --bin fig10_p2p -- --scale 14
+//! cargo run --release -p dl-bench --bin figures -- --list
+//! cargo run --release -p dl-bench --bin figures -- fig10_p2p
+//! cargo run --release -p dl-bench --bin figures -- fig10_p2p --quick   # small inputs
+//! cargo run --release -p dl-bench --bin figures -- fig10_p2p --scale 14
 //! ```
 
 pub mod fidelity;
+pub mod figures;
 pub mod sweep;
 
 use dl_engine::stats::geomean;
 use dl_engine::Ps;
 use dl_workloads::WorkloadParams;
-use serde::Serialize;
-use std::io;
-use std::path::Path;
 use sweep::SweepOptions;
 
-/// Common command-line arguments of every experiment binary.
+/// The command-line arguments of a figure run.
 #[derive(Debug, Clone)]
 pub struct Args {
     /// Workload scale (R-MAT log2 vertices etc.); default 13, `--quick` = 10.
@@ -35,7 +36,8 @@ pub struct Args {
     pub quick: bool,
     /// Sweep worker threads (`--threads`; falls back to `DL_THREADS`).
     pub threads: Option<usize>,
-    /// Sweep artifact directory (`--out`; default `target/sweeps`).
+    /// Directory of the sweep artifacts and the results JSON (`--out`;
+    /// default `target/sweeps`).
     pub out: Option<std::path::PathBuf>,
     /// Reuse journaled points from an interrupted run (`--resume`).
     pub resume: bool,
@@ -58,11 +60,10 @@ fn flag_value<T: std::str::FromStr>(
 }
 
 impl Args {
-    /// Parses the command line from `std::env::args` (see
-    /// [`Args::parse_from`]); on a malformed line prints the error and the
-    /// usage and exits with status 2.
-    pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|e| {
+    /// Parses `argv` (see [`Args::parse_from`]); on a malformed line prints
+    /// the error and the usage and exits with status 2.
+    pub fn parse(argv: impl IntoIterator<Item = String>) -> Self {
+        Self::parse_from(argv).unwrap_or_else(|e| {
             eprintln!("error: {e}\n{USAGE}");
             std::process::exit(2);
         })
@@ -151,75 +152,6 @@ pub fn sim_cap_of_ms(ms: u64) -> Ps {
     Ps::from_ps(ms.saturating_mul(1_000_000_000))
 }
 
-/// Runs a sweep with this binary's options — capping every simulated run
-/// at `--max-sim-ms` when given — exiting with a labeled error message if
-/// a point fails (completed points are journaled first, so a rerun with
-/// `--resume` picks up where this one stopped).
-pub fn run_sweep(mut s: sweep::Sweep, args: &Args) -> sweep::SweepOutcome {
-    if let Some(ms) = args.max_sim_ms {
-        s.cap_sim_time(sim_cap_of_ms(ms));
-    }
-    match s.run_with(&args.sweep_options()) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Pretty-prints an aligned table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let line = |cells: &[String]| {
-        cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:>w$}", c, w = widths.get(i).copied().unwrap_or(8) + 2))
-            .collect::<String>()
-    };
-    println!(
-        "{}",
-        line(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-    );
-    for row in rows {
-        println!("{}", line(row));
-    }
-}
-
-/// Writes `value` as JSON under `target/results/<name>.json`.
-///
-/// # Errors
-/// The directory or the file cannot be created or written; the error
-/// names the file.
-pub fn save_json<T: Serialize>(name: &str, value: &T) -> io::Result<()> {
-    let dir = Path::new("target/results");
-    let path = dir.join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value).unwrap_or_default();
-    std::fs::create_dir_all(dir)
-        .and_then(|()| std::fs::write(&path, json + "\n"))
-        .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
-    println!("[saved {}]", path.display());
-    Ok(())
-}
-
-/// [`save_json`], exiting with status 1 and the error, which names the
-/// file, if the summary cannot be written.
-pub fn save_results<T: Serialize>(name: &str, value: &T) {
-    if let Err(e) = save_json(name, value) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
-}
-
 /// Formats a speedup.
 pub fn fmt_x(v: f64) -> String {
     format!("{v:.2}x")
@@ -228,11 +160,6 @@ pub fn fmt_x(v: f64) -> String {
 /// Formats a percentage.
 pub fn fmt_pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
-}
-
-/// Formats simulated time.
-pub fn fmt_time(t: Ps) -> String {
-    t.to_string()
 }
 
 /// Geometric mean over a slice.

@@ -1,4 +1,4 @@
-//! Work-stealing sweep runner shared by every figure/table binary.
+//! Work-stealing sweep runner shared by every figure and `dlsim sweep`.
 //!
 //! Each paper figure is a sweep over independent `(workload, SystemConfig)`
 //! points. This module runs those points across `min(points, threads)`
@@ -253,6 +253,15 @@ pub struct SweepOptions {
     pub halt_after: Option<usize>,
 }
 
+impl SweepOptions {
+    /// The artifact directory: `out_dir`, else `target/sweeps`.
+    pub fn dir(&self) -> PathBuf {
+        self.out_dir
+            .clone()
+            .unwrap_or_else(|| PathBuf::from("target/sweeps"))
+    }
+}
+
 /// Resolves the worker-thread count: explicit request, else `DL_THREADS`,
 /// else `available_parallelism()` (at least 1).
 ///
@@ -318,16 +327,6 @@ impl Sweep {
             name: name.into(),
             points: Vec::new(),
         }
-    }
-
-    /// Number of submitted points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when no points have been submitted.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
     }
 
     /// Submits a fully-formed point; returns its submission index.
@@ -464,10 +463,7 @@ impl Sweep {
         let total = points.len();
         let started = Instant::now();
         let artifacts = !opts.quiet;
-        let out_dir = opts
-            .out_dir
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("target/sweeps"));
+        let out_dir = opts.dir();
 
         // Content keys double as journal keys.
         let keys: Vec<String> = points.iter().map(point_key).collect();
