@@ -11,7 +11,8 @@
 //! interconnect, the barrier and the event queue — it reaches through a
 //! [`CorePort`], which each system implements for itself. The core walks
 //! the trace's compact form in place: a call runs its block's ops where it
-//! stands, and the expanded sequence is never built.
+//! stands, a sweep runs its iterations there, each its access and then its
+//! chosen block's ops, and the expanded sequence is never built.
 //!
 //! [`Schedule`] is the event order both systems share: one event queue,
 //! one live service tick per memory controller beside it, the clock, and
@@ -47,7 +48,7 @@
 
 use dl_engine::{EventKey, EventQueue, Freq, Ps};
 use dl_mem::{Completion, MemController, MemRequest};
-use dl_workloads::{Block, Op, Step, ThreadTrace};
+use dl_workloads::{Block, Iterations, Op, Step, Sweep, ThreadTrace};
 use std::collections::VecDeque;
 
 /// Where a core is in its trace.
@@ -100,19 +101,31 @@ pub(crate) trait CorePort {
     fn barrier(&mut self, t: Ps);
 }
 
+/// What a core's current run is, as it walks its trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Run {
+    /// The trace's steps.
+    Steps,
+    /// The ops of a block: the one a call runs, or the one the current
+    /// iteration of a sweep calls.
+    Block,
+    /// The access that starts the current iteration of a sweep.
+    Access,
+}
+
 /// One trace-driven core: its clock, window size and rank, the position in
 /// its trace, the MLP window, what it is blocked on, and where its stall
 /// time went.
 #[derive(Debug)]
 pub(crate) struct TraceCore {
-    /// The position: the trace's step `pc`, and inside the block that step
-    /// calls, op `sub` (0 outside a block).
+    /// The position: the trace's step `pc`, and among the ops that step
+    /// runs, the one at offset `sub` (0 for an op).
     pc: usize,
     sub: u32,
     /// The trace stops after its first `stop` steps (a profiling run
     /// truncates it) ...
     stop: usize,
-    /// ... and the block called at step `stop - 1` after its first `cut`
+    /// ... and step `stop - 1`, a call or a sweep, after its first `cut`
     /// ops (0: in full).
     cut: u32,
     /// The core clock's period.
@@ -147,8 +160,8 @@ pub(crate) struct TraceCore {
 
 impl TraceCore {
     /// A core clocked at `clock` that will run the first `limit` ops of
-    /// `trace` (expanded; the stop may fall inside a block) with a window
-    /// of `mlp` slots, waking under `rank`.
+    /// `trace` (expanded; the stop may fall inside a call or a sweep) with
+    /// a window of `mlp` slots, waking under `rank`.
     pub(crate) fn new(
         trace: &ThreadTrace,
         limit: usize,
@@ -162,7 +175,7 @@ impl TraceCore {
             pc: 0,
             sub: 0,
             stop: pc + usize::from(sub > 0),
-            cut: u32::try_from(sub).expect("blocks hold fewer than 2^32 ops"),
+            cut: u32::try_from(sub).expect("a step runs fewer than 2^32 ops"),
             period: clock.period(),
             mlp: u32::try_from(mlp).expect("a window of fewer than 2^32 slots"),
             rank,
@@ -190,16 +203,59 @@ impl TraceCore {
         self.outstanding.len() >= self.mlp as usize
     }
 
+    /// Whether the stop cuts step `pc` short.
+    #[inline]
+    fn cuts(&self, pc: usize) -> bool {
+        self.cut > 0 && pc + 1 == self.stop
+    }
+
     /// The ops of block `b` that the call at step `pc` runs: all of them,
     /// unless the stop cuts that call short.
     #[inline]
     fn called<'t>(&self, trace: &'t ThreadTrace, b: Block, pc: usize) -> &'t [Step] {
         let ops = trace.block(b);
-        if self.cut > 0 && pc + 1 == self.stop {
+        if self.cuts(pc) {
             &ops[..self.cut as usize]
         } else {
             ops
         }
+    }
+
+    /// The iterations of the sweep `s` at step `pc` that the core runs
+    /// from iteration `from` on: all of them, unless the stop cuts the
+    /// sweep short.
+    fn iterations<'t>(
+        &self,
+        trace: &'t ThreadTrace,
+        s: Sweep,
+        pc: usize,
+        from: u32,
+    ) -> Iterations<'t> {
+        let (count, per) = trace.sweep_shape(s);
+        let end = if self.cuts(pc) {
+            (self.cut as usize).div_ceil(per) as u32
+        } else {
+            count
+        };
+        trace.iterations(s, from..end)
+    }
+
+    /// The next of `its`, iterations of the sweep at step `pc`: its access
+    /// and the ops of its block that run after it, all of them unless the
+    /// stop cuts the last iteration short.
+    #[inline]
+    fn next_iteration<'t>(
+        &self,
+        its: &mut Iterations<'t>,
+        pc: usize,
+    ) -> Option<(Step, &'t [Step])> {
+        let (access, ops) = its.next()?;
+        let ops = if its.len() == 0 && self.cuts(pc) {
+            &ops[..(self.cut as usize - 1) % (1 + ops.len())]
+        } else {
+            ops
+        };
+        Some((Step::Op(access), ops))
     }
 
     /// Runs the core from `now` until it blocks, finishes, or reaches a
@@ -227,13 +283,32 @@ impl TraceCore {
         // a barrier return. So it is read again only after `issue` and
         // `broadcast`, and under the auditor checked fresh at every step.
         let mut horizon = port.horizon();
-        // The current run, the trace's steps or the block that step `pc`
-        // calls, and the index `i` in it; written back once, on return.
+        // The current run, the index `i` in it, and what the run is; written
+        // back once, on return. In the sweep at step `pc` the core walks
+        // `its`, the sweep's iterations: the run of the current one is first
+        // its `access` and then its `body`, the ops of the block it calls.
         let steps = &trace.steps()[..self.stop];
         let mut pc = self.pc;
-        let (mut run, mut i, mut in_block) = match steps.get(pc) {
-            Some(&Step::Call(b)) => (self.called(trace, b, pc), self.sub as usize, true),
-            _ => (steps, pc, false),
+        let mut its = Iterations::default();
+        let (mut access, mut body) = ([Step::Op(Op::Barrier)], &[][..]);
+        let (mut run, mut i, mut at) = match steps.get(pc) {
+            Some(&Step::Call(b)) => (self.called(trace, b, pc), self.sub as usize, Run::Block),
+            Some(&Step::Sweep(s)) => {
+                let per = trace.sweep_shape(s).1;
+                its = self.iterations(trace, s, pc, (self.sub as usize / per) as u32);
+                match self.next_iteration(&mut its, pc) {
+                    Some(next) => {
+                        (access[0], body) = next;
+                        match self.sub as usize % per {
+                            0 => (&access[..], 0, Run::Access),
+                            k => (body, k - 1, Run::Block),
+                        }
+                    }
+                    // Stopped right after the sweep's last op.
+                    None => (steps, pc + 1, Run::Steps),
+                }
+            }
+            _ => (steps, pc, Run::Steps),
         };
         let finished = loop {
             if dl_engine::AUDIT {
@@ -242,11 +317,11 @@ impl TraceCore {
             let step = run.get(i);
             // What touches only the core's own state runs whatever the
             // horizon: compute, an L1 hit, a skipped barrier, and entering
-            // or leaving a block. Those change only its L1 and the
-            // commutative profile counts. A completion that arrives
-            // meanwhile for a `Ready` core only frees a window slot, which
-            // the next shared access sees: the horizon check below runs
-            // before it.
+            // or leaving a block, a sweep or an iteration. Those change only
+            // its L1 and the commutative profile counts. A completion that
+            // arrives meanwhile for a `Ready` core only frees a window slot,
+            // which the next shared access sees: the horizon check below
+            // runs before it.
             match step {
                 Some(&Step::Op(Op::Comp(cycles))) => {
                     i += 1;
@@ -276,12 +351,29 @@ impl TraceCore {
                     }
                 }
                 Some(&Step::Call(b)) => {
-                    (pc, i, in_block) = (i, 0, true);
+                    (pc, i, at) = (i, 0, Run::Block);
                     run = self.called(trace, b, pc);
                     continue;
                 }
-                None if in_block => {
-                    (run, i, in_block) = (steps, pc + 1, false);
+                Some(&Step::Sweep(s)) => {
+                    (pc, its) = (i, self.iterations(trace, s, i, 0));
+                    (access[0], body) =
+                        self.next_iteration(&mut its, pc).expect("a sweep iterates");
+                    (run, i, at) = (&access, 0, Run::Access);
+                    continue;
+                }
+                // The end of an access, of a block, or of an iteration.
+                None if at == Run::Access => {
+                    (run, i, at) = (body, 0, Run::Block);
+                    continue;
+                }
+                None if at == Run::Block => {
+                    if let Some(next) = self.next_iteration(&mut its, pc) {
+                        (access[0], body) = next;
+                        (run, i, at) = (&access, 0, Run::Access);
+                    } else {
+                        (run, i, at) = (steps, pc + 1, Run::Steps);
+                    }
                     continue;
                 }
                 _ => {}
@@ -315,7 +407,9 @@ impl TraceCore {
             }
             let op = match step {
                 Some(&Step::Op(op)) => op,
-                Some(Step::Call(_)) => unreachable!("a call is entered before the horizon check"),
+                Some(Step::Call(_) | Step::Sweep(_)) => {
+                    unreachable!("a call or a sweep is entered before the horizon check")
+                }
                 None if self.outstanding.is_empty() => {
                     self.status = Status::Done;
                     self.finish = Some(t);
@@ -385,13 +479,21 @@ impl TraceCore {
                 Op::Comp(_) => unreachable!("compute runs before the horizon check"),
             }
         };
-        (self.pc, self.sub) = if in_block {
-            (
+        (self.pc, self.sub) = match (at, steps.get(pc)) {
+            (Run::Steps, _) => (i, 0),
+            (_, Some(&Step::Sweep(s))) => {
+                let done = if at == Run::Access { i } else { 1 + i };
+                let j = its.next_index() as usize - 1;
+                let sub = j * trace.sweep_shape(s).1 + done;
+                (
+                    pc,
+                    u32::try_from(sub).expect("a sweep holds fewer than 2^32 ops"),
+                )
+            }
+            _ => (
                 pc,
-                u32::try_from(i).expect("blocks hold fewer than 2^32 ops"),
-            )
-        } else {
-            (i, 0)
+                u32::try_from(i).expect("a block holds fewer than 2^32 ops"),
+            ),
         };
         finished
     }
@@ -432,12 +534,8 @@ impl TraceCore {
         if !self.deferred || self.blocked_at >= t {
             return None;
         }
-        let step = match trace.steps()[self.pc] {
-            Step::Call(b) => trace.block(b)[self.sub as usize],
-            step => step,
-        };
-        match step {
-            Step::Op(Op::Load { addr, .. } | Op::Store { addr, .. }) => Some(addr.get()),
+        match trace.op_at(self.pc, self.sub as usize) {
+            Op::Load { addr, .. } | Op::Store { addr, .. } => Some(addr.get()),
             _ => unreachable!("only an access is deferred"),
         }
     }
@@ -1072,6 +1170,120 @@ mod tests {
             assert_eq!(addrs, issued, "limit {limit}");
             assert_eq!(core.status, Status::WaitDrain, "limit {limit}");
         }
+    }
+
+    /// Two sweeps over blocks of three ops, between plain ops: the first's
+    /// accesses are cacheable loads at 32 + 16 j (two L1 hits, then
+    /// misses), the second's uncacheable stores at 5 + 64 j (remote); the
+    /// blocks mix compute, a hit and misses.
+    fn with_sweeps() -> ThreadTrace {
+        let cached = |addr| Op::Load {
+            addr: Addr::new(addr),
+            cacheable: true,
+        };
+        let mut t = ThreadTrace::new();
+        let a = t.add_block([Op::Comp(1), load(1001), Op::Comp(2)].into_iter().collect());
+        let b = t.add_block([cached(8), Op::Comp(4), load(2000)].into_iter().collect());
+        t.comp(2);
+        t.sweep(cached(32), 16, [a, b], [false, true, true, false, true]);
+        t.push(load(3));
+        let store = Op::Store {
+            addr: Addr::new(5),
+            cacheable: false,
+        };
+        t.sweep(store, 64, [a, b], [true, false, false]);
+        t.extend([Op::Comp(1), Op::Atomic { addr: Addr::new(7) }, Op::Barrier]);
+        t
+    }
+
+    /// Runs the first `limit` ops of `trace` with a window of `mlp` on a
+    /// port whose horizon stays `ahead` ns ahead of the clock, completing the
+    /// oldest transaction 7 ns after each block, and returns everything
+    /// the core asked of the port, its stalls and finish, and the address
+    /// it had deferred whenever it blocked.
+    fn drive(trace: &ThreadTrace, limit: usize, mlp: usize, ahead: u64) -> String {
+        let mut port = FakePort {
+            hit_below: 64,
+            ..FakePort::default()
+        };
+        let mut core = TraceCore::new(trace, limit, Freq::from_ghz(1.0), mlp, 1, false);
+        let mut deferred = Vec::new();
+        let mut now = Ps::ZERO;
+        loop {
+            port.horizon = Some(EventKey::new(now + ns(ahead), 0));
+            if core.advance(trace, now, &mut port) {
+                break;
+            }
+            deferred.push(core.deferred_before(trace, Ps::MAX));
+            match core.status {
+                Status::Ready => now = core.ready_at,
+                Status::WaitWindow | Status::WaitDrain => {
+                    now = now.max(core.blocked_at) + ns(7);
+                    core.complete(core.outstanding[0].0, now, &mut port);
+                    now = core.ready_at;
+                }
+                Status::WaitBarrier => {
+                    now = core.blocked_at + ns(3);
+                    core.unblock(now, false, &mut port);
+                }
+                Status::Done => unreachable!("advance reports the finish"),
+            }
+        }
+        format!(
+            "issued {:?} lookups {:?} wakes {:?} barriers {:?} deferred {deferred:?} \
+             stalls {:?} finish {:?}",
+            port.issued,
+            port.lookups,
+            port.wakes,
+            port.barriers,
+            (core.idc_stall, core.mem_stall, core.sync_stall),
+            core.finish
+        )
+    }
+
+    #[test]
+    fn a_sweep_runs_as_its_flattened_copy_from_every_stop() {
+        let t = with_sweeps();
+        let flat: ThreadTrace = t.ops().iter().copied().collect();
+        assert_eq!(t.steps().len(), 7);
+        for limit in 0..=t.len() + 1 {
+            // The first two defer both inside blocks and at the second
+            // sweep's accesses.
+            for (mlp, ahead) in [(1, 2), (2, 2), (1, 13), (8, 40)] {
+                assert_eq!(
+                    drive(&t, limit, mlp, ahead),
+                    drive(&flat, limit, mlp, ahead),
+                    "limit {limit}, window {mlp}, horizon {ahead} ns ahead"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_core_defers_inside_a_sweep_and_resumes_there() {
+        // A window of one: the first iteration's store issues, its block's
+        // load (`a`, remote) defers at 10 ns past a horizon at 5 ns.
+        let mut t = ThreadTrace::new();
+        let a = t.add_block([Op::Comp(9), load(11)].into_iter().collect());
+        let store = Op::Store {
+            addr: Addr::new(2),
+            cacheable: false,
+        };
+        t.sweep(store, 64, [a, a], [false, false]);
+        let (mut core, mut port) = deferred_at_10ns(&t);
+        assert_eq!((core.pc, core.sub, core.status), (0, 2, Status::WaitWindow));
+        assert_eq!(core.deferred_before(&t, ns(11)), Some(11));
+        core.complete(1, ns(12), &mut port);
+        port.horizon = None;
+        assert!(!core.advance(&t, ns(12), &mut port));
+        // The load issues at 12 ns; the second iteration's store finds the
+        // window full.
+        assert_eq!(port.issued, [(1, 2), (2, 11)]);
+        assert_eq!((core.pc, core.sub, core.status), (0, 3, Status::WaitWindow));
+        core.complete(2, ns(20), &mut port);
+        assert!(!core.advance(&t, ns(20), &mut port));
+        assert_eq!(port.issued, [(1, 2), (2, 11), (3, 66)]);
+        assert_eq!(core.deferred_before(&t, Ps::MAX), None);
     }
 
     #[test]

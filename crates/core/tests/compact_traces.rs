@@ -1,6 +1,7 @@
-//! K-Means stores its per-point scan once per thread and calls it per
-//! point; PageRank (and its broadcast variant) and Hotspot store a thread's
-//! sweep once and call it per iteration. The cores walk that compact form
+//! K-Means stores its per-point scans once per thread and runs its point
+//! loop as one sweep, each point's load and a call of one of the scans;
+//! PageRank (and its broadcast variant) and Hotspot store a thread's sweep
+//! once and call it per iteration. The cores walk that compact form
 //! in place, so each of these workloads must simulate exactly as its
 //! flattened copy (every call expanded), and no run may build the expanded
 //! sequence.
@@ -64,9 +65,13 @@ fn nmp_run(wl: &Workload, cfg: &SystemConfig, limit: Option<usize>) -> String {
     format!("elapsed={elapsed} status={status:?} stats={stats:?} profile={profile:?}")
 }
 
-/// Expanded-op counts at which thread 0's trace stops inside a block, in
-/// front of a call and right after one.
-fn stops(trace: &ThreadTrace) -> [usize; 3] {
+/// Expanded-op counts at which thread 0's trace stops, each after its
+/// first tenth. A trace that calls blocks stops inside a block, in front of
+/// a call and right after one. A trace that runs sweeps stops in front of
+/// a sweep, at a point's load (in front of it and right after it), inside
+/// the scan the point calls, in front of the sweep's last op and right
+/// after the sweep.
+fn stops(trace: &ThreadTrace) -> Vec<usize> {
     let from = trace.len() / 10;
     let find = |want: &dyn Fn(usize, usize) -> bool| {
         (from..trace.len())
@@ -74,13 +79,33 @@ fn stops(trace: &ThreadTrace) -> [usize; 3] {
                 let (pc, sub) = trace.position(n);
                 want(pc, sub)
             })
-            .expect("thread 0 calls a block after its first tenth")
+            .expect("thread 0 stops there after its first tenth")
     };
-    let call = |pc: usize| matches!(trace.steps().get(pc), Some(Step::Call(_)));
-    [
-        find(&|_, sub| sub == 5),
-        find(&|pc, sub| sub == 0 && call(pc)),
-        find(&|pc, sub| sub == 0 && pc > 0 && call(pc - 1)),
+    let steps = trace.steps();
+    if !steps.iter().any(|s| matches!(s, Step::Sweep(_))) {
+        let call = |pc: usize| matches!(steps.get(pc), Some(Step::Call(_)));
+        return vec![
+            find(&|pc, sub| sub == 5 && call(pc)),
+            find(&|pc, sub| sub == 0 && call(pc)),
+            find(&|pc, sub| sub == 0 && pc > 0 && call(pc - 1)),
+        ];
+    }
+    // In the sweep at `pc`, whether `want(offset, ops per iteration, ops)`.
+    let in_sweep =
+        |pc: usize, sub: usize, want: &dyn Fn(usize, usize, usize) -> bool| match steps.get(pc) {
+            Some(&Step::Sweep(s)) => {
+                let (count, per) = trace.sweep_shape(s);
+                want(sub, per, count as usize * per)
+            }
+            _ => false,
+        };
+    vec![
+        find(&|pc, sub| in_sweep(pc, sub, &|sub, _, _| sub == 0)),
+        find(&|pc, sub| in_sweep(pc, sub, &|sub, per, _| sub > 0 && sub % per == 0)),
+        find(&|pc, sub| in_sweep(pc, sub, &|sub, per, _| sub % per == 1)),
+        find(&|pc, sub| in_sweep(pc, sub, &|sub, per, _| sub % per == 6)),
+        find(&|pc, sub| in_sweep(pc, sub, &|sub, _, len| sub + 1 == len)),
+        find(&|pc, sub| sub == 0 && pc > 0 && in_sweep(pc - 1, 0, &|_, _, _| true)),
     ]
 }
 

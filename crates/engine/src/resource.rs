@@ -230,6 +230,18 @@ impl Resource {
         }
     }
 
+    /// Forgets the busy intervals that end at or before `now`, all but the
+    /// latest, for a caller that promises to request nothing before `now`
+    /// again: no such request's placement looks at them. A request that
+    /// breaks the promise counts in
+    /// [`out_of_window`](Resource::out_of_window).
+    pub fn forget_until(&mut self, now: Ps) {
+        while self.intervals.len() > 1 && self.intervals[0].1 <= now {
+            let (_, e) = self.intervals.pop_front().expect("a busy interval");
+            self.pruned_until = self.pruned_until.max(e);
+        }
+    }
+
     /// Contract check: a request predating the pruned schedule horizon may
     /// have lost the idle gap it would have filled — the reservation is
     /// still scheduled, but possibly later than the true gap-filling
@@ -275,8 +287,9 @@ impl Resource {
     }
 
     /// Reservations requested before the pruned schedule horizon (intervals
-    /// more than 50 µs older than the high-water mark are
-    /// discarded together with the idle gaps around them). Non-zero means
+    /// more than 50 µs older than the high-water mark, and those
+    /// [`forget_until`](Resource::forget_until) drops, are discarded
+    /// together with the idle gaps around them). Non-zero means
     /// some reservations may have been scheduled later than a perfect
     /// gap-filling schedule would allow; debug builds additionally
     /// `debug_assert!` on the first offence.
@@ -879,6 +892,82 @@ mod tests {
             r.pruned_until > Ps::ZERO,
             "the stream never reached pruning"
         );
+    }
+
+    /// A bus that forgets what ends by the clock before each request, and
+    /// an unpruned twin, under a seeded stream whose requests all start
+    /// after the clock (as a controller's bursts start after its service
+    /// clock), contiguous or split: identical schedules, and the pruned
+    /// bus stays a few intervals long.
+    #[test]
+    fn forgetting_behind_the_clock_changes_no_placement() {
+        for seed in [1, 2, 3] {
+            let mut rng = DetRng::seed(seed);
+            let (mut pruned, mut twin) = (Resource::new("pruned"), Resource::new("twin"));
+            let (mut clock, mut longest) = (Ps::ZERO, 0);
+            for i in 0..20_000 {
+                clock += Ps::from_ns(rng.below(8));
+                let now = clock + Ps::from_ns(1 + rng.below(60));
+                let dur = Ps::from_ns(1 + rng.below(4));
+                pruned.forget_until(clock);
+                longest = longest.max(pruned.intervals.len());
+                let (got, want) = if rng.chance(0.3) {
+                    let got = pruned.reserve_split_with_start(now, dur);
+                    (got, twin.reserve_split_with_start(now, dur))
+                } else {
+                    (
+                        pruned.reserve_with_start(now, dur),
+                        twin.reserve_with_start(now, dur),
+                    )
+                };
+                assert_eq!(got, want, "seed {seed}, request {i} at {now} for {dur}");
+                assert_eq!(pruned.free_at(), twin.free_at(), "request {i}");
+            }
+            assert_eq!((pruned.out_of_window(), twin.out_of_window()), (0, 0));
+            assert!(pruned.pruned_until > twin.pruned_until, "seed {seed}");
+            assert!(
+                longest < 40 && twin.intervals.len() > 1000,
+                "{longest} vs {}",
+                twin.intervals.len()
+            );
+        }
+    }
+
+    /// Forgets `[0, 10 ns)` behind a clock at 15 ns, then everything but
+    /// the latest interval, `[20, 30 ns)`.
+    fn forget_behind_the_clock(r: &mut Resource) {
+        r.reserve(Ps::ZERO, Ps::from_ns(10));
+        r.reserve(Ps::from_ns(20), Ps::from_ns(10));
+        r.forget_until(Ps::from_ns(15));
+        assert_eq!((r.intervals.len(), r.pruned_until), (1, Ps::from_ns(10)));
+        r.forget_until(Ps::from_ns(99));
+        assert_eq!(r.intervals.len(), 1);
+    }
+
+    #[test]
+    fn forgetting_keeps_the_latest_interval() {
+        let mut r = Resource::new("r");
+        forget_behind_the_clock(&mut r);
+        assert_eq!(r.free_at(), Ps::from_ns(30));
+        assert_eq!(r.out_of_window(), 0);
+    }
+
+    #[test]
+    #[cfg(all(not(debug_assertions), not(feature = "audit")))]
+    fn a_request_behind_the_forgotten_schedule_is_counted_in_release() {
+        let mut r = Resource::new("r");
+        forget_behind_the_clock(&mut r);
+        r.reserve(Ps::from_ns(5), Ps::from_ns(1));
+        assert_eq!(r.out_of_window(), 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "pruned schedule horizon")]
+    fn a_request_behind_the_forgotten_schedule_asserts_in_debug() {
+        let mut r = Resource::new("r");
+        forget_behind_the_clock(&mut r);
+        r.reserve(Ps::from_ns(5), Ps::from_ns(1));
     }
 
     #[test]

@@ -285,6 +285,12 @@ impl MemController {
     /// something can start, and re-plans the queue's wake.
     fn schedule(&mut self, now: Ps) {
         self.apply_refreshes(now);
+        // A burst issued from here on starts after `now`: tCL or tCWL after
+        // a CAS no earlier than `now`. So what a bus held until `now` can
+        // place no burst again.
+        for rank in &mut self.ranks {
+            rank.bus.forget_until(now);
+        }
 
         // Issue as long as something can start now.
         while let Some((idx, plan)) = self.pick(now) {

@@ -46,12 +46,12 @@ pub fn kmeans(params: &WorkloadParams) -> Workload {
 
     // The scan of a thread's snapshot is the same after every point: each
     // centroid's load and its distance. Each trace stores it once as a
-    // block, with a twin whose last `Comp` carries a reassignment, and
-    // calls one of the two per point.
+    // block, with a twin whose last `Comp` carries a reassignment, and its
+    // point loop is one sweep: each point's load, then one of the two.
     let mut traces: Vec<ThreadTrace> = Vec::with_capacity(threads);
     let mut scans = Vec::with_capacity(threads);
     for (t, s) in scratch.iter().enumerate() {
-        let mut trace = ThreadTrace::with_capacity(steps_per_thread(params, t, points_per_thread));
+        let mut trace = ThreadTrace::with_capacity(steps_per_thread(params, t));
         let scan = |last_comp: u32| {
             let mut scan = ThreadTrace::with_capacity(2 * K);
             for k in 0..K {
@@ -66,7 +66,7 @@ pub fn kmeans(params: &WorkloadParams) -> Workload {
         let plain = trace.add_block(scan(DIMS * 2));
         let reassigned = trace.add_block(scan(DIMS * 4));
         traces.push(trace);
-        scans.push((plain, reassigned));
+        scans.push([plain, reassigned]);
     }
     // Pre-draw the per-point update probability stream so the trace is
     // deterministic and iteration-dependent reassignments taper off.
@@ -89,25 +89,22 @@ pub fn kmeans(params: &WorkloadParams) -> Workload {
                     cacheable: true,
                 });
             }
-            for p in 0..points_per_thread {
-                // Load the point (thread-private, cacheable, local).
-                trace.push(Op::Load {
-                    addr: Addr::new(points[t].line_of(p, 64)),
-                    cacheable: true,
-                });
-                // Scan the local snapshot. A cluster reassignment updates
-                // the thread's *local* partial sums (pure compute); the
-                // shared accumulators are only touched once per iteration
-                // below.
-                let (plain, reassigned) = scans[t];
-                let scan = if rng.chance(reassign_p) {
+            // Load each point (thread-private, cacheable, local) and scan
+            // the local snapshot. A cluster reassignment updates the
+            // thread's *local* partial sums (pure compute); the shared
+            // accumulators are only touched once per iteration below.
+            let first = Op::Load {
+                addr: Addr::new(points[t].base()),
+                cacheable: true,
+            };
+            let reassigns = (0..points_per_thread).map(|_| {
+                let reassign = rng.chance(reassign_p);
+                if reassign {
                     let _ = rng.below(K as u64);
-                    reassigned
-                } else {
-                    plain
-                };
-                trace.call(scan);
-            }
+                }
+                reassign
+            });
+            trace.sweep(first, 64, scans[t], reassigns);
             // Per-thread partial sums folded into the global accumulators.
             for a in &accums {
                 trace.push(Op::Atomic {
@@ -147,26 +144,25 @@ pub fn kmeans(params: &WorkloadParams) -> Workload {
 /// resident centroid on the first thread of each DIMM.
 #[cfg(test)]
 fn ops_per_thread(params: &WorkloadParams, t: usize, points_per_thread: u64) -> usize {
-    steps_per_thread(params, t, points_per_thread)
-        + ITERS * points_per_thread as usize * (2 * K - 1)
+    steps_per_thread(params, t) + ITERS * (points_per_thread as usize * (2 * K + 1) - 1)
 }
 
 /// The number of thread `t`'s own steps: [`ops_per_thread`] with each
-/// point's scan as one call.
-fn steps_per_thread(params: &WorkloadParams, t: usize, points_per_thread: u64) -> usize {
+/// iteration's point loop as one sweep.
+fn steps_per_thread(params: &WorkloadParams, t: usize) -> usize {
     let resident = if t.is_multiple_of(params.threads_per_dimm) {
         let d = t / params.threads_per_dimm;
         (0..K).filter(|k| k % params.dimms == d).count()
     } else {
         0
     };
-    ITERS * (4 * K + 2 + points_per_thread as usize * 2 + 3 * resident)
+    ITERS * (4 * K + 3 + 3 * resident)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Step;
+    use crate::trace::{Step, Sweep};
 
     #[test]
     fn centroid_snapshots_bound_remote_traffic() {
@@ -198,15 +194,55 @@ mod tests {
             let points = ((1u64 << (params.scale + 2)) / params.threads() as u64).max(16);
             for (t, trace) in wl.traces().iter().enumerate() {
                 let steps = trace.steps();
-                assert_eq!(
-                    steps.len(),
-                    steps_per_thread(&params, t, points),
+                assert_eq!(steps.len(), steps_per_thread(&params, t), "thread {t}");
+                assert!(
+                    !steps.iter().any(|s| matches!(s, Step::Call(_))),
                     "thread {t}"
                 );
-                let calls = steps.iter().filter(|s| matches!(s, Step::Call(_)));
-                assert_eq!(calls.count() as u64, ITERS as u64 * points, "thread {t}");
+                let sweeps: Vec<Sweep> = steps
+                    .iter()
+                    .filter_map(|&s| match s {
+                        Step::Sweep(s) => Some(s),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(sweeps.len(), ITERS, "thread {t}");
+                for s in sweeps {
+                    assert_eq!(
+                        trace.sweep_shape(s),
+                        (points as u32, 1 + 2 * K),
+                        "thread {t}"
+                    );
+                    let its = trace.iterations(s, 0..points as u32);
+                    let first = its.clone().next().and_then(|(a, _)| a.addr());
+                    for (j, (access, _)) in its.enumerate() {
+                        let point = Op::Load {
+                            addr: Addr::new(first.expect("a load") + 64 * j as u64),
+                            cacheable: true,
+                        };
+                        assert_eq!(access, point, "thread {t}, point {j}");
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    fn a_thread_holds_as_many_steps_at_any_point_count() {
+        // Only the choice bits grow with the points: 64 per thread at
+        // scale 6 on one thread per DIMM, 2^14 at scale 14.
+        let steps = |scale| {
+            let wl = kmeans(&WorkloadParams {
+                scale,
+                threads_per_dimm: 1,
+                ..WorkloadParams::small(4)
+            });
+            wl.traces()
+                .iter()
+                .map(|t| t.steps().len())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(steps(6), steps(14));
     }
 
     #[test]

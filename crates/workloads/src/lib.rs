@@ -45,7 +45,7 @@ pub mod tspow;
 
 pub use graph::CsrGraph;
 pub use layout::{DataLayout, Region, BYTES_PER_DIMM};
-pub use trace::{Addr, Block, Op, Step, ThreadTrace, Workload};
+pub use trace::{Addr, Block, Iterations, Op, Step, Sweep, ThreadTrace, Workload};
 
 use serde::Serialize;
 

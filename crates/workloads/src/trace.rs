@@ -4,15 +4,19 @@
 //! a host can simulate. Every [`Op`] therefore packs into 8 bytes: addresses
 //! are 40-bit [`Addr`]s, which cover the whole [`DataLayout`] address space.
 //! A sequence a thread repeats is stored once as a block of its
-//! [`ThreadTrace`] and each repetition is one 8-byte [`Step::Call`]:
-//! K-Means' per-point scan of its centroid snapshot, and a thread's sweep
-//! in each iteration of PageRank and Hotspot. BFS, SSSP and
-//! Needleman-Wunsch call no blocks, since their rounds differ, nor does
-//! SpMV's single pass. A trace costs 8 bytes per [`Step`] plus its blocks;
-//! the cores walk this compact form in place.
+//! [`ThreadTrace`] and each repetition is one 8-byte [`Step::Call`]: a
+//! thread's sweep in each iteration of PageRank and Hotspot. A strided loop
+//! whose every iteration is one access and a call of one of two blocks is
+//! one [`Step::Sweep`], which holds one bit per iteration: K-Means' point
+//! loop, each point's load and one of its two scans of the centroid
+//! snapshot. BFS, SSSP and Needleman-Wunsch call no blocks, since their
+//! rounds differ, nor does SpMV's single pass. A trace costs 8 bytes per
+//! [`Step`] plus its blocks, sweeps and choice bits; the cores walk this
+//! compact form in place.
 
 use crate::layout::DataLayout;
 use std::fmt;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// A global physical byte address packed into 5 little-endian bytes.
@@ -119,29 +123,115 @@ impl Op {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Block(u32);
 
-/// One entry of a trace's compact form: an op, or a call that runs one of
-/// the trace's blocks in place. Like [`Op`] it takes 8 bytes.
+/// One of a trace's sweeps, by index (see [`ThreadTrace::sweep`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Sweep(u32);
+
+/// One entry of a trace's compact form: an op, a call that runs one of the
+/// trace's blocks in place, or a sweep. Like [`Op`] it takes 8 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
     /// The op itself.
     Op(Op),
     /// The ops of this block, in order.
     Call(Block),
+    /// The iterations of this sweep, in order.
+    Sweep(Sweep),
 }
 
 const _: () = assert!(std::mem::size_of::<Step>() == 8);
 
+/// What a [`Step::Sweep`] stands for: `count` iterations, iteration `j`
+/// running a load (or a store) of `first + j * stride`, then the ops of
+/// `blocks[b]`, where `b` is bit `j` of the trace's choice bits from word
+/// `word` on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SweepSpec {
+    first: u64,
+    stride: u64,
+    store: bool,
+    cacheable: bool,
+    count: u32,
+    /// Two blocks of equal length.
+    blocks: [Block; 2],
+    word: usize,
+}
+
+/// A range of a sweep's iterations (see [`ThreadTrace::iterations`]), each
+/// its access and the ops of the block it calls. The default holds none.
+#[derive(Debug, Clone, Default)]
+pub struct Iterations<'t> {
+    /// The index of the iteration [`next`](Iterator::next) yields, and one
+    /// past the last.
+    next: u32,
+    end: u32,
+    first: u64,
+    stride: u64,
+    store: bool,
+    cacheable: bool,
+    blocks: [&'t [Step]; 2],
+    /// The sweep's choice bits.
+    bits: &'t [u64],
+}
+
+impl Iterations<'_> {
+    /// The index of the iteration [`next`](Iterator::next) yields.
+    #[inline]
+    pub fn next_index(&self) -> u32 {
+        self.next
+    }
+}
+
+impl<'t> Iterator for Iterations<'t> {
+    type Item = (Op, &'t [Step]);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.next == self.end {
+            return None;
+        }
+        let j = self.next;
+        self.next += 1;
+        let (addr, cacheable) = (
+            Addr::new(self.first + u64::from(j) * self.stride),
+            self.cacheable,
+        );
+        let access = if self.store {
+            Op::Store { addr, cacheable }
+        } else {
+            Op::Load { addr, cacheable }
+        };
+        let bit = self.bits[(j / 64) as usize] >> (j % 64) & 1;
+        Some((access, self.blocks[bit as usize]))
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = (self.end - self.next) as usize;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Iterations<'_> {}
+
 /// The operation sequence of one thread, held compactly: its own
-/// [`Step`]s, and a few blocks of ops that calls among them repeat.
+/// [`Step`]s, a few blocks of ops that calls and sweeps among them repeat,
+/// and its sweeps with the bits that choose their blocks.
 ///
 /// [`len`](Self::len) counts the ops of the expanded sequence, and
-/// [`ops`](Self::ops) builds that sequence on first use. Equality compares
-/// the compact form: two traces with equal ops but different blocks differ.
+/// [`ops`](Self::ops) builds that sequence on first use. A step's own ops
+/// are counted from 0 (its "offset"): a call's are its block's, and a
+/// sweep's run through its iterations, each its access and then its
+/// block's ops. Equality compares the compact form: two traces with equal
+/// ops but different blocks or sweeps differ.
 #[derive(Debug, Clone, Default)]
 pub struct ThreadTrace {
     steps: Vec<Step>,
     /// Each holds only `Step::Op`s.
     blocks: Vec<Box<[Step]>>,
+    sweeps: Vec<SweepSpec>,
+    /// The sweeps' choice bits, each sweep's from a word of its own.
+    bits: Vec<u64>,
     /// Ops in the expanded sequence.
     len: usize,
     /// The expanded sequence, once [`ThreadTrace::ops`] has built it.
@@ -195,7 +285,10 @@ impl ThreadTrace {
     /// Panics if `body` calls blocks of its own, or holds 2^32 ops or more:
     /// a core keeps its index in a block as a `u32`.
     pub fn add_block(&mut self, body: ThreadTrace) -> Block {
-        assert!(body.blocks.is_empty(), "a block holds only ops");
+        assert!(
+            body.blocks.is_empty() && body.sweeps.is_empty(),
+            "a block holds only ops"
+        );
         assert!(
             u32::try_from(body.len).is_ok(),
             "a block holds fewer than 2^32 ops"
@@ -212,7 +305,72 @@ impl ThreadTrace {
         self.edit().push(Step::Call(b));
     }
 
-    /// The compact form: the trace's own steps, calls included.
+    /// Appends a sweep of one iteration per entry of `choices`: iteration
+    /// `j` runs `access` moved `j * stride` bytes on, then calls
+    /// `blocks[1]` if choice `j` is set and `blocks[0]` if not. No choices
+    /// append nothing.
+    ///
+    /// # Panics
+    /// Panics if `access` is not a load or a store, if the blocks differ in
+    /// length, if the last access lies past [`Addr::LIMIT`], or if the
+    /// sweep holds 2^32 ops or more: a core keeps its offset in a sweep as
+    /// a `u32`.
+    pub fn sweep(
+        &mut self,
+        access: Op,
+        stride: u64,
+        blocks: [Block; 2],
+        choices: impl IntoIterator<Item = bool>,
+    ) {
+        let (first, store, cacheable) = match access {
+            Op::Load { addr, cacheable } => (addr.get(), false, cacheable),
+            Op::Store { addr, cacheable } => (addr.get(), true, cacheable),
+            _ => panic!("a sweep's access is a load or a store"),
+        };
+        let per = self.block(blocks[0]).len();
+        assert_eq!(
+            per,
+            self.block(blocks[1]).len(),
+            "a sweep's blocks differ in length"
+        );
+        let word = self.bits.len();
+        let mut count = 0u32;
+        for choice in choices {
+            if count.is_multiple_of(64) {
+                self.bits.push(0);
+            }
+            *self.bits.last_mut().expect("a word per 64 choices") |=
+                u64::from(choice) << (count % 64);
+            count = count.checked_add(1).expect("fewer than 2^32 iterations");
+        }
+        if count == 0 {
+            return;
+        }
+        let len = u64::from(count) * (1 + per as u64);
+        assert!(
+            u32::try_from(len).is_ok(),
+            "a sweep holds fewer than 2^32 ops"
+        );
+        let last = u64::from(count - 1)
+            .checked_mul(stride)
+            .and_then(|d| first.checked_add(d));
+        let _ = Addr::new(last.unwrap_or(u64::MAX));
+        let spec = SweepSpec {
+            first,
+            stride,
+            store,
+            cacheable,
+            count,
+            blocks,
+            word,
+        };
+        let id = u32::try_from(self.sweeps.len()).expect("fewer than 2^32 sweeps");
+        self.sweeps.push(spec);
+        self.len += len as usize;
+        self.edit().push(Step::Sweep(Sweep(id)));
+    }
+
+    /// The compact form: the trace's own steps, calls and sweeps included.
     pub fn steps(&self) -> &[Step] {
         &self.steps
     }
@@ -226,17 +384,61 @@ impl ThreadTrace {
         &self.blocks[b.0 as usize]
     }
 
+    /// How many iterations sweep `s` has, and how many ops each runs: its
+    /// access and its block's ops.
+    ///
+    /// # Panics
+    /// Panics if this trace has no sweep `s`.
+    #[inline]
+    pub fn sweep_shape(&self, s: Sweep) -> (u32, usize) {
+        let spec = &self.sweeps[s.0 as usize];
+        (spec.count, 1 + self.block(spec.blocks[0]).len())
+    }
+
+    /// The iterations of sweep `s` in `range`.
+    ///
+    /// # Panics
+    /// Panics if this trace has no sweep `s`, or if `range` is reversed or
+    /// reaches past its count.
+    pub fn iterations(&self, s: Sweep, range: Range<u32>) -> Iterations<'_> {
+        let spec = &self.sweeps[s.0 as usize];
+        assert!(
+            range.start <= range.end && range.end <= spec.count,
+            "iterations {range:?} of {}",
+            spec.count
+        );
+        Iterations {
+            next: range.start,
+            end: range.end,
+            first: spec.first,
+            stride: spec.stride,
+            store: spec.store,
+            cacheable: spec.cacheable,
+            blocks: spec.blocks.map(|b| self.block(b)),
+            bits: &self.bits[spec.word..spec.word + spec.count.div_ceil(64) as usize],
+        }
+    }
+
+    /// How many ops `step` of this trace runs.
+    fn step_len(&self, step: Step) -> usize {
+        match step {
+            Step::Op(_) => 1,
+            Step::Call(b) => self.block(b).len(),
+            Step::Sweep(s) => {
+                let (count, per) = self.sweep_shape(s);
+                count as usize * per
+            }
+        }
+    }
+
     /// Where the expanded sequence's op `n` sits in the compact form: its
-    /// step, and its index in that step's block (0 outside a block). For
-    /// `n` at or past the end: one past the last step, 0.
+    /// step, and its offset among that step's ops (0 for an op). For `n` at
+    /// or past the end: one past the last step, 0.
     pub fn position(&self, n: usize) -> (usize, usize) {
         if n < self.len {
             let mut left = n;
             for (pc, &step) in self.steps.iter().enumerate() {
-                let len = match step {
-                    Step::Op(_) => 1,
-                    Step::Call(b) => self.block(b).len(),
-                };
+                let len = self.step_len(step);
                 if left < len {
                     return (pc, left);
                 }
@@ -246,18 +448,57 @@ impl ThreadTrace {
         (self.steps.len(), 0)
     }
 
-    /// The expanded operations, every call replaced by its block's ops.
-    /// The first use builds them: 8 bytes per op for the trace's lifetime.
+    /// The op at offset `sub` among the ops of step `pc`.
+    ///
+    /// # Panics
+    /// Panics if there is no such op.
+    pub fn op_at(&self, pc: usize, sub: usize) -> Op {
+        let step = match self.steps[pc] {
+            Step::Op(op) => {
+                assert_eq!(sub, 0, "an op is one op");
+                return op;
+            }
+            Step::Call(b) => self.block(b)[sub],
+            Step::Sweep(s) => {
+                let per = self.sweep_shape(s).1;
+                let j = u32::try_from(sub / per).expect("a sweep holds fewer than 2^32 ops");
+                let (access, body) = self.iterations(s, j..j + 1).next().expect("an iteration");
+                match sub % per {
+                    0 => return access,
+                    k => body[k - 1],
+                }
+            }
+        };
+        match step {
+            Step::Op(op) => op,
+            _ => unreachable!("blocks hold only ops"),
+        }
+    }
+
+    /// The ops of a block.
+    fn block_ops(block: &[Step]) -> impl Iterator<Item = Op> + '_ {
+        block.iter().map(|&s| match s {
+            Step::Op(op) => op,
+            _ => unreachable!("blocks hold only ops"),
+        })
+    }
+
+    /// The expanded operations, every call and sweep replaced by the ops it
+    /// runs. The first use builds them: 8 bytes per op for the trace's
+    /// lifetime.
     pub fn ops(&self) -> &[Op] {
         self.flat.get_or_init(|| {
             let mut ops = Vec::with_capacity(self.len);
             for &step in &self.steps {
                 match step {
                     Step::Op(op) => ops.push(op),
-                    Step::Call(b) => ops.extend(self.block(b).iter().map(|&s| match s {
-                        Step::Op(op) => op,
-                        Step::Call(_) => unreachable!("blocks hold only ops"),
-                    })),
+                    Step::Call(b) => ops.extend(Self::block_ops(self.block(b))),
+                    Step::Sweep(s) => {
+                        for (access, body) in self.iterations(s, 0..self.sweep_shape(s).0) {
+                            ops.push(access);
+                            ops.extend(Self::block_ops(body));
+                        }
+                    }
                 }
             }
             ops
@@ -282,25 +523,46 @@ impl ThreadTrace {
     /// Counts the memory ops of the expanded sequence, and those among
     /// them whose address is `remote`, looking at each block once.
     fn mem_ops(&self, remote: impl Fn(u64) -> bool) -> (u64, u64) {
+        let one = |op: Op| {
+            op.addr()
+                .map_or((0, 0), |addr| (1, u64::from(remote(addr))))
+        };
+        let add = |(n, r): (u64, u64), (m, q): (u64, u64)| (n + m, r + q);
         let count = |steps: &[Step]| {
-            let addrs = steps.iter().filter_map(|step| match step {
-                Step::Op(op) => op.addr(),
-                Step::Call(_) => None,
-            });
-            addrs.fold((0, 0), |(n, r), addr| (n + 1, r + u64::from(remote(addr))))
+            steps.iter().fold((0, 0), |acc, step| match step {
+                &Step::Op(op) => add(acc, one(op)),
+                _ => acc,
+            })
         };
         let per_block: Vec<(u64, u64)> = self.blocks.iter().map(|b| count(b)).collect();
-        let calls = self.steps.iter().filter_map(|step| match step {
-            Step::Call(b) => Some(per_block[b.0 as usize]),
-            Step::Op(_) => None,
-        });
-        calls.fold(count(&self.steps), |(n, r), (bn, br)| (n + bn, r + br))
+        self.steps
+            .iter()
+            .fold(count(&self.steps), |acc, &step| match step {
+                Step::Op(_) => acc,
+                Step::Call(b) => add(acc, per_block[b.0 as usize]),
+                Step::Sweep(s) => {
+                    let its = self.iterations(s, 0..self.sweep_shape(s).0);
+                    let set: u32 = its.bits.iter().map(|w| w.count_ones()).sum();
+                    let calls = [its.end - set, set].map(u64::from);
+                    let [b0, b1] = self.sweeps[s.0 as usize]
+                        .blocks
+                        .map(|b| per_block[b.0 as usize]);
+                    let blocks = (
+                        calls[0] * b0.0 + calls[1] * b1.0,
+                        calls[0] * b0.1 + calls[1] * b1.1,
+                    );
+                    its.fold(add(acc, blocks), |acc, (access, _)| add(acc, one(access)))
+                }
+            })
     }
 }
 
 impl PartialEq for ThreadTrace {
     fn eq(&self, other: &Self) -> bool {
-        self.steps == other.steps && self.blocks == other.blocks
+        self.steps == other.steps
+            && self.blocks == other.blocks
+            && self.sweeps == other.sweeps
+            && self.bits == other.bits
     }
 }
 
@@ -506,6 +768,154 @@ mod tests {
         );
     }
 
+    /// `Comp(1)`, a sweep of three iterations over cacheable loads at 128 +
+    /// 64 j choosing `[Comp(2), load(64)]`, `[Comp(4), load(64)]`, the
+    /// first again, and a barrier.
+    fn with_sweep() -> ThreadTrace {
+        let mut t = ThreadTrace::new();
+        t.comp(1);
+        let a = t.add_block([Op::Comp(2), load(64)].into_iter().collect());
+        let b = t.add_block([Op::Comp(4), load(64)].into_iter().collect());
+        let first = Op::Load {
+            addr: Addr::new(128),
+            cacheable: true,
+        };
+        t.sweep(first, 64, [a, b], [false, true, false]);
+        t.comp(1);
+        t.push(Op::Barrier);
+        t
+    }
+
+    #[test]
+    fn a_sweep_runs_each_access_then_its_chosen_block() {
+        let t = with_sweep();
+        let point = |addr| Op::Load {
+            addr: Addr::new(addr),
+            cacheable: true,
+        };
+        let want = [
+            Op::Comp(1),
+            point(128),
+            Op::Comp(2),
+            load(64),
+            point(192),
+            Op::Comp(4),
+            load(64),
+            point(256),
+            Op::Comp(2),
+            load(64),
+            Op::Comp(1),
+            Op::Barrier,
+        ];
+        assert_eq!(
+            t.steps().len(),
+            4,
+            "the comp after the sweep does not merge"
+        );
+        assert_eq!(t.len(), want.len());
+        for (n, op) in want.iter().enumerate() {
+            let (pc, sub) = t.position(n);
+            assert_eq!(t.op_at(pc, sub), *op, "op {n}");
+        }
+        assert_eq!(t.ops(), want);
+        assert_eq!(
+            (t.position(1), t.position(5), t.position(9), t.position(12)),
+            ((1, 0), (1, 4), (1, 8), (4, 0))
+        );
+    }
+
+    #[test]
+    fn a_sweep_of_more_than_64_iterations_keeps_its_bits() {
+        let mut t = ThreadTrace::new();
+        let a = t.add_block([Op::Comp(1)].into_iter().collect());
+        let b = t.add_block([Op::Comp(2)].into_iter().collect());
+        let choices = |j: u32| j.is_multiple_of(3) || j == 64;
+        t.sweep(load(0), 64, [a, b], (0..70).map(choices));
+        t.sweep(load(0), 0, [a, b], [true]);
+        t.sweep(load(0), 64, [a, b], []);
+        let s = |n| match t.steps()[n] {
+            Step::Sweep(s) => s,
+            step => panic!("{step:?}"),
+        };
+        assert_eq!(t.steps().len(), 2, "no choices, no sweep");
+        assert_eq!(
+            (t.sweep_shape(s(0)), t.sweep_shape(s(1))),
+            ((70, 2), (1, 2))
+        );
+        let mut its = t.iterations(s(0), 0..70);
+        assert_eq!(its.size_hint(), (70, Some(70)));
+        for j in 0..70 {
+            assert_eq!(its.next_index(), j);
+            let (access, block) = its.next().expect("70 iterations");
+            assert_eq!(access, load(64 * u64::from(j)));
+            assert_eq!(
+                block,
+                t.block(if choices(j) { b } else { a }),
+                "iteration {j}"
+            );
+        }
+        assert_eq!(its.next(), None);
+        assert_eq!(t.iterations(s(0), 64..70).len(), 6);
+        assert_eq!(t.iterations(s(0), 9..9).len(), 0);
+        let [(access, block)] = t.iterations(s(1), 0..1).collect::<Vec<_>>()[..] else {
+            panic!("one iteration")
+        };
+        assert_eq!((access, block), (load(0), t.block(b)));
+    }
+
+    #[test]
+    fn sweeps_compare_by_their_choices() {
+        let (a, b) = (with_sweep(), with_sweep());
+        assert_eq!(a, b);
+        let mut c = ThreadTrace::new();
+        c.comp(1);
+        let pa = c.add_block([Op::Comp(2), load(64)].into_iter().collect());
+        let pb = c.add_block([Op::Comp(4), load(64)].into_iter().collect());
+        let first = Op::Load {
+            addr: Addr::new(128),
+            cacheable: true,
+        };
+        c.sweep(first, 64, [pa, pb], [false, false, false]);
+        c.comp(1);
+        c.push(Op::Barrier);
+        assert_eq!(c.len(), a.len());
+        assert_ne!(c, a);
+        assert!(!a.is_materialized() && !c.is_materialized());
+    }
+
+    #[test]
+    #[should_panic(expected = "a sweep's blocks differ in length")]
+    fn a_sweep_chooses_between_blocks_of_one_length() {
+        let mut t = ThreadTrace::new();
+        let a = t.add_block([Op::Comp(2)].into_iter().collect());
+        let b = t.add_block([Op::Comp(2), load(64)].into_iter().collect());
+        t.sweep(load(0), 64, [a, b], [true]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a sweep's access is a load or a store")]
+    fn a_sweep_accesses_by_load_or_store() {
+        let mut t = ThreadTrace::new();
+        let a = t.add_block(ThreadTrace::new());
+        t.sweep(Op::Atomic { addr: Addr::new(0) }, 64, [a, a], [true]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 40 bits")]
+    fn a_sweep_stays_below_the_address_limit() {
+        let mut t = ThreadTrace::new();
+        let a = t.add_block(ThreadTrace::new());
+        t.sweep(load(Addr::LIMIT - 64), 64, [a, a], [false, false]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a sweep holds fewer than 2^32 ops")]
+    fn a_sweep_holds_fewer_than_2_pow_32_ops() {
+        let mut t = ThreadTrace::new();
+        let a = t.add_block((0..1 << 12).map(|_| Op::Barrier).collect());
+        t.sweep(load(0), 0, [a, a], (0..1 << 20).map(|_| false));
+    }
+
     #[test]
     fn memory_ops_count_each_call() {
         let mut layout = DataLayout::new(2);
@@ -518,9 +928,24 @@ mod tests {
         };
         let flat: ThreadTrace = build().ops().iter().copied().collect();
         let wl = Workload::new("x", vec![build()], layout.clone(), vec![0]);
-        let wl_flat = Workload::new("x", vec![flat], layout, vec![0]);
+        let wl_flat = Workload::new("x", vec![flat], layout.clone(), vec![0]);
         assert_eq!((wl.total_mem_ops(), wl_flat.total_mem_ops()), (3, 3));
         assert!((wl.remote_fraction() - 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!(wl.remote_fraction(), wl_flat.remote_fraction());
+        assert!(!wl.traces()[0].is_materialized());
+        // A sweep's three accesses, the last one remote, and the local load
+        // of the block each calls.
+        let build = || {
+            let mut t = ThreadTrace::new();
+            let b = t.add_block([load(64)].into_iter().collect());
+            t.sweep(load(remote.base() - 128), 64, [b, b], [false, true, false]);
+            t
+        };
+        let flat: ThreadTrace = build().ops().iter().copied().collect();
+        let wl = Workload::new("x", vec![build()], layout.clone(), vec![0]);
+        let wl_flat = Workload::new("x", vec![flat], layout, vec![0]);
+        assert_eq!((wl.total_mem_ops(), wl_flat.total_mem_ops()), (6, 6));
+        assert!((wl.remote_fraction() - 1.0 / 6.0).abs() < 1e-12);
         assert_eq!(wl.remote_fraction(), wl_flat.remote_fraction());
         assert!(!wl.traces()[0].is_materialized());
     }
