@@ -453,25 +453,25 @@ impl ThreadTrace {
     /// # Panics
     /// Panics if there is no such op.
     pub fn op_at(&self, pc: usize, sub: usize) -> Op {
-        let step = match self.steps[pc] {
+        let nth = |block: &[Step], k: usize| match block[k] {
+            Step::Op(op) => op,
+            _ => unreachable!("blocks hold only ops"),
+        };
+        match self.steps[pc] {
             Step::Op(op) => {
                 assert_eq!(sub, 0, "an op is one op");
-                return op;
+                op
             }
-            Step::Call(b) => self.block(b)[sub],
+            Step::Call(b) => nth(self.block(b), sub),
             Step::Sweep(s) => {
                 let per = self.sweep_shape(s).1;
                 let j = u32::try_from(sub / per).expect("a sweep holds fewer than 2^32 ops");
                 let (access, body) = self.iterations(s, j..j + 1).next().expect("an iteration");
                 match sub % per {
-                    0 => return access,
-                    k => body[k - 1],
+                    0 => access,
+                    k => nth(body, k - 1),
                 }
             }
-        };
-        match step {
-            Step::Op(op) => op,
-            _ => unreachable!("blocks hold only ops"),
         }
     }
 
