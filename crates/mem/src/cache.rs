@@ -59,6 +59,12 @@ impl CacheConfig {
         if self.ways == 0 {
             return Err("ways must be >= 1".into());
         }
+        if self.ways > 16 {
+            return Err(format!(
+                "ways must be <= 16 (a set's recency word holds 16 4-bit way indices), got {}",
+                self.ways
+            ));
+        }
         if !self
             .capacity_bytes
             .is_multiple_of(self.ways * self.line_bytes)
@@ -88,15 +94,25 @@ pub enum CacheOutcome {
     },
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    lru: u64,
-}
+/// The tag of an empty way. A line address shifted right by the set bits
+/// never reaches it unless the cache has one set of 1-byte lines and the
+/// access is to the last byte of the address space.
+const INVALID: u64 = u64::MAX;
+/// A one in every nibble of a recency word.
+const NIBBLE_ONES: u64 = 0x1111_1111_1111_1111;
+/// The top bit of every nibble of a recency word.
+const NIBBLE_TOPS: u64 = 0x8888_8888_8888_8888;
 
-/// A set-associative, write-back, write-allocate cache with LRU replacement.
+/// A set-associative, write-back, write-allocate cache with exact LRU
+/// replacement.
+///
+/// A way holds only its 8-byte tag ([`INVALID`] if empty), so a set's tags
+/// are one row (64 B at 8 ways). Each set keeps one recency word, its way
+/// indices as 4-bit nibbles from the most recent (the low nibble) to the
+/// least recent (nibble `ways - 1`), and a mask of its dirty ways. The
+/// word starts as `ways-1 … 1 0` from most to least recent and a hit never
+/// touches an empty way, so the empty ways sit at the least-recent end in
+/// index order: a fill takes the lowest empty way, else the least recent.
 ///
 /// # Examples
 ///
@@ -111,15 +127,26 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    lines: Vec<Line>,
+    /// `ways` tags per set, set after set.
+    tags: Vec<u64>,
+    /// Per set: the ways in recency order, one nibble each, most recent low.
+    recency: Vec<u64>,
+    /// Per set: bit `w` is set when way `w` holds a dirty line.
+    dirty: Vec<u16>,
     set_mask: u64,
     line_shift: u32,
     /// log2 of the set count: the line-address bits below the tag.
     set_shift: u32,
-    tick: u64,
     hits: u64,
     misses: u64,
     writebacks: u64,
+}
+
+/// `order` with its nibble at bit `shift`, which holds `way`, moved to the
+/// front and the nibbles below it moved one place back.
+fn to_front(order: u64, shift: u32, way: u64) -> u64 {
+    let below = (1u64 << shift) - 1;
+    (order & !((below << 4) | 0xF)) | ((order & below) << 4) | way
 }
 
 impl Cache {
@@ -129,12 +156,15 @@ impl Cache {
     /// Panics if `cfg` is invalid (see [`CacheConfig::validate`]).
     pub fn new(cfg: CacheConfig) -> Self {
         cfg.validate().expect("invalid cache configuration");
+        let sets = cfg.sets() as usize;
+        let fill_order = (0..u64::from(cfg.ways)).fold(0, |word, way| (word << 4) | way);
         Cache {
-            lines: vec![Line::default(); (cfg.sets() * cfg.ways) as usize],
+            tags: vec![INVALID; sets * cfg.ways as usize],
+            recency: vec![fill_order; sets],
+            dirty: vec![0; sets],
             set_mask: (cfg.sets() - 1) as u64,
             line_shift: cfg.line_bytes.trailing_zeros(),
             set_shift: cfg.sets().trailing_zeros(),
-            tick: 0,
             hits: 0,
             misses: 0,
             writebacks: 0,
@@ -146,7 +176,9 @@ impl Cache {
     fn set_and_tag(&self, addr: u64) -> (usize, u64) {
         let line_addr = addr >> self.line_shift;
         let set = (line_addr & self.set_mask) as usize;
-        (set, line_addr >> self.set_shift)
+        let tag = line_addr >> self.set_shift;
+        debug_assert_ne!(tag, INVALID, "address {addr:#x} has the empty tag");
+        (set, tag)
     }
 
     /// Accesses `addr` if its line is present: touches the line, marks it
@@ -155,15 +187,28 @@ impl Cache {
     pub fn hit(&mut self, addr: u64, is_write: bool) -> bool {
         let (set, tag) = self.set_and_tag(addr);
         let ways = self.cfg.ways as usize;
-        let Some(line) = self.lines[set * ways..(set + 1) * ways]
-            .iter_mut()
-            .find(|line| line.valid && line.tag == tag)
-        else {
-            return false;
+        let row = &self.tags[set * ways..(set + 1) * ways];
+        let order = self.recency[set];
+        // Most hits go to the most recent way (98 % of K-Means' and 81 % of
+        // PageRank's at scale 14), and such a hit leaves the word as it is:
+        // probing that way first skips the row search.
+        let mru = (order & 0xF) as usize;
+        let way = if row[mru] == tag {
+            mru
+        } else {
+            let Some(way) = row.iter().position(|&t| t == tag) else {
+                return false;
+            };
+            // `way`'s nibble is the lowest zero nibble of `x`: a borrow can
+            // only flag nibbles above a zero one.
+            let x = order ^ (way as u64 * NIBBLE_ONES);
+            let flags = x.wrapping_sub(NIBBLE_ONES) & !x & NIBBLE_TOPS;
+            self.recency[set] = to_front(order, flags.trailing_zeros() - 3, way as u64);
+            way
         };
-        self.tick += 1;
-        line.lru = self.tick;
-        line.dirty |= is_write;
+        if is_write {
+            self.dirty[set] |= 1 << way;
+        }
         self.hits += 1;
         true
     }
@@ -183,36 +228,22 @@ impl Cache {
     /// the least recent, and returns the dirty victim's address, if any.
     /// [`Cache::access`] is `hit`, then `fill` on a miss.
     pub fn fill(&mut self, addr: u64, is_write: bool) -> Option<u64> {
-        self.tick += 1;
         self.misses += 1;
         let (set, tag) = self.set_and_tag(addr);
-        let ways = self.cfg.ways as usize;
-        let base = set * ways;
-        let victim = (base..base + ways)
-            .min_by_key(|&i| {
-                let l = &self.lines[i];
-                if l.valid {
-                    (1, l.lru)
-                } else {
-                    (0, 0)
-                }
-            })
-            .expect("ways >= 1");
-        let line = &mut self.lines[victim];
-        let writeback = if line.valid && line.dirty {
-            self.writebacks += 1;
-            // Reconstruct victim line address.
-            let victim_line = (line.tag << self.set_shift) | set as u64;
-            Some(victim_line << self.line_shift)
-        } else {
-            None
-        };
-        *line = Line {
+        let lru_shift = 4 * (self.cfg.ways - 1);
+        let order = self.recency[set];
+        let way = (order >> lru_shift) & 0xF;
+        self.recency[set] = to_front(order, lru_shift, way);
+        let victim = std::mem::replace(
+            &mut self.tags[set * self.cfg.ways as usize + way as usize],
             tag,
-            valid: true,
-            dirty: is_write,
-            lru: self.tick,
-        };
+        );
+        let bit = 1u16 << way;
+        let writeback = (self.dirty[set] & bit != 0).then(|| {
+            self.writebacks += 1;
+            ((victim << self.set_shift) | set as u64) << self.line_shift
+        });
+        self.dirty[set] = (self.dirty[set] & !bit) | (u16::from(is_write) << way);
         writeback
     }
 
@@ -243,7 +274,7 @@ mod tests {
 
     #[test]
     fn geometry_presets_are_valid() {
-        for cfg in [CacheConfig::l1_32k(), CacheConfig::l2_128k()] {
+        for cfg in [CacheConfig::l1_32k(), CacheConfig::l2_128k(), HOST_LLC] {
             cfg.validate().unwrap();
             assert!(cfg.sets().is_power_of_two());
         }
@@ -327,78 +358,170 @@ mod tests {
         );
     }
 
-    /// `access` before the one-search hit path, kept as the oracle of
-    /// `hit` followed by the miss fill.
-    fn access_reference(c: &mut Cache, addr: u64, is_write: bool) -> CacheOutcome {
-        c.tick += 1;
-        let tick = c.tick;
-        let line_addr = addr >> c.line_shift;
-        let set = (line_addr & c.set_mask) as usize;
-        let tag = line_addr >> c.set_mask.count_ones();
-        let ways = c.cfg.ways as usize;
-        let base = set * ways;
-        for i in base..base + ways {
-            let line = &mut c.lines[i];
-            if line.valid && line.tag == tag {
-                line.lru = tick;
-                line.dirty |= is_write;
-                c.hits += 1;
-                return CacheOutcome::Hit;
-            }
-        }
-        c.misses += 1;
-        let victim = (base..base + ways)
-            .min_by_key(|&i| {
-                let l = &c.lines[i];
-                if l.valid {
-                    (1, l.lru)
-                } else {
-                    (0, 0)
-                }
-            })
-            .expect("ways >= 1");
-        let line = &mut c.lines[victim];
-        let writeback = if line.valid && line.dirty {
-            c.writebacks += 1;
-            let victim_line = (line.tag << c.set_mask.count_ones()) | set as u64;
-            Some(victim_line << c.line_shift)
-        } else {
-            None
-        };
-        *line = Line {
-            tag,
-            valid: true,
-            dirty: is_write,
-            lru: tick,
-        };
-        CacheOutcome::Miss { writeback }
+    /// The cache before the recency words: 24-byte lines with a valid and
+    /// a dirty flag and a global access stamp, evicting the first invalid
+    /// way, else the smallest stamp. The oracle of [`Cache`].
+    struct ReferenceCache {
+        ways: usize,
+        lines: Vec<ReferenceLine>,
+        set_mask: u64,
+        line_shift: u32,
+        set_shift: u32,
+        tick: u64,
+        hits: u64,
+        misses: u64,
+        writebacks: u64,
     }
 
-    /// Property: on seeded streams over a few times each geometry's
-    /// capacity, `hit` then the miss fill gives the reference `access`'s
-    /// outcome, writeback and hit/miss/writeback counts on every access,
-    /// whether the caller asks `hit` first or goes straight to `access`.
-    #[test]
-    fn hit_then_fill_matches_the_reference_access() {
-        for cfg in [CacheConfig::l1_32k(), CacheConfig::l2_128k()] {
-            for seed in 0..8 {
-                let mut rng = dl_engine::DetRng::seed(seed);
-                let (mut new, mut old) = (Cache::new(cfg), Cache::new(cfg));
-                let span = u64::from(cfg.capacity_bytes) * 3;
-                for _ in 0..20_000 {
-                    let addr = rng.below(span) + (rng.below(4) << 40);
-                    let is_write = rng.chance(0.3);
-                    let got = if rng.chance(0.5) && new.hit(addr, is_write) {
-                        CacheOutcome::Hit
-                    } else {
-                        new.access(addr, is_write)
-                    };
-                    assert_eq!(got, access_reference(&mut old, addr, is_write));
-                }
-                assert_eq!(format!("{:?}", new.stats()), format!("{:?}", old.stats()));
-                assert!(new.hits > 0 && new.writebacks > 0, "seed {seed}");
+    #[derive(Clone, Copy, Default)]
+    struct ReferenceLine {
+        tag: u64,
+        valid: bool,
+        dirty: bool,
+        lru: u64,
+    }
+
+    impl ReferenceCache {
+        fn new(cfg: CacheConfig) -> Self {
+            ReferenceCache {
+                ways: cfg.ways as usize,
+                lines: vec![ReferenceLine::default(); (cfg.sets() * cfg.ways) as usize],
+                set_mask: u64::from(cfg.sets() - 1),
+                line_shift: cfg.line_bytes.trailing_zeros(),
+                set_shift: cfg.sets().trailing_zeros(),
+                tick: 0,
+                hits: 0,
+                misses: 0,
+                writebacks: 0,
             }
         }
+
+        fn access(&mut self, addr: u64, is_write: bool) -> CacheOutcome {
+            self.tick += 1;
+            let line_addr = addr >> self.line_shift;
+            let set = (line_addr & self.set_mask) as usize;
+            let tag = line_addr >> self.set_shift;
+            let set_lines = &mut self.lines[set * self.ways..(set + 1) * self.ways];
+            if let Some(line) = set_lines.iter_mut().find(|l| l.valid && l.tag == tag) {
+                line.lru = self.tick;
+                line.dirty |= is_write;
+                self.hits += 1;
+                return CacheOutcome::Hit;
+            }
+            self.misses += 1;
+            let line = set_lines
+                .iter_mut()
+                .min_by_key(|l| if l.valid { (1, l.lru) } else { (0, 0) })
+                .expect("ways >= 1");
+            let writeback = (line.valid && line.dirty).then(|| {
+                self.writebacks += 1;
+                ((line.tag << self.set_shift) | set as u64) << self.line_shift
+            });
+            *line = ReferenceLine {
+                tag,
+                valid: true,
+                dirty: is_write,
+                lru: self.tick,
+            };
+            CacheOutcome::Miss { writeback }
+        }
+    }
+
+    /// The host baseline's shared LLC (`dl-core`'s `host_sim`).
+    const HOST_LLC: CacheConfig = CacheConfig {
+        capacity_bytes: 512 * 1024,
+        ways: 16,
+        line_bytes: 64,
+        hit_latency_cycles: 35,
+    };
+
+    /// Property: on seeded streams over a few times each geometry's
+    /// capacity, the cache gives the reference cache's outcome, writeback
+    /// and hit/miss/writeback counts on every access, whether the caller
+    /// goes straight to `access`, asks `hit` and fills on a miss, or asks
+    /// `hit` and then calls `access` on a miss. The geometries cover 1, 2,
+    /// 8 and 16 ways.
+    #[test]
+    fn hit_then_fill_matches_the_reference_access() {
+        let tiny = |capacity_bytes, ways| CacheConfig {
+            capacity_bytes,
+            ways,
+            line_bytes: 64,
+            hit_latency_cycles: 1,
+        };
+        for cfg in [
+            tiny(128, 1),
+            tiny(256, 2),
+            CacheConfig::l1_32k(),
+            CacheConfig::l2_128k(),
+            HOST_LLC,
+        ] {
+            let lines = u64::from(cfg.capacity_bytes / cfg.line_bytes);
+            for seed in 0..8 {
+                let mut rng = dl_engine::DetRng::seed(seed);
+                let (mut cache, mut reference) = (Cache::new(cfg), ReferenceCache::new(cfg));
+                let span = u64::from(cfg.capacity_bytes) * 3;
+                for _ in 0..(lines * 8).max(2_000) {
+                    let addr = rng.below(span) + (rng.below(4) << 40);
+                    let is_write = rng.chance(0.3);
+                    let got = match rng.below(3) {
+                        0 => cache.access(addr, is_write),
+                        1 if cache.hit(addr, is_write) => CacheOutcome::Hit,
+                        1 => CacheOutcome::Miss {
+                            writeback: cache.fill(addr, is_write),
+                        },
+                        _ if cache.hit(addr, is_write) => CacheOutcome::Hit,
+                        _ => cache.access(addr, is_write),
+                    };
+                    assert_eq!(got, reference.access(addr, is_write), "{cfg:?} seed {seed}");
+                    assert_eq!(
+                        (cache.hits, cache.misses, cache.writebacks),
+                        (reference.hits, reference.misses, reference.writebacks)
+                    );
+                }
+                assert!(
+                    cache.hits > 0 && cache.writebacks > 0,
+                    "{cfg:?} seed {seed}"
+                );
+            }
+        }
+    }
+
+    /// Heap bytes a cache holds per line. The exhaustive pattern makes a
+    /// new field fail to compile here until it is counted.
+    fn heap_bytes_per_line(c: &Cache) -> f64 {
+        let Cache {
+            cfg,
+            tags,
+            recency,
+            dirty,
+            set_mask: _,
+            line_shift: _,
+            set_shift: _,
+            hits: _,
+            misses: _,
+            writebacks: _,
+        } = c;
+        let bytes = std::mem::size_of::<u64>() * (tags.capacity() + recency.capacity())
+            + std::mem::size_of::<u16>() * dirty.capacity();
+        bytes as f64 / f64::from(cfg.capacity_bytes / cfg.line_bytes)
+    }
+
+    #[test]
+    fn a_line_costs_at_most_ten_heap_bytes() {
+        for cfg in [CacheConfig::l1_32k(), CacheConfig::l2_128k()] {
+            let per_line = heap_bytes_per_line(&Cache::new(cfg));
+            assert!(per_line <= 10.0, "{cfg:?}: {per_line} B per line");
+        }
+    }
+
+    #[test]
+    fn validate_caps_ways_at_the_recency_word() {
+        let mut c = HOST_LLC;
+        c.validate().unwrap();
+        c.ways = 32;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("ways must be <= 16"), "{err}");
     }
 
     #[test]
