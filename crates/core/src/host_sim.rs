@@ -39,12 +39,7 @@ const MLP: usize = 10;
 /// Private L1.
 const L1: CacheConfig = CacheConfig::l1_32k();
 /// Shared last-level cache.
-const LLC: CacheConfig = CacheConfig {
-    capacity_bytes: 512 * 1024,
-    ways: 16,
-    line_bytes: 64,
-    hit_latency_cycles: 35,
-};
+const LLC: CacheConfig = CacheConfig::llc_512k();
 /// One-way channel latency under load, paid by a request on its way to
 /// memory and by its data on the way back. The NMP system's host path
 /// crosses a channel in `host::CHANNEL_LATENCY`.

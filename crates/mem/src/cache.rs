@@ -43,6 +43,16 @@ impl CacheConfig {
         }
     }
 
+    /// The host baseline's shared 512 KB, 16-way LLC with 35-cycle hits.
+    pub const fn llc_512k() -> Self {
+        CacheConfig {
+            capacity_bytes: 512 * 1024,
+            ways: 16,
+            line_bytes: 64,
+            hit_latency_cycles: 35,
+        }
+    }
+
     /// Number of sets.
     pub fn sets(&self) -> u32 {
         self.capacity_bytes / (self.ways * self.line_bytes)
@@ -106,7 +116,7 @@ const NIBBLE_TOPS: u64 = 0x8888_8888_8888_8888;
 /// A set-associative, write-back, write-allocate cache with exact LRU
 /// replacement.
 ///
-/// A way holds only its 8-byte tag ([`INVALID`] if empty), so a set's tags
+/// A way holds only its 8-byte tag (`u64::MAX` if empty), so a set's tags
 /// are one row (64 B at 8 ways). Each set keeps one recency word, its way
 /// indices as 4-bit nibbles from the most recent (the low nibble) to the
 /// least recent (nibble `ways - 1`), and a mask of its dirty ways. The
@@ -274,7 +284,11 @@ mod tests {
 
     #[test]
     fn geometry_presets_are_valid() {
-        for cfg in [CacheConfig::l1_32k(), CacheConfig::l2_128k(), HOST_LLC] {
+        for cfg in [
+            CacheConfig::l1_32k(),
+            CacheConfig::l2_128k(),
+            CacheConfig::llc_512k(),
+        ] {
             cfg.validate().unwrap();
             assert!(cfg.sets().is_power_of_two());
         }
@@ -427,14 +441,6 @@ mod tests {
         }
     }
 
-    /// The host baseline's shared LLC (`dl-core`'s `host_sim`).
-    const HOST_LLC: CacheConfig = CacheConfig {
-        capacity_bytes: 512 * 1024,
-        ways: 16,
-        line_bytes: 64,
-        hit_latency_cycles: 35,
-    };
-
     /// Property: on seeded streams over a few times each geometry's
     /// capacity, the cache gives the reference cache's outcome, writeback
     /// and hit/miss/writeback counts on every access, whether the caller
@@ -454,14 +460,14 @@ mod tests {
             tiny(256, 2),
             CacheConfig::l1_32k(),
             CacheConfig::l2_128k(),
-            HOST_LLC,
+            CacheConfig::llc_512k(),
         ] {
             let lines = u64::from(cfg.capacity_bytes / cfg.line_bytes);
             for seed in 0..8 {
                 let mut rng = dl_engine::DetRng::seed(seed);
                 let (mut cache, mut reference) = (Cache::new(cfg), ReferenceCache::new(cfg));
                 let span = u64::from(cfg.capacity_bytes) * 3;
-                for _ in 0..(lines * 8).max(2_000) {
+                for _ in 0..(lines * 8).max(20_000) {
                     let addr = rng.below(span) + (rng.below(4) << 40);
                     let is_write = rng.chance(0.3);
                     let got = match rng.below(3) {
@@ -517,7 +523,7 @@ mod tests {
 
     #[test]
     fn validate_caps_ways_at_the_recency_word() {
-        let mut c = HOST_LLC;
+        let mut c = CacheConfig::llc_512k();
         c.validate().unwrap();
         c.ways = 32;
         let err = c.validate().unwrap_err();
